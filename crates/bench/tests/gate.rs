@@ -91,9 +91,31 @@ fn committed_thresholds_file_parses_and_carries_the_build_par_rules() {
             "the scanner path must stay at least twice as fast: {rule:?}"
         );
     }
+    let match_set: Vec<_> = thresholds
+        .ratios
+        .iter()
+        .filter(|rule| rule.numerator.starts_with("match_set/"))
+        .collect();
+    assert_eq!(match_set.len(), 2, "forest-vs-scan + sub-linear growth");
+    let vs_scan = match_set
+        .iter()
+        .find(|rule| rule.denominator == "linear_scan/10k")
+        .expect("the forest-vs-scan rule");
+    assert!(
+        vs_scan.max <= 0.25,
+        "the forest must stay well under the per-subscription scan: {vs_scan:?}"
+    );
+    let growth = match_set
+        .iter()
+        .find(|rule| rule.numerator.ends_with("100k") && rule.denominator.ends_with("1k"))
+        .expect("the sub-linear growth rule");
+    assert!(
+        growth.max < 100.0,
+        "100x the subscriptions must cost less than 100x: {growth:?}"
+    );
     assert_eq!(
         thresholds.ratios.len(),
-        build_par.len() + analyze.len() + index.len() + ingest.len(),
+        build_par.len() + analyze.len() + index.len() + ingest.len() + match_set.len(),
         "no unaccounted-for ratio rules"
     );
 }
@@ -119,6 +141,10 @@ fn gate_rejects_the_prefix_build_par_snapshot() {
     prefix.extend(
         parse_snapshot(&read(&repo_root().join("BENCH_ingest.json")))
             .expect("ingest snapshot parses"),
+    );
+    prefix.extend(
+        parse_snapshot(&read(&repo_root().join("BENCH_match.json")))
+            .expect("match snapshot parses"),
     );
     let gate = enforce_ratios(&prefix, &thresholds, &[]);
     assert_eq!(
@@ -156,6 +182,10 @@ fn gate_accepts_the_committed_snapshots() {
         parse_snapshot(&read(&repo_root().join("BENCH_ingest.json")))
             .expect("ingest snapshot parses"),
     );
+    union.extend(
+        parse_snapshot(&read(&repo_root().join("BENCH_match.json")))
+            .expect("match snapshot parses"),
+    );
     let ratios = enforce_ratios(&union, &thresholds, &[]);
     assert!(
         ratios.failures.is_empty(),
@@ -165,7 +195,7 @@ fn gate_accepts_the_committed_snapshots() {
 
 #[test]
 fn binary_passes_the_ci_invocation_over_all_committed_snapshots() {
-    // Exactly what CI runs (with fresh == committed): six pairs in one
+    // Exactly what CI runs (with fresh == committed): every pair in one
     // invocation. The ratio rules must be satisfied by the union of the
     // fresh snapshots, not demanded of the engine/sim pairs where those
     // ids do not exist.
@@ -177,13 +207,17 @@ fn binary_passes_the_ci_invocation_over_all_committed_snapshots() {
     let analyze = root.join("BENCH_analyze.json");
     let index = root.join("BENCH_index.json");
     let ingest = root.join("BENCH_ingest.json");
-    let (e, s, m, a, i, g) = (
+    let net = root.join("BENCH_net.json");
+    let matching = root.join("BENCH_match.json");
+    let (e, s, m, a, i, g, n, x) = (
         engine.to_str().unwrap(),
         synopsis.to_str().unwrap(),
         sim.to_str().unwrap(),
         analyze.to_str().unwrap(),
         index.to_str().unwrap(),
         ingest.to_str().unwrap(),
+        net.to_str().unwrap(),
+        matching.to_str().unwrap(),
     );
     let out = bench_diff(&[
         "--enforce",
@@ -201,6 +235,10 @@ fn binary_passes_the_ci_invocation_over_all_committed_snapshots() {
         i,
         g,
         g,
+        n,
+        n,
+        x,
+        x,
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");

@@ -123,6 +123,70 @@ fn pattern_path(rng: &mut StdRng, out: &mut String, depth: usize) {
     }
 }
 
+/// The three-letter alphabet of [`dense_document`] and [`dense_pattern`]:
+/// small enough that a random pattern's steps are present in a random
+/// document most of the time, which is where matchers disagree — steps
+/// found, but under the wrong parent or in different subtrees.
+const DENSE_TAGS: &[&str] = &["a", "b", "c"];
+
+fn dense_tag(rng: &mut StdRng) -> &'static str {
+    // invariant: the table is a non-empty const
+    DENSE_TAGS.choose(rng).expect("non-empty table")
+}
+
+/// Generate a valid document over `a`, `b`, `c` with repeated sibling
+/// labels, up to five levels deep.
+pub fn dense_document(rng: &mut StdRng) -> Vec<u8> {
+    fn element(rng: &mut StdRng, out: &mut String, depth: usize) {
+        let name = dense_tag(rng);
+        out.push_str(&format!("<{name}>"));
+        if depth < 4 {
+            for _ in 0..rng.gen_range(0usize..4) {
+                element(rng, out, depth + 1);
+            }
+        }
+        out.push_str(&format!("</{name}>"));
+    }
+    let mut out = String::new();
+    element(rng, &mut out, 0);
+    out.into_bytes()
+}
+
+/// Generate a valid pattern over `a`, `b`, `c`, `*` and `//`, branching
+/// freely (sibling branches often share their first step).
+pub fn dense_pattern(rng: &mut StdRng) -> Vec<u8> {
+    fn step(rng: &mut StdRng, out: &mut String, depth: usize) {
+        if rng.gen_bool(0.15) {
+            out.push('*');
+        } else {
+            out.push_str(dense_tag(rng));
+        }
+        if depth >= 3 {
+            return;
+        }
+        match rng.gen_range(0u32..10) {
+            0..=2 => {}
+            3..=6 => {
+                out.push_str(if rng.gen_bool(0.3) { "//" } else { "/" });
+                step(rng, out, depth + 1);
+            }
+            _ => {
+                for _ in 0..rng.gen_range(2usize..4) {
+                    out.push('[');
+                    if rng.gen_bool(0.2) {
+                        out.push_str(".//");
+                    }
+                    step(rng, out, depth + 1);
+                    out.push(']');
+                }
+            }
+        }
+    }
+    let mut out = String::from(if rng.gen_bool(0.3) { "//" } else { "/" });
+    step(rng, &mut out, 0);
+    out.into_bytes()
+}
+
 /// Generate a mostly-valid DTD.
 pub fn dtd_document(rng: &mut StdRng) -> Vec<u8> {
     let mut out = String::new();
@@ -226,6 +290,12 @@ mod tests {
             let a = dtd_document(&mut StdRng::seed_from_u64(seed));
             let b = dtd_document(&mut StdRng::seed_from_u64(seed));
             assert_eq!(a, b);
+            let a = dense_document(&mut StdRng::seed_from_u64(seed));
+            let b = dense_document(&mut StdRng::seed_from_u64(seed));
+            assert_eq!(a, b);
+            let a = dense_pattern(&mut StdRng::seed_from_u64(seed));
+            let b = dense_pattern(&mut StdRng::seed_from_u64(seed));
+            assert_eq!(a, b);
         }
     }
 
@@ -251,6 +321,16 @@ mod tests {
             }
         }
         assert!(ok > 50, "only {ok}/100 generated patterns parsed");
+    }
+
+    #[test]
+    fn dense_documents_and_patterns_always_parse() {
+        for seed in 0..100u64 {
+            let doc = dense_document(&mut StdRng::seed_from_u64(seed));
+            tps_xml::XmlTree::parse(&String::from_utf8(doc).unwrap()).unwrap();
+            let expr = dense_pattern(&mut StdRng::seed_from_u64(seed));
+            tps_pattern::parser::parse_pattern(&String::from_utf8(expr).unwrap()).unwrap();
+        }
     }
 
     #[test]

@@ -57,11 +57,17 @@ pub enum Target {
     /// canonical), oversized fields fail with the right typed limit error,
     /// and the framed stream reader survives arbitrary prefixes.
     Net,
+    /// `tps-pattern`: the shared step forest `PatternSet` against
+    /// per-pattern `TreePattern::matches` — under random insert/remove
+    /// churn the set reports exactly the brute-force keys, ascending, and
+    /// its forest is the one a set that never held the removed patterns
+    /// would have.
+    Matchset,
 }
 
 impl Target {
     /// All targets, in the order the smoke job runs them.
-    pub fn all() -> [Target; 8] {
+    pub fn all() -> [Target; 9] {
         [
             Target::Xml,
             Target::Pattern,
@@ -71,6 +77,7 @@ impl Target {
             Target::Index,
             Target::Ingest,
             Target::Net,
+            Target::Matchset,
         ]
     }
 
@@ -85,6 +92,7 @@ impl Target {
             Target::Index => "index",
             Target::Ingest => "ingest",
             Target::Net => "net",
+            Target::Matchset => "matchset",
         }
     }
 
@@ -159,8 +167,8 @@ impl Target {
                 "<!ENTITY % t \"(#PCDATA)\"><!ELEMENT x %t;><!ATTLIST x k CDATA #IMPLIED>",
                 "<!DOCTYPE r [<!ELEMENT r (a+)><!ELEMENT a EMPTY>]>",
             ],
-            // Merge, Analyze and Index interpret bytes as a scenario seed,
-            // so any bytes do.
+            // Merge, Analyze, Index and Matchset interpret bytes as a
+            // scenario seed, so any bytes do.
             Target::Ingest => &[
                 "<media><CD><title>x</title></CD></media>",
                 "<a k=\"v\">one &amp; two<![CDATA[ <raw> ]]></a>",
@@ -169,6 +177,7 @@ impl Target {
             Target::Merge => &["0", "12345678", "merge-scenario"],
             Target::Analyze => &["0", "424242", "analyze-scenario"],
             Target::Index => &["0", "31337", "index-scenario"],
+            Target::Matchset => &["0", "2007", "matchset-scenario"],
             // Handled above (binary seeds).
             Target::Net => &[],
         };
@@ -232,6 +241,7 @@ impl Target {
             Target::Merge => &[b"0", b"9", b"merge"],
             Target::Analyze => &[b"0", b"9", b"analyze"],
             Target::Index => &[b"0", b"9", b"index"],
+            Target::Matchset => &[b"0", b"9", b"matchset"],
             Target::Net => &[
                 // version + each verb byte, field length prefixes, and the
                 // text fields limits guard.
@@ -256,10 +266,10 @@ impl Target {
             Target::Xml | Target::Ingest => gen::xml_document(rng),
             Target::Pattern => gen::pattern_expr(rng),
             Target::Dtd => gen::dtd_document(rng),
-            // The merge, analyze and index scenarios are derived from the
-            // bytes, so the "fresh input" is just a random seed rendered as
-            // digits.
-            Target::Merge | Target::Analyze | Target::Index => {
+            // The merge, analyze, index and matchset scenarios are derived
+            // from the bytes, so the "fresh input" is just a random seed
+            // rendered as digits.
+            Target::Merge | Target::Analyze | Target::Index | Target::Matchset => {
                 rng.gen::<u64>().to_string().into_bytes()
             }
             Target::Net => net_frame(rng),
@@ -281,6 +291,7 @@ impl Target {
             Target::Index => execute_index(bytes),
             Target::Ingest => execute_ingest(bytes),
             Target::Net => execute_net(bytes),
+            Target::Matchset => execute_matchset(bytes),
         }
     }
 }
@@ -1057,6 +1068,187 @@ fn execute_net(bytes: &[u8]) -> Result<(), String> {
             Ok(None) => break,
             Err(FrameError::Io(_) | FrameError::Decode(_)) => break,
         }
+    }
+    Ok(())
+}
+
+/// Pattern shapes the generators reach rarely or never, each of which the
+/// forest treats on a path of its own: the bare root, leading `//`, `*` in
+/// every position, quoted labels, text leaves (the XML generator emits
+/// `text` nodes), same-label sibling branches and `//` under a branch.
+const MATCHSET_SHAPES: &[&str] = &[
+    "/.",
+    "//a",
+    "//*",
+    "/*",
+    "/*/*",
+    "//*/text",
+    "//text",
+    "//\"text\"",
+    "/media/\"CD\"//title",
+    "//a//a//a",
+    "/a[b][b]",
+    "/a[b/c][b/a]",
+    "/.[//a][//b]",
+    "/.[*/a][//b/c]",
+    "//a[b[c][a]][.//c]",
+    "/*[*][*/*]",
+];
+
+/// Differential fuzzing of `PatternSet` against the reference matcher.
+///
+/// The case bytes seed a scenario: a pool of patterns (generated
+/// expressions over the parser alphabet and over a three-letter one,
+/// byte-mutated ones that still parse, the fixed shapes above, and
+/// duplicates under distinct keys), a handful of generated and mutated
+/// documents over the same two alphabets, and a random sequence of inserts
+/// and removes. After every step of churn:
+///
+/// * `matches` returns exactly the keys of the live patterns for which
+///   `TreePattern::matches` holds, strictly ascending;
+/// * `len` counts the live patterns, and removing a key that is not live is
+///   refused and changes nothing;
+/// * `node_count` equals that of a fresh set holding only the live
+///   patterns — removal leaves no forest node behind and takes none that
+///   another pattern still uses.
+fn execute_matchset(bytes: &[u8]) -> Result<(), String> {
+    use crate::driver::mutate;
+    use tps_pattern::{PatternSet, TreePattern};
+
+    let scenario = digest(bytes);
+    let mut rng = StdRng::seed_from_u64(scenario);
+
+    let mut pool: Vec<TreePattern> = Vec::new();
+    let pool_size = rng.gen_range(4usize..24);
+    while pool.len() < pool_size {
+        let text = match rng.gen_range(0u32..12) {
+            0..=1 => gen::pattern_expr(&mut rng),
+            2..=5 => gen::dense_pattern(&mut rng),
+            6..=7 => {
+                let base = gen::pattern_expr(&mut rng);
+                mutate(&mut rng, &base, Target::Pattern.dictionary())
+            }
+            8..=10 => MATCHSET_SHAPES[rng.gen_range(0..MATCHSET_SHAPES.len())]
+                .as_bytes()
+                .to_vec(),
+            _ if !pool.is_empty() => {
+                let duplicate = pool[rng.gen_range(0..pool.len())].clone();
+                pool.push(duplicate);
+                continue;
+            }
+            _ => continue,
+        };
+        if let Ok(pattern) = TreePattern::parse(&String::from_utf8_lossy(&text)) {
+            pool.push(pattern);
+        }
+    }
+
+    let mut documents: Vec<XmlTree> = Vec::new();
+    for _ in 0..rng.gen_range(2usize..6) {
+        let mut text = if rng.gen_bool(0.5) {
+            gen::dense_document(&mut rng)
+        } else {
+            gen::xml_document(&mut rng)
+        };
+        if rng.gen_bool(0.3) {
+            text = mutate(&mut rng, &text, Target::Xml.dictionary());
+        }
+        if let Ok(document) = XmlTree::parse(&String::from_utf8_lossy(&text)) {
+            documents.push(document);
+        }
+    }
+
+    let mut set = PatternSet::new();
+    // Live (key, pool index) pairs; keys are handed out in a scrambled
+    // order so that ascending output is the set's doing.
+    let mut live: Vec<(u64, usize)> = Vec::new();
+    let mut next_key = 0u64;
+    let check = |set: &mut PatternSet, live: &[(u64, usize)], step: usize| -> Result<(), String> {
+        if set.len() != live.len() {
+            return Err(format!(
+                "step {step}: len {} but {} patterns are live (scenario {scenario:#x})",
+                set.len(),
+                live.len()
+            ));
+        }
+        let mut fresh = PatternSet::new();
+        for &(key, index) in live {
+            fresh.insert(key, &pool[index]);
+        }
+        if set.node_count() != fresh.node_count() {
+            return Err(format!(
+                "step {step}: {} forest nodes after churn, {} in a set that only ever held \
+                 the live patterns (scenario {scenario:#x})",
+                set.node_count(),
+                fresh.node_count()
+            ));
+        }
+        for document in &documents {
+            let mut expected: Vec<u64> = live
+                .iter()
+                .filter(|&&(_, index)| pool[index].matches(document))
+                .map(|&(key, _)| key)
+                .collect();
+            expected.sort_unstable();
+            let got = set.matches(document);
+            if got != expected {
+                let patterns: Vec<String> = live
+                    .iter()
+                    .map(|&(key, index)| format!("{key}={}", pool[index]))
+                    .collect();
+                return Err(format!(
+                    "step {step}: set says {got:?}, per-pattern matching says {expected:?} on \
+                     {} with {patterns:?} (scenario {scenario:#x})",
+                    document.to_xml()
+                ));
+            }
+            if fresh.matches(document) != expected {
+                return Err(format!(
+                    "step {step}: a freshly built set disagrees with per-pattern matching \
+                     (scenario {scenario:#x})"
+                ));
+            }
+        }
+        Ok(())
+    };
+
+    let steps = rng.gen_range(4usize..40);
+    for step in 0..steps {
+        if live.is_empty() || rng.gen_bool(0.6) {
+            let index = rng.gen_range(0..pool.len());
+            // An odd multiplier permutes the key space: unique, not sorted.
+            let key = next_key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            next_key += 1;
+            set.insert(key, &pool[index]);
+            live.push((key, index));
+        } else {
+            let (key, index) = live.swap_remove(rng.gen_range(0..live.len()));
+            if !set.remove(key, &pool[index]) {
+                return Err(format!(
+                    "step {step}: removing live key {key} ({}) was refused",
+                    pool[index]
+                ));
+            }
+            if set.remove(key, &pool[index]) {
+                return Err(format!("step {step}: key {key} was removed twice"));
+            }
+        }
+        if rng.gen_bool(0.3) || step + 1 == steps {
+            check(&mut set, &live, step)?;
+        }
+    }
+
+    for (key, index) in live.drain(..) {
+        if !set.remove(key, &pool[index]) {
+            return Err(format!("final removal of key {key} was refused"));
+        }
+    }
+    if !set.is_empty() || set.node_count() != 1 {
+        return Err(format!(
+            "an emptied set keeps {} patterns and {} forest nodes (scenario {scenario:#x})",
+            set.len(),
+            set.node_count()
+        ));
     }
     Ok(())
 }

@@ -12,13 +12,20 @@
 //! `tps_sim::Simulation::process_hop` decision for decision and counter
 //! for counter, so summing [`BrokerStats`] across a churn-free overlay
 //! reproduces the simulator's and the static evaluation's numbers exactly.
+//!
+//! A document is matched against the whole view **once** per broker, by the
+//! shared step forest [`PatternSet`]; local delivery, exact-table link
+//! decisions, first-hit cost and spurious accounting are all read off that
+//! one interest set (docs/NET.md, "One pass per document").
 
 use std::collections::BTreeMap;
 
 use tps_analyze::{Severity, WorkloadAnalyzer, WorkloadEntry};
 use tps_cluster::{LeaderConfig, OnlineLeader};
-use tps_pattern::TreePattern;
-use tps_routing::{BrokerId, BrokerNetwork, BrokerTopology, ForwardingMode, RoutingTable};
+use tps_pattern::{PatternSet, TreePattern};
+use tps_routing::{
+    BrokerId, BrokerNetwork, BrokerTopology, ForwardingMode, RoutingTable, TableMode,
+};
 use tps_synopsis::{IngestTarget, Synopsis};
 use tps_xml::XmlTree;
 
@@ -55,14 +62,27 @@ pub struct BrokerCore {
     forwarding: ForwardingMode,
     lint: bool,
     consumers: BTreeMap<u64, NetConsumer>,
+    /// The patterns of `consumers` under their subscriber ids, kept current
+    /// by `install` and `unsubscribe`: one walk of a document yields the
+    /// subscribers it interests.
+    matcher: PatternSet,
     synopsis: Synopsis,
     leader: Option<OnlineLeader>,
     next_slot: u32,
+    /// The summarised table of the compressed table modes. `Table(Exact)`
+    /// keeps none: its per-link entries are the consumers behind the link,
+    /// so its decisions are read off the interest set.
     table: Option<RoutingTable>,
     tables_stale: bool,
-    /// `behind[link][b]`: whether broker `b` lives behind this broker's
-    /// `link`-th link (precomputed once; used for spurious accounting).
-    behind: Vec<Vec<bool>>,
+    /// `place_of[b]`: where a consumer attached to broker `b` is filed in
+    /// `places` — the link of this broker that `b` lives behind, or one
+    /// past the last link for this broker itself. Precomputed once.
+    place_of: Vec<usize>,
+    /// The subscriber ids of the view by place, each list ascending: one
+    /// per link (who is behind it), then the local consumers. A link's list
+    /// is its exact table in entry order, so a subscriber's position in it
+    /// is what a first-hit scan evaluates before reaching it.
+    places: Vec<Vec<u64>>,
     stats: BrokerStats,
 }
 
@@ -77,24 +97,20 @@ impl BrokerCore {
             id < config.topology.broker_count(),
             "broker {id} does not exist in the overlay"
         );
-        let behind = config
-            .topology
-            .link_partitions(id)
-            .into_iter()
-            .map(|subtree| {
-                let mut mask = vec![false; config.topology.broker_count()];
-                for b in subtree {
-                    mask[b] = true;
-                }
-                mask
-            })
-            .collect();
+        let partitions = config.topology.link_partitions(id);
+        let mut place_of = vec![partitions.len(); config.topology.broker_count()];
+        for (link, subtree) in partitions.iter().enumerate() {
+            for &broker in subtree {
+                place_of[broker] = link;
+            }
+        }
         Self {
             id,
             topology: config.topology.clone(),
             forwarding: config.forwarding,
             lint: config.lint,
             consumers: BTreeMap::new(),
+            matcher: PatternSet::new(),
             synopsis: Synopsis::new(config.synopsis),
             leader: config
                 .index
@@ -102,7 +118,8 @@ impl BrokerCore {
             next_slot: 0,
             table: None,
             tables_stale: false,
-            behind,
+            place_of,
+            places: vec![Vec::new(); partitions.len() + 1],
             stats: BrokerStats {
                 broker: id as u32,
                 ..BrokerStats::default()
@@ -199,6 +216,15 @@ impl BrokerCore {
                 slot
             }
         };
+        self.matcher.insert(subscriber, &pattern);
+        let place = &mut self.places[self.place_of[broker]];
+        // invariant: `consumers` does not hold the subscriber (checked
+        // above), so neither does its place.
+        let position = place.binary_search(&subscriber).unwrap_or_else(|free| free);
+        place.insert(position, subscriber);
+        if self.exact_table() && broker != self.id {
+            self.stats.table_nodes += pattern.node_count() as u64;
+        }
         self.consumers.insert(
             subscriber,
             NetConsumer {
@@ -256,6 +282,14 @@ impl BrokerCore {
                 if let Some(leader) = self.leader.as_mut() {
                     leader.remove_estimated(consumer.slot);
                 }
+                self.matcher.remove(subscriber, &consumer.pattern);
+                let place = &mut self.places[self.place_of[consumer.broker]];
+                if let Ok(position) = place.binary_search(&subscriber) {
+                    place.remove(position);
+                }
+                if self.exact_table() && consumer.broker != self.id {
+                    self.stats.table_nodes -= consumer.pattern.node_count() as u64;
+                }
                 self.tables_stale = true;
                 true
             }
@@ -304,81 +338,93 @@ impl BrokerCore {
         }
     }
 
+    /// Whether forwarding runs on an exact table: every consumer behind a
+    /// link is an entry of it, in subscriber order.
+    fn exact_table(&self) -> bool {
+        self.forwarding == ForwardingMode::Table(TableMode::Exact)
+    }
+
     /// Route one document at this broker, mirroring
-    /// `BrokerNetwork::route_one` exactly: exact per-consumer local
-    /// filtering (one match operation per local consumer), a table lookup
-    /// per outgoing link with first-hit cost accounting, and never sending
-    /// a document back over the link it arrived on.
+    /// `BrokerNetwork::route_one` exactly: exact local filtering (one match
+    /// operation per local consumer), a table lookup per outgoing link with
+    /// first-hit cost accounting, and never sending a document back over
+    /// the link it arrived on.
+    ///
+    /// The document is matched once. Local delivery and every link's
+    /// interest are then lookups of the interested subscribers in `places`.
     fn route(&mut self, document: &XmlTree, from: Option<BrokerId>) -> RouteOutcome {
-        // In table mode the table must exist before the per-link loop below
-        // — even for an empty view, which builds a valid match-nothing
-        // table. Flooding mode never consults it.
-        let needs_table =
-            matches!(self.forwarding, ForwardingMode::Table(_)) && self.table.is_none();
-        if self.tables_stale || needs_table {
+        let summarised = matches!(self.forwarding, ForwardingMode::Table(_)) && !self.exact_table();
+        // A summarised table must exist before the per-link loop below —
+        // even for an empty view, which builds a valid match-nothing table.
+        if summarised && (self.tables_stale || self.table.is_none()) {
             self.rebuild_table();
         }
         let mut outcome = RouteOutcome::default();
+        let interested = self.matcher.matches(document);
+        let neighbours = self.topology.neighbours(self.id);
 
-        // Local delivery: exact per-consumer filtering, in subscriber-id
-        // order (the BTreeMap keeps the view order-independent of the
-        // control flood's arrival order).
-        for (&subscriber, consumer) in &self.consumers {
-            if consumer.broker != self.id {
-                continue;
-            }
-            self.stats.match_operations += 1;
-            if consumer.pattern.matches(document) {
-                self.stats.deliveries += 1;
-                outcome.deliveries.push(subscriber);
-            }
-        }
+        // Local delivery: every local consumer is decided, in subscriber
+        // order (the view is independent of the control flood's arrival
+        // order).
+        let local = &self.places[neighbours.len()];
+        self.stats.match_operations += local.len() as u64;
+        outcome.deliveries.extend(
+            interested
+                .iter()
+                .filter(|subscriber| local.binary_search(subscriber).is_ok()),
+        );
+        self.stats.deliveries += outcome.deliveries.len() as u64;
 
         // Forwarding decision per outgoing link.
-        let neighbours = self.topology.neighbours(self.id).to_vec();
-        let mut chosen: Vec<(usize, BrokerId)> = Vec::new();
-        for (link_index, &neighbour) in neighbours.iter().enumerate() {
+        for (link, &neighbour) in neighbours.iter().enumerate() {
             if Some(neighbour) == from {
                 continue;
             }
-            match self.forwarding {
-                ForwardingMode::Flooding => chosen.push((link_index, neighbour)),
+            // The first interested consumer behind the link, as its
+            // position among the link's entries.
+            let behind = &self.places[link];
+            let first_hit = interested
+                .iter()
+                .find_map(|subscriber| behind.binary_search(subscriber).ok());
+            let (chosen, cost) = match self.forwarding {
+                ForwardingMode::Flooding => (true, 0),
+                // A first-hit scan of the exact table stops at that entry,
+                // or runs through all of them.
+                ForwardingMode::Table(TableMode::Exact) => (
+                    first_hit.is_some(),
+                    first_hit.map_or(behind.len(), |p| p + 1),
+                ),
                 ForwardingMode::Table(_) => {
-                    // invariant: rebuild_table ran above whenever the table
-                    // was missing or stale in table mode.
-                    let table = self.table.as_ref().expect("table forwarding has a table");
-                    let (hit, cost) = table.link(link_index).matches(document);
-                    self.stats.match_operations += cost as u64;
-                    if hit {
-                        chosen.push((link_index, neighbour));
-                    }
+                    // invariant: rebuild_table ran above whenever the
+                    // summarised table was missing or stale.
+                    let table = self
+                        .table
+                        .as_ref()
+                        .expect("summarised forwarding has a table");
+                    table.link(link).matches(document)
                 }
+            };
+            self.stats.match_operations += cost as u64;
+            if chosen {
+                self.stats.link_messages += 1;
+                // A forward is spurious when no consumer behind the link
+                // is interested — pure observability, never a match
+                // operation, same as the frozen ground-truth interest of
+                // the simulator and the static evaluation.
+                if first_hit.is_none() {
+                    self.stats.spurious_link_messages += 1;
+                }
+                outcome.forwards.push(neighbour);
             }
-        }
-
-        // Spurious accounting is pure observability (it never changes a
-        // forwarding decision): a forward is spurious when no consumer
-        // behind the link matches. These bookkeeping matches are not
-        // counted as match operations — same as the frozen ground-truth
-        // interest in the simulator and the static evaluation.
-        for &(link_index, neighbour) in &chosen {
-            self.stats.link_messages += 1;
-            let mask = &self.behind[link_index];
-            let interested = self
-                .consumers
-                .values()
-                .any(|c| mask[c.broker] && c.pattern.matches(document));
-            if !interested {
-                self.stats.spurious_link_messages += 1;
-            }
-            outcome.forwards.push(neighbour);
         }
         outcome
     }
 
-    /// Rebuild this broker's routing table from the current view, through
-    /// the static `BrokerNetwork` constructor — so a churn-free overlay is
-    /// table-identical to a batch evaluation by construction.
+    /// Rebuild the summarised table of a compressed table mode from the
+    /// current view, through the static `BrokerNetwork` constructor — so a
+    /// churn-free overlay is table-identical to a batch evaluation by
+    /// construction. `Table(Exact)` never comes here: its `table_nodes` is a
+    /// running sum and its decisions come from the interest set.
     fn rebuild_table(&mut self) {
         if let ForwardingMode::Table(mode) = self.forwarding {
             let mut network = BrokerNetwork::new(self.topology.clone());
@@ -560,6 +606,78 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(rejoined.consumers().len(), 2);
+    }
+
+    #[test]
+    fn aggregated_over_forwarding_is_counted_spurious_from_the_interest_set() {
+        // The aggregate of broker 1's two subscriptions admits far more
+        // than either: documents are forwarded towards consumers none of
+        // which wants them.
+        let forwarding = ForwardingMode::Table(TableMode::Aggregated);
+        let mut core = BrokerCore::new(
+            0,
+            &OverlayConfig {
+                topology: BrokerTopology::balanced_tree(3, 2),
+                forwarding,
+                ..OverlayConfig::default()
+            },
+        );
+        let mut network = BrokerNetwork::new(BrokerTopology::balanced_tree(3, 2));
+        for (subscriber, pattern) in ["//CD/title", "//CD/composer"].iter().enumerate() {
+            core.subscribe(subscriber as u64, 1, pattern).unwrap();
+            network.attach(1, "static", TreePattern::parse(pattern).unwrap());
+        }
+        let docs = [
+            "<media><CD><year>1781</year></CD></media>",
+            "<media><CD><title>Requiem</title></CD></media>",
+            "<media><book/></media>",
+        ];
+        let mut forwards = Vec::new();
+        for text in docs {
+            forwards.push(core.publish(text.as_bytes()).unwrap().forwards);
+        }
+        assert_eq!(forwards, [vec![1], vec![1], vec![1]]);
+        let stats = core.stats();
+        assert_eq!(stats.link_messages, 3);
+        assert_eq!(stats.spurious_link_messages, 2);
+        assert_eq!(stats.table_rebuilds, 1, "one summarised table, built once");
+        // Broker 1 is a leaf: the static evaluation's link counters are all
+        // broker 0's.
+        let parsed: Vec<XmlTree> = docs.iter().map(|d| XmlTree::parse(d).unwrap()).collect();
+        let expected = network.route_stream(0, &parsed, forwarding);
+        assert_eq!(stats.link_messages, expected.link_messages as u64);
+        assert_eq!(
+            stats.spurious_link_messages,
+            expected.spurious_link_messages as u64
+        );
+    }
+
+    #[test]
+    fn exact_tables_are_never_built_and_their_size_is_a_running_sum() {
+        let mut core = BrokerCore::new(0, &config(3));
+        core.subscribe(0, 0, "//CD").unwrap();
+        core.subscribe(1, 1, "//book/title").unwrap();
+        core.subscribe(2, 2, "/media[CD][book]").unwrap();
+        let behind_links = ["//book/title", "/media[CD][book]"]
+            .iter()
+            .map(|p| TreePattern::parse(p).unwrap().node_count() as u64)
+            .sum::<u64>();
+        assert_eq!(core.stats().table_nodes, behind_links);
+        core.publish(&doc("<media><CD/><book/></media>")).unwrap();
+        assert!(core.unsubscribe(1));
+        core.publish(&doc("<media><CD/><book/></media>")).unwrap();
+        let stats = core.stats();
+        assert_eq!(stats.table_rebuilds, 0);
+        assert_eq!(
+            stats.table_nodes,
+            TreePattern::parse("/media[CD][book]").unwrap().node_count() as u64
+        );
+        // First-hit cost: one local consumer per document, then one entry
+        // behind link 0 (a miss) and one behind link 1 (a hit) for the
+        // first document, and only link 1's for the second.
+        assert_eq!(stats.match_operations, (1 + 1 + 1) + (1 + 1));
+        assert_eq!(stats.link_messages, 2);
+        assert_eq!(stats.spurious_link_messages, 0);
     }
 
     /// The heart of the conformance argument, in miniature: a set of cores

@@ -65,12 +65,20 @@ impl From<FrameError> for ClientError {
     }
 }
 
+/// [`Message::Deliver`] pushes a client keeps for a caller that is not
+/// taking them. A subscriber that only ever sends requests would otherwise
+/// buffer every document pushed at it, without bound; like the broker's own
+/// queues, the client keeps the newest and counts what it let go.
+pub const DELIVERY_BACKLOG: usize = 1024;
+
 /// A connected broker client.
 #[derive(Debug)]
 pub struct BrokerClient {
     stream: Stream,
     limits: FrameLimits,
+    /// At most [`DELIVERY_BACKLOG`] deliveries, oldest first.
     pending: VecDeque<(u64, Vec<u8>)>,
+    dropped: u64,
 }
 
 impl BrokerClient {
@@ -80,11 +88,13 @@ impl BrokerClient {
             stream: Stream::connect(addr)?,
             limits,
             pending: VecDeque::new(),
+            dropped: 0,
         })
     }
 
     /// Send one request and read frames until its reply arrives, buffering
-    /// any [`Message::Deliver`] pushes that come first.
+    /// the [`Message::Deliver`] pushes that come first (the newest
+    /// [`DELIVERY_BACKLOG`] of them).
     fn roundtrip(&mut self, request: &Message) -> Result<Message, ClientError> {
         write_frame(&mut self.stream, request)?;
         loop {
@@ -92,7 +102,13 @@ impl BrokerClient {
                 Some(Message::Deliver {
                     subscriber,
                     document,
-                }) => self.pending.push_back((subscriber, document)),
+                }) => {
+                    if self.pending.len() == DELIVERY_BACKLOG {
+                        self.pending.pop_front();
+                        self.dropped += 1;
+                    }
+                    self.pending.push_back((subscriber, document));
+                }
                 Some(reply) => return Ok(reply),
                 None => return Err(ClientError::Disconnected),
             }
@@ -170,6 +186,12 @@ impl BrokerClient {
     /// Deliveries buffered so far, without touching the socket.
     pub fn take_deliveries(&mut self) -> Vec<(u64, Vec<u8>)> {
         self.pending.drain(..).collect()
+    }
+
+    /// Deliveries dropped because more than [`DELIVERY_BACKLOG`] arrived
+    /// between two calls that take them.
+    pub fn deliveries_dropped(&self) -> u64 {
+        self.dropped
     }
 
     /// Wait up to `timeout` for the next delivery push. Returns `Ok(None)`

@@ -229,7 +229,14 @@ pub struct BrokerStats {
     pub link_messages: u64,
     /// Link messages towards a subtree with no interested consumer.
     pub spurious_link_messages: u64,
-    /// Pattern-match operations (local filtering plus table lookups).
+    /// Pattern-match operations: subscriptions decided, not matcher calls.
+    /// One per local consumer per document, plus per outgoing link the
+    /// entries a first-hit scan of its table evaluates — for an exact table
+    /// the consumers behind the link, in subscriber order, up to and
+    /// including the first interested one (all of them when none is). The
+    /// broker reads these off one walk of its `PatternSet`; the count is
+    /// what the per-subscription loops of `BrokerNetwork::route_stream`
+    /// and the simulator perform, so the three stay equal.
     pub match_operations: u64,
     /// Documents that arrived from peer brokers in forward batches.
     pub forwards_received: u64,
@@ -237,9 +244,13 @@ pub struct BrokerStats {
     pub forwards_dropped: u64,
     /// Requests answered with an error reply.
     pub errors: u64,
-    /// Routing-table rebuilds performed.
+    /// Routing-table rebuilds performed. An exact table is never built
+    /// (its decisions come from the interest set), so this only counts
+    /// the summarised tables of the compressed modes.
     pub table_rebuilds: u64,
-    /// Size of the current routing table, in pattern nodes.
+    /// Size of the current routing table, in pattern nodes. For an exact
+    /// table, the nodes of every subscription behind a link, kept as a
+    /// running sum.
     pub table_nodes: u64,
     /// Semantic communities of the active subscriptions, per the
     /// index-backed online clustering.

@@ -65,9 +65,10 @@ const SERVICE_BATCH: usize = 64;
 
 struct ConnState {
     tx: SyncSender<Message>,
-    /// Set by [`Message::Hello`]: peer links are fire-and-forget (no
-    /// replies), client connections get one reply per request.
-    peer: bool,
+    /// The neighbour a [`Message::Hello`] identified: peer links are
+    /// fire-and-forget (no replies), client connections get one reply per
+    /// request.
+    peer: Option<BrokerId>,
 }
 
 struct PeerLink {
@@ -406,7 +407,7 @@ impl Service {
     fn handle(&mut self, event: Event, out: &mut [Vec<Vec<u8>>]) -> bool {
         match event {
             Event::Opened { conn, tx } => {
-                self.conns.insert(conn, ConnState { tx, peer: false });
+                self.conns.insert(conn, ConnState { tx, peer: None });
             }
             Event::Closed { conn } => {
                 self.conns.remove(&conn);
@@ -422,9 +423,9 @@ impl Service {
 
     fn handle_frame(&mut self, conn: u64, message: Message, out: &mut [Vec<Vec<u8>>]) -> bool {
         match message {
-            Message::Hello { .. } => {
+            Message::Hello { broker } => {
                 if let Some(state) = self.conns.get_mut(&conn) {
-                    state.peer = true;
+                    state.peer = Some(broker as BrokerId);
                 }
             }
             Message::Subscribe {
@@ -432,11 +433,8 @@ impl Service {
                 broker,
                 pattern,
             } => {
-                let from_peer = self
-                    .conns
-                    .get(&conn)
-                    .map(|state| state.peer)
-                    .unwrap_or(true);
+                let arrival = self.arrival_link(conn);
+                let from_peer = arrival.is_some() || !self.conns.contains_key(&conn);
                 // Flood-received subscriptions were already admitted at
                 // their home broker; only client subscriptions face lint.
                 let result = if from_peer {
@@ -452,11 +450,14 @@ impl Service {
                         self.reply(conn, Message::Ack);
                         // Flood on: duplicates terminate the broadcast at
                         // the first broker that already has the entry.
-                        self.flood(Message::Subscribe {
-                            subscriber,
-                            broker,
-                            pattern,
-                        });
+                        self.flood(
+                            Message::Subscribe {
+                                subscriber,
+                                broker,
+                                pattern,
+                            },
+                            arrival,
+                        );
                     }
                     Ok(false) => {
                         // Idempotent re-subscribe: the view is unchanged
@@ -474,7 +475,7 @@ impl Service {
             Message::Unsubscribe { subscriber } => {
                 if self.core.unsubscribe(subscriber) {
                     self.deliver_conns.remove(&subscriber);
-                    self.flood(Message::Unsubscribe { subscriber });
+                    self.flood(Message::Unsubscribe { subscriber }, self.arrival_link(conn));
                 }
                 // Idempotent: acknowledged whether or not the view changed.
                 self.reply(conn, Message::Ack);
@@ -549,7 +550,7 @@ impl Service {
         let Some(state) = self.conns.get(&conn) else {
             return;
         };
-        if state.peer {
+        if state.peer.is_some() {
             return;
         }
         // Blocking send: a request-reply client is by contract reading its
@@ -558,12 +559,22 @@ impl Service {
         let _ = state.tx.send(message);
     }
 
-    /// Queue a control frame for every peer link. Control is never
+    /// The neighbour whose peer link `conn` is, if it is one.
+    fn arrival_link(&self, conn: u64) -> Option<BrokerId> {
+        self.conns.get(&conn).and_then(|state| state.peer)
+    }
+
+    /// Queue a control frame for every peer link but the one it arrived
+    /// on: the overlay is a tree, so the sender's side already has it, and
+    /// an echoed `Subscribe` overtaken by the matching `Unsubscribe` would
+    /// re-install the departed subscriber there for good. Control is never
     /// dropped: frames that do not fit the queue park in the pending list,
     /// retried at every flush while the link lives.
-    fn flood(&mut self, message: Message) {
-        for peer in &mut self.peers {
-            peer.pending.push_back(message.clone());
+    fn flood(&mut self, message: Message, arrival: Option<BrokerId>) {
+        for (peer, &neighbour) in self.peers.iter_mut().zip(&self.neighbours) {
+            if Some(neighbour) != arrival {
+                peer.pending.push_back(message.clone());
+            }
         }
     }
 

@@ -7,6 +7,7 @@
 
 use std::time::Duration;
 
+use tps_net::client::DELIVERY_BACKLOG;
 use tps_net::{BrokerStats, ErrorCode, LocalOverlay, OverlayConfig, Transport};
 
 const TIMEOUT: Duration = Duration::from_secs(20);
@@ -110,6 +111,76 @@ fn tcp_unsubscribe_stops_traffic() {
 #[test]
 fn unix_unsubscribe_stops_traffic() {
     unsubscribe_stops_traffic(Transport::Unix);
+}
+
+/// Regression: control frames used to be flooded back over the link they
+/// arrived on. A `Subscribe` echo landing at the home broker after the
+/// matching `Unsubscribe` re-installed the departed subscriber there, and
+/// the views diverged for good.
+fn immediate_unsubscribe_leaves_no_ghost_subscriber(transport: Transport) {
+    let overlay = spawn(transport);
+    let mut standing = overlay.client(1).expect("client 1");
+    standing.subscribe(0, 1, "//CD").expect("subscribe //CD");
+    let mut leaf = overlay.client(2).expect("client 2");
+    for round in 0..200u64 {
+        leaf.subscribe(1 + round, 2, "//book").expect("subscribe");
+        leaf.unsubscribe(1 + round).expect("unsubscribe");
+    }
+    overlay
+        .await_consumers(1, TIMEOUT)
+        .expect("only the standing subscriber is left, on every broker");
+    overlay.shutdown().expect("shutdown");
+}
+
+#[test]
+fn tcp_immediate_unsubscribe_leaves_no_ghost_subscriber() {
+    immediate_unsubscribe_leaves_no_ghost_subscriber(Transport::Tcp);
+}
+
+#[test]
+fn unix_immediate_unsubscribe_leaves_no_ghost_subscriber() {
+    immediate_unsubscribe_leaves_no_ghost_subscriber(Transport::Unix);
+}
+
+/// A subscriber that sends requests but never takes its deliveries keeps
+/// the newest [`DELIVERY_BACKLOG`] of them and counts the rest, instead of
+/// buffering every document ever pushed at it.
+fn an_undrained_subscriber_keeps_a_bounded_backlog(transport: Transport) {
+    let overlay = spawn(transport);
+    let mut idle = overlay.client(0).expect("client 0");
+    idle.subscribe(0, 0, "//a").expect("subscribe");
+    let mut producer = overlay.client(0).expect("producer");
+    let rounds = 3;
+    let per_round = DELIVERY_BACKLOG / 2;
+    for round in 0..rounds {
+        for i in 0..per_round {
+            let document = format!("<a>{}</a>", round * per_round + i);
+            producer.publish(document.as_bytes()).expect("publish");
+        }
+        // The reply queues behind this round's pushes, so the client reads
+        // (and buffers) all of them on the way to it.
+        assert_eq!(
+            idle.stats().expect("stats").deliveries as usize,
+            (round + 1) * per_round
+        );
+    }
+    let sent = rounds * per_round;
+    assert_eq!(idle.deliveries_dropped() as usize, sent - DELIVERY_BACKLOG);
+    let kept = idle.take_deliveries();
+    assert_eq!(kept.len(), DELIVERY_BACKLOG);
+    let newest = format!("<a>{}</a>", sent - 1);
+    assert_eq!(kept.last().expect("non-empty").1, newest.as_bytes());
+    overlay.shutdown().expect("shutdown");
+}
+
+#[test]
+fn tcp_an_undrained_subscriber_keeps_a_bounded_backlog() {
+    an_undrained_subscriber_keeps_a_bounded_backlog(Transport::Tcp);
+}
+
+#[test]
+fn unix_an_undrained_subscriber_keeps_a_bounded_backlog() {
+    an_undrained_subscriber_keeps_a_bounded_backlog(Transport::Unix);
 }
 
 /// Broker-side validation surfaces as typed remote errors, and the

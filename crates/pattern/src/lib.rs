@@ -18,6 +18,8 @@
 //!   `.[//CD][//Mozart]`),
 //! * [`matching`] — the exact matching semantics `T |= p` used for ground
 //!   truth in the evaluation,
+//! * [`PatternSet`] — a shared-prefix step forest that matches one document
+//!   against a whole subscription set in a single walk, exactly,
 //! * [`containment`] — a sound homomorphism-based containment test
 //!   (`p ⊑ q`), the classic alternative proximity notion that the paper
 //!   argues is *not* sufficient for semantic communities,
@@ -50,7 +52,9 @@ pub mod matching;
 pub mod ops;
 pub mod parser;
 pub mod pattern;
+pub mod set;
 
 pub use compiled::{CompiledPattern, SubtreeInterner, SubtreeKeyId};
 pub use error::PatternParseError;
 pub use pattern::{PatternLabel, PatternNodeId, TreePattern};
+pub use set::PatternSet;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tps_pattern::ops::{conjunction, normalize};
-use tps_pattern::{PatternLabel, TreePattern};
+use tps_pattern::{PatternLabel, PatternSet, TreePattern};
 use tps_xml::XmlTree;
 
 const TAGS: &[&str] = &["a", "b", "c", "d", "e", "f", "g"];
@@ -92,6 +92,51 @@ fn gen_doc() -> impl Strategy<Value = XmlTree> {
     })
 }
 
+/// One step of a branch-free pattern: a tag, `*`, or `//` before either.
+#[derive(Debug, Clone)]
+struct GenStep {
+    descendant: bool,
+    tag: Option<usize>,
+}
+
+/// A branch-free pattern. With `plain`, only tag steps (the fragment a
+/// trie alone decides); otherwise `*` and `//` steps too (the fragment
+/// that needs the any-label edge and the ε-move with its self-loop).
+fn gen_linear(plain: bool) -> impl Strategy<Value = TreePattern> {
+    let step = (any::<bool>(), any::<bool>(), 0..TAGS.len()).prop_map(move |(d, w, i)| GenStep {
+        descendant: d && !plain,
+        tag: (!w || plain).then_some(i),
+    });
+    prop::collection::vec(step, 1..6).prop_map(|steps| {
+        let mut p = TreePattern::new();
+        let mut at = p.root();
+        for step in steps {
+            if step.descendant {
+                at = p.add_child(at, PatternLabel::Descendant);
+            }
+            at = p.add_child(
+                at,
+                step.tag
+                    .map_or(PatternLabel::Wildcard, |i| PatternLabel::tag(TAGS[i])),
+            );
+        }
+        p
+    })
+}
+
+/// The keys `PatternSet` reports for `patterns` (keyed by position) on `d`,
+/// and the keys per-pattern matching selects.
+fn set_and_reference(patterns: &[TreePattern], d: &XmlTree) -> (Vec<u64>, Vec<u64>) {
+    let mut set = PatternSet::new();
+    for (key, p) in patterns.iter().enumerate() {
+        set.insert(key as u64, p);
+    }
+    let reference = (0..patterns.len() as u64)
+        .filter(|&key| patterns[key as usize].matches(d))
+        .collect();
+    (set.matches(d).to_vec(), reference)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -150,6 +195,58 @@ proptest! {
             cur = p.add_child(cur, PatternLabel::tag(label));
         }
         prop_assert!(p.matches(&d));
+    }
+
+    /// One walk of the shared step forest selects exactly the patterns
+    /// that match on their own — tag-only paths.
+    #[test]
+    fn pattern_set_is_exact_on_tag_paths(
+        ps in prop::collection::vec(gen_linear(true), 1..10),
+        d in gen_doc(),
+    ) {
+        let (set, reference) = set_and_reference(&ps, &d);
+        prop_assert_eq!(set, reference);
+    }
+
+    /// … paths with `*` and `//` steps …
+    #[test]
+    fn pattern_set_is_exact_on_wildcard_and_descendant_paths(
+        ps in prop::collection::vec(gen_linear(false), 1..10),
+        d in gen_doc(),
+    ) {
+        let (set, reference) = set_and_reference(&ps, &d);
+        prop_assert_eq!(set, reference);
+    }
+
+    /// … and branching patterns, whose leaf paths being reached is only a
+    /// necessary condition.
+    #[test]
+    fn pattern_set_is_exact_on_branching_patterns(
+        ps in prop::collection::vec(gen_pattern(), 1..10),
+        d in gen_doc(),
+    ) {
+        let (set, reference) = set_and_reference(&ps, &d);
+        prop_assert_eq!(set, reference);
+    }
+
+    /// Inserting a pattern and removing it again leaves the set as it was:
+    /// same size, same forest, same answers.
+    #[test]
+    fn pattern_set_insert_then_remove_is_identity(
+        ps in prop::collection::vec(gen_pattern(), 0..6),
+        extra in gen_pattern(),
+        d in gen_doc(),
+    ) {
+        let mut set = PatternSet::new();
+        for (key, p) in ps.iter().enumerate() {
+            set.insert(key as u64, p);
+        }
+        let before = (set.len(), set.node_count(), set.matches(&d).to_vec());
+        set.insert(u64::MAX, &extra);
+        prop_assert_eq!(set.matches(&d).contains(&u64::MAX), extra.matches(&d));
+        prop_assert!(set.remove(u64::MAX, &extra));
+        let after = (set.len(), set.node_count(), set.matches(&d).to_vec());
+        prop_assert_eq!(before, after);
     }
 
     /// Canonical keys are stable under re-parsing the display form.

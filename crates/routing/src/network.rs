@@ -9,7 +9,7 @@
 //! summarisation modes.
 
 use tps_pattern::containment::ContainmentOracle;
-use tps_pattern::TreePattern;
+use tps_pattern::{PatternSet, TreePattern};
 use tps_xml::XmlTree;
 
 use crate::impl_variant_name;
@@ -112,6 +112,15 @@ impl DeliveryMetrics for NetworkStats {
     fn missed_deliveries(&self) -> usize {
         self.missed_deliveries
     }
+}
+
+/// What every document of one `route_stream` call is routed with.
+struct StreamPlan {
+    mode: ForwardingMode,
+    /// One table per broker (none for flooding).
+    tables: Vec<RoutingTable>,
+    /// `local[b]`: the consumers attached to broker `b`.
+    local: Vec<Vec<usize>>,
 }
 
 /// A tree of brokers with consumers attached to them.
@@ -273,32 +282,50 @@ impl BrokerNetwork {
             },
             ..NetworkStats::default()
         };
+        // The ground-truth interest of each document comes from one walk of
+        // the shared step forest over all subscriptions; the link decisions
+        // below still go through the tables, entry by entry.
+        let mut matcher = PatternSet::new();
+        for (consumer, attached) in self.consumers.iter().enumerate() {
+            matcher.insert(consumer as u64, &attached.subscription);
+        }
+        let plan = StreamPlan {
+            mode,
+            tables,
+            local: self
+                .topology
+                .brokers()
+                .map(|broker| self.consumers_at(broker))
+                .collect(),
+        };
+        let mut interested = vec![false; self.consumers.len()];
         for document in documents {
-            self.route_one(producer, document, mode, &tables, &mut stats);
+            interested.fill(false);
+            for &consumer in matcher.matches(document) {
+                interested[consumer as usize] = true;
+            }
+            self.route_one(producer, document, &plan, &interested, &mut stats);
         }
         stats
     }
 
+    /// Route one document; `interested[c]` is whether consumer `c`'s
+    /// subscription matches it.
     fn route_one(
         &self,
         producer: BrokerId,
         document: &XmlTree,
-        mode: ForwardingMode,
-        tables: &[RoutingTable],
+        plan: &StreamPlan,
+        interested: &[bool],
         stats: &mut NetworkStats,
     ) {
-        let interested: Vec<bool> = self
-            .consumers
-            .iter()
-            .map(|c| c.subscription.matches(document))
-            .collect();
         let mut delivered = vec![false; self.consumers.len()];
         // Depth-first propagation over the tree, remembering the link we
         // arrived on so we never send a document back where it came from.
         let mut stack: Vec<(BrokerId, Option<BrokerId>)> = vec![(producer, None)];
         while let Some((broker, from)) = stack.pop() {
             // Local delivery: exact per-consumer filtering.
-            for consumer in self.consumers_at(broker) {
+            for &consumer in &plan.local[broker] {
                 stats.match_operations += 1;
                 if interested[consumer] {
                     delivered[consumer] = true;
@@ -307,14 +334,14 @@ impl BrokerNetwork {
             }
             // Forwarding decision per outgoing link.
             let neighbours = self.topology.neighbours(broker);
-            let forward_to: Vec<BrokerId> = match mode {
+            let forward_to: Vec<BrokerId> = match plan.mode {
                 ForwardingMode::Flooding => neighbours
                     .iter()
                     .copied()
                     .filter(|&n| Some(n) != from)
                     .collect(),
                 ForwardingMode::Table(_) => {
-                    let table = &tables[broker];
+                    let table = &plan.tables[broker];
                     let mut chosen = Vec::new();
                     for (link_index, &neighbour) in neighbours.iter().enumerate() {
                         if Some(neighbour) == from {

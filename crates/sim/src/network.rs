@@ -4,7 +4,7 @@
 //! the recluster policy.
 
 use tps_core::{LshConfig, PatternId, SimilarityEngine};
-use tps_pattern::TreePattern;
+use tps_pattern::{PatternSet, TreePattern};
 use tps_routing::{
     BrokerId, BrokerNetwork, BrokerTopology, CommunityClustering, CommunityConfig, ForwardingMode,
     IncrementalCommunities, RoutingTable, TableCompaction,
@@ -63,6 +63,9 @@ pub struct SimNetwork {
     analyze: bool,
     community: CommunityConfig,
     consumers: Vec<SimConsumer>,
+    /// The active consumers' patterns under their slots: the publish-time
+    /// ground truth is one walk of it per document.
+    matcher: PatternSet,
     engine: SimilarityEngine,
     tables: Vec<RoutingTable>,
     /// When set, communities are maintained incrementally through the LSH
@@ -117,6 +120,7 @@ impl SimNetwork {
             analyze: false,
             community,
             consumers: Vec::new(),
+            matcher: PatternSet::new(),
             engine: SimilarityEngine::new(synopsis),
             tables: Vec::new(),
             incremental: None,
@@ -244,6 +248,7 @@ impl SimNetwork {
             "broker {broker} does not exist"
         );
         let id = self.engine.register(&pattern);
+        self.matcher.insert(subscriber as u64, &pattern);
         self.consumers.push(SimConsumer {
             broker,
             pattern,
@@ -270,6 +275,7 @@ impl SimNetwork {
         match self.consumers.get_mut(subscriber) {
             Some(consumer) if consumer.active => {
                 consumer.active = false;
+                self.matcher.remove(subscriber as u64, &consumer.pattern);
                 if let Some(incremental) = self.incremental.as_mut() {
                     let engine = &self.engine;
                     let consumers = &self.consumers;
@@ -287,6 +293,16 @@ impl SimNetwork {
             }
             _ => false,
         }
+    }
+
+    /// Ground-truth interest in `document`, per consumer slot: whether the
+    /// consumer is active and its subscription matches.
+    pub fn interested(&mut self, document: &XmlTree) -> Vec<bool> {
+        let mut interested = vec![false; self.consumers.len()];
+        for &slot in self.matcher.matches(document) {
+            interested[slot as usize] = true;
+        }
+        interested
     }
 
     /// Fold a published document into the engine's synopsis (bumps the
@@ -443,8 +459,11 @@ mod tests {
         let mut network = network();
         network.subscribe(0, 1, pattern("//CD"));
         network.subscribe(1, 3, pattern("//book"));
+        let document = XmlTree::parse("<media><CD/><book/></media>").unwrap();
+        assert_eq!(network.interested(&document), vec![true, true]);
         assert!(network.unsubscribe(0));
         assert!(!network.unsubscribe(0), "double departure is a no-op");
+        assert_eq!(network.interested(&document), vec![false, true]);
         assert_eq!(network.active_count(), 1);
         assert_eq!(network.consumers().len(), 2);
         assert_eq!(network.active_consumers_at(1), Vec::<usize>::new());

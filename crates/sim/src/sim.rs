@@ -385,12 +385,7 @@ impl Simulation {
     /// Publish a document: freeze the ground truth, feed the synopsis, and
     /// inject the first hop at the producer.
     fn publish(&mut self, document: &XmlTree) {
-        let interested: Vec<bool> = self
-            .network
-            .consumers()
-            .iter()
-            .map(|c| c.active && c.pattern.matches(document))
-            .collect();
+        let interested = self.network.interested(document);
         self.network.observe(document);
         let handle: DocHandle = self.docs.len();
         self.docs.push(Some(DocState {
