@@ -39,10 +39,15 @@ fn bench_exact_matching(c: &mut Criterion) {
 }
 
 /// One document against a whole subscription set: the shared step forest
-/// against the per-subscription loop it replaced on the publish path, over
-/// one pool of nitf documents. `bench_thresholds.txt` holds the forest to a
-/// quarter of the scan at 10k and to sub-linear growth from 1k to 100k
-/// (ROADMAP item 3's gate); each iteration is one pass over the pool.
+/// with its path cache against the per-subscription loop it replaced on the
+/// publish path, over one pool of nitf documents; each iteration is one pass
+/// over the pool. `match_set/*` is the steady state (the warm-up pass has
+/// taught the cache every path of the pool); `match_set_cold/*` inserts and
+/// removes a pattern with a step of its own before each pass, so every pass
+/// starts from an empty cache and pays each path's miss once.
+/// `bench_thresholds.txt` holds the steady state to a twentieth of the scan
+/// at 10k, the cold pass to a tenth, and the pass at 100k under 0.30 of that
+/// same scan of 10k (ROADMAP item 3's gate).
 fn bench_match_set(c: &mut Criterion) {
     let dtd = Dtd::nitf_like();
     let documents = DocumentGenerator::new(&dtd, DocGenConfig::default().with_seed(1_000_001))
@@ -50,19 +55,50 @@ fn bench_match_set(c: &mut Criterion) {
     let patterns = XPathGenerator::new(&dtd, XPathGenConfig::default().with_seed(2_000_003))
         .generate_many(100_000);
     let sizes = [("1k", 1_000), ("10k", 10_000), ("100k", 100_000)];
-
-    let mut group = c.benchmark_group("match_set");
-    for (label, size) in sizes {
+    let set_of = |size: usize| {
         let mut set = PatternSet::new();
         for (key, pattern) in patterns.iter().take(size).enumerate() {
             set.insert(key as u64, pattern);
         }
-        group.bench_function(label, |b| {
+        set
+    };
+    let pass =
+        |set: &mut PatternSet| -> usize { documents.iter().map(|d| set.matches(d).len()).sum() };
+    // The cache's health after the timed passes: steps served and computed,
+    // trie nodes held, resets.
+    let report = |group: &str, label: &str, set: &PatternSet| {
+        let stats = set.cache_stats();
+        println!(
+            "{group}/{label} path cache: {} hits, {} misses, {} nodes, {} resets",
+            stats.hits,
+            stats.misses,
+            stats.nodes,
+            stats.view_resets + stats.full_resets
+        );
+    };
+
+    let mut group = c.benchmark_group("match_set");
+    for (label, size) in sizes {
+        let mut set = set_of(size);
+        group.bench_function(label, |b| b.iter(|| black_box(pass(&mut set))));
+        report("match_set", label, &set);
+    }
+    group.finish();
+
+    // No generated pattern mentions this label: the step is a forest node
+    // of its own, so both the insert and the remove reset the cache.
+    let fresh = TreePattern::parse("/nitf/a-label-of-its-own").unwrap();
+    let mut group = c.benchmark_group("match_set_cold");
+    for (label, size) in &sizes[..2] {
+        let mut set = set_of(*size);
+        group.bench_function(*label, |b| {
             b.iter(|| {
-                let hits: usize = documents.iter().map(|d| set.matches(d).len()).sum();
-                black_box(hits)
+                set.insert(u64::MAX, &fresh);
+                set.remove(u64::MAX, &fresh);
+                black_box(pass(&mut set))
             })
         });
+        report("match_set_cold", label, &set);
     }
     group.finish();
 

@@ -94,25 +94,29 @@ fn committed_thresholds_file_parses_and_carries_the_build_par_rules() {
     let match_set: Vec<_> = thresholds
         .ratios
         .iter()
-        .filter(|rule| rule.numerator.starts_with("match_set/"))
+        .filter(|rule| rule.numerator.starts_with("match_set"))
         .collect();
-    assert_eq!(match_set.len(), 2, "forest-vs-scan + sub-linear growth");
-    let vs_scan = match_set
-        .iter()
-        .find(|rule| rule.denominator == "linear_scan/10k")
-        .expect("the forest-vs-scan rule");
-    assert!(
-        vs_scan.max <= 0.25,
-        "the forest must stay well under the per-subscription scan: {vs_scan:?}"
+    assert_eq!(
+        match_set.len(),
+        3,
+        "forest-vs-scan with a warm and with an emptied path cache + the 100k pass"
     );
-    let growth = match_set
-        .iter()
-        .find(|rule| rule.numerator.ends_with("100k") && rule.denominator.ends_with("1k"))
-        .expect("the sub-linear growth rule");
-    assert!(
-        growth.max < 100.0,
-        "100x the subscriptions must cost less than 100x: {growth:?}"
-    );
+    // The 100k pass is held against the 10k scan too: the 1k pass it was
+    // first held against is a millisecond now, and the noisiest term of a run.
+    for (numerator, max) in [
+        ("match_set/10k", 0.05),
+        ("match_set_cold/10k", 0.10),
+        ("match_set/100k", 0.30),
+    ] {
+        let vs_scan = match_set
+            .iter()
+            .find(|rule| rule.numerator == numerator && rule.denominator == "linear_scan/10k")
+            .unwrap_or_else(|| panic!("the {numerator}-vs-scan rule"));
+        assert!(
+            vs_scan.max <= max,
+            "the forest must stay well under the per-subscription scan: {vs_scan:?}"
+        );
+    }
     assert_eq!(
         thresholds.ratios.len(),
         build_par.len() + analyze.len() + index.len() + ingest.len() + match_set.len(),

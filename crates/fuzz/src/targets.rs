@@ -1102,10 +1102,15 @@ const MATCHSET_SHAPES: &[&str] = &[
 /// byte-mutated ones that still parse, the fixed shapes above, and
 /// duplicates under distinct keys), a handful of generated and mutated
 /// documents over the same two alphabets, and a random sequence of inserts
-/// and removes. After every step of churn:
+/// and removes. For the path cache the documents also include one whose
+/// element labels are partly outside every pattern's alphabet, and one
+/// document twice with only its text changed. The documents are re-matched
+/// after the steps of churn, so the cache is hit, missed and reset as the
+/// set changes under it. After every step of churn:
 ///
 /// * `matches` returns exactly the keys of the live patterns for which
 ///   `TreePattern::matches` holds, strictly ascending;
+/// * the path cache holds no more than its bound;
 /// * `len` counts the live patterns, and removing a key that is not live is
 ///   refused and changes nothing;
 /// * `node_count` equals that of a fresh set holding only the live
@@ -1158,6 +1163,32 @@ fn execute_matchset(bytes: &[u8]) -> Result<(), String> {
         }
     }
 
+    // Drawn from a generator of their own, so the scenarios above are the
+    // ones the older corpus cases were saved for.
+    let mut extra = StdRng::seed_from_u64(scenario ^ 0x7061_7468_6361_6368);
+    if let Some(base) = documents.first().cloned() {
+        let mut strange = 0;
+        documents.push(relabelled(&base, &mut |label, is_text| {
+            if !is_text && extra.gen_bool(0.4) {
+                strange += 1;
+                format!("outside-{strange}")
+            } else {
+                label.to_string()
+            }
+        }));
+        for round in 0..2 {
+            let mut texts = 0;
+            documents.push(relabelled(&base, &mut |label, is_text| {
+                if is_text {
+                    texts += 1;
+                    format!("text {round}.{texts}")
+                } else {
+                    label.to_string()
+                }
+            }));
+        }
+    }
+
     let mut set = PatternSet::new();
     // Live (key, pool index) pairs; keys are handed out in a scrambled
     // order so that ascending output is the set's doing.
@@ -1200,6 +1231,14 @@ fn execute_matchset(bytes: &[u8]) -> Result<(), String> {
                     "step {step}: set says {got:?}, per-pattern matching says {expected:?} on \
                      {} with {patterns:?} (scenario {scenario:#x})",
                     document.to_xml()
+                ));
+            }
+            let cache = set.cache_stats();
+            if cache.nodes + cache.references > cache.bound {
+                return Err(format!(
+                    "step {step}: the path cache holds {} nodes and {} references, over its \
+                     bound of {} (scenario {scenario:#x})",
+                    cache.nodes, cache.references, cache.bound
                 ));
             }
             if fresh.matches(document) != expected {
@@ -1251,6 +1290,38 @@ fn execute_matchset(bytes: &[u8]) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// A copy of `document` with every label passed through `relabel` (label,
+/// whether it is text). Every element without children is given a text
+/// child first, so there is always text to change.
+fn relabelled(document: &XmlTree, relabel: &mut impl FnMut(&str, bool) -> String) -> XmlTree {
+    fn copy(
+        from: &XmlTree,
+        node: tps_xml::NodeId,
+        to: &mut XmlTree,
+        parent: tps_xml::NodeId,
+        relabel: &mut impl FnMut(&str, bool) -> String,
+    ) {
+        if from.children(node).is_empty() && !from.node(node).is_text() {
+            to.add_text_child(parent, &relabel("text", true));
+        }
+        for &child in from.children(node) {
+            let is_text = from.node(child).is_text();
+            let label = relabel(from.label(child), is_text);
+            let copied = if is_text {
+                to.add_text_child(parent, &label)
+            } else {
+                to.add_child(parent, &label)
+            };
+            copy(from, child, to, copied, relabel);
+        }
+    }
+    let root = document.root();
+    let mut out = XmlTree::new(&relabel(document.label(root), false));
+    let out_root = out.root();
+    copy(document, root, &mut out, out_root, relabel);
+    out
 }
 
 #[cfg(test)]

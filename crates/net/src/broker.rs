@@ -83,6 +83,10 @@ pub struct BrokerCore {
     /// is its exact table in entry order, so a subscriber's position in it
     /// is what a first-hit scan evaluates before reaching it.
     places: Vec<Vec<u64>>,
+    // Scratch of `route`, one slot per place and per link, kept so that
+    // routing a document allocates nothing here.
+    cursors: Vec<usize>,
+    first_hits: Vec<Option<usize>>,
     stats: BrokerStats,
 }
 
@@ -120,6 +124,8 @@ impl BrokerCore {
             tables_stale: false,
             place_of,
             places: vec![Vec::new(); partitions.len() + 1],
+            cursors: vec![0; partitions.len() + 1],
+            first_hits: vec![None; partitions.len()],
             stats: BrokerStats {
                 broker: id as u32,
                 ..BrokerStats::default()
@@ -363,16 +369,45 @@ impl BrokerCore {
         let interested = self.matcher.matches(document);
         let neighbours = self.topology.neighbours(self.id);
 
+        // Every interested subscriber is filed in exactly one place, and the
+        // interest set and the place lists are all ascending: one merging
+        // pass with a cursor per place finds the local deliveries and, for
+        // each outgoing link, its first interested consumer as a position
+        // among the link's entries. A link is ranked once; later subscribers
+        // behind it are only told apart from the local ones.
+        let links = neighbours.len();
+        let Self {
+            places,
+            cursors,
+            first_hits,
+            ..
+        } = self;
+        cursors.fill(0);
+        first_hits.fill(None);
+        'interested: for &subscriber in interested {
+            let local = &places[links];
+            cursors[links] = seek(local, cursors[links], subscriber);
+            if local.get(cursors[links]) == Some(&subscriber) {
+                outcome.deliveries.push(subscriber);
+                continue;
+            }
+            for (link, &neighbour) in neighbours.iter().enumerate() {
+                if first_hits[link].is_some() || Some(neighbour) == from {
+                    continue;
+                }
+                let behind = &places[link];
+                cursors[link] = seek(behind, cursors[link], subscriber);
+                if behind.get(cursors[link]) == Some(&subscriber) {
+                    first_hits[link] = Some(cursors[link]);
+                    continue 'interested;
+                }
+            }
+        }
+
         // Local delivery: every local consumer is decided, in subscriber
         // order (the view is independent of the control flood's arrival
         // order).
-        let local = &self.places[neighbours.len()];
-        self.stats.match_operations += local.len() as u64;
-        outcome.deliveries.extend(
-            interested
-                .iter()
-                .filter(|subscriber| local.binary_search(subscriber).is_ok()),
-        );
+        self.stats.match_operations += self.places[links].len() as u64;
         self.stats.deliveries += outcome.deliveries.len() as u64;
 
         // Forwarding decision per outgoing link.
@@ -380,12 +415,8 @@ impl BrokerCore {
             if Some(neighbour) == from {
                 continue;
             }
-            // The first interested consumer behind the link, as its
-            // position among the link's entries.
             let behind = &self.places[link];
-            let first_hit = interested
-                .iter()
-                .find_map(|subscriber| behind.binary_search(subscriber).ok());
+            let first_hit = self.first_hits[link];
             let (chosen, cost) = match self.forwarding {
                 ForwardingMode::Flooding => (true, 0),
                 // A first-hit scan of the exact table stops at that entry,
@@ -471,6 +502,20 @@ impl BrokerCore {
     }
 }
 
+/// The first position at or after `from` of ascending `list` whose value is
+/// at least `target`, found by galloping: a merge that costs the logarithm of
+/// each gap it skips rather than its length.
+fn seek(list: &[u64], from: usize, target: u64) -> usize {
+    let mut low = from;
+    let mut step = 1;
+    while low + step < list.len() && list[low + step] < target {
+        low += step;
+        step *= 2;
+    }
+    let high = (low + step + 1).min(list.len());
+    low + list[low..high].partition_point(|&value| value < target)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,6 +530,18 @@ mod tests {
 
     fn doc(text: &str) -> Vec<u8> {
         text.as_bytes().to_vec()
+    }
+
+    #[test]
+    fn seek_finds_what_a_binary_search_of_the_rest_finds() {
+        let list: Vec<u64> = (0..200).map(|i| i * i / 7 + i).collect();
+        for from in [0, 1, 17, 199, 200] {
+            for target in 0..list[199] + 3 {
+                let expected = from + list[from..].partition_point(|&value| value < target);
+                assert_eq!(seek(&list, from, target), expected, "{from} {target}");
+            }
+        }
+        assert_eq!(seek(&[], 0, 5), 0);
     }
 
     #[test]

@@ -57,4 +57,4 @@ pub mod set;
 pub use compiled::{CompiledPattern, SubtreeInterner, SubtreeKeyId};
 pub use error::PatternParseError;
 pub use pattern::{PatternLabel, PatternNodeId, TreePattern};
-pub use set::PatternSet;
+pub use set::{PathCacheStats, PatternSet};

@@ -22,6 +22,32 @@
 //!   not sufficient: `/a[b/c][b/d]` needs one `a`, not two). Such candidates
 //!   are confirmed with [`TreePattern::matches`], which stays the reference
 //!   implementation.
+//!
+//! # The path cache
+//!
+//! Which forest nodes are reached at a document node depends only on the
+//! node's root-to-node label path and on the forest, and a stream of
+//! documents of one kind has few distinct label paths. The set therefore
+//! remembers the paths it has walked in a trie (the lazily built DFA of the
+//! filtering engines, one state per path): a trie node holds the forest nodes
+//! that still have steps to take below that path and the forest nodes that
+//! credit patterns there. A path seen before costs one child lookup; a new
+//! path takes one step from its parent's forest nodes and is stored.
+//!
+//! * Tag labels on forest edges are interned as symbols. A document label is
+//!   resolved once per node, and every label no pattern mentions resolves to
+//!   one shared symbol that follows only `*` edges — so text content, which
+//!   rarely repeats, does not fan the trie out.
+//! * The trie stays valid while the forest keeps its shape and no forest
+//!   node gets its first pattern to credit: keys are read from the forest at
+//!   crediting time, so a duplicate subscription, or a departure that frees
+//!   no forest node, keeps it. Any other change forgets the whole trie; its
+//!   arenas are cleared, not freed, and refilled.
+//! * The trie is bounded by a fixed multiple of the forest's size. Paths
+//!   beyond the bound are computed, used and dropped again, and the next
+//!   document starts from an empty trie.
+
+use std::collections::HashMap;
 
 use tps_xml::{NodeId, XmlTree};
 
@@ -30,26 +56,92 @@ use crate::pattern::{PatternLabel, PatternNodeId, TreePattern};
 /// "No such forest node."
 const NONE: u32 = u32::MAX;
 
-/// FNV-1a over the label bytes. Tag edges are ordered by `(hash, label)`, so
-/// a lookup compares integers and touches the string only to confirm; a
-/// collision costs one more comparison, never a wrong edge.
-fn label_hash(label: &str) -> u64 {
-    label.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// The symbol of every label that is on no forest edge.
+const OTHER: u32 = 0;
+
+/// What the path cache may hold — trie nodes plus the forest-node references
+/// stored in them — per forest node of the set.
+///
+/// Sized from the `match_set/*` benches (`crates/bench/benches/matching.rs`,
+/// generated nitf subscriptions and documents). Once every document of the
+/// pool has been walked the cache holds, per forest node,
+///
+/// | subscriptions (forest nodes) | 64-document pool | 512-document pool |
+/// |---|---:|---:|
+/// | 1 000 (2 568) | 30 | 131 |
+/// | 10 000 (18 394) | 12 | 51 |
+/// | 100 000 (109 119) | 6 | 26 |
+///
+/// entries: the label paths of a stream saturate (3 358 and 14 986 trie nodes
+/// here) and the forest nodes reached per path grow more slowly than the
+/// forest. Nearly twice the largest figure keeps streams of that kind
+/// resident, and caps what a stream of never-repeating paths can make the
+/// set hold at 1 KiB per forest node — at 10 000 subscriptions 18 MiB, about
+/// three times what the forest and its patterns take themselves.
+const CACHE_ENTRIES_PER_FOREST_NODE: usize = 256;
+
+/// The tag labels on forest edges, interned as symbols and counted by the
+/// edges that carry them.
+#[derive(Debug, Clone)]
+struct Alphabet {
+    symbols: HashMap<Box<str>, u32>,
+    /// Forest edges per symbol; slot [`OTHER`] stays 0.
+    edges: Vec<u32>,
+    free: Vec<u32>,
 }
 
-#[derive(Debug, Clone)]
+impl Alphabet {
+    fn new() -> Self {
+        Self {
+            symbols: HashMap::new(),
+            edges: vec![0],
+            free: Vec::new(),
+        }
+    }
+
+    /// The symbol of `label`, [`OTHER`] if no forest edge carries it.
+    fn symbol(&self, label: &str) -> u32 {
+        self.symbols.get(label).copied().unwrap_or(OTHER)
+    }
+
+    /// The symbol of `label` for one more forest edge.
+    fn acquire(&mut self, label: &str) -> u32 {
+        let symbol = match self.symbols.get(label) {
+            Some(&symbol) => symbol,
+            None => {
+                let symbol = self.free.pop().unwrap_or_else(|| {
+                    self.edges.push(0);
+                    (self.edges.len() - 1) as u32
+                });
+                self.symbols.insert(label.into(), symbol);
+                symbol
+            }
+        };
+        self.edges[symbol as usize] += 1;
+        symbol
+    }
+
+    /// One of the forest edges labelled `label` is gone.
+    fn release(&mut self, label: &str) {
+        let symbol = self.symbol(label);
+        self.edges[symbol as usize] -= 1;
+        if self.edges[symbol as usize] == 0 {
+            self.symbols.remove(label);
+            self.free.push(symbol);
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 struct TagEdge {
-    hash: u64,
-    label: Box<str>,
+    symbol: u32,
     to: u32,
 }
 
 /// One forest node: the state "this step path has been matched down to here".
 #[derive(Debug, Clone)]
 struct Node {
-    /// Tag edges, sorted by `(hash, label)`.
+    /// Tag edges, sorted by symbol.
     tags: Vec<TagEdge>,
     wildcard: u32,
     descendant: u32,
@@ -63,8 +155,10 @@ struct Node {
     linear: Vec<u64>,
     /// Slots of the branching patterns with a leaf path ending here.
     branching: Vec<u32>,
-    /// Visit number at which the node last entered an active set.
+    /// Clock reading of the step computation that last reached the node.
     mark: u64,
+    /// Clock reading of the document that last credited the node's patterns.
+    credited: u64,
 }
 
 impl Node {
@@ -78,21 +172,27 @@ impl Node {
             linear: Vec::new(),
             branching: Vec::new(),
             mark: 0,
+            credited: 0,
         }
     }
 
-    fn tag_position(&self, hash: u64, label: &str) -> Result<usize, usize> {
-        self.tags
-            .binary_search_by(|edge| edge.hash.cmp(&hash).then_with(|| (*edge.label).cmp(label)))
+    fn tag_position(&self, symbol: u32) -> Result<usize, usize> {
+        self.tags.binary_search_by_key(&symbol, |edge| edge.symbol)
+    }
+
+    /// Whether a child of a document node that reached this node can follow
+    /// an edge out of it.
+    fn has_steps(&self) -> bool {
+        !self.tags.is_empty() || self.wildcard != NONE
+    }
+
+    /// Whether reaching this node credits a pattern.
+    fn accepts(&self) -> bool {
+        !self.linear.is_empty() || !self.branching.is_empty()
     }
 
     fn is_unused(&self) -> bool {
-        self.tags.is_empty()
-            && self.wildcard == NONE
-            && self.descendant == NONE
-            && self.unmatchable == NONE
-            && self.linear.is_empty()
-            && self.branching.is_empty()
+        !self.has_steps() && self.descendant == NONE && self.unmatchable == NONE && !self.accepts()
     }
 }
 
@@ -104,19 +204,112 @@ struct Branching {
     /// Number of its leaf paths. Two of them may end at one forest node
     /// (`/a[b][b]`), which then holds the pattern's slot twice.
     leaves: u32,
-    /// How many of them the document numbered `document` has reached.
+    /// How many of them the document stamped `document` has reached.
     reached: u32,
     document: u64,
 }
 
-/// The active forest nodes of one document node on the walk's stack.
+/// One trie node of the path cache: what a document node with this
+/// root-to-node label path reaches.
+#[derive(Debug, Clone, Copy)]
+struct PathNode {
+    /// `refs[begin..][..steps]` are the forest nodes with steps to take,
+    /// the next `credits` entries the forest nodes that credit patterns.
+    begin: usize,
+    steps: u32,
+    credits: u32,
+    /// Clock reading of the document that last credited from this path.
+    seen: u64,
+}
+
+/// Health of the path cache of a [`PatternSet`], from
+/// [`PatternSet::cache_stats`]. Counters run over the set's lifetime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PathCacheStats {
+    /// Document nodes whose path was in the cache: one lookup each.
+    pub hits: u64,
+    /// Document nodes whose path was new: one forest step each.
+    pub misses: u64,
+    /// Trie nodes (distinct label paths) held now.
+    pub nodes: usize,
+    /// Forest-node references held by those trie nodes.
+    pub references: usize,
+    /// The most `nodes + references` may reach for the present forest.
+    pub bound: usize,
+    /// Times a change of the pattern set emptied a non-empty cache.
+    pub view_resets: u64,
+    /// Times the cache was emptied because it had reached its bound.
+    pub full_resets: u64,
+}
+
+/// The trie over the label paths matched so far, in flat arenas: forgetting
+/// it clears two vectors and a map, all of which keep their allocations.
+#[derive(Debug, Clone)]
+struct PathCache {
+    /// Trie nodes; 0 is the virtual node above the document root. Those from
+    /// `kept` on were computed past the bound and belong to the document
+    /// nodes on the walk's stack only.
+    paths: Vec<PathNode>,
+    refs: Vec<u32>,
+    kept: usize,
+    /// `(parent, symbol) → child`, for the kept trie nodes.
+    children: HashMap<(u32, u32), u32>,
+    /// A path did not fit: start over at the next document.
+    full: bool,
+    hits: u64,
+    misses: u64,
+    view_resets: u64,
+    full_resets: u64,
+}
+
+impl PathCache {
+    fn new() -> Self {
+        Self {
+            paths: Vec::new(),
+            refs: Vec::new(),
+            kept: 0,
+            children: HashMap::new(),
+            full: false,
+            hits: 0,
+            misses: 0,
+            view_resets: 0,
+            full_resets: 0,
+        }
+    }
+
+    /// Forget every path.
+    fn reset(&mut self) {
+        self.paths.clear();
+        self.refs.clear();
+        self.kept = 0;
+        self.full = false;
+        self.children.clear();
+    }
+
+    /// The pattern set changed in a way the stored paths do not survive.
+    fn invalidate(&mut self) {
+        if !self.paths.is_empty() {
+            self.reset();
+            self.view_resets += 1;
+        }
+    }
+
+    /// The walk leaves the document node that reached `path`: a path computed
+    /// past the bound goes with it.
+    fn leave(&mut self, path: u32) {
+        if path as usize >= self.kept {
+            self.refs.truncate(self.paths[path as usize].begin);
+            self.paths.truncate(path as usize);
+        }
+    }
+}
+
+/// A document node on the walk's stack and the trie node of its path.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     node: NodeId,
     next_child: usize,
-    /// `active[begin..end]` are the forest nodes reached at `node`.
-    begin: usize,
-    end: usize,
+    path: u32,
 }
 
 /// A set of tree patterns under caller-chosen keys, matched against a
@@ -124,6 +317,13 @@ struct Frame {
 ///
 /// Keys are the caller's (subscriber ids, consumer indices) and must be
 /// unique among the patterns currently in the set.
+///
+/// The set learns the label paths of the documents it matches (see the
+/// [module documentation](self)): on a stream of similar documents most
+/// document nodes cost one lookup. `insert` and `remove` stay linear in the
+/// pattern; one that adds or frees a forest node, or gives a forest node its
+/// first key, makes the set forget the paths, and the next documents teach
+/// them again. [`PatternSet::cache_stats`] reports how that is going.
 ///
 /// # Example
 ///
@@ -147,14 +347,17 @@ pub struct PatternSet {
     /// The forest arena; node 0 is the root (the virtual node's context).
     nodes: Vec<Node>,
     free_nodes: Vec<u32>,
+    alphabet: Alphabet,
     branching: Vec<Branching>,
     free_branching: Vec<u32>,
     len: usize,
-    /// Visits made so far: one per document node walked, plus one per
-    /// document for the virtual node. `Node::mark` compares against it.
-    visits: u64,
+    /// Ticks once per document and once per step computed; `Node::mark`,
+    /// `Node::credited`, `PathNode::seen` and `Branching::document` hold
+    /// readings of it.
+    clock: u64,
+    cache: PathCache,
     // Scratch of `matches`, kept so a steady stream allocates nothing.
-    active: Vec<u32>,
+    crediting: Vec<u32>,
     stack: Vec<Frame>,
     candidates: Vec<u32>,
     hits: Vec<u64>,
@@ -172,11 +375,13 @@ impl PatternSet {
         Self {
             nodes: vec![Node::new(false)],
             free_nodes: Vec::new(),
+            alphabet: Alphabet::new(),
             branching: Vec::new(),
             free_branching: Vec::new(),
             len: 0,
-            visits: 0,
-            active: Vec::new(),
+            clock: 0,
+            cache: PathCache::new(),
+            crediting: Vec::new(),
             stack: Vec::new(),
             candidates: Vec::new(),
             hits: Vec::new(),
@@ -199,10 +404,39 @@ impl PatternSet {
         self.nodes.len() - self.free_nodes.len()
     }
 
+    /// How the path cache is doing.
+    pub fn cache_stats(&self) -> PathCacheStats {
+        PathCacheStats {
+            hits: self.cache.hits,
+            misses: self.cache.misses,
+            nodes: self.cache.paths.len(),
+            references: self.cache.refs.len(),
+            bound: self.cache_bound(),
+            view_resets: self.cache.view_resets,
+            full_resets: self.cache.full_resets,
+        }
+    }
+
+    /// The most trie nodes plus forest-node references the cache keeps.
+    fn cache_bound(&self) -> usize {
+        self.node_count()
+            .saturating_mul(CACHE_ENTRIES_PER_FOREST_NODE)
+            .min(u32::MAX as usize / 2)
+    }
+
     /// Add `pattern` under `key`, in time linear in the pattern's size.
     pub fn insert(&mut self, key: u64, pattern: &TreePattern) {
         let mut leaves = Vec::new();
         self.insert_paths(0, pattern, pattern.root(), &mut leaves);
+        // The cached paths list the forest nodes that credit; one more such
+        // node is not in them. This covers every new forest node too: a new
+        // step path ends in a new leaf, which credited nothing so far.
+        if leaves
+            .iter()
+            .any(|&leaf| !self.nodes[leaf as usize].accepts())
+        {
+            self.cache.invalidate();
+        }
         if pattern.branching_count() == 0 {
             self.nodes[leaves[0] as usize].linear.push(key);
         } else {
@@ -254,7 +488,7 @@ impl PatternSet {
     fn edge(&self, at: u32, label: &PatternLabel) -> u32 {
         let node = &self.nodes[at as usize];
         match label {
-            PatternLabel::Tag(tag) => match node.tag_position(label_hash(tag), tag) {
+            PatternLabel::Tag(tag) => match node.tag_position(self.alphabet.symbol(tag)) {
                 Ok(position) => node.tags[position].to,
                 Err(_) => NONE,
             },
@@ -269,10 +503,9 @@ impl PatternSet {
         let node = &mut self.nodes[at as usize];
         match label {
             PatternLabel::Tag(tag) => {
-                let hash = label_hash(tag);
-                let position = node.tag_position(hash, tag).unwrap_or_else(|free| free);
-                let label = tag.clone();
-                node.tags.insert(position, TagEdge { hash, label, to });
+                let symbol = self.alphabet.acquire(tag);
+                let position = node.tag_position(symbol).unwrap_or_else(|free| free);
+                node.tags.insert(position, TagEdge { symbol, to });
             }
             PatternLabel::Wildcard => node.wildcard = to,
             PatternLabel::Descendant => node.descendant = to,
@@ -285,8 +518,9 @@ impl PatternSet {
         let node = &mut self.nodes[at as usize];
         match label {
             PatternLabel::Tag(tag) => {
-                if let Ok(position) = node.tag_position(label_hash(tag), tag) {
+                if let Ok(position) = node.tag_position(self.alphabet.symbol(tag)) {
                     node.tags.remove(position);
+                    self.alphabet.release(tag);
                 }
             }
             PatternLabel::Wildcard => node.wildcard = NONE,
@@ -376,6 +610,7 @@ impl PatternSet {
             if self.nodes[next as usize].is_unused() {
                 self.unlink(at, label);
                 self.free_nodes.push(next);
+                self.cache.invalidate();
             }
         }
         removed
@@ -383,42 +618,66 @@ impl PatternSet {
 
     /// The keys of the patterns `document` satisfies, ascending: exactly
     /// those for which [`TreePattern::matches`] is true.
+    ///
+    /// The document and the trie of known label paths are walked together:
+    /// a document node whose path is known is one lookup, a new path is
+    /// computed from its parent's forest nodes and remembered. Patterns are
+    /// credited once per document, the first time a path that reaches them
+    /// occurs in it; a subtree under a path that reaches nothing with steps
+    /// left is skipped.
     pub fn matches(&mut self, document: &XmlTree) -> &[u64] {
+        self.clock += 1;
+        self.candidates.clear();
+        self.hits.clear();
+        if self.cache.full {
+            self.cache.reset();
+            self.cache.full_resets += 1;
+        }
+        let bound = self.cache_bound();
         let mut walk = Walk {
             nodes: &mut self.nodes,
             branching: &mut self.branching,
-            active: &mut self.active,
+            alphabet: &self.alphabet,
+            cache: &mut self.cache,
+            crediting: &mut self.crediting,
             candidates: &mut self.candidates,
             hits: &mut self.hits,
-            document: self.visits,
-            visit: self.visits,
+            document: self.clock,
+            clock: self.clock,
+            bound,
         };
-        walk.active.clear();
-        walk.candidates.clear();
-        walk.hits.clear();
 
         // The virtual node reaches the forest root (and what `//` hangs off
         // it); the document root is its only child.
-        walk.visit += 1;
-        walk.enter(0);
-        let end = walk.active.len();
+        if walk.cache.paths.is_empty() {
+            walk.compute(None, OTHER);
+        }
+        walk.credit(0);
         self.stack.clear();
-        self.stack
-            .push(walk.descend(document, document.root(), 0, end));
+        self.stack.push(Frame {
+            node: document.root(),
+            next_child: 0,
+            path: walk.step(0, document.label(document.root())),
+        });
         while let Some(frame) = self.stack.last_mut() {
             let children = document.children(frame.node);
-            // Nothing reached here means nothing can be reached below.
-            if frame.begin < frame.end && frame.next_child < children.len() {
+            // Nothing with steps to take here means nothing is reached below.
+            if walk.cache.paths[frame.path as usize].steps > 0 && frame.next_child < children.len()
+            {
                 let child = children[frame.next_child];
                 frame.next_child += 1;
-                let (begin, end) = (frame.begin, frame.end);
-                self.stack.push(walk.descend(document, child, begin, end));
+                let path = walk.step(frame.path, document.label(child));
+                self.stack.push(Frame {
+                    node: child,
+                    next_child: 0,
+                    path,
+                });
             } else {
-                walk.active.truncate(frame.begin);
+                walk.cache.leave(frame.path);
                 self.stack.pop();
             }
         }
-        self.visits = walk.visit;
+        self.clock = walk.clock;
 
         for &slot in self.candidates.iter() {
             let entry = &self.branching[slot as usize];
@@ -435,81 +694,146 @@ impl PatternSet {
 struct Walk<'a> {
     nodes: &'a mut [Node],
     branching: &'a mut [Branching],
-    active: &'a mut Vec<u32>,
+    alphabet: &'a Alphabet,
+    cache: &'a mut PathCache,
+    crediting: &'a mut Vec<u32>,
     candidates: &'a mut Vec<u32>,
     hits: &'a mut Vec<u64>,
-    /// The visit count when the walk began: a mark at or below it is from an
-    /// earlier document.
+    /// The clock reading that stamps this document.
     document: u64,
-    /// The number of the document node being visited.
-    visit: u64,
+    clock: u64,
+    bound: usize,
 }
 
 impl Walk<'_> {
-    /// Put forest node `at` into the active set of the current visit, and
-    /// with it whatever hangs off it by `//` (which may match the empty
-    /// path). The first time a node is reached in a document its patterns
-    /// are credited.
-    fn enter(&mut self, mut at: u32) {
-        while at != NONE {
+    /// The trie node of a child labelled `label` of a document node at trie
+    /// node `parent`, its patterns credited.
+    fn step(&mut self, parent: u32, label: &str) -> u32 {
+        let symbol = self.alphabet.symbol(label);
+        let path = match self.cache.children.get(&(parent, symbol)) {
+            Some(&path) => {
+                self.cache.hits += 1;
+                path
+            }
+            None => {
+                self.cache.misses += 1;
+                self.compute(Some(parent), symbol)
+            }
+        };
+        self.credit(path);
+        path
+    }
+
+    /// Credit the patterns reached at trie node `path`, unless this document
+    /// has been there before.
+    fn credit(&mut self, path: u32) {
+        let path = &mut self.cache.paths[path as usize];
+        if path.seen == self.document {
+            return;
+        }
+        path.seen = self.document;
+        let begin = path.begin + path.steps as usize;
+        for &at in &self.cache.refs[begin..begin + path.credits as usize] {
             let node = &mut self.nodes[at as usize];
-            // A `//` node can arrive twice at one visit: carried down from
-            // above, and re-reached through its parent. Once is enough, and
-            // without this the active set grows combinatorially on
-            // `//a//a//a` against `<a><a><a>…`.
-            if node.mark == self.visit {
-                return;
+            // Another path of this document may have reached the node.
+            if node.credited == self.document {
+                continue;
             }
-            let first = node.mark <= self.document;
-            node.mark = self.visit;
-            // Only a node with steps to take is of use to the children.
-            if !node.tags.is_empty() || node.wildcard != NONE {
-                self.active.push(at);
-            }
-            if first {
-                self.hits.extend_from_slice(&node.linear);
-                for &slot in &node.branching {
-                    let entry = &mut self.branching[slot as usize];
-                    if entry.document != self.document {
-                        entry.document = self.document;
-                        entry.reached = 0;
-                    }
-                    entry.reached += 1;
-                    if entry.reached == entry.leaves {
-                        self.candidates.push(slot);
-                    }
+            node.credited = self.document;
+            self.hits.extend_from_slice(&node.linear);
+            for &slot in &node.branching {
+                let entry = &mut self.branching[slot as usize];
+                if entry.document != self.document {
+                    entry.document = self.document;
+                    entry.reached = 0;
+                }
+                entry.reached += 1;
+                if entry.reached == entry.leaves {
+                    self.candidates.push(slot);
                 }
             }
-            at = node.descendant;
         }
     }
 
-    /// Visit document node `node`, whose parent reached
-    /// `active[begin..end]`; returns the frame of what `node` reaches.
-    fn descend(&mut self, document: &XmlTree, node: NodeId, begin: usize, end: usize) -> Frame {
-        self.visit += 1;
-        let label = document.label(node);
-        let hash = label_hash(label);
-        let frame_begin = self.active.len();
-        for index in begin..end {
-            let at = self.active[index];
-            let from = &self.nodes[at as usize];
-            let wildcard = from.wildcard;
-            let tagged = match from.tag_position(hash, label) {
-                Ok(position) => from.tags[position].to,
-                Err(_) => NONE,
-            };
-            if from.is_descendant {
-                self.enter(at);
+    /// Compute the trie node below `parent` for `symbol` (`None`: the
+    /// virtual node) by taking one step from each of the parent's forest
+    /// nodes, and keep it if the bound allows.
+    fn compute(&mut self, parent: Option<u32>, symbol: u32) -> u32 {
+        self.clock += 1;
+        self.crediting.clear();
+        let begin = self.cache.refs.len();
+        match parent {
+            None => self.enter(0),
+            Some(parent) => {
+                let from = self.cache.paths[parent as usize];
+                for index in from.begin..from.begin + from.steps as usize {
+                    let at = self.cache.refs[index];
+                    let node = &self.nodes[at as usize];
+                    let wildcard = node.wildcard;
+                    let tagged = match node.tag_position(symbol) {
+                        Ok(position) => node.tags[position].to,
+                        Err(_) => NONE,
+                    };
+                    // A `//` node stays reached below where it was entered.
+                    // What hangs off it by `//` was entered with it, so it
+                    // is among the parent's nodes itself, and both were
+                    // credited up there.
+                    if node.is_descendant && node.mark != self.clock {
+                        self.nodes[at as usize].mark = self.clock;
+                        self.cache.refs.push(at);
+                    }
+                    self.enter(wildcard);
+                    self.enter(tagged);
+                }
             }
-            self.enter(wildcard);
-            self.enter(tagged);
         }
-        Frame {
-            node,
-            next_child: 0,
-            begin: frame_begin,
-            end: self.active.len(),
+        let steps = self.cache.refs.len() - begin;
+        self.cache.refs.extend_from_slice(self.crediting);
+        let path = self.cache.paths.len() as u32;
+        self.cache.paths.push(PathNode {
+            begin,
+            steps: steps as u32,
+            credits: self.crediting.len() as u32,
+            seen: 0,
+        });
+        match parent {
+            None => self.cache.kept = 1,
+            // A path below one that is not kept is not kept either: its
+            // parent's number will be used again.
+            Some(parent)
+                if (parent as usize) < self.cache.kept
+                    && self.cache.paths.len() + self.cache.refs.len() <= self.bound =>
+            {
+                self.cache.kept += 1;
+                self.cache.children.insert((parent, symbol), path);
+            }
+            Some(_) => self.cache.full = true,
+        }
+        path
+    }
+
+    /// Put forest node `at` among those reached by the step being computed,
+    /// and with it whatever hangs off it by `//` (which may match the empty
+    /// path).
+    fn enter(&mut self, mut at: u32) {
+        while at != NONE {
+            let node = &mut self.nodes[at as usize];
+            // A `//` node can arrive twice in one step: carried down from
+            // above, and re-reached through its parent. Once is enough, and
+            // without this the reached set grows combinatorially on
+            // `//a//a//a` against `<a><a><a>…`.
+            if node.mark == self.clock {
+                return;
+            }
+            node.mark = self.clock;
+            // Only a node with steps to take is of use to the children.
+            if node.has_steps() {
+                self.cache.refs.push(at);
+            }
+            if node.accepts() {
+                self.crediting.push(at);
+            }
+            at = node.descendant;
         }
     }
 }
@@ -686,5 +1010,154 @@ mod tests {
         assert!(set.matches(&document).is_empty());
         assert!(set.remove(0, &pattern));
         assert_eq!(set.node_count(), 1);
+    }
+
+    /// A chain document: one node per label, each the child of the last.
+    fn chain(labels: &[&str]) -> XmlTree {
+        let mut document = XmlTree::new(labels[0]);
+        let mut at = document.root();
+        for label in &labels[1..] {
+            at = document.add_child(at, label);
+        }
+        document
+    }
+
+    #[test]
+    fn labels_no_pattern_mentions_share_one_path() {
+        let patterns = ["/feed/item/*", "//item/title", "/feed[item/title][item/*]"];
+        let mut set = set_of(&patterns);
+        let mut document = XmlTree::new("feed");
+        let item = document.add_child(document.root(), "item");
+        let title = document.add_child(item, "title");
+        document.add_text_child(title, "a title");
+        assert_eq!(set.matches(&document), brute_force(&patterns, &document));
+        let learnt = set.cache_stats().nodes;
+
+        for text in 0..1_000 {
+            document.add_text_child(item, &format!("text {text}"));
+        }
+        assert_eq!(set.matches(&document), brute_force(&patterns, &document));
+        let stats = set.cache_stats();
+        assert_eq!(stats.nodes, learnt + 1, "1 000 unknown labels, one path");
+        assert_eq!(stats.misses as usize, stats.nodes - 1);
+        assert_eq!((stats.view_resets, stats.full_resets), (0, 0));
+
+        // The same document with every text changed is all hits.
+        let mut changed = XmlTree::new("feed");
+        let item = changed.add_child(changed.root(), "item");
+        let title = changed.add_child(item, "title");
+        changed.add_text_child(title, "another title");
+        for text in 0..1_000 {
+            changed.add_text_child(item, &format!("other {text}"));
+        }
+        assert_eq!(set.matches(&changed), brute_force(&patterns, &changed));
+        let after = set.cache_stats();
+        assert_eq!((after.misses, after.nodes), (stats.misses, stats.nodes));
+        assert_eq!(after.hits, stats.hits + changed.node_count() as u64);
+    }
+
+    #[test]
+    fn never_repeating_paths_stay_under_the_bound() {
+        let patterns = ["//a//b", "//c/a", "/a//c[a][b]", "//b/*/c", "/*/*/b"];
+        let mut set = set_of(&patterns);
+        let bound = set.cache_stats().bound;
+        let labels = ["a", "b", "c"];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..200 {
+            // 3^40 possible chains: no path below the first levels repeats.
+            let picks: Vec<&str> = (0..40)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    labels[(state >> 33) as usize % labels.len()]
+                })
+                .collect();
+            let document = chain(&picks);
+            assert_eq!(set.matches(&document), brute_force(&patterns, &document));
+            let stats = set.cache_stats();
+            assert!(
+                stats.nodes + stats.references <= bound,
+                "{stats:?} exceeds its bound"
+            );
+        }
+        let stats = set.cache_stats();
+        assert!(stats.full_resets > 0, "{stats:?}");
+        assert_eq!(stats.view_resets, 0);
+        assert_eq!(stats.bound, bound, "the forest did not change");
+    }
+
+    #[test]
+    fn a_single_chain_longer_than_the_bound_is_matched_without_keeping_it() {
+        let patterns = ["//a//a//b", "//a/a/a"];
+        let mut set = set_of(&patterns);
+        let bound = set.cache_stats().bound;
+        let mut labels = vec!["a"; bound];
+        labels.push("b");
+        let document = chain(&labels);
+        assert_eq!(set.matches(&document), &[0, 1]);
+        let stats = set.cache_stats();
+        assert!(stats.nodes + stats.references <= bound, "{stats:?}");
+        assert_eq!(stats.hits + stats.misses, document.node_count() as u64);
+        // The next document starts over and is still right.
+        assert_eq!(set.matches(&chain(&["a", "a", "b"])), &[0]);
+        assert_eq!(set.cache_stats().full_resets, 1);
+    }
+
+    #[test]
+    fn only_a_change_the_paths_do_not_survive_resets_the_cache() {
+        let patterns = ["//b", "/a[b][c]", "/a/c"];
+        let mut set = set_of(&patterns);
+        let document = XmlTree::parse("<a><b/><c/></a>").unwrap();
+        assert_eq!(set.matches(&document), &[0, 1, 2]);
+        let learnt = set.cache_stats();
+        assert!(learnt.nodes > 1);
+
+        // A second key at each leaf, linear and branching, and its departure.
+        let linear = TreePattern::parse("//b").unwrap();
+        let branching = TreePattern::parse("/a[b][c]").unwrap();
+        set.insert(10, &linear);
+        set.insert(11, &branching);
+        assert_eq!(set.matches(&document), &[0, 1, 2, 10, 11]);
+        assert!(set.remove(0, &linear));
+        assert!(set.remove(1, &branching));
+        assert_eq!(set.matches(&document), &[2, 10, 11]);
+        let kept = set.cache_stats();
+        assert_eq!((kept.view_resets, kept.nodes), (0, learnt.nodes));
+        assert_eq!(kept.misses, learnt.misses, "both documents were all hits");
+
+        // A new step is a new forest node.
+        let deeper = TreePattern::parse("/a/c/d").unwrap();
+        set.insert(12, &deeper);
+        assert_eq!(set.cache_stats().view_resets, 1);
+        assert_eq!(set.cache_stats().nodes, 0);
+        assert_eq!(set.matches(&document), &[2, 10, 11]);
+        // Taking it away frees that node again.
+        assert!(set.remove(12, &deeper));
+        assert_eq!(set.cache_stats().view_resets, 2);
+        assert_eq!(set.matches(&document), &[2, 10, 11]);
+        // The first key at an inner node: one more node that credits.
+        let inner = TreePattern::parse("/a").unwrap();
+        set.insert(13, &inner);
+        assert_eq!(set.cache_stats().view_resets, 3);
+        assert_eq!(set.matches(&document), &[2, 10, 11, 13]);
+        // Its last key leaves and the node stays, with nothing to credit.
+        assert!(set.remove(13, &inner));
+        assert_eq!(set.cache_stats().view_resets, 3);
+        assert_eq!(set.matches(&document), &[2, 10, 11]);
+        assert_eq!(set.cache_stats().full_resets, 0);
+    }
+
+    #[test]
+    fn a_label_leaving_and_rejoining_the_alphabet_keeps_matching() {
+        let mut set = set_of(&["/a/b", "/a/c"]);
+        let document = XmlTree::parse("<a><b/><c/><d/></a>").unwrap();
+        assert_eq!(set.matches(&document), &[0, 1]);
+        assert!(set.remove(0, &TreePattern::parse("/a/b").unwrap()));
+        assert_eq!(set.matches(&document), &[1]);
+        // `d` takes the symbol `b` gave back.
+        set.insert(2, &TreePattern::parse("/a/d").unwrap());
+        set.insert(3, &TreePattern::parse("//b").unwrap());
+        assert_eq!(set.matches(&document), &[1, 2, 3]);
     }
 }

@@ -137,6 +137,52 @@ fn set_and_reference(patterns: &[TreePattern], d: &XmlTree) -> (Vec<u64>, Vec<u6
     (set.matches(d).to_vec(), reference)
 }
 
+/// A set that learnt the paths of `docs` under `before`, then lost the keys
+/// of `before` whose `leaving` flag is set and took `arriving` in, reports
+/// on every document what a set that only ever held the remaining patterns
+/// reports, and what per-pattern matching selects.
+fn warm_set_survives_churn(
+    before: &[(TreePattern, bool)],
+    arriving: &[TreePattern],
+    docs: &[XmlTree],
+) -> Result<(), TestCaseError> {
+    let mut warm = PatternSet::new();
+    for (key, (p, _)) in before.iter().enumerate() {
+        warm.insert(key as u64, p);
+    }
+    for d in docs {
+        warm.matches(d);
+    }
+    let mut fresh = PatternSet::new();
+    let mut live: Vec<(u64, &TreePattern)> = Vec::new();
+    for (key, (p, leaving)) in before.iter().enumerate() {
+        if *leaving {
+            prop_assert!(warm.remove(key as u64, p));
+        } else {
+            live.push((key as u64, p));
+        }
+    }
+    for (offset, p) in arriving.iter().enumerate() {
+        let key = (before.len() + offset) as u64;
+        warm.insert(key, p);
+        live.push((key, p));
+    }
+    for &(key, p) in &live {
+        fresh.insert(key, p);
+    }
+    for d in docs {
+        let reference: Vec<u64> = live
+            .iter()
+            .filter(|(_, p)| p.matches(d))
+            .map(|&(key, _)| key)
+            .collect();
+        prop_assert_eq!(warm.matches(d), &reference[..], "doc={}", d.to_xml());
+        prop_assert_eq!(fresh.matches(d), &reference[..]);
+    }
+    prop_assert_eq!(warm.node_count(), fresh.node_count());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -247,6 +293,37 @@ proptest! {
         prop_assert!(set.remove(u64::MAX, &extra));
         let after = (set.len(), set.node_count(), set.matches(&d).to_vec());
         prop_assert_eq!(before, after);
+    }
+
+    /// The paths a set has learnt do not outlive the patterns they were
+    /// learnt for — tag-only paths …
+    #[test]
+    fn pattern_set_relearns_after_churn_on_tag_paths(
+        before in prop::collection::vec((gen_linear(true), any::<bool>()), 1..8),
+        arriving in prop::collection::vec(gen_linear(true), 0..5),
+        docs in prop::collection::vec(gen_doc(), 1..5),
+    ) {
+        warm_set_survives_churn(&before, &arriving, &docs)?;
+    }
+
+    /// … paths with `*` and `//` steps …
+    #[test]
+    fn pattern_set_relearns_after_churn_on_wildcard_and_descendant_paths(
+        before in prop::collection::vec((gen_linear(false), any::<bool>()), 1..8),
+        arriving in prop::collection::vec(gen_linear(false), 0..5),
+        docs in prop::collection::vec(gen_doc(), 1..5),
+    ) {
+        warm_set_survives_churn(&before, &arriving, &docs)?;
+    }
+
+    /// … and branching patterns.
+    #[test]
+    fn pattern_set_relearns_after_churn_on_branching_patterns(
+        before in prop::collection::vec((gen_pattern(), any::<bool>()), 1..8),
+        arriving in prop::collection::vec(gen_pattern(), 0..5),
+        docs in prop::collection::vec(gen_doc(), 1..5),
+    ) {
+        warm_set_survives_churn(&before, &arriving, &docs)?;
     }
 
     /// Canonical keys are stable under re-parsing the display form.
