@@ -1,9 +1,15 @@
-//! Broker-runtime benchmarks: wire-codec throughput and the live loopback
-//! publish→deliver round trip.
+//! Broker-runtime benchmarks: wire-codec throughput, what a broker pays per
+//! forwarded document with and without a carried interest set, and the live
+//! loopback publish→deliver round trip.
 //!
 //! `net_codec` times `Message::encode` / `Message::decode` over a fixture
 //! mix of control and data frames (the decode path is what every broker
-//! connection pays per frame). `net_loopback` spawns a real two-broker TCP
+//! connection pays per frame). `net_core` holds a warm [`BrokerCore`] over
+//! 10 000 nitf subscriptions and routes one pool of forwarded documents
+//! through `forward_in` (parse + match + hop) and through `forward_matched`
+//! with the sender's digest and interest sets (scan + hop);
+//! `bench_thresholds.txt` keeps the second under a quarter of the first.
+//! `net_loopback` spawns a real two-broker TCP
 //! overlay and measures the full closed loop: a producer publishes at
 //! broker 0, the document crosses one overlay link, matches at broker 1
 //! and is pushed back to a subscriber — one `iter` is one acknowledged
@@ -14,12 +20,16 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use tps_net::codec::SyncConsumer;
-use tps_net::{BrokerStats, FrameLimits, LocalOverlay, Message, OverlayConfig, Transport};
+use tps_net::{
+    BrokerCore, BrokerStats, FrameLimits, LocalOverlay, MatchedDocument, Message, OverlayConfig,
+    Transport,
+};
 use tps_routing::BrokerTopology;
-use tps_workload::{DocGenConfig, DocumentGenerator, Dtd};
+use tps_workload::{DocGenConfig, DocumentGenerator, Dtd, XPathGenConfig, XPathGenerator};
 
 /// A representative frame mix: mostly data (publish / forward / deliver),
-/// some control, one stats reply.
+/// some control, one stats reply, and one matched forward whose documents
+/// each carry ~300 interested ids (what `match_10k` puts on the wire).
 fn fixture_messages() -> Vec<Message> {
     let dtd = Dtd::media();
     let mut docgen = DocumentGenerator::new(&dtd, DocGenConfig::default().with_seed(77));
@@ -59,6 +69,23 @@ fn fixture_messages() -> Vec<Message> {
         Message::Forward {
             from: 2,
             documents: documents[..8].to_vec(),
+        },
+        Message::ForwardMatched {
+            from: 2,
+            view: 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
+            documents: documents[8..12]
+                .iter()
+                .enumerate()
+                .map(|(d, bytes)| MatchedDocument {
+                    bytes: bytes.clone(),
+                    // 300 of 10 000 ids, unevenly spaced.
+                    interested: Some(
+                        (0..300u64)
+                            .map(|i| i * 33 + (i * i + d as u64) % 31)
+                            .collect(),
+                    ),
+                })
+                .collect(),
         },
     ];
     for (i, document) in documents.iter().enumerate() {
@@ -103,6 +130,80 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_core(c: &mut Criterion) {
+    let dtd = Dtd::nitf_like();
+    let documents: Vec<Vec<u8>> =
+        DocumentGenerator::new(&dtd, DocGenConfig::default().with_seed(1_000_001))
+            .generate_many(64)
+            .iter()
+            .map(|doc| doc.to_xml().into_bytes())
+            .collect();
+    let patterns = XPathGenerator::new(&dtd, XPathGenConfig::default().with_seed(2_000_003))
+        .generate_many(10_000);
+    // Broker 1 publishes, broker 0 relays towards broker 2: both hold the
+    // same view, spread round-robin over the three brokers.
+    let config = OverlayConfig::default();
+    let core = |id| {
+        let mut core = BrokerCore::new(id, &config);
+        for (subscriber, pattern) in patterns.iter().enumerate() {
+            core.restore(
+                subscriber as u64,
+                subscriber as u32 % 3,
+                &pattern.to_string(),
+            )
+            .expect("generated subscriptions install");
+        }
+        core
+    };
+    let mut sender = core(1);
+    let view = sender.view_digest();
+    let interest: Vec<Vec<u64>> = documents
+        .iter()
+        .map(|bytes| {
+            sender.publish(bytes).expect("generated documents route");
+            sender.interest().to_vec()
+        })
+        .collect();
+    // What the interest sets add to a frame, next to the documents.
+    let on_the_wire = |carried: bool| -> usize {
+        let matched = documents
+            .iter()
+            .zip(&interest)
+            .map(|(bytes, ids)| MatchedDocument {
+                bytes: bytes.clone(),
+                interested: carried.then(|| ids.as_slice().into()),
+            });
+        matched.map(|m| m.encoded_len()).sum::<usize>() / documents.len()
+    };
+    println!(
+        "net_core: {} ids per document, {} B per document on the wire, {} B without them",
+        interest.iter().map(Vec::len).sum::<usize>() / documents.len(),
+        on_the_wire(true),
+        on_the_wire(false)
+    );
+
+    let mut group = c.benchmark_group("net_core");
+    let mut receiver = core(0);
+    group.bench_function("forward_in/10k", |b| {
+        b.iter(|| {
+            for bytes in &documents {
+                black_box(receiver.forward_in(1, bytes));
+            }
+        })
+    });
+    let mut receiver = core(0);
+    assert_eq!(receiver.view_digest(), view);
+    group.bench_function("forward_matched/10k", |b| {
+        b.iter(|| {
+            for (bytes, ids) in documents.iter().zip(&interest) {
+                black_box(receiver.forward_matched(1, view, bytes, Some(ids)));
+            }
+        })
+    });
+    assert_eq!(receiver.stats().forwards_rematched, 0);
+    group.finish();
+}
+
 fn bench_loopback(c: &mut Criterion) {
     let overlay = LocalOverlay::spawn(
         OverlayConfig {
@@ -142,5 +243,5 @@ fn bench_loopback(c: &mut Criterion) {
     overlay.shutdown().expect("clean shutdown");
 }
 
-criterion_group!(benches, bench_codec, bench_loopback);
+criterion_group!(benches, bench_codec, bench_core, bench_loopback);
 criterion_main!(benches);

@@ -117,9 +117,30 @@ fn committed_thresholds_file_parses_and_carries_the_build_par_rules() {
             "the forest must stay well under the per-subscription scan: {vs_scan:?}"
         );
     }
+    let net_core: Vec<_> = thresholds
+        .ratios
+        .iter()
+        .filter(|rule| rule.numerator.starts_with("net_core/"))
+        .collect();
+    assert_eq!(
+        net_core.len(),
+        1,
+        "the carried-interest-vs-local-match rule"
+    );
+    assert_eq!(net_core[0].numerator, "net_core/forward_matched/10k");
+    assert_eq!(net_core[0].denominator, "net_core/forward_in/10k");
+    assert!(
+        net_core[0].max <= 0.25,
+        "a trusted forward must skip the parse and the match: {net_core:?}"
+    );
     assert_eq!(
         thresholds.ratios.len(),
-        build_par.len() + analyze.len() + index.len() + ingest.len() + match_set.len(),
+        build_par.len()
+            + analyze.len()
+            + index.len()
+            + ingest.len()
+            + match_set.len()
+            + net_core.len(),
         "no unaccounted-for ratio rules"
     );
 }
@@ -149,6 +170,9 @@ fn gate_rejects_the_prefix_build_par_snapshot() {
     prefix.extend(
         parse_snapshot(&read(&repo_root().join("BENCH_match.json")))
             .expect("match snapshot parses"),
+    );
+    prefix.extend(
+        parse_snapshot(&read(&repo_root().join("BENCH_net.json"))).expect("net snapshot parses"),
     );
     let gate = enforce_ratios(&prefix, &thresholds, &[]);
     assert_eq!(
@@ -189,6 +213,9 @@ fn gate_accepts_the_committed_snapshots() {
     union.extend(
         parse_snapshot(&read(&repo_root().join("BENCH_match.json")))
             .expect("match snapshot parses"),
+    );
+    union.extend(
+        parse_snapshot(&read(&repo_root().join("BENCH_net.json"))).expect("net snapshot parses"),
     );
     let ratios = enforce_ratios(&union, &thresholds, &[]);
     assert!(

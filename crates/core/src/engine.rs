@@ -1630,6 +1630,29 @@ mod tests {
     }
 
     #[test]
+    fn parallel_matrix_resolves_conjunctions_of_patterns_with_nested_duplicates() {
+        // Regression (benchmark seeds 8211 and 8216): `ops::normalize` was
+        // not idempotent, so the branch `e57[e98[e111][e111]][e98/e111]`
+        // was registered with two `e98` subtrees while every conjunction
+        // involving it normalised down to one — a subtree the read-only
+        // interner of the parallel matrix had never seen, and a panic.
+        let mut engine = engine_with(MatchingSetKind::hashes(64));
+        let ids = engine.register_all(&[
+            pat("//e4/e40/e57[e98[e111][e111]][e98/e111]"),
+            pat("//CD[title[Requiem][Requiem]][title/Requiem]"),
+            pat("//CD"),
+            pat("//composer"),
+        ]);
+        for metric in ProximityMetric::all() {
+            // Cloned before anything is cached: every joint is evaluated by
+            // a worker, against the interner as registration left it.
+            let cold = engine.clone();
+            let par = cold.similarity_matrix_par(&ids, metric, 2);
+            assert_eq!(par, engine.similarity_matrix(&ids, metric), "{metric}");
+        }
+    }
+
+    #[test]
     fn parallel_matrix_handles_degenerate_inputs() {
         let mut engine = engine_with(MatchingSetKind::hashes(64));
         let id = engine.register(&pat("//CD"));

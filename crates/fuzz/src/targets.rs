@@ -106,7 +106,7 @@ impl Target {
         // Net seeds are binary frames, not text.
         if self == Target::Net {
             use tps_net::codec::SyncConsumer;
-            use tps_net::{BrokerStats, ErrorCode, Message};
+            use tps_net::{BrokerStats, ErrorCode, MatchedDocument, Message};
             return [
                 Message::Subscribe {
                     subscriber: 1,
@@ -121,6 +121,20 @@ impl Target {
                     from: 2,
                     documents: vec![b"<a/>".to_vec(), b"<a><b/></a>".to_vec()],
                 },
+                Message::ForwardMatched {
+                    from: 2,
+                    view: 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
+                    documents: vec![
+                        MatchedDocument {
+                            bytes: b"<a><b/></a>".to_vec(),
+                            interested: Some(vec![0, 1, 127, 128, 1 << 21, u64::MAX].into()),
+                        },
+                        MatchedDocument {
+                            bytes: b"<a/>".to_vec(),
+                            interested: None,
+                        },
+                    ],
+                },
                 Message::Hello { broker: 3 },
                 Message::Error {
                     code: ErrorCode::BadPattern,
@@ -131,6 +145,8 @@ impl Target {
                         broker: 1,
                         deliveries: 7,
                         link_messages: 3,
+                        forwards_rematched: 2,
+                        view_digest: 1 << 100,
                         ..BrokerStats::default()
                     },
                 },
@@ -904,7 +920,7 @@ fn execute_ingest(bytes: &[u8]) -> Result<(), String> {
 /// exercise the deep decode paths instead of dying on the version byte.
 fn net_frame(rng: &mut StdRng) -> Vec<u8> {
     use tps_net::codec::SyncConsumer;
-    use tps_net::{BrokerStats, ErrorCode, Message};
+    use tps_net::{BrokerStats, ErrorCode, MatchedDocument, Message};
 
     fn text(rng: &mut StdRng, max: usize) -> String {
         let alphabet = b"/[]*abCD<>=\"";
@@ -912,7 +928,7 @@ fn net_frame(rng: &mut StdRng) -> Vec<u8> {
             .map(|_| alphabet[rng.gen_range(0..alphabet.len())] as char)
             .collect()
     }
-    let message = match rng.gen_range(0u32..13) {
+    let message = match rng.gen_range(0u32..14) {
         0 => Message::Subscribe {
             subscriber: rng.gen(),
             broker: rng.gen_range(0..8),
@@ -953,12 +969,34 @@ fn net_frame(rng: &mut StdRng) -> Vec<u8> {
                 consumers: rng.gen(),
                 deliveries: rng.gen(),
                 link_messages: rng.gen(),
+                forwards_rematched: rng.gen(),
+                view_digest: u128::from(rng.gen::<u64>()) << 64 | u128::from(rng.gen::<u64>()),
                 ..BrokerStats::default()
             },
         },
         11 => Message::Deliver {
             subscriber: rng.gen(),
             document: gen::xml_document(rng),
+        },
+        12 => Message::ForwardMatched {
+            from: rng.gen_range(0..8),
+            view: u128::from(rng.gen::<u64>()) << 64 | u128::from(rng.gen::<u64>()),
+            documents: (0..rng.gen_range(0usize..4))
+                .map(|_| MatchedDocument {
+                    bytes: gen::xml_document(rng),
+                    // Ascending ids with gaps of every varint width.
+                    interested: rng.gen_bool(0.8).then(|| {
+                        let mut id = 0u64;
+                        (0..rng.gen_range(0usize..12))
+                            .map_while(|_| {
+                                let gap = (rng.gen::<u64>() >> rng.gen_range(0u32..64)).max(1);
+                                id = id.checked_add(gap)?;
+                                Some(id)
+                            })
+                            .collect()
+                    }),
+                })
+                .collect(),
         },
         _ => Message::SyncState {
             consumers: (0..rng.gen_range(0usize..4))
@@ -1032,6 +1070,7 @@ fn execute_net(bytes: &[u8]) -> Result<(), String> {
                     | DecodeError::DocumentTooLarge { .. }
                     | DecodeError::BatchTooLarge { .. }
                     | DecodeError::SyncTooLarge { .. }
+                    | DecodeError::InterestTooLarge { .. }
             ) {
                 return Err(format!(
                     "tiny limits rejected an accepted frame with a non-limit error: {error}"

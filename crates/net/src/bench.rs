@@ -156,21 +156,26 @@ impl fmt::Display for BenchReport {
             .map(|s| s.spurious_link_messages)
             .sum();
         let dropped: u64 = self.broker_stats.iter().map(|s| s.forwards_dropped).sum();
+        let rematched: u64 = self.broker_stats.iter().map(|s| s.forwards_rematched).sum();
         writeln!(
             f,
-            "overlay: {} deliveries, {} link messages ({} spurious, {} dropped)",
-            deliveries, link_messages, spurious, dropped
+            "overlay: {} deliveries, {} link messages ({} spurious, {} dropped, {} rematched)",
+            deliveries, link_messages, spurious, dropped, rematched
         )?;
         for stats in &self.broker_stats {
             writeln!(
                 f,
-                "  broker {}: {} consumers, {} docs, {} deliveries, {} matches, {} table nodes",
+                "  broker {}: {} consumers (view {:032x}), {} docs, {} deliveries, {} matches, \
+                 {} table nodes, {} of {} forwards rematched",
                 stats.broker,
                 stats.consumers,
+                stats.view_digest,
                 stats.documents,
                 stats.deliveries,
                 stats.match_operations,
-                stats.table_nodes
+                stats.table_nodes,
+                stats.forwards_rematched,
+                stats.forwards_received
             )?;
         }
         write!(

@@ -17,6 +17,16 @@
 //! shared step forest [`PatternSet`]; local delivery, exact-table link
 //! decisions, first-hit cost and spurious accounting are all read off that
 //! one interest set (docs/NET.md, "One pass per document").
+//!
+//! And, while views agree, once per *overlay*: the core keeps a 128-bit
+//! digest of its view ([`BrokerCore::view_digest`]) and hands out the
+//! interest set of the document it routed last ([`BrokerCore::interest`]),
+//! so a forward can carry both. [`BrokerCore::forward_matched`] takes them
+//! back in: when the sender's digest equals its own, the carried set *is*
+//! what its matcher would report, and the hop — `BrokerCore::route`'s
+//! second half, "interest set → outcome" — runs on it without parsing or
+//! matching. Any other forward is matched here, as before (docs/NET.md,
+//! "Match once per overlay").
 
 use std::collections::BTreeMap;
 
@@ -27,9 +37,10 @@ use tps_routing::{
     BrokerId, BrokerNetwork, BrokerTopology, ForwardingMode, RoutingTable, TableMode,
 };
 use tps_synopsis::{IngestTarget, Synopsis};
-use tps_xml::XmlTree;
+use tps_xml::{scan_document, NullSink, ScanLimits, XmlTree};
 
 use crate::codec::{BrokerStats, ErrorCode, FrameLimits, SyncConsumer};
+use crate::digest::entry_digest;
 use crate::overlay::OverlayConfig;
 
 /// One consumer of the overlay-wide subscription view.
@@ -66,6 +77,11 @@ pub struct BrokerCore {
     /// by `install` and `unsubscribe`: one walk of a document yields the
     /// subscribers it interests.
     matcher: PatternSet,
+    /// Wrapping sum of [`entry_digest`] over `consumers`.
+    digest: u128,
+    /// The interest set of the document routed last, ascending: what the
+    /// matcher reported, or what a trusted forward carried.
+    interest: Vec<u64>,
     synopsis: Synopsis,
     leader: Option<OnlineLeader>,
     next_slot: u32,
@@ -115,6 +131,8 @@ impl BrokerCore {
             lint: config.lint,
             consumers: BTreeMap::new(),
             matcher: PatternSet::new(),
+            digest: 0,
+            interest: Vec::new(),
             synopsis: Synopsis::new(config.synopsis),
             leader: config
                 .index
@@ -146,6 +164,24 @@ impl BrokerCore {
     /// The overlay-wide consumer view, keyed by subscriber id.
     pub fn consumers(&self) -> &BTreeMap<u64, NetConsumer> {
         &self.consumers
+    }
+
+    /// The digest of the consumer view: the wrapping sum of a fixed 128-bit
+    /// hash of every `(subscriber, attach broker, pattern)` in it
+    /// (docs/NET.md, "Match once per overlay"). It does not depend on the
+    /// order the view was installed in, costs O(|pattern|) to keep current
+    /// per view change, and two brokers hold the same view exactly when
+    /// their digests are equal.
+    pub fn view_digest(&self) -> u128 {
+        self.digest
+    }
+
+    /// The interest set of the document [`BrokerCore::publish`],
+    /// [`BrokerCore::forward_in`] or [`BrokerCore::forward_matched`] routed
+    /// last: the subscribers of the whole view it matches, ascending. What a
+    /// forward of that document carries, next to [`BrokerCore::view_digest`].
+    pub fn interest(&self) -> &[u64] {
+        &self.interest
     }
 
     /// Attach a subscriber. Returns `Ok(true)` when the view changed (the
@@ -223,6 +259,9 @@ impl BrokerCore {
             }
         };
         self.matcher.insert(subscriber, &pattern);
+        self.digest = self
+            .digest
+            .wrapping_add(entry_digest(subscriber, broker as u32, &pattern));
         let place = &mut self.places[self.place_of[broker]];
         // invariant: `consumers` does not hold the subscriber (checked
         // above), so neither does its place.
@@ -289,6 +328,11 @@ impl BrokerCore {
                     leader.remove_estimated(consumer.slot);
                 }
                 self.matcher.remove(subscriber, &consumer.pattern);
+                self.digest = self.digest.wrapping_sub(entry_digest(
+                    subscriber,
+                    consumer.broker as u32,
+                    &consumer.pattern,
+                ));
                 let place = &mut self.places[self.place_of[consumer.broker]];
                 if let Ok(position) = place.binary_search(&subscriber) {
                     place.remove(position);
@@ -322,26 +366,65 @@ impl BrokerCore {
         Ok(self.route(&document, None))
     }
 
-    /// A document arrived in a forward batch from neighbour `from`. The
-    /// publishing broker already validated and observed it, so it is only
-    /// parsed for routing here; bytes that fail anyway (a byzantine peer)
-    /// are dropped with an error count rather than poisoning the broker.
+    /// A document arrived in a forward batch from neighbour `from`, without
+    /// an interest set. The publishing broker already validated and observed
+    /// it, so it is only parsed for routing here; bytes that fail anyway (a
+    /// byzantine peer) are dropped with an error count rather than
+    /// poisoning the broker.
     pub fn forward_in(&mut self, from: BrokerId, bytes: &[u8]) -> Option<RouteOutcome> {
+        self.forward_matched(from, 0, bytes, None)
+    }
+
+    /// A document arrived from neighbour `from` with the interest set
+    /// `interested` the sender computed for it under the view `view`.
+    ///
+    /// When `view` is this broker's own digest the two views are the same,
+    /// so the carried set is what the matcher here would report: the
+    /// document is checked for well-formedness (scanned, no tree is built)
+    /// and routed on the carried set — same deliveries, same forwards, same
+    /// counters as [`BrokerCore::forward_in`], without the parse and the
+    /// match. A summarised table still needs the tree for its link lookups
+    /// and builds it, but skips the match all the same. With any other
+    /// digest (counted in `forwards_rematched`), or without a set, this *is*
+    /// `forward_in`: the document is delivered by this broker's own view.
+    pub fn forward_matched(
+        &mut self,
+        from: BrokerId,
+        view: u128,
+        bytes: &[u8],
+        interested: Option<&[u64]>,
+    ) -> Option<RouteOutcome> {
         self.stats.forwards_received += 1;
-        let text = match std::str::from_utf8(bytes) {
-            Ok(text) => text,
-            Err(_) => {
-                self.stats.errors += 1;
-                return None;
-            }
-        };
-        match XmlTree::parse(text) {
-            Ok(document) => Some(self.route(&document, Some(from))),
-            Err(_) => {
-                self.stats.errors += 1;
-                None
-            }
+        let carried = interested.filter(|_| view == self.digest);
+        if interested.is_some() && carried.is_none() {
+            self.stats.forwards_rematched += 1;
         }
+        let Some(carried) = carried else {
+            let Some(document) = parse(bytes) else {
+                return self.malformed();
+            };
+            return Some(self.route(&document, Some(from)));
+        };
+        let document = if self.summarised() {
+            let Some(document) = parse(bytes) else {
+                return self.malformed();
+            };
+            Some(document)
+        } else {
+            if scan_document(bytes, &ScanLimits::default(), &mut NullSink).is_err() {
+                return self.malformed();
+            }
+            None
+        };
+        self.interest.clear();
+        self.interest.extend_from_slice(carried);
+        Some(self.hop(document.as_ref(), Some(from)))
+    }
+
+    /// Drop a forwarded document that is not well-formed, counting it.
+    fn malformed(&mut self) -> Option<RouteOutcome> {
+        self.stats.errors += 1;
+        None
     }
 
     /// Whether forwarding runs on an exact table: every consumer behind a
@@ -350,23 +433,40 @@ impl BrokerCore {
         self.forwarding == ForwardingMode::Table(TableMode::Exact)
     }
 
+    /// Whether forwarding runs on a summarised table, whose link lookups
+    /// read the document itself rather than the interest set.
+    fn summarised(&self) -> bool {
+        matches!(self.forwarding, ForwardingMode::Table(_)) && !self.exact_table()
+    }
+
     /// Route one document at this broker, mirroring
     /// `BrokerNetwork::route_one` exactly: exact local filtering (one match
     /// operation per local consumer), a table lookup per outgoing link with
     /// first-hit cost accounting, and never sending a document back over
     /// the link it arrived on.
     ///
-    /// The document is matched once. Local delivery and every link's
-    /// interest are then lookups of the interested subscribers in `places`.
+    /// The document is matched once, here; everything else is
+    /// [`BrokerCore::hop`] reading that interest set.
     fn route(&mut self, document: &XmlTree, from: Option<BrokerId>) -> RouteOutcome {
-        let summarised = matches!(self.forwarding, ForwardingMode::Table(_)) && !self.exact_table();
+        let interested = self.matcher.matches(document);
+        self.interest.clear();
+        self.interest.extend_from_slice(interested);
+        self.hop(Some(document), from)
+    }
+
+    /// The hop function, "interest set → outcome": given the subscribers of
+    /// the view that `self.interest` says the document matches, decide the
+    /// local deliveries and the links to forward on, and count what
+    /// `BrokerNetwork::route_one` counts. Local delivery and every link's
+    /// interest are lookups of the interested subscribers in `places`; only
+    /// a summarised table reads `document`, which must then be present.
+    fn hop(&mut self, document: Option<&XmlTree>, from: Option<BrokerId>) -> RouteOutcome {
         // A summarised table must exist before the per-link loop below —
         // even for an empty view, which builds a valid match-nothing table.
-        if summarised && (self.tables_stale || self.table.is_none()) {
+        if self.summarised() && (self.tables_stale || self.table.is_none()) {
             self.rebuild_table();
         }
         let mut outcome = RouteOutcome::default();
-        let interested = self.matcher.matches(document);
         let neighbours = self.topology.neighbours(self.id);
 
         // Every interested subscriber is filed in exactly one place, and the
@@ -380,11 +480,12 @@ impl BrokerCore {
             places,
             cursors,
             first_hits,
+            interest,
             ..
         } = self;
         cursors.fill(0);
         first_hits.fill(None);
-        'interested: for &subscriber in interested {
+        'interested: for &subscriber in interest.iter() {
             let local = &places[links];
             cursors[links] = seek(local, cursors[links], subscriber);
             if local.get(cursors[links]) == Some(&subscriber) {
@@ -432,6 +533,9 @@ impl BrokerCore {
                         .table
                         .as_ref()
                         .expect("summarised forwarding has a table");
+                    // invariant: every caller parses the document when the
+                    // table is summarised.
+                    let document = document.expect("summarised forwarding has the tree");
                     table.link(link).matches(document)
                 }
             };
@@ -476,6 +580,7 @@ impl BrokerCore {
     /// Current counters (consumer and community gauges refreshed).
     pub fn stats(&mut self) -> BrokerStats {
         self.stats.consumers = self.consumers.len() as u64;
+        self.stats.view_digest = self.digest;
         self.stats.communities = match &self.leader {
             Some(leader) => leader.cluster_count() as u64,
             None => 0,
@@ -502,6 +607,11 @@ impl BrokerCore {
     }
 }
 
+/// The tree of forwarded bytes, if they are a well-formed UTF-8 document.
+fn parse(bytes: &[u8]) -> Option<XmlTree> {
+    XmlTree::parse(std::str::from_utf8(bytes).ok()?).ok()
+}
+
 /// The first position at or after `from` of ascending `list` whose value is
 /// at least `target`, found by galloping: a merge that costs the logarithm of
 /// each gap it skips rather than its length.
@@ -519,7 +629,9 @@ fn seek(list: &[u64], from: usize, target: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tps_routing::{NetworkStats, TableMode};
+    use tps_workload::{DocGenConfig, DocumentGenerator, Dtd, XPathGenConfig, XPathGenerator};
 
     fn config(brokers: usize) -> OverlayConfig {
         OverlayConfig {
@@ -817,5 +929,261 @@ mod tests {
             );
         }
         let _ = TableMode::Exact;
+    }
+
+    #[test]
+    fn the_digest_names_the_view_not_its_history() {
+        let mut core = BrokerCore::new(0, &config(3));
+        assert_eq!(core.view_digest(), 0, "the empty view");
+        core.subscribe(3, 1, "//CD[title]/composer").unwrap();
+        let one = core.view_digest();
+        assert_ne!(one, 0);
+        core.subscribe(1, 2, "//book").unwrap();
+        let two = core.view_digest();
+        assert_ne!(two, one);
+        assert_eq!(core.stats().view_digest, two, "stats carry it");
+        // A refused or duplicate subscribe is no view change.
+        assert_eq!(core.subscribe(1, 2, "//book"), Ok(false));
+        assert!(core.subscribe(1, 1, "//book").is_err());
+        assert_eq!(core.view_digest(), two);
+        // Subscribe + unsubscribe is the identity, in any order of leaving.
+        assert!(core.unsubscribe(3));
+        assert!(core.unsubscribe(1));
+        assert!(!core.unsubscribe(1));
+        assert_eq!(core.view_digest(), 0);
+        core.subscribe(1, 2, "//book").unwrap();
+        core.subscribe(3, 1, "//CD[title]/composer").unwrap();
+        assert_eq!(core.view_digest(), two, "flood order");
+        // A resync replays the dump in subscriber order, at another broker,
+        // and sibling order is not part of a pattern's identity.
+        let mut rejoined = BrokerCore::new(2, &config(3));
+        for entry in core.sync_state() {
+            rejoined
+                .restore(entry.subscriber, entry.broker, &entry.pattern)
+                .unwrap();
+        }
+        assert_eq!(rejoined.view_digest(), two);
+        let mut reordered = BrokerCore::new(1, &config(3));
+        reordered.subscribe(1, 2, "//book").unwrap();
+        reordered.subscribe(3, 1, "//CD[composer][title]").unwrap();
+        assert_eq!(reordered.view_digest(), two);
+        reordered.unsubscribe(3);
+        reordered.subscribe(3, 1, "//CD[title]//composer").unwrap();
+        assert_ne!(reordered.view_digest(), two, "another pattern");
+        reordered.unsubscribe(3);
+        reordered.subscribe(3, 2, "//CD[title]/composer").unwrap();
+        assert_ne!(reordered.view_digest(), two, "another attach broker");
+        reordered.unsubscribe(3);
+        reordered.subscribe(4, 1, "//CD[title]/composer").unwrap();
+        assert_ne!(reordered.view_digest(), two, "another subscriber");
+    }
+
+    /// A sender (broker 0) and a receiver (broker 1) of a 3-broker tree.
+    fn pair(forwarding: ForwardingMode) -> (BrokerCore, BrokerCore) {
+        let overlay = OverlayConfig {
+            topology: BrokerTopology::balanced_tree(3, 2),
+            forwarding,
+            ..OverlayConfig::default()
+        };
+        (BrokerCore::new(0, &overlay), BrokerCore::new(1, &overlay))
+    }
+
+    const CD_WITH_TITLE: &str = "<media><CD><title>Requiem</title></CD></media>";
+
+    #[test]
+    fn an_equal_digest_routes_on_the_carried_set_without_matching() {
+        for forwarding in ForwardingMode::all() {
+            let (mut sender, mut receiver) = pair(forwarding);
+            for core in [&mut sender, &mut receiver] {
+                core.subscribe(0, 1, "//CD").unwrap();
+                core.subscribe(1, 1, "//title").unwrap();
+            }
+            assert_eq!(sender.view_digest(), receiver.view_digest());
+            let outcome = sender.publish(CD_WITH_TITLE.as_bytes()).unwrap();
+            assert!(outcome.forwards.contains(&1));
+            assert_eq!(sender.interest(), [0, 1]);
+            let view = sender.view_digest();
+            let routed = receiver
+                .forward_matched(0, view, CD_WITH_TITLE.as_bytes(), Some(sender.interest()))
+                .unwrap();
+            assert_eq!(routed.deliveries, vec![0, 1]);
+            assert_eq!(receiver.interest(), [0, 1], "and is carried onwards");
+            // The set is trusted, not checked: what it leaves out is not
+            // delivered. (Only a sender with another view can leave it out,
+            // and then its digest differs.)
+            let routed = receiver
+                .forward_matched(0, view, CD_WITH_TITLE.as_bytes(), Some(&[1]))
+                .unwrap();
+            assert_eq!(routed.deliveries, vec![1], "{}", forwarding.name());
+            let stats = receiver.stats();
+            assert_eq!(stats.forwards_received, 2);
+            assert_eq!(stats.forwards_rematched, 0);
+        }
+    }
+
+    #[test]
+    fn a_diverged_receiver_delivers_by_its_own_view() {
+        // (what the receiver holds, what it must deliver of it) — the
+        // sender's set is [0, 1] every time, and says 1 is not local.
+        type View = [(u64, u32, &'static str)];
+        let receivers: [(&View, &[u64]); 3] = [
+            // One subscription short.
+            (&[(0, 1, "//CD")], &[0]),
+            // One extra.
+            (
+                &[(0, 1, "//CD"), (1, 2, "//title"), (2, 1, "//Requiem")],
+                &[0, 2],
+            ),
+            // The same subscriber, attached somewhere else.
+            (&[(0, 1, "//CD"), (1, 1, "//title")], &[0, 1]),
+        ];
+        for forwarding in ForwardingMode::all() {
+            for (held, delivered) in receivers {
+                let (mut sender, mut receiver) = pair(forwarding);
+                sender.subscribe(0, 1, "//CD").unwrap();
+                sender.subscribe(1, 2, "//title").unwrap();
+                for &(subscriber, broker, pattern) in held {
+                    receiver.subscribe(subscriber, broker, pattern).unwrap();
+                }
+                assert_ne!(sender.view_digest(), receiver.view_digest());
+                sender.publish(CD_WITH_TITLE.as_bytes()).unwrap();
+                let routed = receiver
+                    .forward_matched(
+                        0,
+                        sender.view_digest(),
+                        CD_WITH_TITLE.as_bytes(),
+                        Some(sender.interest()),
+                    )
+                    .unwrap();
+                assert_eq!(routed.deliveries, delivered, "{}", forwarding.name());
+                assert_eq!(
+                    receiver.interest().len(),
+                    held.len(),
+                    "its own interest set goes onwards"
+                );
+                let stats = receiver.stats();
+                assert_eq!(stats.forwards_received, 1);
+                assert_eq!(stats.forwards_rematched, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_bytes_on_the_routed_path_are_dropped_and_counted() {
+        for forwarding in ForwardingMode::all() {
+            let (_, mut receiver) = pair(forwarding);
+            receiver.subscribe(0, 1, "//CD").unwrap();
+            let view = receiver.view_digest();
+            let bad: [&[u8]; 4] = [
+                b"<media><CD></media>",
+                b"<media><CD/></media><media/>",
+                b"",
+                &[b'<', b'a', 0xff, b'/', b'>'],
+            ];
+            for bytes in bad {
+                assert_eq!(
+                    receiver.forward_matched(0, view, bytes, Some(&[0])),
+                    None,
+                    "{}",
+                    forwarding.name()
+                );
+                assert_eq!(
+                    receiver.forward_matched(0, view ^ 1, bytes, Some(&[0])),
+                    None
+                );
+                assert_eq!(receiver.forward_in(0, bytes), None);
+            }
+            let stats = receiver.stats();
+            assert_eq!(stats.errors, 12);
+            assert_eq!(stats.forwards_received, 12);
+            assert_eq!(stats.forwards_rematched, 4);
+            assert_eq!(stats.deliveries, 0);
+            assert_eq!(stats.match_operations, 0);
+        }
+    }
+
+    /// Route `documents`, published at broker 0, through a mesh of cores
+    /// holding `view`; forwards carry the sender's digest and interest set
+    /// if `matched`. Returns every hop's outcome and the settled counters.
+    fn crank(
+        forwarding: ForwardingMode,
+        view: &[(u64, u32, String)],
+        documents: &[Vec<u8>],
+        matched: bool,
+    ) -> (Vec<(BrokerId, Option<RouteOutcome>)>, Vec<BrokerStats>) {
+        let overlay = OverlayConfig {
+            topology: BrokerTopology::balanced_tree(5, 2),
+            forwarding,
+            index: None,
+            ..OverlayConfig::default()
+        };
+        let mut cores: Vec<BrokerCore> = (0..5).map(|id| BrokerCore::new(id, &overlay)).collect();
+        for core in &mut cores {
+            for (subscriber, broker, pattern) in view {
+                core.subscribe(*subscriber, *broker, pattern).unwrap();
+            }
+        }
+        let mut hops = Vec::new();
+        for bytes in documents {
+            let outcome = cores[0].publish(bytes).ok();
+            let mut pending: Vec<(BrokerId, BrokerId)> = Vec::new();
+            let mut sent = |at: BrokerId, outcome: &Option<RouteOutcome>| {
+                let forwards = outcome.iter().flat_map(|o| &o.forwards);
+                pending.extend(forwards.map(|&to| (at, to)));
+                pending.pop()
+            };
+            let mut next = sent(0, &outcome);
+            hops.push((0, outcome));
+            while let Some((from, at)) = next {
+                let outcome = if matched {
+                    let (view, interest) = (cores[from].view_digest(), cores[from].interest());
+                    let interest = interest.to_vec();
+                    cores[at].forward_matched(from, view, bytes, Some(&interest))
+                } else {
+                    cores[at].forward_in(from, bytes)
+                };
+                next = sent(at, &outcome);
+                hops.push((at, outcome));
+            }
+        }
+        (hops, cores.iter_mut().map(BrokerCore::stats).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// With equal digests the routed entry point is `forward_in` minus
+        /// the work: the same outcome at every hop and the same counters at
+        /// every broker, in every forwarding mode — on generated views and
+        /// documents, one of them malformed.
+        #[test]
+        fn forward_matched_with_an_equal_digest_is_forward_in(
+            seed in any::<u64>(),
+            subscriptions in 0usize..40,
+            attach in proptest::collection::vec(0u32..5, 40),
+        ) {
+            let dtd = Dtd::media();
+            let patterns = XPathGenerator::new(&dtd, XPathGenConfig::default().with_seed(seed))
+                .generate_many(subscriptions);
+            let view: Vec<(u64, u32, String)> = patterns
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (3 * i as u64 + 1, attach[i], p.to_string()))
+                .collect();
+            let config = DocGenConfig::default().with_seed(seed ^ 0xd0c5).with_target_tag_pairs(30);
+            let mut documents: Vec<Vec<u8>> = DocumentGenerator::new(&dtd, config)
+                .generate_many(6)
+                .iter()
+                .map(|d| d.to_xml().into_bytes())
+                .collect();
+            documents.insert(3, b"<media><CD></media>".to_vec());
+            for forwarding in ForwardingMode::all() {
+                let (plain_hops, plain) = crank(forwarding, &view, &documents, false);
+                let (matched_hops, matched) = crank(forwarding, &view, &documents, true);
+                prop_assert_eq!(&matched_hops, &plain_hops, "{}", forwarding.name());
+                prop_assert_eq!(&matched, &plain, "{}", forwarding.name());
+                prop_assert!(matched.iter().all(|s| s.forwards_rematched == 0));
+            }
+        }
     }
 }

@@ -4,21 +4,28 @@
 //! payload; the payload starts with a protocol version byte and a verb
 //! byte, then verb-specific fields built from four primitives — `u32`,
 //! `u64`, length-prefixed byte strings and length-prefixed UTF-8 strings —
-//! all big-endian, no serde anywhere. Decoding never panics and never
+//! all big-endian, no serde anywhere. One verb adds a fifth: the interest
+//! set of a [`MatchedDocument`] is a list of ascending subscriber ids, sent
+//! as canonical LEB128 varints of their gaps (docs/NET.md, "Canonical
+//! encodings"). Decoding never panics and never
 //! trusts a length field: every count is checked against the bytes that
 //! are actually present *and* against the hard [`FrameLimits`] (modelled
 //! on `tps_xml::ScanLimits`) before anything is allocated, so a hostile
 //! peer can neither crash a broker nor balloon its memory.
 //!
 //! [`Message::decode`] ∘ [`Message::encode`] is the identity for every
-//! in-limit message — property-tested in this crate and fuzzed by the
-//! `net` target of `tps-fuzz`.
+//! in-limit message, and every encoding is canonical: a payload that
+//! decodes re-encodes to the same bytes — property-tested in this crate and
+//! fuzzed by the `net` target of `tps-fuzz`.
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
-/// Protocol version carried by every frame.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Protocol version carried by every frame. Version 2 added
+/// [`Message::ForwardMatched`] and the view digest and
+/// `forwards_rematched` counter of [`BrokerStats`].
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Hard limits a decoder enforces on incoming frames, in the mould of
 /// `tps_xml::ScanLimits`: exceeding any of them is a typed
@@ -33,7 +40,8 @@ pub struct FrameLimits {
     pub max_document: usize,
     /// Maximum number of documents in one forward batch.
     pub max_batch: usize,
-    /// Maximum number of consumers in one state-sync reply.
+    /// Maximum number of consumers in one state-sync reply, and of
+    /// subscriber ids in the interest set of one forwarded document.
     pub max_subscriptions: usize,
 }
 
@@ -95,10 +103,25 @@ pub enum DecodeError {
         /// The configured limit.
         limit: usize,
     },
+    /// An interest set exceeded [`FrameLimits::max_subscriptions`] ids.
+    InterestTooLarge {
+        /// Announced id count.
+        size: usize,
+        /// The configured limit.
+        limit: usize,
+    },
     /// A string field is not valid UTF-8.
     InvalidUtf8,
     /// An error reply carried an unknown error code.
     UnknownErrorCode(u16),
+    /// A varint is not the shortest encoding of its value, or does not fit
+    /// 64 bits.
+    NonCanonicalVarint,
+    /// The ids of an interest set do not ascend strictly (a zero gap), or
+    /// run past `u64::MAX`.
+    IdsNotAscending,
+    /// The presence byte of an interest set is neither 0 nor 1.
+    BadPresenceFlag(u8),
 }
 
 impl fmt::Display for DecodeError {
@@ -134,8 +157,18 @@ impl fmt::Display for DecodeError {
                     "sync of {size} consumers exceeds the {limit}-consumer limit"
                 )
             }
+            DecodeError::InterestTooLarge { size, limit } => {
+                write!(f, "interest set of {size} ids exceeds the {limit}-id limit")
+            }
             DecodeError::InvalidUtf8 => write!(f, "string field is not valid UTF-8"),
             DecodeError::UnknownErrorCode(c) => write!(f, "unknown error code {c}"),
+            DecodeError::NonCanonicalVarint => {
+                write!(f, "varint is overlong or does not fit 64 bits")
+            }
+            DecodeError::IdsNotAscending => {
+                write!(f, "subscriber ids do not ascend strictly within 64 bits")
+            }
+            DecodeError::BadPresenceFlag(b) => write!(f, "presence byte {b:#04x} is not 0 or 1"),
         }
     }
 }
@@ -240,6 +273,11 @@ pub struct BrokerStats {
     pub match_operations: u64,
     /// Documents that arrived from peer brokers in forward batches.
     pub forwards_received: u64,
+    /// Forwards that carried an interest set computed under a view digest
+    /// other than this broker's, and were matched again here. At zero
+    /// churn on a converged overlay it stays 0; `1 − forwards_rematched /
+    /// forwards_received` is the share of forwards that skipped the match.
+    pub forwards_rematched: u64,
     /// Documents dropped because a peer link was down or saturated.
     pub forwards_dropped: u64,
     /// Requests answered with an error reply.
@@ -255,6 +293,35 @@ pub struct BrokerStats {
     /// Semantic communities of the active subscriptions, per the
     /// index-backed online clustering.
     pub communities: u64,
+    /// Digest of this broker's consumer view
+    /// ([`BrokerCore::view_digest`](crate::broker::BrokerCore::view_digest)):
+    /// two brokers hold the same view exactly when they report the same
+    /// value.
+    pub view_digest: u128,
+}
+
+/// One document of a [`Message::ForwardMatched`] batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MatchedDocument {
+    /// Raw document bytes.
+    pub bytes: Vec<u8>,
+    /// The subscribers of the sender's view the document interests,
+    /// strictly ascending — or `None` when the set was too large to send
+    /// (over [`FrameLimits::max_subscriptions`] ids or over the frame
+    /// budget) and the receiver has to match for itself. Shared, not
+    /// copied, between the links one document leaves on.
+    pub interested: Option<Arc<[u64]>>,
+}
+
+impl MatchedDocument {
+    /// The bytes this document takes inside a frame.
+    pub fn encoded_len(&self) -> usize {
+        let ids = self
+            .interested
+            .as_deref()
+            .map_or(0, |ids| 4 + gaps(ids).map(varint_len).sum::<usize>());
+        4 + self.bytes.len() + 1 + ids
+    }
 }
 
 /// One protocol message — requests and replies share the verb space
@@ -290,6 +357,18 @@ pub enum Message {
         from: u32,
         /// The forwarded documents, in publication order.
         documents: Vec<Vec<u8>>,
+    },
+    /// A batch of documents forwarded from peer broker `from`, each with
+    /// the interest set `from` computed for it under the view `view`. A
+    /// receiver holding the same view routes on the carried set and skips
+    /// its own match (docs/NET.md, "Match once per overlay").
+    ForwardMatched {
+        /// Sending broker id.
+        from: u32,
+        /// The sender's view digest when it matched the documents.
+        view: u128,
+        /// The forwarded documents, in publication order.
+        documents: Vec<MatchedDocument>,
     },
     /// Ask the broker to shut down gracefully.
     Shutdown,
@@ -338,6 +417,7 @@ const VERB_FORWARD: u8 = 0x05;
 const VERB_SHUTDOWN: u8 = 0x06;
 const VERB_SYNC_REQUEST: u8 = 0x07;
 const VERB_HELLO: u8 = 0x08;
+const VERB_FORWARD_MATCHED: u8 = 0x09;
 const VERB_ACK: u8 = 0x80;
 const VERB_ERROR: u8 = 0x81;
 const VERB_STATS_REPLY: u8 = 0x82;
@@ -355,6 +435,32 @@ fn put_u64(out: &mut Vec<u8>, value: u64) {
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_u32(out, bytes.len() as u32);
     out.extend_from_slice(bytes);
+}
+
+/// The gaps an ascending id list is sent as: the first id, then each id
+/// minus its predecessor.
+fn gaps(ids: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    let mut previous = 0;
+    ids.iter().map(move |&id| {
+        let gap = id.wrapping_sub(previous);
+        previous = id;
+        gap
+    })
+}
+
+/// Bytes of the LEB128 encoding of `value`: one per started group of 7 bits.
+fn varint_len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// LEB128: 7 bits per byte, least significant group first, high bit set on
+/// every byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
 }
 
 /// A bounds-checked cursor over one frame payload.
@@ -402,11 +508,39 @@ impl<'a> Reader<'a> {
         ]))
     }
 
+    fn u128(&mut self) -> Result<u128, DecodeError> {
+        let mut b = [0u8; 16];
+        b.copy_from_slice(self.take(16)?);
+        Ok(u128::from_be_bytes(b))
+    }
+
     /// A length-prefixed byte string; the announced length is checked
     /// against the bytes actually present before anything is copied.
     fn bytes_field(&mut self) -> Result<Vec<u8>, DecodeError> {
         let len = self.u32()? as usize;
         Ok(self.take(len)?.to_vec())
+    }
+
+    /// A LEB128 varint in its one canonical form: at most ten bytes, no
+    /// bits beyond the 64th, and no zero byte at the top (the shortest
+    /// encoding of the value).
+    fn varint(&mut self) -> Result<u64, DecodeError> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let group = u64::from(byte & 0x7f);
+            if shift == 63 && group > 1 {
+                return Err(DecodeError::NonCanonicalVarint);
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(DecodeError::NonCanonicalVarint);
+                }
+                return Ok(value);
+            }
+        }
+        Err(DecodeError::NonCanonicalVarint)
     }
 
     fn string_field(&mut self) -> Result<String, DecodeError> {
@@ -429,6 +563,7 @@ impl Message {
             Message::Publish { .. } => VERB_PUBLISH,
             Message::Stats => VERB_STATS,
             Message::Forward { .. } => VERB_FORWARD,
+            Message::ForwardMatched { .. } => VERB_FORWARD_MATCHED,
             Message::Shutdown => VERB_SHUTDOWN,
             Message::SyncRequest => VERB_SYNC_REQUEST,
             Message::Hello { .. } => VERB_HELLO,
@@ -444,6 +579,12 @@ impl Message {
     /// without the outer length prefix, which [`write_frame`] adds.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the message payload to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(PROTOCOL_VERSION);
         out.push(self.verb());
         match self {
@@ -452,27 +593,49 @@ impl Message {
                 broker,
                 pattern,
             } => {
-                put_u64(&mut out, *subscriber);
-                put_u32(&mut out, *broker);
-                put_bytes(&mut out, pattern.as_bytes());
+                put_u64(out, *subscriber);
+                put_u32(out, *broker);
+                put_bytes(out, pattern.as_bytes());
             }
-            Message::Unsubscribe { subscriber } => put_u64(&mut out, *subscriber),
-            Message::Publish { document } => put_bytes(&mut out, document),
+            Message::Unsubscribe { subscriber } => put_u64(out, *subscriber),
+            Message::Publish { document } => put_bytes(out, document),
             Message::Stats | Message::Shutdown | Message::SyncRequest | Message::Ack => {}
-            Message::Hello { broker } => put_u32(&mut out, *broker),
+            Message::Hello { broker } => put_u32(out, *broker),
             Message::Forward { from, documents } => {
-                put_u32(&mut out, *from);
-                put_u32(&mut out, documents.len() as u32);
+                put_u32(out, *from);
+                put_u32(out, documents.len() as u32);
                 for document in documents {
-                    put_bytes(&mut out, document);
+                    put_bytes(out, document);
+                }
+            }
+            Message::ForwardMatched {
+                from,
+                view,
+                documents,
+            } => {
+                put_u32(out, *from);
+                out.extend_from_slice(&view.to_be_bytes());
+                put_u32(out, documents.len() as u32);
+                for document in documents {
+                    put_bytes(out, &document.bytes);
+                    match document.interested.as_deref() {
+                        None => out.push(0),
+                        Some(ids) => {
+                            out.push(1);
+                            put_u32(out, ids.len() as u32);
+                            for gap in gaps(ids) {
+                                put_varint(out, gap);
+                            }
+                        }
+                    }
                 }
             }
             Message::Error { code, message } => {
                 out.extend_from_slice(&code.to_u16().to_be_bytes());
-                put_bytes(&mut out, message.as_bytes());
+                put_bytes(out, message.as_bytes());
             }
             Message::StatsReply { stats } => {
-                put_u32(&mut out, stats.broker);
+                put_u32(out, stats.broker);
                 for value in [
                     stats.consumers,
                     stats.documents,
@@ -481,32 +644,33 @@ impl Message {
                     stats.spurious_link_messages,
                     stats.match_operations,
                     stats.forwards_received,
+                    stats.forwards_rematched,
                     stats.forwards_dropped,
                     stats.errors,
                     stats.table_rebuilds,
                     stats.table_nodes,
                     stats.communities,
                 ] {
-                    put_u64(&mut out, value);
+                    put_u64(out, value);
                 }
+                out.extend_from_slice(&stats.view_digest.to_be_bytes());
             }
             Message::Deliver {
                 subscriber,
                 document,
             } => {
-                put_u64(&mut out, *subscriber);
-                put_bytes(&mut out, document);
+                put_u64(out, *subscriber);
+                put_bytes(out, document);
             }
             Message::SyncState { consumers } => {
-                put_u32(&mut out, consumers.len() as u32);
+                put_u32(out, consumers.len() as u32);
                 for consumer in consumers {
-                    put_u64(&mut out, consumer.subscriber);
-                    put_u32(&mut out, consumer.broker);
-                    put_bytes(&mut out, consumer.pattern.as_bytes());
+                    put_u64(out, consumer.subscriber);
+                    put_u32(out, consumer.broker);
+                    put_bytes(out, consumer.pattern.as_bytes());
                 }
             }
         }
-        out
     }
 
     /// Decode one frame payload under the given limits. Total work and
@@ -545,18 +709,32 @@ impl Message {
             VERB_STATS => Message::Stats,
             VERB_FORWARD => {
                 let from = reader.u32()?;
-                let count = reader.u32()? as usize;
-                if count > limits.max_batch {
-                    return Err(DecodeError::BatchTooLarge {
-                        size: count,
-                        limit: limits.max_batch,
-                    });
-                }
+                let count = decode_batch_count(&mut reader, limits)?;
                 let mut documents = Vec::with_capacity(count.min(reader.remaining()));
                 for _ in 0..count {
                     documents.push(decode_document(&mut reader, limits)?);
                 }
                 Message::Forward { from, documents }
+            }
+            VERB_FORWARD_MATCHED => {
+                let from = reader.u32()?;
+                let view = reader.u128()?;
+                let count = decode_batch_count(&mut reader, limits)?;
+                let mut documents = Vec::with_capacity(count.min(reader.remaining()));
+                for _ in 0..count {
+                    let bytes = decode_document(&mut reader, limits)?;
+                    let interested = match reader.u8()? {
+                        0 => None,
+                        1 => Some(decode_interest(&mut reader, limits)?),
+                        other => return Err(DecodeError::BadPresenceFlag(other)),
+                    };
+                    documents.push(MatchedDocument { bytes, interested });
+                }
+                Message::ForwardMatched {
+                    from,
+                    view,
+                    documents,
+                }
             }
             VERB_SHUTDOWN => Message::Shutdown,
             VERB_SYNC_REQUEST => Message::SyncRequest,
@@ -572,7 +750,7 @@ impl Message {
             }
             VERB_STATS_REPLY => {
                 let broker = reader.u32()?;
-                let mut values = [0u64; 12];
+                let mut values = [0u64; 13];
                 for value in &mut values {
                     *value = reader.u64()?;
                 }
@@ -586,11 +764,13 @@ impl Message {
                         spurious_link_messages: values[4],
                         match_operations: values[5],
                         forwards_received: values[6],
-                        forwards_dropped: values[7],
-                        errors: values[8],
-                        table_rebuilds: values[9],
-                        table_nodes: values[10],
-                        communities: values[11],
+                        forwards_rematched: values[7],
+                        forwards_dropped: values[8],
+                        errors: values[9],
+                        table_rebuilds: values[10],
+                        table_nodes: values[11],
+                        communities: values[12],
+                        view_digest: reader.u128()?,
                     },
                 }
             }
@@ -630,6 +810,18 @@ impl Message {
     }
 }
 
+/// The document count of a forward batch, checked against the limit.
+fn decode_batch_count(reader: &mut Reader<'_>, limits: &FrameLimits) -> Result<usize, DecodeError> {
+    let count = reader.u32()? as usize;
+    if count > limits.max_batch {
+        return Err(DecodeError::BatchTooLarge {
+            size: count,
+            limit: limits.max_batch,
+        });
+    }
+    Ok(count)
+}
+
 fn decode_pattern(reader: &mut Reader<'_>, limits: &FrameLimits) -> Result<String, DecodeError> {
     let len = peek_len(reader)?;
     if len > limits.max_pattern {
@@ -650,6 +842,38 @@ fn decode_document(reader: &mut Reader<'_>, limits: &FrameLimits) -> Result<Vec<
         });
     }
     reader.bytes_field()
+}
+
+/// An interest set: an id count, then the ids as varints of their gaps. The
+/// count is checked against the limit and every id takes at least a byte,
+/// so the allocation is bounded by both before it is made.
+fn decode_interest(
+    reader: &mut Reader<'_>,
+    limits: &FrameLimits,
+) -> Result<Arc<[u64]>, DecodeError> {
+    let count = reader.u32()? as usize;
+    if count > limits.max_subscriptions {
+        return Err(DecodeError::InterestTooLarge {
+            size: count,
+            limit: limits.max_subscriptions,
+        });
+    }
+    if count > reader.remaining() {
+        return Err(DecodeError::Truncated);
+    }
+    let mut ids = Vec::with_capacity(count);
+    let mut previous = 0u64;
+    for index in 0..count {
+        let gap = reader.varint()?;
+        if gap == 0 && index > 0 {
+            return Err(DecodeError::IdsNotAscending);
+        }
+        previous = previous
+            .checked_add(gap)
+            .ok_or(DecodeError::IdsNotAscending)?;
+        ids.push(previous);
+    }
+    Ok(ids.into())
 }
 
 /// The length prefix of the next field, without consuming it.
@@ -693,11 +917,15 @@ impl From<DecodeError> for FrameError {
     }
 }
 
-/// Write one message as a length-prefixed frame.
+/// Write one message as a length-prefixed frame: prefix and payload are
+/// assembled in one buffer and handed to the writer in one `write_all`, so
+/// a frame on a `TCP_NODELAY` socket is one syscall and one segment.
 pub fn write_frame(writer: &mut impl Write, message: &Message) -> io::Result<()> {
-    let payload = message.encode();
-    writer.write_all(&(payload.len() as u32).to_be_bytes())?;
-    writer.write_all(&payload)?;
+    let mut frame = vec![0u8; 4];
+    message.encode_into(&mut frame);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -783,6 +1011,24 @@ mod tests {
                 from: 1,
                 documents: vec![b"<a/>".to_vec(), b"<b><c/></b>".to_vec()],
             },
+            Message::ForwardMatched {
+                from: 1,
+                view: u128::MAX - 5,
+                documents: vec![
+                    MatchedDocument {
+                        bytes: b"<a/>".to_vec(),
+                        interested: Some(vec![0, 1, 127, 128, 1 << 40, u64::MAX].into()),
+                    },
+                    MatchedDocument {
+                        bytes: b"<b><c/></b>".to_vec(),
+                        interested: None,
+                    },
+                    MatchedDocument {
+                        bytes: Vec::new(),
+                        interested: Some(Vec::new().into()),
+                    },
+                ],
+            },
             Message::Shutdown,
             Message::SyncRequest,
             Message::Hello { broker: 2 },
@@ -801,11 +1047,13 @@ mod tests {
                     spurious_link_messages: 1,
                     match_operations: 99,
                     forwards_received: 2,
+                    forwards_rematched: 1,
                     forwards_dropped: 0,
                     errors: 1,
                     table_rebuilds: 8,
                     table_nodes: 120,
                     communities: 3,
+                    view_digest: 0x0123_4567_89ab_cdef_0f1e_2d3c_4b5a_6978,
                 },
             },
             Message::Deliver {
@@ -949,6 +1197,129 @@ mod tests {
             Message::decode(&batch.encode(), &limits),
             Err(DecodeError::BatchTooLarge { size: 2, limit: 1 })
         );
+    }
+
+    /// A `ForwardMatched` payload holding one empty document whose interest
+    /// set is `count` ids followed by the raw `ids` bytes.
+    fn matched_payload(count: u32, ids: &[u8]) -> Vec<u8> {
+        let mut payload = vec![PROTOCOL_VERSION, VERB_FORWARD_MATCHED];
+        payload.extend_from_slice(&3u32.to_be_bytes());
+        payload.extend_from_slice(&7u128.to_be_bytes());
+        payload.extend_from_slice(&1u32.to_be_bytes());
+        payload.extend_from_slice(&0u32.to_be_bytes());
+        payload.push(1);
+        payload.extend_from_slice(&count.to_be_bytes());
+        payload.extend_from_slice(ids);
+        payload
+    }
+
+    fn decoded_interest(count: u32, ids: &[u8]) -> Result<Vec<u64>, DecodeError> {
+        match Message::decode(&matched_payload(count, ids), &FrameLimits::default())? {
+            Message::ForwardMatched { documents, .. } => Ok(documents[0]
+                .interested
+                .as_deref()
+                .expect("the payload carries a set")
+                .to_vec()),
+            other => panic!("expected ForwardMatched, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn varints_have_one_encoding() {
+        for value in [0, 1, 127, 128, 300, (1 << 56) - 1, 1 << 63, u64::MAX] {
+            let mut bytes = Vec::new();
+            put_varint(&mut bytes, value);
+            assert_eq!(bytes.len(), varint_len(value), "{value}");
+            assert_eq!(decoded_interest(1, &bytes), Ok(vec![value]));
+            // The same value with a zero group on top is refused.
+            if bytes.len() < 10 {
+                let last = bytes.len() - 1;
+                bytes[last] |= 0x80;
+                bytes.push(0);
+                assert_eq!(
+                    decoded_interest(1, &bytes),
+                    Err(DecodeError::NonCanonicalVarint),
+                    "{value}"
+                );
+            }
+        }
+        // Ten bytes may only carry one bit in the last; eleven are too many.
+        let mut wide = vec![0xff; 9];
+        wide.push(0x02);
+        assert_eq!(
+            decoded_interest(1, &wide),
+            Err(DecodeError::NonCanonicalVarint)
+        );
+        let mut long = vec![0x80; 10];
+        long.push(0x01);
+        assert_eq!(
+            decoded_interest(1, &long),
+            Err(DecodeError::NonCanonicalVarint)
+        );
+        assert_eq!(decoded_interest(1, &[0x80]), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn interest_sets_are_gaps_behind_a_presence_byte() {
+        assert_eq!(decoded_interest(3, &[5, 1, 2]), Ok(vec![5, 6, 8]));
+        assert_eq!(decoded_interest(2, &[0, 1]), Ok(vec![0, 1]));
+        let mut payload = matched_payload(0, &[]);
+        let flag = payload.len() - 5;
+        payload[flag] = 2;
+        assert_eq!(
+            Message::decode(&payload, &FrameLimits::default()),
+            Err(DecodeError::BadPresenceFlag(2))
+        );
+    }
+
+    #[test]
+    fn encoded_len_is_what_a_matched_document_adds_to_a_frame() {
+        let empty = Message::ForwardMatched {
+            from: 0,
+            view: 0,
+            documents: Vec::new(),
+        }
+        .encode()
+        .len();
+        for message in samples() {
+            if let Message::ForwardMatched {
+                from,
+                view,
+                documents,
+            } = message
+            {
+                for document in documents {
+                    let alone = Message::ForwardMatched {
+                        from,
+                        view,
+                        documents: vec![document.clone()],
+                    };
+                    assert_eq!(alone.encode().len() - empty, document.encoded_len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_is_written_with_one_write() {
+        struct CountingWriter(Vec<Vec<u8>>);
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for message in samples() {
+            let mut writer = CountingWriter(Vec::new());
+            write_frame(&mut writer, &message).unwrap();
+            assert_eq!(writer.0.len(), 1, "{message:?}");
+            let payload = message.encode();
+            assert_eq!(writer.0[0][..4], (payload.len() as u32).to_be_bytes());
+            assert_eq!(writer.0[0][4..], payload[..]);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`codec`] — wire format: framing, limits, typed decode errors.
 //! * [`transport`] — TCP / Unix socket abstraction.
 //! * [`broker`] — [`broker::BrokerCore`], the single-threaded broker
-//!   brain (subscriptions, synopsis, routing, counters).
+//!   brain (subscriptions, view digest, synopsis, routing, counters).
 //! * [`server`] — threads and queues around a core: accept loop,
 //!   per-connection readers/writers, peer links, graceful shutdown.
 //! * [`client`] — a blocking request/reply client.
@@ -35,6 +35,7 @@ pub mod bench;
 pub mod broker;
 pub mod client;
 pub mod codec;
+mod digest;
 pub mod overlay;
 pub mod server;
 pub mod transport;
@@ -42,7 +43,9 @@ pub mod transport;
 pub use bench::{run_bench, BenchOptions, BenchReport, LatencySummary};
 pub use broker::BrokerCore;
 pub use client::{BrokerClient, ClientError};
-pub use codec::{BrokerStats, DecodeError, ErrorCode, FrameLimits, Message, PROTOCOL_VERSION};
+pub use codec::{
+    BrokerStats, DecodeError, ErrorCode, FrameLimits, MatchedDocument, Message, PROTOCOL_VERSION,
+};
 pub use overlay::{LocalOverlay, OverlayConfig};
 pub use server::{spawn_broker, BrokerHandle};
 pub use transport::{Addr, Transport};

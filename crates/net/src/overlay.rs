@@ -135,22 +135,31 @@ impl LocalOverlay {
     }
 
     /// Poll every live broker until each reports `expected` consumers in
-    /// its view — the barrier between installing subscriptions and
-    /// publishing that makes zero-churn runs deterministic (the
-    /// subscription flood is asynchronous).
+    /// its view and all report the same view digest — the barrier between
+    /// installing subscriptions and publishing that makes zero-churn runs
+    /// deterministic (the subscription flood is asynchronous). Equal counts
+    /// alone cannot tell two equal-sized divergent views apart; equal
+    /// digests are equal views.
     pub fn await_consumers(&self, expected: u64, timeout: Duration) -> io::Result<()> {
         let deadline = Instant::now() + timeout;
         loop {
             let stats = self.stats()?;
-            if stats.iter().all(|s| s.consumers == expected) {
+            let converged = stats
+                .iter()
+                .all(|s| s.consumers == expected && s.view_digest == stats[0].view_digest);
+            if converged {
                 return Ok(());
             }
             if Instant::now() >= deadline {
+                let views: Vec<String> = stats
+                    .iter()
+                    .map(|s| format!("{} ({:032x})", s.consumers, s.view_digest))
+                    .collect();
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!(
-                        "consumer views did not converge on {expected} within {timeout:?}: {:?}",
-                        stats.iter().map(|s| s.consumers).collect::<Vec<_>>()
+                        "consumer views did not converge on {expected} within {timeout:?}: [{}]",
+                        views.join(", ")
                     ),
                 ));
             }

@@ -9,8 +9,8 @@
 //!   **writer** (bounded outbound queue → socket),
 //! * one **service** thread owning the [`BrokerCore`] — all state lives on
 //!   this thread, so the core needs no locks — draining the inbound queue
-//!   in batches and flushing at most one [`Message::Forward`] frame per
-//!   peer link per batch (genuine batching under load),
+//!   in batches and flushing at most one [`Message::ForwardMatched`] frame
+//!   per peer link, batch and view digest (genuine batching under load),
 //! * one lazy **peer writer** per overlay link, reconnecting through the
 //!   shared [`AddrMap`] so a restarted neighbour is found at its new
 //!   address.
@@ -22,9 +22,16 @@
 //! droppable data, undroppable control. This is what makes the overlay
 //! deadlock-free by construction: the only cycles in the blocking graph
 //! would have to pass through a peer queue, and nothing blocks on those.
+//!
+//! Every forward leaves as [`Message::ForwardMatched`]: next to its bytes a
+//! document carries the interest set the core computed for it and the frame
+//! the view digest it was computed under, so a neighbour holding the same
+//! view routes it without parsing or matching
+//! ([`BrokerCore::forward_matched`]). A plain [`Message::Forward`] is still
+//! accepted and matched locally; brokers no longer send it.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -33,7 +40,7 @@ use std::thread::JoinHandle;
 use tps_routing::BrokerId;
 
 use crate::broker::{BrokerCore, RouteOutcome};
-use crate::codec::{read_frame, write_frame, FrameLimits, Message};
+use crate::codec::{read_frame, write_frame, FrameLimits, MatchedDocument, Message};
 use crate::transport::{Addr, Listener, Stream};
 
 /// Shared, mutable address map of the overlay: `addrs[b]` is where broker
@@ -62,6 +69,14 @@ enum Event {
 /// Number of events the service thread drains per batch; also the bound on
 /// how many documents can share one forward frame (before size chunking).
 const SERVICE_BATCH: usize = 64;
+
+/// A routed document waiting for the end-of-batch flush towards one link.
+struct Outbound {
+    /// The view digest its interest set was computed under: only documents
+    /// of one view share a frame.
+    view: u128,
+    document: MatchedDocument,
+}
 
 struct ConnState {
     tx: SyncSender<Message>,
@@ -293,12 +308,15 @@ fn writer_loop(mut stream: Stream, rx: Receiver<Message>) {
 }
 
 fn reader_loop(
-    mut stream: Stream,
+    stream: Stream,
     conn: u64,
     service_tx: SyncSender<Event>,
     registry: Arc<Mutex<HashMap<u64, Stream>>>,
     limits: FrameLimits,
 ) {
+    // Buffered: a frame's prefix and payload, and every further frame that
+    // already arrived, come out of one `read`.
+    let mut stream = BufReader::new(stream);
     // Clean EOF, I/O failure, or a malformed frame (after which the stream
     // cannot be resynchronised): close the connection.
     while let Ok(Some(message)) = read_frame(&mut stream, &limits) {
@@ -382,7 +400,7 @@ impl Service {
                     Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
                 }
             }
-            let mut out: Vec<Vec<Vec<u8>>> = vec![Vec::new(); self.neighbours.len()];
+            let mut out: Vec<Vec<Outbound>> = self.neighbours.iter().map(|_| Vec::new()).collect();
             let mut stopping = false;
             for event in events {
                 stopping |= self.handle(event, &mut out);
@@ -404,7 +422,7 @@ impl Service {
     }
 
     /// Process one event; returns whether the broker should stop.
-    fn handle(&mut self, event: Event, out: &mut [Vec<Vec<u8>>]) -> bool {
+    fn handle(&mut self, event: Event, out: &mut [Vec<Outbound>]) -> bool {
         match event {
             Event::Opened { conn, tx } => {
                 self.conns.insert(conn, ConnState { tx, peer: None });
@@ -421,7 +439,7 @@ impl Service {
         false
     }
 
-    fn handle_frame(&mut self, conn: u64, message: Message, out: &mut [Vec<Vec<u8>>]) -> bool {
+    fn handle_frame(&mut self, conn: u64, message: Message, out: &mut [Vec<Outbound>]) -> bool {
         match message {
             Message::Hello { broker } => {
                 if let Some(state) = self.conns.get_mut(&conn) {
@@ -494,6 +512,23 @@ impl Service {
                     }
                 }
             }
+            Message::ForwardMatched {
+                from,
+                view,
+                documents,
+            } => {
+                for MatchedDocument { bytes, interested } in documents {
+                    let routed = self.core.forward_matched(
+                        from as BrokerId,
+                        view,
+                        &bytes,
+                        interested.as_deref(),
+                    );
+                    if let Some(outcome) = routed {
+                        self.dispatch(&outcome, &bytes, out);
+                    }
+                }
+            }
             Message::Stats => {
                 let mut stats = self.core.stats();
                 stats.forwards_dropped += self.dropped.load(Ordering::Relaxed);
@@ -520,8 +555,9 @@ impl Service {
     }
 
     /// Push local deliveries to attached subscriber connections and queue
-    /// the forward decisions of one routed document.
-    fn dispatch(&mut self, outcome: &RouteOutcome, document: &[u8], out: &mut [Vec<Vec<u8>>]) {
+    /// the forward decisions of the document the core routed last, with the
+    /// interest set and the view digest the core holds for it.
+    fn dispatch(&mut self, outcome: &RouteOutcome, document: &[u8], out: &mut [Vec<Outbound>]) {
         for subscriber in &outcome.deliveries {
             let Some(&conn) = self.deliver_conns.get(subscriber) else {
                 continue;
@@ -536,9 +572,24 @@ impl Service {
                 });
             }
         }
+        if outcome.forwards.is_empty() {
+            return;
+        }
+        // One buffer per document, shared by every link it leaves on. A set
+        // the receiver's decoder would refuse is not sent: it matches then.
+        let interest = self.core.interest();
+        let interested: Option<Arc<[u64]>> =
+            (interest.len() <= self.limits.max_subscriptions).then(|| interest.into());
+        let view = self.core.view_digest();
         for &neighbour in &outcome.forwards {
             if let Some(link) = self.neighbours.iter().position(|&n| n == neighbour) {
-                out[link].push(document.to_vec());
+                out[link].push(Outbound {
+                    view,
+                    document: MatchedDocument {
+                        bytes: document.to_vec(),
+                        interested: interested.clone(),
+                    },
+                });
             }
         }
     }
@@ -579,10 +630,10 @@ impl Service {
     }
 
     /// End-of-batch: drain pending control, then ship at most a few
-    /// [`Message::Forward`] frames per link, chunked under the frame
+    /// [`Message::ForwardMatched`] frames per link, chunked under the frame
     /// limits. Documents that do not fit a saturated queue are dropped and
     /// counted — data is droppable, control is not.
-    fn flush(&mut self, out: Vec<Vec<Vec<u8>>>) {
+    fn flush(&mut self, out: Vec<Vec<Outbound>>) {
         let from = self.core.id() as u32;
         for (link, documents) in out.into_iter().enumerate() {
             let peer = &mut self.peers[link];
@@ -604,10 +655,11 @@ impl Service {
                     }
                 }
             }
-            for batch in chunk_documents(documents, &self.limits) {
+            for (view, batch) in chunk_documents(documents, &self.limits) {
                 let count = batch.len() as u64;
-                match tx.try_send(Message::Forward {
+                match tx.try_send(Message::ForwardMatched {
                     from,
+                    view,
                     documents: batch,
                 }) {
                     Ok(()) => {}
@@ -620,26 +672,37 @@ impl Service {
     }
 }
 
-/// Split a document batch into [`Message::Forward`]-sized chunks that stay
-/// under both the batch-count and the frame-size limit of the receiver.
-fn chunk_documents(documents: Vec<Vec<u8>>, limits: &FrameLimits) -> Vec<Vec<Vec<u8>>> {
-    let mut chunks = Vec::new();
-    let mut current: Vec<Vec<u8>> = Vec::new();
+/// Split a link's documents into [`Message::ForwardMatched`]-sized chunks:
+/// each holds documents of one view digest and stays under both the
+/// batch-count and the frame-size limit of the receiver, interest sets
+/// included. A document that would not fit a frame with its interest set
+/// travels without it.
+fn chunk_documents(
+    documents: Vec<Outbound>,
+    limits: &FrameLimits,
+) -> Vec<(u128, Vec<MatchedDocument>)> {
+    let mut chunks: Vec<(u128, Vec<MatchedDocument>)> = Vec::new();
     let mut bytes = 0usize;
     // Conservative per-frame budget: headers and length prefixes eat a few
     // dozen bytes, never more than this slack.
     let budget = limits.max_frame.saturating_sub(256);
-    for document in documents {
-        let cost = document.len() + 4;
-        if !current.is_empty() && (current.len() >= limits.max_batch || bytes + cost > budget) {
-            chunks.push(std::mem::take(&mut current));
-            bytes = 0;
+    for Outbound { view, mut document } in documents {
+        let mut cost = document.encoded_len();
+        if cost > budget && document.interested.take().is_some() {
+            cost = document.encoded_len();
         }
-        bytes += cost;
-        current.push(document);
-    }
-    if !current.is_empty() {
-        chunks.push(current);
+        match chunks.last_mut() {
+            Some((current, chunk))
+                if *current == view && chunk.len() < limits.max_batch && bytes + cost <= budget =>
+            {
+                chunk.push(document);
+                bytes += cost;
+            }
+            _ => {
+                chunks.push((view, vec![document]));
+                bytes = cost;
+            }
+        }
     }
     chunks
 }
@@ -695,7 +758,7 @@ fn peer_writer(
             stream = None;
         }
         if !delivered {
-            if let Message::Forward { documents, .. } = &message {
+            if let Message::ForwardMatched { documents, .. } = &message {
                 dropped.fetch_add(documents.len() as u64, Ordering::Relaxed);
             }
             // Dropped control resynchronises when the neighbour rejoins
@@ -716,4 +779,79 @@ fn open_peer_link(me: BrokerId, addr: &Addr) -> Option<Stream> {
         });
     }
     Some(stream)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn outbound(view: u128, bytes: usize, ids: Option<usize>) -> Outbound {
+        Outbound {
+            view,
+            document: MatchedDocument {
+                bytes: vec![b'x'; bytes],
+                // Gaps of 200: two bytes per id.
+                interested: ids.map(|n| (1..=n as u64).map(|i| i * 200).collect()),
+            },
+        }
+    }
+
+    fn shape(chunks: &[(u128, Vec<MatchedDocument>)]) -> Vec<(u128, usize)> {
+        chunks.iter().map(|(view, c)| (*view, c.len())).collect()
+    }
+
+    #[test]
+    fn chunks_hold_one_view_and_respect_the_batch_limit() {
+        let limits = FrameLimits {
+            max_batch: 3,
+            ..FrameLimits::default()
+        };
+        let views = [7, 7, 7, 7, 9, 7];
+        let documents = views.map(|view| outbound(view, 10, Some(2))).into();
+        let chunks = chunk_documents(documents, &limits);
+        assert_eq!(shape(&chunks), [(7, 3), (7, 1), (9, 1), (7, 1)]);
+        assert!(chunk_documents(Vec::new(), &limits).is_empty());
+    }
+
+    #[test]
+    fn the_frame_budget_counts_the_interest_sets() {
+        // Room for 744 bytes of documents per frame. A document is 100
+        // bytes + 4 + 1 bare, and 4 + 2 × 100 more with its 100 ids.
+        let limits = FrameLimits {
+            max_frame: 1000,
+            ..FrameLimits::default()
+        };
+        let bare = (0..7).map(|_| outbound(1, 100, None)).collect();
+        assert_eq!(shape(&chunk_documents(bare, &limits)), [(1, 7)]);
+        let carrying = (0..7).map(|_| outbound(1, 100, Some(100))).collect();
+        let chunks = chunk_documents(carrying, &limits);
+        assert_eq!(shape(&chunks), [(1, 2), (1, 2), (1, 2), (1, 1)]);
+        for (view, documents) in chunks {
+            let frame = Message::ForwardMatched {
+                from: 0,
+                view,
+                documents,
+            };
+            assert!(frame.encode().len() <= limits.max_frame);
+        }
+    }
+
+    #[test]
+    fn a_document_that_only_fits_without_its_interest_set_sheds_it() {
+        let limits = FrameLimits {
+            max_frame: 1000,
+            ..FrameLimits::default()
+        };
+        let documents = vec![outbound(1, 600, Some(100)), outbound(1, 100, Some(10))];
+        let chunks = chunk_documents(documents, &limits);
+        assert_eq!(shape(&chunks), [(1, 2)]);
+        assert_eq!(chunks[0].1[0].interested, None, "605 + 204 is over 744");
+        assert!(chunks[0].1[1].interested.is_some());
+        let frame = Message::ForwardMatched {
+            from: 0,
+            view: 1,
+            documents: chunks.into_iter().next().unwrap().1,
+        };
+        assert!(frame.encode().len() <= limits.max_frame);
+    }
 }

@@ -110,9 +110,11 @@ impl Listener {
         match self {
             Listener::Tcp(listener) => {
                 let (stream, _) = listener.accept()?;
-                // Frames are written prefix-then-payload in separate
-                // syscalls; without TCP_NODELAY, Nagle + delayed ACK turns
-                // every request/reply round trip into a ~40 ms stall.
+                // A frame is one write (`codec::write_frame`), but several
+                // small frames leave back to back — an ack, then a delivery
+                // — and the second would wait out the first's delayed ACK:
+                // without TCP_NODELAY, Nagle turns request/reply round
+                // trips into ~40 ms stalls.
                 stream.set_nodelay(true)?;
                 Ok(Stream::Tcp(stream))
             }
@@ -147,8 +149,8 @@ impl Stream {
         match addr {
             Addr::Tcp(addr) => {
                 let stream = TcpStream::connect(addr)?;
-                // See `Listener::accept`: frame writes are not coalesced,
-                // so Nagle would serialise every round trip on delayed ACKs.
+                // See `Listener::accept`: consecutive frames are separate
+                // writes, and Nagle would serialise them on delayed ACKs.
                 stream.set_nodelay(true)?;
                 Ok(Stream::Tcp(stream))
             }

@@ -63,6 +63,12 @@ fn subscribe_publish_forward_deliver(transport: Transport) {
         "the exact table forwards only towards broker 1"
     );
     assert_eq!(total(&stats, |s| s.forwards_dropped), 0);
+    // At zero churn on a converged overlay every forward is routed on the
+    // interest set it carries.
+    assert_eq!(total(&stats, |s| s.forwards_received), 1);
+    assert_eq!(total(&stats, |s| s.forwards_rematched), 0);
+    assert_ne!(stats[0].view_digest, 0);
+    assert!(stats.iter().all(|s| s.view_digest == stats[0].view_digest));
     overlay.shutdown().expect("shutdown");
 }
 
@@ -316,6 +322,97 @@ fn tcp_failover_drops_then_recovers() {
 #[test]
 fn unix_failover_drops_then_recovers() {
     failover_drops_then_recovers(Transport::Unix);
+}
+
+/// A broker that rejoins with a partial view (its donor never heard of a
+/// subscription made while it was down) does not trust the interest sets of
+/// a neighbour that knows more: it matches for itself, every delivery still
+/// happens exactly once, and the rematching stops the moment the views —
+/// the digests — agree again.
+fn a_partial_view_rematches_until_the_digests_agree(transport: Transport) {
+    const DOCUMENT: &[u8] = b"<media><CD><title>Requiem</title></CD></media>";
+    let mut overlay = spawn(transport);
+    let mut far = overlay.client(1).expect("client 1");
+    far.subscribe(0, 1, "//CD").expect("subscribe //CD");
+    overlay
+        .await_consumers(1, TIMEOUT)
+        .expect("flood converges");
+
+    assert!(overlay.kill(0), "the root was live");
+    let mut near = overlay.client(2).expect("client 2");
+    near.subscribe(1, 2, "//title").expect("subscribe //title");
+    // The flood of that subscription and this document share broker 2's
+    // queue towards the dead root, in this order: once the document is a
+    // counted drop, the control frame before it is gone too.
+    near.publish(DOCUMENT).expect("publish towards a dead root");
+    let stats = overlay.quiesce(TIMEOUT).expect("quiesce");
+    assert_eq!(total(&stats, |s| s.forwards_dropped), 1);
+    assert_eq!(
+        near.recv_delivery(TIMEOUT).expect("recv").map(|d| d.0),
+        Some(1)
+    );
+
+    // The root resyncs from broker 1, which holds one subscription of two.
+    overlay.restart(0).expect("restart");
+    let stats = overlay.stats().expect("stats");
+    assert_eq!(
+        stats.iter().map(|s| s.consumers).collect::<Vec<_>>(),
+        [1, 1, 2]
+    );
+    assert_eq!(stats[0].view_digest, stats[1].view_digest);
+    assert_ne!(stats[1].view_digest, stats[2].view_digest);
+
+    let publish =
+        |near: &mut tps_net::BrokerClient, far: &mut tps_net::BrokerClient, both: bool| {
+            for _ in 0..4 {
+                near.publish(DOCUMENT).expect("publish");
+                let delivery = far.recv_delivery(TIMEOUT).expect("recv");
+                assert_eq!(delivery.map(|d| d.0), Some(0), "across two links");
+                if both {
+                    let delivery = near.recv_delivery(TIMEOUT).expect("recv");
+                    assert_eq!(delivery.map(|d| d.0), Some(1), "and at home");
+                }
+            }
+            for client in [near, far] {
+                let extra = client.recv_delivery(Duration::from_millis(100));
+                assert_eq!(extra.expect("recv"), None, "exactly once");
+            }
+        };
+    publish(&mut near, &mut far, true);
+    let stats = overlay.quiesce(TIMEOUT).expect("quiesce");
+    assert_eq!(
+        stats.iter().map(|s| s.deliveries).collect::<Vec<_>>(),
+        [0, 4, 5]
+    );
+    // The root matched what broker 2 sent it; broker 1 holds the root's
+    // view and took the root's word.
+    let rematched = |stats: &[BrokerStats]| -> Vec<u64> {
+        stats.iter().map(|s| s.forwards_rematched).collect()
+    };
+    assert_eq!(rematched(&stats), [4, 0, 0]);
+    assert_eq!(stats[1].forwards_received, 4);
+
+    // The views agree again: no forward is matched twice from here on.
+    near.unsubscribe(1).expect("unsubscribe");
+    overlay
+        .await_consumers(1, TIMEOUT)
+        .expect("one view, one digest");
+    publish(&mut near, &mut far, false);
+    let stats = overlay.quiesce(TIMEOUT).expect("quiesce");
+    assert_eq!(rematched(&stats), [4, 0, 0]);
+    assert_eq!(stats[0].forwards_received, 8);
+    assert_eq!(stats[1].deliveries, 8);
+    overlay.shutdown().expect("shutdown");
+}
+
+#[test]
+fn tcp_a_partial_view_rematches_until_the_digests_agree() {
+    a_partial_view_rematches_until_the_digests_agree(Transport::Tcp);
+}
+
+#[test]
+fn unix_a_partial_view_rematches_until_the_digests_agree() {
+    a_partial_view_rematches_until_the_digests_agree(Transport::Unix);
 }
 
 /// A client asking the broker to shut down gets an ack first, and the

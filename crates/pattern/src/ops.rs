@@ -7,8 +7,6 @@
 //! merge, and [`normalize`] removes duplicate sibling subtrees so repeated
 //! conjunctions do not grow without bound.
 
-use std::collections::BTreeMap;
-
 use crate::pattern::{PatternNodeId, TreePattern};
 
 /// Build the conjunction `p ∧ q`: a pattern matched exactly by the documents
@@ -46,40 +44,59 @@ where
 ///
 /// Normalisation preserves the matching semantics: requiring the same
 /// sub-pattern twice at the same branching point is equivalent to requiring
-/// it once.
+/// it once. It is idempotent: duplicates are recognised bottom-up, by the
+/// key of each child's *normal form*, so `b[c][c]` next to `b/c` is one
+/// sibling after the first pass, not after the second.
 pub fn normalize(pattern: &TreePattern) -> TreePattern {
+    let keys = normal_keys(pattern);
     let mut out = TreePattern::new();
     let out_root = out.root();
-    copy_normalized(pattern, pattern.root(), &mut out, out_root);
+    copy_normalized(pattern, &keys, pattern.root(), &mut out, out_root);
     out
 }
 
 fn copy_normalized(
     src: &TreePattern,
+    keys: &[String],
     src_node: PatternNodeId,
     dst: &mut TreePattern,
     dst_node: PatternNodeId,
 ) {
     // Deduplicate children by canonical key and order them deterministically.
-    let mut unique: BTreeMap<String, PatternNodeId> = BTreeMap::new();
-    for &child in src.children(src_node) {
-        unique.entry(subtree_key(src, child)).or_insert(child);
-    }
-    for (_, child) in unique {
+    let mut unique = src.children(src_node).to_vec();
+    unique.sort_by(|a, b| keys[a.index()].cmp(&keys[b.index()]));
+    unique.dedup_by(|a, b| keys[a.index()] == keys[b.index()]);
+    for child in unique {
         let new_child = dst.add_child(dst_node, src.label(child).clone());
-        copy_normalized(src, child, dst, new_child);
+        copy_normalized(src, keys, child, dst, new_child);
     }
 }
 
-/// Canonical key of the subtree rooted at `node` (children sorted).
+/// The canonical key of the normal form of every node's subtree, by node
+/// index: the node's label and the keys of its children as a set (sorted,
+/// duplicates dropped). Each key is built once.
+fn normal_keys(pattern: &TreePattern) -> Vec<String> {
+    let mut keys = vec![String::new(); pattern.node_count()];
+    // A child is added after its parent and has the larger index: walking
+    // the indices downwards meets every child before its parent.
+    for index in (0..keys.len()).rev() {
+        let node = PatternNodeId(index as u32);
+        let mut child_keys: Vec<&str> = pattern
+            .children(node)
+            .iter()
+            .map(|c| keys[c.index()].as_str())
+            .collect();
+        child_keys.sort_unstable();
+        child_keys.dedup();
+        keys[index] = format!("{}({})", pattern.label(node), child_keys.join(","));
+    }
+    keys
+}
+
+/// Canonical key of the normal form of the subtree rooted at `node`: equal
+/// for subtrees that are equal modulo sibling order and duplicate branches.
 pub fn subtree_key(pattern: &TreePattern, node: PatternNodeId) -> String {
-    let mut child_keys: Vec<String> = pattern
-        .children(node)
-        .iter()
-        .map(|&c| subtree_key(pattern, c))
-        .collect();
-    child_keys.sort();
-    format!("{}({})", pattern.label(node), child_keys.join(","))
+    normal_keys(pattern).swap_remove(node.index())
 }
 
 /// Summary statistics of a pattern, used by the workload generator and the
@@ -189,6 +206,20 @@ mod tests {
         let n1 = normalize(&p);
         let n2 = normalize(&n1);
         assert_eq!(n1, n2);
+    }
+
+    #[test]
+    fn normalize_collapses_siblings_that_are_equal_only_once_normalised() {
+        // Regression: siblings used to be compared by the key of their
+        // un-normalised subtrees, so the first pass kept `b[c][c]` next to
+        // `b/c` and only a second pass merged them. The engine registers
+        // `normalize(p)` and later compiles `normalize(conjunction(p, q))`,
+        // which then asked its interner for a subtree it had never seen.
+        let p = pat("/a[b[c][c]][b/c]");
+        let once = normalize(&p);
+        assert_eq!(once, pat("/a/b/c"));
+        assert_eq!(normalize(&once), once);
+        assert_eq!(conjunction(&p, &p), once);
     }
 
     #[test]

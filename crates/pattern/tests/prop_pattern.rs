@@ -208,6 +208,32 @@ proptest! {
         prop_assert_eq!(p.matches(&d), n.matches(&d));
     }
 
+    /// Normalisation is idempotent — one pass reaches the normal form, also
+    /// when a subtree sits next to its own normalised copy — and the normal
+    /// form matches what the pattern matches.
+    #[test]
+    fn normalize_is_idempotent(p in gen_pattern(), d in gen_doc()) {
+        let once = normalize(&p);
+        prop_assert_eq!(&normalize(&once), &once);
+        prop_assert_eq!(&conjunction(&p, &once), &once);
+        // `/x[y[B][B]][y[B]]` for the branches `B` of `p`: two siblings that
+        // are equal only once the first is normalised.
+        let mut q = TreePattern::new();
+        let x = q.add_child(q.root(), PatternLabel::tag("x"));
+        let twice = q.add_child(x, PatternLabel::tag("y"));
+        let single = q.add_child(x, PatternLabel::tag("y"));
+        for &branch in p.children(p.root()) {
+            q.graft(twice, &p, branch);
+            q.graft(twice, &p, branch);
+            q.graft(single, &p, branch);
+        }
+        let n = normalize(&q);
+        let x = n.children(n.root())[0];
+        prop_assert_eq!(n.children(x).len(), 1, "{} -> {}", q, n);
+        prop_assert_eq!(&normalize(&n), &n);
+        prop_assert_eq!(n.matches(&d), q.matches(&d));
+    }
+
     /// The conjunction matches a document iff both operands match it.
     #[test]
     fn conjunction_is_logical_and(p in gen_pattern(), q in gen_pattern(), d in gen_doc()) {
