@@ -1,13 +1,9 @@
 //! Benchmarks for the batch-first `SimilarityEngine`: the batched
-//! `similarity_matrix` entry point against N² individual per-call
-//! estimations on a ≥50-pattern subscription workload.
+//! `similarity_matrix` entry point against N² individual calls on a
+//! ≥50-pattern subscription workload.
 //!
-//! Three variants over the same workload and synopsis:
+//! Two variants over the same workload and synopsis:
 //!
-//! * `per_call_n2` — the pre-engine shape: every ordered pair re-derives
-//!   both marginals and the joint through a stateless
-//!   [`SelectivityEstimator`], exactly as the old `SimilarityEstimator`
-//!   loop did (2·n² marginal + n² joint evaluations).
 //! * `handles_n2` — n² individual [`SimilarityEngine::similarity`] calls on
 //!   registered handles; marginals and unordered joints come from the
 //!   engine's epoch-tagged caches.
@@ -17,16 +13,14 @@
 //! Engines are rebuilt in the (untimed) setup of every iteration so each
 //! sample starts with cold marginal/joint/`SEL` caches — the numbers compare
 //! algorithmic shape, not residual warm state. The per-node matching-set
-//! materialisation is pre-warmed in setup on both sides (the baseline's
-//! synopsis is `prepare()`d once outside the loop), so the one-off epoch
-//! cost does not skew either variant.
+//! materialisation is pre-warmed in setup, so the one-off epoch cost does
+//! not skew either variant.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use tps_bench::BenchFixture;
 use tps_core::{PatternId, ProximityMetric, SelectivityEstimator, SimilarityEngine};
-use tps_pattern::ops::conjunction;
 use tps_synopsis::{MatchingSetKind, Synopsis};
 
 const ENGINE_BENCH_DOCUMENTS: usize = 200;
@@ -43,9 +37,8 @@ fn fixture() -> BenchFixture {
 fn cold_engine(synopsis: &Synopsis, fixture: &BenchFixture) -> (SimilarityEngine, Vec<PatternId>) {
     let mut engine = SimilarityEngine::from_synopsis(synopsis.clone());
     let ids = engine.register_all(fixture.positives());
-    // Materialise the per-node matching sets outside the timed section,
-    // mirroring the baseline's prepared synopsis; the marginal, joint and
-    // SEL-memo caches stay cold.
+    // Materialise the per-node matching sets outside the timed section;
+    // the marginal, joint and SEL-memo caches stay cold.
     engine.prepare();
     (engine, ids)
 }
@@ -58,29 +51,6 @@ fn bench_matrix_vs_individual_calls(c: &mut Criterion) {
     let metric = ProximityMetric::M3;
 
     let mut group = c.benchmark_group("engine");
-
-    // Baseline: N² individual similarity computations, nothing reused —
-    // the exact work the deprecated one-pattern-at-a-time API performed.
-    group.bench_function(BenchmarkId::new("per_call_n2", metric.to_string()), |b| {
-        b.iter(|| {
-            let estimator = SelectivityEstimator::new(&synopsis);
-            let mut total = 0.0;
-            for i in 0..n {
-                for j in 0..n {
-                    if i == j {
-                        continue;
-                    }
-                    let p = &fixture.positives()[i];
-                    let q = &fixture.positives()[j];
-                    let p_p = estimator.selectivity(p);
-                    let p_q = estimator.selectivity(q);
-                    let p_and = estimator.selectivity(&conjunction(p, q));
-                    total += metric.compute(p_p, p_q, p_and);
-                }
-            }
-            black_box(total)
-        })
-    });
 
     // N² individual calls through registered handles: the engine's caches
     // collapse the repeated marginals and mirror-pair joints.

@@ -261,12 +261,12 @@ impl Target {
             Target::Net => &[
                 // version + each verb byte, field length prefixes, and the
                 // text fields limits guard.
-                b"\x01\x01",
-                b"\x01\x03",
-                b"\x01\x05",
-                b"\x01\x81",
-                b"\x01\x82",
-                b"\x01\x84",
+                b"\x03\x01",
+                b"\x03\x03",
+                b"\x03\x05",
+                b"\x03\x81",
+                b"\x03\x82",
+                b"\x03\x84",
                 b"\x00\x00\x00\x00",
                 b"\x00\x00\x00\x04",
                 b"\xff\xff\xff\xff",

@@ -1,11 +1,12 @@
 //! The broker state machine, free of any I/O.
 //!
-//! [`BrokerCore`] holds everything one broker knows — the overlay-wide
+//! [`BrokerCore`] holds what one broker routes by — the overlay-wide
 //! subscription view (subscriptions are flooded over the tree overlay, so
-//! every broker converges on the same view), its own routing table built
-//! by the static `tps-routing` constructor over that view, the traffic
-//! synopsis fed through the zero-copy `tps_xml::scan` ingest path, and the
-//! index-backed online community clustering. The server layer
+//! every broker converges on the same view), the matcher and place lists
+//! derived from it, and, in the compressed table modes, its own routing
+//! table built by the static `tps-routing` constructor. Nothing else: the
+//! paper's synopsis and community layers live where they have readers
+//! (`tps-core`, `tps-cluster`, `tps-sim`). The server layer
 //! ([`crate::server`]) feeds it decoded messages and ships out whatever it
 //! returns; keeping the core pure makes the conformance argument local:
 //! `BrokerCore::route` mirrors `BrokerNetwork::route_one` /
@@ -31,28 +32,21 @@
 use std::collections::BTreeMap;
 
 use tps_analyze::{Severity, WorkloadAnalyzer, WorkloadEntry};
-use tps_cluster::{LeaderConfig, OnlineLeader};
 use tps_pattern::{PatternSet, TreePattern};
-use tps_routing::{
-    BrokerId, BrokerNetwork, BrokerTopology, ForwardingMode, RoutingTable, TableMode,
-};
-use tps_synopsis::{IngestTarget, Synopsis};
+use tps_routing::{BrokerId, BrokerTopology, ForwardingMode, RoutingTable, TableMode};
 use tps_xml::{scan_document, NullSink, ScanLimits, XmlTree};
 
-use crate::codec::{BrokerStats, ErrorCode, FrameLimits, SyncConsumer};
+use crate::codec::{BrokerStats, ErrorCode, SyncConsumer};
 use crate::digest::entry_digest;
 use crate::overlay::OverlayConfig;
 
 /// One consumer of the overlay-wide subscription view.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConsumer {
     /// The broker the consumer is attached to.
     pub broker: BrokerId,
     /// The subscription.
     pub pattern: TreePattern,
-    /// Slot in the online community clustering (dense per broker, in
-    /// insertion order — a per-broker detail, never on the wire).
-    slot: u32,
 }
 
 /// What a broker decided to do with one document.
@@ -82,9 +76,6 @@ pub struct BrokerCore {
     /// The interest set of the document routed last, ascending: what the
     /// matcher reported, or what a trusted forward carried.
     interest: Vec<u64>,
-    synopsis: Synopsis,
-    leader: Option<OnlineLeader>,
-    next_slot: u32,
     /// The summarised table of the compressed table modes. `Table(Exact)`
     /// keeps none: its per-link entries are the consumers behind the link,
     /// so its decisions are read off the interest set.
@@ -133,11 +124,6 @@ impl BrokerCore {
             matcher: PatternSet::new(),
             digest: 0,
             interest: Vec::new(),
-            synopsis: Synopsis::new(config.synopsis),
-            leader: config
-                .index
-                .map(|lsh| OnlineLeader::new(lsh, LeaderConfig::default())),
-            next_slot: 0,
             table: None,
             tables_stale: false,
             place_of,
@@ -250,14 +236,6 @@ impl BrokerCore {
         if lint {
             self.lint_check(subscriber, &pattern)?;
         }
-        let slot = match self.leader.as_mut() {
-            Some(leader) => leader.insert_estimated(&pattern),
-            None => {
-                let slot = self.next_slot;
-                self.next_slot += 1;
-                slot
-            }
-        };
         self.matcher.insert(subscriber, &pattern);
         self.digest = self
             .digest
@@ -270,14 +248,8 @@ impl BrokerCore {
         if self.exact_table() && broker != self.id {
             self.stats.table_nodes += pattern.node_count() as u64;
         }
-        self.consumers.insert(
-            subscriber,
-            NetConsumer {
-                broker,
-                pattern,
-                slot,
-            },
-        );
+        self.consumers
+            .insert(subscriber, NetConsumer { broker, pattern });
         self.tables_stale = true;
         Ok(true)
     }
@@ -324,9 +296,6 @@ impl BrokerCore {
     pub fn unsubscribe(&mut self, subscriber: u64) -> bool {
         match self.consumers.remove(&subscriber) {
             Some(consumer) => {
-                if let Some(leader) = self.leader.as_mut() {
-                    leader.remove_estimated(consumer.slot);
-                }
                 self.matcher.remove(subscriber, &consumer.pattern);
                 self.digest = self.digest.wrapping_sub(entry_digest(
                     subscriber,
@@ -347,30 +316,24 @@ impl BrokerCore {
         }
     }
 
-    /// Publish raw document bytes at this broker: the bytes are folded
-    /// into the traffic synopsis through the zero-copy scanner path
-    /// (`Synopsis::ingest_bytes_as` — no tree is materialised on that
-    /// path), then parsed once for routing.
+    /// Publish raw document bytes at this broker: parsed once, then routed.
+    /// Bytes that are not a well-formed UTF-8 document are a
+    /// [`ErrorCode::BadDocument`] and leave the broker unchanged but for
+    /// its `errors` count.
     pub fn publish(&mut self, bytes: &[u8]) -> Result<RouteOutcome, (ErrorCode, String)> {
-        let doc = self.synopsis.next_doc_id();
-        if let Err(error) = self.synopsis.ingest_bytes_as(bytes, doc) {
+        let document = parse(bytes).map_err(|detail| {
             self.stats.errors += 1;
-            return Err((ErrorCode::BadDocument, error.to_string()));
-        }
-        // invariant: the scanner accepted the bytes, so they are UTF-8 and
-        // the tree parser (error-for-error equal to the scanner) accepts
-        // them too.
-        let text = std::str::from_utf8(bytes).expect("scanner enforces UTF-8");
-        let document = XmlTree::parse(text).expect("scanner/parser parity");
+            (ErrorCode::BadDocument, detail)
+        })?;
         self.stats.documents += 1;
         Ok(self.route(&document, None))
     }
 
     /// A document arrived in a forward batch from neighbour `from`, without
-    /// an interest set. The publishing broker already validated and observed
-    /// it, so it is only parsed for routing here; bytes that fail anyway (a
-    /// byzantine peer) are dropped with an error count rather than
-    /// poisoning the broker.
+    /// an interest set. The publishing broker already validated it, so it
+    /// is only parsed for routing here; bytes that fail anyway (a byzantine
+    /// peer) are dropped with an error count rather than poisoning the
+    /// broker.
     pub fn forward_in(&mut self, from: BrokerId, bytes: &[u8]) -> Option<RouteOutcome> {
         self.forward_matched(from, 0, bytes, None)
     }
@@ -400,13 +363,13 @@ impl BrokerCore {
             self.stats.forwards_rematched += 1;
         }
         let Some(carried) = carried else {
-            let Some(document) = parse(bytes) else {
+            let Ok(document) = parse(bytes) else {
                 return self.malformed();
             };
             return Some(self.route(&document, Some(from)));
         };
         let document = if self.summarised() {
-            let Some(document) = parse(bytes) else {
+            let Ok(document) = parse(bytes) else {
                 return self.malformed();
             };
             Some(document)
@@ -556,20 +519,26 @@ impl BrokerCore {
     }
 
     /// Rebuild the summarised table of a compressed table mode from the
-    /// current view, through the static `BrokerNetwork` constructor — so a
-    /// churn-free overlay is table-identical to a batch evaluation by
-    /// construction. `Table(Exact)` never comes here: its `table_nodes` is a
-    /// running sum and its decisions come from the interest set.
+    /// current view, with the static `RoutingTable` constructor over the
+    /// patterns behind each link in subscriber order — the input
+    /// `BrokerNetwork::build_tables` gives this broker, so a churn-free
+    /// overlay is table-identical to a batch evaluation by construction.
+    /// `Table(Exact)` never comes here: its `table_nodes` is a running sum
+    /// and its decisions come from the interest set.
     fn rebuild_table(&mut self) {
         if let ForwardingMode::Table(mode) = self.forwarding {
-            let mut network = BrokerNetwork::new(self.topology.clone());
-            for consumer in self.consumers.values() {
-                network.attach(consumer.broker, "net", consumer.pattern.clone());
-            }
-            let mut tables = network.build_tables(mode);
-            // invariant: build_tables returns one table per broker of the
-            // topology, and `id` was validated by the constructor.
-            let table = tables.swap_remove(self.id);
+            // The last place holds the local consumers, not a link.
+            let links = &self.places[..self.places.len() - 1];
+            let per_link: Vec<Vec<TreePattern>> = links
+                .iter()
+                .map(|behind| {
+                    behind
+                        .iter()
+                        .map(|subscriber| self.consumers[subscriber].pattern.clone())
+                        .collect()
+                })
+                .collect();
+            let table = RoutingTable::build(&per_link, mode);
             self.stats.table_nodes = table.node_count() as u64;
             self.table = Some(table);
             self.stats.table_rebuilds += 1;
@@ -577,14 +546,10 @@ impl BrokerCore {
         self.tables_stale = false;
     }
 
-    /// Current counters (consumer and community gauges refreshed).
+    /// Current counters (consumer gauge and view digest refreshed).
     pub fn stats(&mut self) -> BrokerStats {
         self.stats.consumers = self.consumers.len() as u64;
         self.stats.view_digest = self.digest;
-        self.stats.communities = match &self.leader {
-            Some(leader) => leader.cluster_count() as u64,
-            None => 0,
-        };
         self.stats
     }
 
@@ -599,17 +564,13 @@ impl BrokerCore {
             })
             .collect()
     }
-
-    /// The frame limits subscriptions and documents are checked against
-    /// when they come off the wire (the core itself is size-agnostic).
-    pub fn limits(&self) -> FrameLimits {
-        FrameLimits::default()
-    }
 }
 
-/// The tree of forwarded bytes, if they are a well-formed UTF-8 document.
-fn parse(bytes: &[u8]) -> Option<XmlTree> {
-    XmlTree::parse(std::str::from_utf8(bytes).ok()?).ok()
+/// The tree of document bytes, or why they are not a well-formed UTF-8
+/// document.
+fn parse(bytes: &[u8]) -> Result<XmlTree, String> {
+    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+    XmlTree::parse(text).map_err(|e| e.to_string())
 }
 
 /// The first position at or after `from` of ascending `list` whose value is
@@ -630,8 +591,9 @@ fn seek(list: &[u64], from: usize, target: u64) -> usize {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use tps_routing::{NetworkStats, TableMode};
+    use tps_routing::{BrokerNetwork, NetworkStats, TableMode};
     use tps_workload::{DocGenConfig, DocumentGenerator, Dtd, XPathGenConfig, XPathGenerator};
+    use tps_xml::parser::{MAX_ATTRIBUTES, MAX_DEPTH};
 
     fn config(brokers: usize) -> OverlayConfig {
         OverlayConfig {
@@ -717,16 +679,99 @@ mod tests {
         assert_eq!(core.stats().documents, 0, "forwards are not publications");
     }
 
+    /// `depth` nested `<a>` elements, the innermost self-closing.
+    fn nested(depth: usize) -> Vec<u8> {
+        let open = "<a>".repeat(depth - 1);
+        let close = "</a>".repeat(depth - 1);
+        doc(&format!("{open}<a/>{close}"))
+    }
+
+    /// An `<a/>` with `count` attributes.
+    fn attributed(count: usize) -> Vec<u8> {
+        let attributes: String = (0..count).map(|i| format!(" x{i}=\"v\"")).collect();
+        doc(&format!("<a{attributes}/>"))
+    }
+
     #[test]
     fn bad_documents_are_typed_errors_and_roll_back() {
         let mut core = BrokerCore::new(0, &config(3));
-        let err = core.publish(b"<open>").unwrap_err();
-        assert_eq!(err.0, ErrorCode::BadDocument);
-        let err = core.publish(&[0xff, 0xfe]).unwrap_err();
-        assert_eq!(err.0, ErrorCode::BadDocument);
+        core.subscribe(0, 0, "/a").unwrap();
+        // What the parser refuses, its resource limits included: the
+        // innermost element one level past `MAX_DEPTH` is not self-closing.
+        let past_depth = doc(&format!(
+            "{}{}",
+            "<a>".repeat(MAX_DEPTH),
+            "</a>".repeat(MAX_DEPTH)
+        ));
+        let bad: [&[u8]; 7] = [
+            b"<open>",
+            &past_depth,
+            &attributed(MAX_ATTRIBUTES + 1),
+            b"<a/><a/>",
+            b"<a/>trailing",
+            &[0xff, 0xfe],
+            &[b'<', b'a', b'>', 0xc3, b'<', b'/', b'a', b'>'],
+        ];
+        for (errors, bytes) in (1..).zip(bad) {
+            let err = core.publish(bytes).unwrap_err();
+            assert_eq!(err.0, ErrorCode::BadDocument, "{}", err.1);
+            let stats = core.stats();
+            assert_eq!(stats.errors, errors);
+            assert_eq!(stats.documents, 0);
+            assert_eq!(stats.deliveries, 0);
+        }
+        // Exactly at each limit, a document still routes.
+        for bytes in [nested(MAX_DEPTH), attributed(MAX_ATTRIBUTES)] {
+            assert_eq!(core.publish(&bytes).unwrap().deliveries, vec![0]);
+        }
         let stats = core.stats();
-        assert_eq!(stats.documents, 0);
-        assert_eq!(stats.errors, 2);
+        assert_eq!(stats.documents, 2);
+        assert_eq!(stats.errors, 7);
+    }
+
+    /// What is left of the core is a function of the view: a long run of
+    /// arrivals and departures at a constant view size leaves the same
+    /// consumers, place lists, forest and digest as installing the final
+    /// view into a fresh core.
+    #[test]
+    fn churn_leaves_the_state_a_fresh_core_builds_from_the_view() {
+        const VIEW: usize = 100;
+        const PAIRS: usize = 2_000;
+        let dtd = Dtd::media();
+        let patterns = XPathGenerator::new(&dtd, XPathGenConfig::default().with_seed(22))
+            .generate_many(VIEW + PAIRS);
+        let entry = |subscriber: usize| {
+            let pattern = patterns[subscriber].to_string();
+            (subscriber as u64, (subscriber % 3) as u32, pattern)
+        };
+        let documents: Vec<Vec<u8>> =
+            DocumentGenerator::new(&dtd, DocGenConfig::default().with_seed(22))
+                .generate_many(8)
+                .iter()
+                .map(|d| d.to_xml().into_bytes())
+                .collect();
+        let mut churned = BrokerCore::new(0, &config(3));
+        for subscriber in 0..VIEW {
+            let (id, broker, pattern) = entry(subscriber);
+            churned.subscribe(id, broker, &pattern).unwrap();
+        }
+        for pair in 0..PAIRS {
+            let (id, broker, pattern) = entry(VIEW + pair);
+            assert_eq!(churned.subscribe(id, broker, &pattern), Ok(true));
+            assert!(churned.unsubscribe(pair as u64));
+            churned.publish(&documents[pair % documents.len()]).unwrap();
+        }
+        let mut fresh = BrokerCore::new(0, &config(3));
+        for subscriber in PAIRS..VIEW + PAIRS {
+            let (id, broker, pattern) = entry(subscriber);
+            fresh.subscribe(id, broker, &pattern).unwrap();
+        }
+        assert_eq!(churned.consumers().len(), VIEW);
+        assert_eq!(churned.consumers(), fresh.consumers());
+        assert_eq!(churned.places, fresh.places);
+        assert_eq!(churned.matcher.node_count(), fresh.matcher.node_count());
+        assert_eq!(churned.view_digest(), fresh.view_digest());
+        assert_eq!(churned.stats().table_nodes, fresh.stats().table_nodes);
     }
 
     #[test]
@@ -1114,7 +1159,6 @@ mod tests {
         let overlay = OverlayConfig {
             topology: BrokerTopology::balanced_tree(5, 2),
             forwarding,
-            index: None,
             ..OverlayConfig::default()
         };
         let mut cores: Vec<BrokerCore> = (0..5).map(|id| BrokerCore::new(id, &overlay)).collect();

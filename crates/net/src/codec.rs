@@ -24,8 +24,9 @@ use std::sync::Arc;
 
 /// Protocol version carried by every frame. Version 2 added
 /// [`Message::ForwardMatched`] and the view digest and
-/// `forwards_rematched` counter of [`BrokerStats`].
-pub const PROTOCOL_VERSION: u8 = 2;
+/// `forwards_rematched` counter of [`BrokerStats`]; version 3 dropped its
+/// `communities` counter.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Hard limits a decoder enforces on incoming frames, in the mould of
 /// `tps_xml::ScanLimits`: exceeding any of them is a typed
@@ -290,9 +291,6 @@ pub struct BrokerStats {
     /// table, the nodes of every subscription behind a link, kept as a
     /// running sum.
     pub table_nodes: u64,
-    /// Semantic communities of the active subscriptions, per the
-    /// index-backed online clustering.
-    pub communities: u64,
     /// Digest of this broker's consumer view
     /// ([`BrokerCore::view_digest`](crate::broker::BrokerCore::view_digest)):
     /// two brokers hold the same view exactly when they report the same
@@ -345,8 +343,7 @@ pub enum Message {
     },
     /// Publish one raw XML document at the receiving broker.
     Publish {
-        /// Raw document bytes (scanned, never copied into a tree on the
-        /// synopsis path).
+        /// Raw document bytes.
         document: Vec<u8>,
     },
     /// Request the broker's counters.
@@ -649,7 +646,6 @@ impl Message {
                     stats.errors,
                     stats.table_rebuilds,
                     stats.table_nodes,
-                    stats.communities,
                 ] {
                     put_u64(out, value);
                 }
@@ -750,7 +746,7 @@ impl Message {
             }
             VERB_STATS_REPLY => {
                 let broker = reader.u32()?;
-                let mut values = [0u64; 13];
+                let mut values = [0u64; 12];
                 for value in &mut values {
                     *value = reader.u64()?;
                 }
@@ -769,7 +765,6 @@ impl Message {
                         errors: values[9],
                         table_rebuilds: values[10],
                         table_nodes: values[11],
-                        communities: values[12],
                         view_digest: reader.u128()?,
                     },
                 }
@@ -1052,7 +1047,6 @@ mod tests {
                     errors: 1,
                     table_rebuilds: 8,
                     table_nodes: 120,
-                    communities: 3,
                     view_digest: 0x0123_4567_89ab_cdef_0f1e_2d3c_4b5a_6978,
                 },
             },

@@ -7,9 +7,10 @@
 //! a listener plus a thread-per-connection loop speaking a hand-rolled
 //! length-prefixed binary codec ([`codec`]), routing documents along a
 //! configurable overlay with the [`tps_routing`] tables and forwarding
-//! modes, filtering locally with the shared matcher, ingesting raw bytes
-//! through the zero-copy [`tps_xml::scan`] path, and tracking communities
-//! with the [`tps_cluster`] online leader. The conformance suite checks
+//! modes, and filtering locally with the shared matcher. A broker keeps
+//! only what routing reads: the paper's synopsis and communities have
+//! their readers in `tps-core`, `tps-cluster` and `tps-sim`, not here.
+//! The conformance suite checks
 //! that a zero-churn scenario pushed through real sockets produces
 //! delivery counters **exactly** equal to the simulator and the static
 //! [`tps_routing::BrokerNetwork::route_stream`] evaluation.
@@ -19,7 +20,7 @@
 //! * [`codec`] — wire format: framing, limits, typed decode errors.
 //! * [`transport`] — TCP / Unix socket abstraction.
 //! * [`broker`] — [`broker::BrokerCore`], the single-threaded broker
-//!   brain (subscriptions, view digest, synopsis, routing, counters).
+//!   brain (subscriptions, view digest, matcher, routing, counters).
 //! * [`server`] — threads and queues around a core: accept loop,
 //!   per-connection readers/writers, peer links, graceful shutdown.
 //! * [`client`] — a blocking request/reply client.

@@ -12,9 +12,7 @@ use std::io;
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
-use tps_cluster::LshConfig;
 use tps_routing::{BrokerId, BrokerTopology, ForwardingMode, TableMode};
-use tps_synopsis::SynopsisConfig;
 
 use crate::broker::BrokerCore;
 use crate::client::BrokerClient;
@@ -32,11 +30,6 @@ pub struct OverlayConfig {
     /// Run the `tps-analyze` lint pre-pass on every subscription and
     /// reject provably redundant or erroneous patterns.
     pub lint: bool,
-    /// Matching-set representation of each broker's traffic synopsis.
-    pub synopsis: SynopsisConfig,
-    /// Banding of the candidate-index-backed online community clustering
-    /// (`None` disables community tracking).
-    pub index: Option<LshConfig>,
     /// Frame limits every connection decodes under.
     pub limits: FrameLimits,
     /// Depth of each bounded queue (inbound service queue, per-connection
@@ -50,8 +43,6 @@ impl Default for OverlayConfig {
             topology: BrokerTopology::balanced_tree(3, 2),
             forwarding: ForwardingMode::Table(TableMode::Exact),
             lint: false,
-            synopsis: SynopsisConfig::hashes(256),
-            index: Some(LshConfig::default()),
             limits: FrameLimits::default(),
             queue_depth: 1024,
         }

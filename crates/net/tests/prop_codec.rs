@@ -37,7 +37,6 @@ fn stats() -> impl Strategy<Value = BrokerStats> {
             errors: c.wrapping_mul(5),
             table_rebuilds: a.rotate_left(7),
             table_nodes: b.rotate_left(13),
-            communities: c.rotate_left(17),
             view_digest: u128::from(a) << 64 | u128::from(b ^ c),
         }
     })
