@@ -7,12 +7,12 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, Read};
+use std::io::{self, BufRead, BufReader};
 use std::time::Duration;
 
 use crate::codec::{
-    read_frame, read_frame_after_first, write_frame, BrokerStats, DecodeError, ErrorCode,
-    FrameError, FrameLimits, Message, SyncConsumer,
+    read_frame, take_buffered_frame, write_frame, BrokerStats, DecodeError, ErrorCode, FrameError,
+    FrameLimits, Message, SyncConsumer,
 };
 use crate::transport::{Addr, Stream};
 
@@ -74,8 +74,12 @@ pub const DELIVERY_BACKLOG: usize = 1024;
 /// A connected broker client.
 #[derive(Debug)]
 pub struct BrokerClient {
-    stream: Stream,
+    /// Buffered: a push that arrives with or behind another frame is
+    /// decoded without a syscall.
+    stream: BufReader<Stream>,
     limits: FrameLimits,
+    /// The read timeout the socket holds; set only when it changes.
+    timeout: Option<Duration>,
     /// At most [`DELIVERY_BACKLOG`] deliveries, oldest first.
     pending: VecDeque<(u64, Vec<u8>)>,
     dropped: u64,
@@ -85,8 +89,9 @@ impl BrokerClient {
     /// Connect to a broker.
     pub fn connect(addr: &Addr, limits: FrameLimits) -> io::Result<Self> {
         Ok(Self {
-            stream: Stream::connect(addr)?,
+            stream: BufReader::new(Stream::connect(addr)?),
             limits,
+            timeout: None,
             pending: VecDeque::new(),
             dropped: 0,
         })
@@ -96,7 +101,8 @@ impl BrokerClient {
     /// the [`Message::Deliver`] pushes that come first (the newest
     /// [`DELIVERY_BACKLOG`] of them).
     fn roundtrip(&mut self, request: &Message) -> Result<Message, ClientError> {
-        write_frame(&mut self.stream, request)?;
+        self.arm(None)?;
+        write_frame(self.stream.get_mut(), request)?;
         loop {
             match read_frame(&mut self.stream, &self.limits)? {
                 Some(Message::Deliver {
@@ -197,11 +203,12 @@ impl BrokerClient {
     /// Wait up to `timeout` for the next delivery push. Returns `Ok(None)`
     /// on timeout.
     ///
-    /// The timeout is armed only for the *first* byte of the length
-    /// prefix: a timed-out single-byte read consumes nothing, so the
-    /// stream stays frame-aligned. Once a frame has started, the rest is
-    /// read without a timeout — timing out mid-frame would discard the
-    /// bytes already consumed and desynchronise the connection for good.
+    /// The timeout is armed only while nothing of a frame is buffered, so a
+    /// timed-out read consumes nothing and the stream stays frame-aligned.
+    /// Once a frame has started, the rest is read without a timeout —
+    /// timing out mid-frame would discard the bytes already consumed and
+    /// desynchronise the connection for good. A frame already whole in the
+    /// buffer costs no syscall.
     pub fn recv_delivery(
         &mut self,
         timeout: Duration,
@@ -209,35 +216,46 @@ impl BrokerClient {
         if let Some(delivery) = self.pending.pop_front() {
             return Ok(Some(delivery));
         }
-        self.stream.set_read_timeout(Some(timeout))?;
-        let mut first = [0u8; 1];
-        let probed = loop {
-            match self.stream.read(&mut first) {
-                Ok(n) => break Ok(n),
+        let message = loop {
+            if let Some(frame) = take_buffered_frame(&mut self.stream, &self.limits) {
+                break frame.map_err(ClientError::Frame)?;
+            }
+            if !self.stream.buffer().is_empty() {
+                self.arm(None)?;
+                break read_frame(&mut self.stream, &self.limits)?
+                    .ok_or(ClientError::Disconnected)?;
+            }
+            self.arm(Some(timeout))?;
+            match self.stream.fill_buf() {
+                Ok([]) => return Err(ClientError::Disconnected),
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => break Err(e),
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Ok(None);
+                }
+                Err(e) => return Err(e.into()),
             }
         };
-        self.stream.set_read_timeout(None)?;
-        match probed {
-            Ok(0) => return Err(ClientError::Disconnected),
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(None);
-            }
-            Err(e) => return Err(e.into()),
-        }
-        match read_frame_after_first(&mut self.stream, first[0], &self.limits) {
-            Ok(Message::Deliver {
+        match message {
+            Message::Deliver {
                 subscriber,
                 document,
-            }) => Ok(Some((subscriber, document))),
-            Ok(other) => Err(ClientError::Protocol(format!(
+            } => Ok(Some((subscriber, document))),
+            other => Err(ClientError::Protocol(format!(
                 "expected Deliver, got {other:?}"
             ))),
-            Err(e) => Err(e.into()),
         }
+    }
+
+    /// Set the socket's read timeout, unless it already holds `timeout`.
+    fn arm(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        if self.timeout != timeout {
+            self.stream.get_ref().set_read_timeout(timeout)?;
+            self.timeout = timeout;
+        }
+        Ok(())
     }
 }

@@ -19,7 +19,7 @@
 //! fuzzed by the `net` target of `tps-fuzz`.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 
 /// Protocol version carried by every frame. Version 2 added
@@ -947,27 +947,24 @@ pub fn read_frame(
     Ok(Some(Message::decode(&payload, limits)?))
 }
 
-/// Like [`read_frame`], but for a stream whose first prefix byte was
-/// already consumed (a timed read probing for data — see
-/// `BrokerClient::recv_delivery`). The frame has demonstrably started, so
-/// EOF anywhere in it is an error rather than a clean close.
-pub fn read_frame_after_first(
-    reader: &mut impl Read,
-    first: u8,
+/// Decode the next frame if it is already whole in `reader`'s buffer,
+/// without touching the stream beneath; `None` while the buffer holds less
+/// than one frame. An oversized announced length is an error at once.
+pub fn take_buffered_frame<R: Read>(
+    reader: &mut BufReader<R>,
     limits: &FrameLimits,
-) -> Result<Message, FrameError> {
-    let mut rest = [0u8; 3];
-    reader.read_exact(&mut rest).map_err(FrameError::Io)?;
-    let len = u32::from_be_bytes([first, rest[0], rest[1], rest[2]]) as usize;
+) -> Option<Result<Message, DecodeError>> {
+    let buffered = reader.buffer();
+    let len = u32::from_be_bytes(buffered.get(..4)?.try_into().ok()?) as usize;
     if len > limits.max_frame {
-        return Err(FrameError::Decode(DecodeError::FrameTooLarge {
+        return Some(Err(DecodeError::FrameTooLarge {
             size: len,
             limit: limits.max_frame,
         }));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload).map_err(FrameError::Io)?;
-    Ok(Message::decode(&payload, limits)?)
+    let message = Message::decode(buffered.get(4..4 + len)?, limits);
+    reader.consume(4 + len);
+    Some(message)
 }
 
 /// `read_exact` that reports a clean EOF *before the first byte* as
@@ -1089,36 +1086,49 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_after_first_resumes_a_started_frame() {
+    fn take_buffered_frame_decodes_only_whole_buffered_frames() {
         let limits = FrameLimits::default();
-        for message in samples() {
-            let mut stream = Vec::new();
-            write_frame(&mut stream, &message).unwrap();
-            // The caller consumed the first prefix byte probing for data;
-            // the resumed read must complete the identical frame.
-            let mut rest = &stream[1..];
-            let got = read_frame_after_first(&mut rest, stream[0], &limits).unwrap();
-            assert_eq!(got, message);
-            assert!(rest.is_empty(), "the whole frame is consumed");
-        }
-    }
-
-    #[test]
-    fn read_frame_after_first_rejects_oversized_and_truncated_frames() {
-        let limits = FrameLimits::default();
-        let oversized = ((limits.max_frame + 1) as u32).to_be_bytes();
-        let mut rest = &oversized[1..];
-        assert!(matches!(
-            read_frame_after_first(&mut rest, oversized[0], &limits),
-            Err(FrameError::Decode(DecodeError::FrameTooLarge { .. }))
-        ));
-        // EOF after the frame started is an I/O error, never a clean close.
         let mut stream = Vec::new();
-        write_frame(&mut stream, &Message::Ack).unwrap();
-        let mut rest = &stream[1..stream.len() - 1];
+        for message in samples() {
+            write_frame(&mut stream, &message).unwrap();
+        }
+        // The first read buffers every frame but the last byte of the last.
+        let (head, tail) = stream.split_at(stream.len() - 1);
+        let mut reader = BufReader::new(head.chain(tail));
+        assert_eq!(take_buffered_frame(&mut reader, &limits), None, "empty");
+        reader.fill_buf().unwrap();
+        let samples = samples();
+        let (last, whole) = samples.split_last().unwrap();
+        for expected in whole {
+            let got = take_buffered_frame(&mut reader, &limits);
+            assert_eq!(got, Some(Ok(expected.clone())));
+        }
+        let partial = reader.buffer().len();
+        assert_eq!(take_buffered_frame(&mut reader, &limits), None);
+        assert_eq!(reader.buffer().len(), partial, "a partial frame stays");
+        // A read of the stream beneath completes it.
+        assert_eq!(
+            read_frame(&mut reader, &limits).unwrap(),
+            Some(last.clone())
+        );
+        // A stream that ends inside a frame is an I/O error, never a clean
+        // close.
+        let mut reader = BufReader::new(head);
+        reader.fill_buf().unwrap();
+        while let Some(frame) = take_buffered_frame(&mut reader, &limits) {
+            frame.unwrap();
+        }
         assert!(matches!(
-            read_frame_after_first(&mut rest, stream[0], &limits),
+            read_frame(&mut reader, &limits),
             Err(FrameError::Io(_))
+        ));
+
+        let oversized = ((limits.max_frame + 1) as u32).to_be_bytes();
+        let mut reader = BufReader::new(&oversized[..]);
+        reader.fill_buf().unwrap();
+        assert!(matches!(
+            take_buffered_frame(&mut reader, &limits),
+            Some(Err(DecodeError::FrameTooLarge { .. }))
         ));
     }
 

@@ -32,8 +32,8 @@ pub struct OverlayConfig {
     pub lint: bool,
     /// Frame limits every connection decodes under.
     pub limits: FrameLimits,
-    /// Depth of each bounded queue (inbound service queue, per-connection
-    /// outbound queues, per-peer forward queues).
+    /// Depth of each bounded outbound queue (per-connection push queues,
+    /// per-link forward queues).
     pub queue_depth: usize,
 }
 

@@ -1,27 +1,46 @@
-//! The broker server: a thread-per-connection frame loop with bounded
-//! queues around one [`BrokerCore`].
+//! The broker server: a thread per connection that reads a frame and
+//! serves it, around one [`BrokerCore`] behind one lock.
 //!
 //! Thread layout per broker:
 //!
-//! * one **accept** thread turning connections into a reader + writer pair,
-//! * per connection a **reader** (frames → the bounded service queue; a
-//!   full queue blocks the reader, which is the inbound backpressure) and a
-//!   **writer** (bounded outbound queue → socket),
-//! * one **service** thread owning the [`BrokerCore`] — all state lives on
-//!   this thread, so the core needs no locks — draining the inbound queue
-//!   in batches and flushing at most one [`Message::ForwardMatched`] frame
-//!   per peer link, batch and view digest (genuine batching under load),
-//! * one lazy **peer writer** per overlay link, reconnecting through the
-//!   shared [`AddrMap`] so a restarted neighbour is found at its new
-//!   address.
+//! * one **accept** thread turning connections into a reader + writer pair;
+//! * per connection a **reader**. It blocks in a read holding no lock, then
+//!   takes the core lock and serves that frame and every further frame
+//!   already whole in its buffer, at most 64 of them. Under the lock it
+//!   appends the batch's frames for each overlay link to that link's queue
+//!   (at most one [`Message::ForwardMatched`] frame per link, batch and
+//!   view digest) and queues pushes for *other* connections. After
+//!   releasing the lock it drains the link queues it appended to, then
+//!   writes its own connection's replies and pushes;
+//! * per connection a **writer**, draining the bounded queue of pushes that
+//!   other readers left for the connection. A reply queues behind those
+//!   pushes while any is unwritten, so it never overtakes one.
 //!
-//! The service thread never blocks on a peer: peer-bound frames go through
-//! bounded queues with `try_send`, dropped documents are counted in
-//! [`BrokerStats::forwards_dropped`](crate::codec::BrokerStats::forwards_dropped), and control frames (subscription
-//! floods) are parked in an unbounded pending list retried every batch —
-//! droppable data, undroppable control. This is what makes the overlay
-//! deadlock-free by construction: the only cycles in the blocking graph
-//! would have to pass through a peer queue, and nothing blocks on those.
+//! No thread exists per overlay link. A link's queue is drained by a thread
+//! that appended to it and won the link's connection lock (`try_lock`): it
+//! writes until the queue is empty and re-checks after unlocking, so a
+//! frame appended by a thread that lost the race is never stranded. Links
+//! reconnect through the shared [`AddrMap`], so a restarted neighbour is
+//! found at its new address. Documents beyond the queue depth, or towards
+//! a dead neighbour, are dropped and counted in
+//! [`BrokerStats::forwards_dropped`](crate::codec::BrokerStats::forwards_dropped);
+//! control frames (subscription floods) are never dropped by the queue.
+//!
+//! Deadlock freedom rests on three rules:
+//!
+//! 1. No socket write happens while the core lock is held.
+//! 2. A reader never writes to the peer link it reads from: forwards and
+//!    floods never go back over their arrival link.
+//! 3. Pushes to *other* connections use that connection's bounded writer
+//!    queue with `try_send`: a slow consumer loses pushes, it never blocks
+//!    a reader.
+//!
+//! A blocked link write waits for the reader at the far end. By 1 that
+//! reader never waits long for the lock, and by 3 it never waits for a
+//! client (a peer link gets no replies), so it waits only for a link write
+//! of its own — by 2 one further from where the chain began. The overlay is a tree, so every chain of blocked writes
+//! moves away from its origin and ends at a leaf, whose link readers write
+//! no link at all.
 //!
 //! Every forward leaves as [`Message::ForwardMatched`]: next to its bytes a
 //! document carries the interest set the core computed for it and the frame
@@ -31,21 +50,23 @@
 //! accepted and matched locally; brokers no longer send it.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, Read};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::io::{self, BufReader, Write};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, TryLockError};
 use std::thread::JoinHandle;
 
 use tps_routing::BrokerId;
 
 use crate::broker::{BrokerCore, RouteOutcome};
-use crate::codec::{read_frame, write_frame, FrameLimits, MatchedDocument, Message};
+use crate::codec::{
+    read_frame, take_buffered_frame, write_frame, FrameLimits, MatchedDocument, Message,
+};
 use crate::transport::{Addr, Listener, Stream};
 
 /// Shared, mutable address map of the overlay: `addrs[b]` is where broker
 /// `b` currently listens, `None` while it is down. Restarted brokers bind
-/// fresh addresses; peer writers look the current address up on every
+/// fresh addresses; links look the current address up on every
 /// (re)connect, so rejoin needs no coordination beyond this map.
 pub type AddrMap = Arc<RwLock<Vec<Option<Addr>>>>;
 
@@ -54,21 +75,16 @@ pub fn addr_map(brokers: usize) -> AddrMap {
     Arc::new(RwLock::new(vec![None; brokers]))
 }
 
-/// Events feeding the service thread.
-enum Event {
-    /// A connection was accepted; `tx` is its bounded outbound queue.
-    Opened { conn: u64, tx: SyncSender<Message> },
-    /// A decoded frame arrived on connection `conn`.
-    Frame { conn: u64, message: Message },
-    /// The connection closed (EOF, I/O error, or malformed frame).
-    Closed { conn: u64 },
-    /// Local shutdown request from [`BrokerHandle::shutdown`].
-    Stop,
-}
-
-/// Number of events the service thread drains per batch; also the bound on
-/// how many documents can share one forward frame (before size chunking).
+/// Number of frames a reader serves per hold of the core lock; also the
+/// bound on how many documents can share one forward frame (before size
+/// chunking).
 const SERVICE_BATCH: usize = 64;
+
+/// Lock `mutex`, recovering it from a panicked holder: no critical section
+/// of this module leaves its data half-updated.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A routed document waiting for the end-of-batch flush towards one link.
 struct Outbound {
@@ -78,39 +94,105 @@ struct Outbound {
     document: MatchedDocument,
 }
 
-struct ConnState {
-    tx: SyncSender<Message>,
-    /// The neighbour a [`Message::Hello`] identified: peer links are
-    /// fire-and-forget (no replies), client connections get one reply per
-    /// request.
-    peer: Option<BrokerId>,
+/// The write side of one accepted connection, shared by its reader and its
+/// writer thread.
+#[derive(Debug)]
+struct WriteHalf {
+    stream: Mutex<Stream>,
+    /// Frames in the writer queue not yet written.
+    queued: AtomicUsize,
 }
 
-struct PeerLink {
-    tx: Option<SyncSender<Message>>,
-    writer: Option<JoinHandle<()>>,
-    /// Control frames (subscription floods) that did not fit the queue;
-    /// retried every batch — control is never dropped while the link lives.
-    pending: VecDeque<Message>,
+/// One connection's bounded writer queue and its write side.
+#[derive(Debug, Clone)]
+struct Outbox {
+    tx: SyncSender<Message>,
+    half: Arc<WriteHalf>,
+}
+
+impl Outbox {
+    fn new(stream: Stream, depth: usize) -> (Self, Receiver<Message>) {
+        let (tx, rx) = sync_channel(depth);
+        let half = Arc::new(WriteHalf {
+            stream: Mutex::new(stream),
+            queued: AtomicUsize::new(0),
+        });
+        (Self { tx, half }, rx)
+    }
+
+    /// Queue a push from another connection's reader; a full queue loses
+    /// it (rule 3). Called under the core lock, so the queue holds pushes
+    /// in core order.
+    fn push(&self, message: Message) {
+        self.half.queued.fetch_add(1, Ordering::SeqCst);
+        if self.tx.try_send(message).is_err() {
+            self.half.queued.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Write the owning reader's frames after it released the core lock:
+    /// in one write when no push is pending, else behind the pushes.
+    fn answer(&self, frames: Vec<Message>) -> io::Result<()> {
+        if self.half.queued.load(Ordering::SeqCst) == 0 {
+            let mut bytes = Vec::new();
+            for frame in &frames {
+                write_frame(&mut bytes, frame)?;
+            }
+            return lock(&self.half.stream).write_all(&bytes);
+        }
+        for frame in frames {
+            self.half.queued.fetch_add(1, Ordering::SeqCst);
+            if self.tx.send(frame).is_err() {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One overlay link's outbound side.
+#[derive(Debug)]
+struct Link {
+    neighbour: BrokerId,
+    /// Frames waiting to leave, appended under the core lock, so they leave
+    /// in core order: a flood is never overtaken by a forward computed
+    /// under the view it created.
+    queue: Mutex<VecDeque<Message>>,
+    /// The connection and the address it was made to. Whoever holds this
+    /// lock drains `queue`.
+    conn: Mutex<Option<(Addr, Stream)>>,
+}
+
+/// Everything a broker's threads share.
+#[derive(Debug)]
+struct Shared {
+    id: BrokerId,
+    limits: FrameLimits,
+    depth: usize,
+    service: Mutex<Service>,
+    links: Vec<Link>,
+    addrs: AddrMap,
+    /// Documents dropped on the way to a link.
+    dropped: AtomicU64,
+    stop: AtomicBool,
+    /// A handle on every open accepted connection, for shutdown to unblock
+    /// the threads parked on it.
+    registry: Mutex<HashMap<u64, Stream>>,
+    conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A running broker: join handles plus the shutdown signal.
 #[derive(Debug)]
 pub struct BrokerHandle {
-    id: BrokerId,
     addr: Addr,
-    stop: Arc<AtomicBool>,
-    service_tx: SyncSender<Event>,
+    shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    service: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    registry: Arc<Mutex<HashMap<u64, Stream>>>,
 }
 
 impl BrokerHandle {
     /// This broker's id.
     pub fn id(&self) -> BrokerId {
-        self.id
+        self.shared.id
     }
 
     /// The address the broker listens on.
@@ -122,40 +204,25 @@ impl BrokerHandle {
     /// sets this; [`BrokerHandle::shutdown`] must still be called to join
     /// the threads).
     pub fn stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+        self.shared.stop.load(Ordering::SeqCst)
     }
 
     /// Gracefully stop the broker and join every thread it spawned.
     pub fn shutdown(mut self) -> io::Result<()> {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock parked readers and conn writers first: a reader is
-        // blocked in read_frame, a writer may be blocked on a gone client,
-        // and the service may be blocked replying into a full writer queue
-        // — shutting the sockets errors all of them out.
-        for (_, stream) in self
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain()
-        {
-            let _ = stream.shutdown();
-        }
-        // Wake the service (it may be parked on an empty queue) …
-        let _ = self.service_tx.send(Event::Stop);
-        // … and the accept loop (parked in accept()).
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // Wake the accept loop (parked in accept()) and let it finish
+        // first, so no connection registers after the sweep below.
         let _ = Stream::connect(&self.addr);
         if let Some(thread) = self.accept.take() {
             let _ = thread.join();
         }
-        if let Some(thread) = self.service.take() {
-            let _ = thread.join();
+        // A reader is parked in a read, or writing to a gone client, and
+        // a writer may be blocked on a gone client: shutting the sockets
+        // errors all of them out.
+        for (_, stream) in lock(&self.shared.registry).drain() {
+            let _ = stream.shutdown();
         }
-        let threads: Vec<JoinHandle<()>> = self
-            .conn_threads
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-            .collect();
+        let threads: Vec<JoinHandle<()>> = lock(&self.shared.conn_threads).drain(..).collect();
         for thread in threads {
             let _ = thread.join();
         }
@@ -175,284 +242,354 @@ pub fn spawn_broker(
 ) -> io::Result<BrokerHandle> {
     let id = core.id();
     let addr = listener.addr()?;
-    let depth = queue_depth.max(1);
-    let stop = Arc::new(AtomicBool::new(false));
-    let registry: Arc<Mutex<HashMap<u64, Stream>>> = Arc::new(Mutex::new(HashMap::new()));
-    let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let (service_tx, service_rx) = sync_channel::<Event>(depth);
-
+    let links = core
+        .topology()
+        .neighbours(id)
+        .iter()
+        .map(|&neighbour| Link {
+            neighbour,
+            queue: Mutex::default(),
+            conn: Mutex::new(None),
+        })
+        .collect();
+    let shared = Arc::new(Shared {
+        id,
+        limits,
+        depth: queue_depth.max(1),
+        service: Mutex::new(Service {
+            core,
+            conns: HashMap::new(),
+            deliver_conns: HashMap::new(),
+        }),
+        links,
+        addrs,
+        dropped: AtomicU64::new(0),
+        stop: AtomicBool::new(false),
+        registry: Mutex::default(),
+        conn_threads: Mutex::default(),
+    });
     let accept = {
-        let acceptor = Acceptor {
-            stop: Arc::clone(&stop),
-            registry: Arc::clone(&registry),
-            conn_threads: Arc::clone(&conn_threads),
-            service_tx: service_tx.clone(),
-            limits,
-            depth,
-        };
+        let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name(format!("tps-net-accept-{id}"))
-            .spawn(move || acceptor.run(listener))?
+            .spawn(move || accept_loop(&shared, &listener))?
     };
-
-    let service = {
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name(format!("tps-net-service-{id}"))
-            .spawn(move || {
-                Service::new(core, addrs, limits, depth, stop).run(service_rx);
-            })?
-    };
-
     Ok(BrokerHandle {
-        id,
         addr,
-        stop,
-        service_tx,
+        shared,
         accept: Some(accept),
-        service: Some(service),
-        conn_threads,
-        registry,
     })
 }
 
-/// The state the accept thread carries: everything a fresh connection's
-/// reader/writer pair needs to be wired into the broker.
-struct Acceptor {
-    stop: Arc<AtomicBool>,
-    registry: Arc<Mutex<HashMap<u64, Stream>>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    service_tx: SyncSender<Event>,
-    limits: FrameLimits,
-    depth: usize,
-}
-
-impl Acceptor {
-    fn run(self, listener: Listener) {
-        let mut next_conn = 0u64;
-        loop {
-            let stream = match listener.accept() {
-                Ok(stream) => stream,
-                Err(_) if self.stop.load(Ordering::SeqCst) => break,
-                Err(_) => {
-                    // A persistent accept failure (e.g. fd exhaustion)
-                    // must not turn into a hot spin pinning a core; back
-                    // off briefly before retrying.
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    continue;
-                }
-            };
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let conn = next_conn;
-            next_conn += 1;
-            let (Ok(read_half), Ok(registry_half)) = (stream.try_clone(), stream.try_clone())
-            else {
+fn accept_loop(shared: &Arc<Shared>, listener: &Listener) {
+    let mut next_conn = 0u64;
+    loop {
+        let stream = match listener.accept() {
+            Ok(stream) => stream,
+            Err(_) if shared.stop.load(Ordering::SeqCst) => break,
+            Err(_) => {
+                // A persistent accept failure (e.g. fd exhaustion) must not
+                // turn into a hot spin pinning a core; back off briefly
+                // before retrying.
+                std::thread::sleep(std::time::Duration::from_millis(10));
                 continue;
-            };
-            self.registry
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(conn, registry_half);
-            let (out_tx, out_rx) = sync_channel::<Message>(self.depth);
-            // Opened is sent before the reader exists, so the service learns
-            // of the connection before its first frame can arrive.
-            if self
-                .service_tx
-                .send(Event::Opened { conn, tx: out_tx })
-                .is_err()
-            {
-                break;
             }
-            let writer = std::thread::spawn(move || writer_loop(stream, out_rx));
-            let reader = {
-                let service_tx = self.service_tx.clone();
-                let registry = Arc::clone(&self.registry);
-                let limits = self.limits;
-                std::thread::spawn(move || {
-                    reader_loop(read_half, conn, service_tx, registry, limits)
-                })
-            };
-            let mut threads = self
-                .conn_threads
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            threads.push(writer);
-            threads.push(reader);
-            // Reap threads of connections that already closed: an exited
-            // but unjoined thread keeps its stack allocated, and a stats
-            // poller opening thousands of short-lived connections (e.g. an
-            // overlay quiescing) would otherwise exhaust thread stacks.
-            let mut live = Vec::with_capacity(threads.len());
-            for thread in threads.drain(..) {
-                if thread.is_finished() {
-                    let _ = thread.join();
-                } else {
-                    live.push(thread);
-                }
-            }
-            *threads = live;
+        };
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
         }
+        let conn = next_conn;
+        next_conn += 1;
+        let (Ok(read_half), Ok(registry_half)) = (stream.try_clone(), stream.try_clone()) else {
+            continue;
+        };
+        lock(&shared.registry).insert(conn, registry_half);
+        let (outbox, rx) = Outbox::new(stream, shared.depth);
+        // Known to the service before its reader exists, so pushes find
+        // the connection from its first frame on.
+        lock(&shared.service).conns.insert(conn, outbox.clone());
+        let writer = {
+            let half = Arc::clone(&outbox.half);
+            std::thread::spawn(move || writer_loop(&half, &rx))
+        };
+        let reader = {
+            let shared = Arc::clone(shared);
+            std::thread::spawn(move || reader_loop(&shared, conn, read_half, &outbox))
+        };
+        let mut threads = lock(&shared.conn_threads);
+        threads.push(writer);
+        threads.push(reader);
+        // Reap threads of connections that already closed: an exited but
+        // unjoined thread keeps its stack allocated, and a stats poller
+        // opening thousands of short-lived connections (e.g. an overlay
+        // quiescing) would otherwise exhaust thread stacks.
+        let mut live = Vec::with_capacity(threads.len());
+        for thread in threads.drain(..) {
+            if thread.is_finished() {
+                let _ = thread.join();
+            } else {
+                live.push(thread);
+            }
+        }
+        *threads = live;
     }
 }
 
-fn writer_loop(mut stream: Stream, rx: Receiver<Message>) {
+fn writer_loop(half: &WriteHalf, rx: &Receiver<Message>) {
     while let Ok(message) = rx.recv() {
-        if write_frame(&mut stream, &message).is_err() {
-            // Exiting drops `rx`; a service blocked sending a reply into
-            // this queue unblocks with an error instead of wedging.
+        let written = write_frame(&mut *lock(&half.stream), &message);
+        half.queued.fetch_sub(1, Ordering::SeqCst);
+        if written.is_err() {
+            // Exiting drops `rx`; the reader's replies waiting behind the
+            // pushes error out instead of wedging.
             break;
         }
     }
 }
 
-fn reader_loop(
-    stream: Stream,
+/// What a reader's frames produced during one hold of the core lock, plus
+/// what it remembers about its connection between holds.
+struct Batch<'a> {
+    shared: &'a Shared,
     conn: u64,
-    service_tx: SyncSender<Event>,
-    registry: Arc<Mutex<HashMap<u64, Stream>>>,
-    limits: FrameLimits,
-) {
+    /// The neighbour a [`Message::Hello`] identified: peer links are
+    /// fire-and-forget (no replies) and never carry a frame back.
+    peer: Option<BrokerId>,
+    /// Per link, the control frames to flood, in order.
+    floods: Vec<Vec<Message>>,
+    /// Per link, the routed documents, flushed after the floods.
+    forwards: Vec<Vec<Outbound>>,
+    /// Replies and pushes for this connection, in order.
+    replies: Vec<Message>,
+    stop: bool,
+}
+
+impl Batch<'_> {
+    /// Reply on a client connection. Peer links never get replies, which
+    /// keeps broker-to-broker links strictly one-directional.
+    fn reply(&mut self, message: Message) {
+        if self.peer.is_none() {
+            self.replies.push(message);
+        }
+    }
+
+    /// The link a forward from `from` arrived on: on a peer link the
+    /// neighbour its [`Message::Hello`] named, whatever the frame claims,
+    /// so no forward goes back over its arrival link (rule 2).
+    fn arrival(&self, from: u32) -> BrokerId {
+        self.peer.unwrap_or(from as BrokerId)
+    }
+
+    /// Queue a control frame for every peer link but the one it arrived
+    /// on: the overlay is a tree, so the sender's side already has it, and
+    /// an echoed `Subscribe` overtaken by the matching `Unsubscribe` would
+    /// re-install the departed subscriber there for good.
+    fn flood(&mut self, message: &Message) {
+        for (link, floods) in self.shared.links.iter().zip(&mut self.floods) {
+            if Some(link.neighbour) != self.peer {
+                floods.push(message.clone());
+            }
+        }
+    }
+}
+
+fn reader_loop(shared: &Shared, conn: u64, stream: Stream, outbox: &Outbox) {
     // Buffered: a frame's prefix and payload, and every further frame that
     // already arrived, come out of one `read`.
     let mut stream = BufReader::new(stream);
+    let links = shared.links.len();
+    let mut batch = Batch {
+        shared,
+        conn,
+        peer: None,
+        floods: (0..links).map(|_| Vec::new()).collect(),
+        forwards: (0..links).map(|_| Vec::new()).collect(),
+        replies: Vec::new(),
+        stop: false,
+    };
     // Clean EOF, I/O failure, or a malformed frame (after which the stream
     // cannot be resynchronised): close the connection.
-    while let Ok(Some(message)) = read_frame(&mut stream, &limits) {
-        if service_tx.send(Event::Frame { conn, message }).is_err() {
+    while let Ok(Some(first)) = read_frame(&mut stream, &shared.limits) {
+        let mut malformed = false;
+        let touched = {
+            let mut service = lock(&shared.service);
+            if shared.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            service.handle_frame(first, &mut batch);
+            // Only frames already whole in the buffer: a read here could
+            // block with the lock held.
+            for _ in 1..SERVICE_BATCH {
+                if batch.stop {
+                    break;
+                }
+                match take_buffered_frame(&mut stream, &shared.limits) {
+                    Some(Ok(message)) => service.handle_frame(message, &mut batch),
+                    Some(Err(_)) => {
+                        malformed = true;
+                        break;
+                    }
+                    None => break,
+                }
+            }
+            if batch.stop {
+                shared.stop.store(true, Ordering::SeqCst);
+            }
+            shared.enqueue(&mut batch)
+        };
+        for link in touched {
+            shared.pump(&shared.links[link]);
+        }
+        let replies = std::mem::take(&mut batch.replies);
+        if outbox.answer(replies).is_err() || malformed || batch.stop {
             break;
         }
     }
-    if let Some(stream) = registry
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .remove(&conn)
-    {
+    if let Some(stream) = lock(&shared.registry).remove(&conn) {
         let _ = stream.shutdown();
     }
-    let _ = service_tx.send(Event::Closed { conn });
+    let mut service = lock(&shared.service);
+    service.conns.remove(&conn);
+    // The subscriptions stay (disconnecting is not unsubscribing); only
+    // the push channel is gone.
+    service.deliver_conns.retain(|_, c| *c != conn);
 }
 
+impl Shared {
+    /// Under the core lock: append the batch's floods, then its documents
+    /// in [`Message::ForwardMatched`] frames chunked under the frame
+    /// limits, to each link's queue. Documents that do not fit a full queue
+    /// are dropped and counted — data is droppable, control is not.
+    /// Returns the links appended to.
+    fn enqueue(&self, batch: &mut Batch) -> Vec<usize> {
+        let mut touched = Vec::new();
+        for (index, link) in self.links.iter().enumerate() {
+            let floods = std::mem::take(&mut batch.floods[index]);
+            let documents = std::mem::take(&mut batch.forwards[index]);
+            if floods.is_empty() && documents.is_empty() {
+                continue;
+            }
+            let mut queue = lock(&link.queue);
+            queue.extend(floods);
+            for (view, documents) in chunk_documents(documents, &self.limits) {
+                if queue.len() < self.depth {
+                    queue.push_back(Message::ForwardMatched {
+                        from: self.id as u32,
+                        view,
+                        documents,
+                    });
+                } else {
+                    self.dropped
+                        .fetch_add(documents.len() as u64, Ordering::Relaxed);
+                }
+            }
+            touched.push(index);
+        }
+        touched
+    }
+
+    /// Drain `link`'s queue unless another thread is draining it. The
+    /// holder of the link's connection writes until the queue is empty and
+    /// re-checks after unlocking, so a frame appended by a thread whose
+    /// `try_lock` failed is never stranded.
+    fn pump(&self, link: &Link) {
+        loop {
+            let mut conn = match link.conn.try_lock() {
+                Ok(conn) => conn,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => return,
+            };
+            loop {
+                // A statement of its own: the queue is never locked across
+                // a write.
+                let next = lock(&link.queue).pop_front();
+                let Some(message) = next else { break };
+                self.send(link.neighbour, &mut conn, &message);
+            }
+            drop(conn);
+            if lock(&link.queue).is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// Write one frame towards `neighbour`: lazily connect through the
+    /// address map (so a restarted neighbour is found at its new address),
+    /// identify with [`Message::Hello`], retry a failed write once over a
+    /// fresh connection, and count the documents of a frame that could not
+    /// be written.
+    ///
+    /// The current address is re-read from the map before *every* write and
+    /// compared to the address the cached connection was made to. This is
+    /// what makes failure counting deterministic:
+    /// [`crate::overlay::LocalOverlay`] clears a broker's map entry before
+    /// stopping it, so the first forward after a kill sees `None` and is
+    /// counted as dropped instead of being buffered into a dying socket
+    /// that has not erred out yet.
+    fn send(&self, neighbour: BrokerId, conn: &mut Option<(Addr, Stream)>, message: &Message) {
+        for _attempt in 0..2 {
+            let target = self
+                .addrs
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(neighbour)
+                .cloned()
+                .flatten();
+            let Some(target) = target else {
+                // The neighbour is down (or gone from the map): drop the
+                // cached connection so a rejoin reconnects fresh.
+                *conn = None;
+                break;
+            };
+            if !matches!(conn, Some((addr, _)) if *addr == target) {
+                *conn = open_peer_link(self.id, &target).map(|stream| (target, stream));
+            }
+            let Some((_, stream)) = conn.as_mut() else {
+                break;
+            };
+            if write_frame(stream, message).is_ok() {
+                return;
+            }
+            *conn = None;
+        }
+        if let Message::ForwardMatched { documents, .. } = message {
+            self.dropped
+                .fetch_add(documents.len() as u64, Ordering::Relaxed);
+        }
+        // Dropped control resynchronises when the neighbour rejoins
+        // (restart pulls a SyncState dump from a live broker).
+    }
+}
+
+/// The receiving broker never writes on a peer link, so nothing reads
+/// this side of it.
+fn open_peer_link(me: BrokerId, addr: &Addr) -> Option<Stream> {
+    let mut stream = Stream::connect(addr).ok()?;
+    write_frame(&mut stream, &Message::Hello { broker: me as u32 }).ok()?;
+    Some(stream)
+}
+
+/// The state behind the core lock.
+#[derive(Debug)]
 struct Service {
     core: BrokerCore,
-    limits: FrameLimits,
-    conns: HashMap<u64, ConnState>,
+    /// The writer queue of every open connection, for pushes.
+    conns: HashMap<u64, Outbox>,
     /// Which connection a locally attached subscriber receives
     /// [`Message::Deliver`] pushes on (the one its subscribe arrived on).
     deliver_conns: HashMap<u64, u64>,
-    neighbours: Vec<BrokerId>,
-    peers: Vec<PeerLink>,
-    dropped: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
 }
 
 impl Service {
-    fn new(
-        core: BrokerCore,
-        addrs: AddrMap,
-        limits: FrameLimits,
-        depth: usize,
-        stop: Arc<AtomicBool>,
-    ) -> Self {
-        let id = core.id();
-        let neighbours = core.topology().neighbours(id).to_vec();
-        let dropped = Arc::new(AtomicU64::new(0));
-        let peers = neighbours
-            .iter()
-            .map(|&neighbour| {
-                let (tx, rx) = sync_channel::<Message>(depth);
-                let addrs = Arc::clone(&addrs);
-                let dropped = Arc::clone(&dropped);
-                let writer = std::thread::Builder::new()
-                    .name(format!("tps-net-peer-{id}-{neighbour}"))
-                    .spawn(move || peer_writer(id, neighbour, addrs, rx, dropped))
-                    .ok();
-                PeerLink {
-                    tx: Some(tx),
-                    writer,
-                    pending: VecDeque::new(),
-                }
-            })
-            .collect();
-        Self {
-            core,
-            limits,
-            conns: HashMap::new(),
-            deliver_conns: HashMap::new(),
-            neighbours,
-            peers,
-            dropped,
-            stop,
-        }
-    }
-
-    fn run(mut self, rx: Receiver<Event>) {
-        'serve: loop {
-            let first = match rx.recv() {
-                Ok(event) => event,
-                Err(_) => break,
-            };
-            let mut events = vec![first];
-            while events.len() < SERVICE_BATCH {
-                match rx.try_recv() {
-                    Ok(event) => events.push(event),
-                    Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-                }
-            }
-            let mut out: Vec<Vec<Outbound>> = self.neighbours.iter().map(|_| Vec::new()).collect();
-            let mut stopping = false;
-            for event in events {
-                stopping |= self.handle(event, &mut out);
-            }
-            self.flush(out);
-            if stopping {
-                break 'serve;
-            }
-        }
-        self.stop.store(true, Ordering::SeqCst);
-        // Close the peer queues and join the writers; conn writer queues
-        // close when `conns` drops with us.
-        for peer in &mut self.peers {
-            peer.tx = None;
-            if let Some(writer) = peer.writer.take() {
-                let _ = writer.join();
-            }
-        }
-    }
-
-    /// Process one event; returns whether the broker should stop.
-    fn handle(&mut self, event: Event, out: &mut [Vec<Outbound>]) -> bool {
-        match event {
-            Event::Opened { conn, tx } => {
-                self.conns.insert(conn, ConnState { tx, peer: None });
-            }
-            Event::Closed { conn } => {
-                self.conns.remove(&conn);
-                // The subscriptions stay (disconnecting is not
-                // unsubscribing); only the push channel is gone.
-                self.deliver_conns.retain(|_, c| *c != conn);
-            }
-            Event::Stop => return true,
-            Event::Frame { conn, message } => return self.handle_frame(conn, message, out),
-        }
-        false
-    }
-
-    fn handle_frame(&mut self, conn: u64, message: Message, out: &mut [Vec<Outbound>]) -> bool {
+    fn handle_frame(&mut self, message: Message, batch: &mut Batch) {
         match message {
-            Message::Hello { broker } => {
-                if let Some(state) = self.conns.get_mut(&conn) {
-                    state.peer = Some(broker as BrokerId);
-                }
-            }
+            Message::Hello { broker } => batch.peer = Some(broker as BrokerId),
             Message::Subscribe {
                 subscriber,
                 broker,
                 pattern,
             } => {
-                let arrival = self.arrival_link(conn);
-                let from_peer = arrival.is_some() || !self.conns.contains_key(&conn);
+                let from_peer = batch.peer.is_some();
                 // Flood-received subscriptions were already admitted at
                 // their home broker; only client subscriptions face lint.
                 let result = if from_peer {
@@ -461,54 +598,47 @@ impl Service {
                     self.core.subscribe(subscriber, broker, &pattern)
                 };
                 match result {
-                    Ok(true) => {
+                    Ok(changed) => {
+                        // An idempotent re-subscribe leaves the view as it
+                        // is (no flood), but a subscriber reconnecting after
+                        // a drop needs its push channel re-attached.
                         if broker as BrokerId == self.core.id() && !from_peer {
-                            self.deliver_conns.insert(subscriber, conn);
+                            self.deliver_conns.insert(subscriber, batch.conn);
                         }
-                        self.reply(conn, Message::Ack);
+                        batch.reply(Message::Ack);
                         // Flood on: duplicates terminate the broadcast at
                         // the first broker that already has the entry.
-                        self.flood(
-                            Message::Subscribe {
+                        if changed {
+                            let flood = Message::Subscribe {
                                 subscriber,
                                 broker,
                                 pattern,
-                            },
-                            arrival,
-                        );
-                    }
-                    Ok(false) => {
-                        // Idempotent re-subscribe: the view is unchanged
-                        // (no flood), but a subscriber reconnecting after a
-                        // drop needs its Deliver push channel re-attached
-                        // to the new connection.
-                        if broker as BrokerId == self.core.id() && !from_peer {
-                            self.deliver_conns.insert(subscriber, conn);
+                            };
+                            batch.flood(&flood);
                         }
-                        self.reply(conn, Message::Ack);
                     }
-                    Err((code, message)) => self.reply(conn, Message::Error { code, message }),
+                    Err((code, message)) => batch.reply(Message::Error { code, message }),
                 }
             }
             Message::Unsubscribe { subscriber } => {
                 if self.core.unsubscribe(subscriber) {
                     self.deliver_conns.remove(&subscriber);
-                    self.flood(Message::Unsubscribe { subscriber }, self.arrival_link(conn));
+                    batch.flood(&Message::Unsubscribe { subscriber });
                 }
                 // Idempotent: acknowledged whether or not the view changed.
-                self.reply(conn, Message::Ack);
+                batch.reply(Message::Ack);
             }
             Message::Publish { document } => match self.core.publish(&document) {
                 Ok(outcome) => {
-                    self.dispatch(&outcome, &document, out);
-                    self.reply(conn, Message::Ack);
+                    self.dispatch(&outcome, &document, batch);
+                    batch.reply(Message::Ack);
                 }
-                Err((code, message)) => self.reply(conn, Message::Error { code, message }),
+                Err((code, message)) => batch.reply(Message::Error { code, message }),
             },
             Message::Forward { from, documents } => {
                 for document in documents {
-                    if let Some(outcome) = self.core.forward_in(from as BrokerId, &document) {
-                        self.dispatch(&outcome, &document, out);
+                    if let Some(outcome) = self.core.forward_in(batch.arrival(from), &document) {
+                        self.dispatch(&outcome, &document, batch);
                     }
                 }
             }
@@ -519,29 +649,28 @@ impl Service {
             } => {
                 for MatchedDocument { bytes, interested } in documents {
                     let routed = self.core.forward_matched(
-                        from as BrokerId,
+                        batch.arrival(from),
                         view,
                         &bytes,
                         interested.as_deref(),
                     );
                     if let Some(outcome) = routed {
-                        self.dispatch(&outcome, &bytes, out);
+                        self.dispatch(&outcome, &bytes, batch);
                     }
                 }
             }
             Message::Stats => {
                 let mut stats = self.core.stats();
-                stats.forwards_dropped += self.dropped.load(Ordering::Relaxed);
-                self.reply(conn, Message::StatsReply { stats });
+                stats.forwards_dropped += batch.shared.dropped.load(Ordering::Relaxed);
+                batch.reply(Message::StatsReply { stats });
             }
             Message::SyncRequest => {
                 let consumers = self.core.sync_state();
-                self.reply(conn, Message::SyncState { consumers });
+                batch.reply(Message::SyncState { consumers });
             }
             Message::Shutdown => {
-                self.reply(conn, Message::Ack);
-                self.stop.store(true, Ordering::SeqCst);
-                return true;
+                batch.reply(Message::Ack);
+                batch.stop = true;
             }
             // Reply verbs arriving as requests are ignored (a confused or
             // hostile client cannot corrupt broker state with them).
@@ -551,25 +680,26 @@ impl Service {
             | Message::Deliver { .. }
             | Message::SyncState { .. } => {}
         }
-        false
     }
 
     /// Push local deliveries to attached subscriber connections and queue
     /// the forward decisions of the document the core routed last, with the
     /// interest set and the view digest the core holds for it.
-    fn dispatch(&mut self, outcome: &RouteOutcome, document: &[u8], out: &mut [Vec<Outbound>]) {
-        for subscriber in &outcome.deliveries {
-            let Some(&conn) = self.deliver_conns.get(subscriber) else {
+    fn dispatch(&mut self, outcome: &RouteOutcome, document: &[u8], batch: &mut Batch) {
+        for &subscriber in &outcome.deliveries {
+            let Some(&conn) = self.deliver_conns.get(&subscriber) else {
                 continue;
             };
-            if let Some(state) = self.conns.get(&conn) {
-                // A slow consumer loses pushes rather than wedging the
-                // broker; the delivery counter tracks matching, not push
-                // success (same as the simulator's counters).
-                let _ = state.tx.try_send(Message::Deliver {
-                    subscriber: *subscriber,
-                    document: document.to_vec(),
-                });
+            let push = Message::Deliver {
+                subscriber,
+                document: document.to_vec(),
+            };
+            // The delivery counter tracks matching, not push success (same
+            // as the simulator's counters).
+            if conn == batch.conn {
+                batch.replies.push(push);
+            } else if let Some(outbox) = self.conns.get(&conn) {
+                outbox.push(push);
             }
         }
         if outcome.forwards.is_empty() {
@@ -579,94 +709,22 @@ impl Service {
         // the receiver's decoder would refuse is not sent: it matches then.
         let interest = self.core.interest();
         let interested: Option<Arc<[u64]>> =
-            (interest.len() <= self.limits.max_subscriptions).then(|| interest.into());
+            (interest.len() <= batch.shared.limits.max_subscriptions).then(|| interest.into());
         let view = self.core.view_digest();
         for &neighbour in &outcome.forwards {
-            if let Some(link) = self.neighbours.iter().position(|&n| n == neighbour) {
-                out[link].push(Outbound {
+            if let Some(link) = batch
+                .shared
+                .links
+                .iter()
+                .position(|l| l.neighbour == neighbour)
+            {
+                batch.forwards[link].push(Outbound {
                     view,
                     document: MatchedDocument {
                         bytes: document.to_vec(),
                         interested: interested.clone(),
                     },
                 });
-            }
-        }
-    }
-
-    /// Reply on a client connection. Peer links never get replies (they
-    /// identified with [`Message::Hello`]), which keeps broker-to-broker
-    /// links strictly one-directional and the overlay free of reply cycles.
-    fn reply(&self, conn: u64, message: Message) {
-        let Some(state) = self.conns.get(&conn) else {
-            return;
-        };
-        if state.peer.is_some() {
-            return;
-        }
-        // Blocking send: a request-reply client is by contract reading its
-        // replies, and the writer queue absorbs bursts. If the client dies
-        // instead, its writer exits and this send errors out harmlessly.
-        let _ = state.tx.send(message);
-    }
-
-    /// The neighbour whose peer link `conn` is, if it is one.
-    fn arrival_link(&self, conn: u64) -> Option<BrokerId> {
-        self.conns.get(&conn).and_then(|state| state.peer)
-    }
-
-    /// Queue a control frame for every peer link but the one it arrived
-    /// on: the overlay is a tree, so the sender's side already has it, and
-    /// an echoed `Subscribe` overtaken by the matching `Unsubscribe` would
-    /// re-install the departed subscriber there for good. Control is never
-    /// dropped: frames that do not fit the queue park in the pending list,
-    /// retried at every flush while the link lives.
-    fn flood(&mut self, message: Message, arrival: Option<BrokerId>) {
-        for (peer, &neighbour) in self.peers.iter_mut().zip(&self.neighbours) {
-            if Some(neighbour) != arrival {
-                peer.pending.push_back(message.clone());
-            }
-        }
-    }
-
-    /// End-of-batch: drain pending control, then ship at most a few
-    /// [`Message::ForwardMatched`] frames per link, chunked under the frame
-    /// limits. Documents that do not fit a saturated queue are dropped and
-    /// counted — data is droppable, control is not.
-    fn flush(&mut self, out: Vec<Vec<Outbound>>) {
-        let from = self.core.id() as u32;
-        for (link, documents) in out.into_iter().enumerate() {
-            let peer = &mut self.peers[link];
-            let Some(tx) = peer.tx.as_ref() else {
-                self.dropped
-                    .fetch_add(documents.len() as u64, Ordering::Relaxed);
-                continue;
-            };
-            while let Some(message) = peer.pending.pop_front() {
-                match tx.try_send(message) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(message)) => {
-                        peer.pending.push_front(message);
-                        break;
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        peer.pending.clear();
-                        break;
-                    }
-                }
-            }
-            for (view, batch) in chunk_documents(documents, &self.limits) {
-                let count = batch.len() as u64;
-                match tx.try_send(Message::ForwardMatched {
-                    from,
-                    view,
-                    documents: batch,
-                }) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                        self.dropped.fetch_add(count, Ordering::Relaxed);
-                    }
-                }
             }
         }
     }
@@ -707,83 +765,44 @@ fn chunk_documents(
     chunks
 }
 
-/// One peer link's writer: lazily connects through the address map (so a
-/// restarted neighbour is found at its new address), identifies itself
-/// with [`Message::Hello`], retries a failed write once over a fresh
-/// connection, and counts what it had to drop.
-///
-/// The current address is re-read from the map before *every* write and
-/// compared to the address the cached connection was made to. This is what
-/// makes failure counting deterministic: [`crate::overlay::LocalOverlay`]
-/// clears a broker's map entry before stopping it, so the first forward
-/// after a kill sees `None` and is counted as dropped instead of being
-/// buffered into a dying socket that has not erred out yet.
-fn peer_writer(
-    me: BrokerId,
-    neighbour: BrokerId,
-    addrs: AddrMap,
-    rx: Receiver<Message>,
-    dropped: Arc<AtomicU64>,
-) {
-    let mut stream: Option<(Addr, Stream)> = None;
-    while let Ok(message) = rx.recv() {
-        let mut delivered = false;
-        for _attempt in 0..2 {
-            let target = addrs
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get(neighbour)
-                .cloned()
-                .flatten();
-            let Some(target) = target else {
-                // The neighbour is down (or gone from the map): drop the
-                // cached connection so a rejoin reconnects fresh.
-                stream = None;
-                break;
-            };
-            let stale = match &stream {
-                Some((addr, _)) => addr != &target,
-                None => true,
-            };
-            if stale {
-                stream = open_peer_link(me, &target).map(|s| (target.clone(), s));
-            }
-            let Some((_, link)) = stream.as_mut() else {
-                break;
-            };
-            if write_frame(link, &message).is_ok() {
-                delivered = true;
-                break;
-            }
-            stream = None;
-        }
-        if !delivered {
-            if let Message::ForwardMatched { documents, .. } = &message {
-                dropped.fetch_add(documents.len() as u64, Ordering::Relaxed);
-            }
-            // Dropped control resynchronises when the neighbour rejoins
-            // (restart pulls a SyncState dump from a live broker).
-        }
-    }
-}
-
-fn open_peer_link(me: BrokerId, addr: &Addr) -> Option<Stream> {
-    let mut stream = Stream::connect(addr).ok()?;
-    // The receiving broker never writes on a peer link after Hello; a
-    // sink thread is still needed to notice the close and free the socket.
-    write_frame(&mut stream, &Message::Hello { broker: me as u32 }).ok()?;
-    if let Ok(mut read_half) = stream.try_clone() {
-        std::thread::spawn(move || {
-            let mut sink = [0u8; 1024];
-            while matches!(read_half.read(&mut sink), Ok(n) if n > 0) {}
-        });
-    }
-    Some(stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Transport;
+
+    #[test]
+    fn a_reply_never_overtakes_a_push_queued_before_it() {
+        let limits = FrameLimits::default();
+        let listener = Listener::bind(Transport::Unix).unwrap();
+        let mut client = Stream::connect(&listener.addr().unwrap()).unwrap();
+        let (outbox, rx) = Outbox::new(listener.accept().unwrap(), 4);
+        // Nothing queued: the reader writes its reply itself (no writer
+        // thread runs yet).
+        outbox.answer(vec![Message::Ack]).unwrap();
+        assert_eq!(
+            read_frame(&mut client, &limits).unwrap(),
+            Some(Message::Ack)
+        );
+        // Another reader's push waits for the writer thread; the reply
+        // queues behind it instead of reaching the socket first.
+        let push = Message::Deliver {
+            subscriber: 1,
+            document: b"<a/>".to_vec(),
+        };
+        outbox.push(push.clone());
+        outbox.answer(vec![Message::Stats]).unwrap();
+        let writer = {
+            let half = Arc::clone(&outbox.half);
+            std::thread::spawn(move || writer_loop(&half, &rx))
+        };
+        assert_eq!(read_frame(&mut client, &limits).unwrap(), Some(push));
+        assert_eq!(
+            read_frame(&mut client, &limits).unwrap(),
+            Some(Message::Stats)
+        );
+        drop(outbox);
+        writer.join().unwrap();
+    }
 
     fn outbound(view: u128, bytes: usize, ids: Option<usize>) -> Outbound {
         Outbound {

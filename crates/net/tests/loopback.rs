@@ -5,10 +5,16 @@
 //! Unix domain socket — through the same helper, so the two transports
 //! are held to identical behaviour.
 
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use tps_net::client::DELIVERY_BACKLOG;
-use tps_net::{BrokerStats, ErrorCode, LocalOverlay, OverlayConfig, Transport};
+use tps_net::codec::write_frame;
+use tps_net::transport::Stream;
+use tps_net::{BrokerStats, ErrorCode, LocalOverlay, Message, OverlayConfig, Transport};
+use tps_routing::BrokerTopology;
 
 const TIMEOUT: Duration = Duration::from_secs(20);
 
@@ -187,6 +193,163 @@ fn tcp_an_undrained_subscriber_keeps_a_bounded_backlog() {
 #[test]
 fn unix_an_undrained_subscriber_keeps_a_bounded_backlog() {
     an_undrained_subscriber_keeps_a_bounded_backlog(Transport::Unix);
+}
+
+/// A client that sends requests and never reads its replies blocks only
+/// its own connection. Regression: the broker's one service thread used to
+/// block on that connection's full reply queue, and no other client of the
+/// broker was served again.
+fn a_client_that_never_reads_wedges_only_itself(transport: Transport) {
+    let overlay = spawn(transport);
+    let flooder = Stream::connect(&overlay.addr(0).expect("broker 0 is up")).expect("connect");
+    let written = Arc::new(AtomicUsize::new(0));
+    let flood = {
+        let mut stream = flooder.try_clone().expect("clone");
+        let written = Arc::clone(&written);
+        std::thread::spawn(move || {
+            for _ in 0..200_000 {
+                if write_frame(&mut stream, &Message::Stats).is_err() {
+                    break;
+                }
+                written.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
+    // Until every buffer between the two is full and the flood stalls, or
+    // the broker has taken all of it.
+    let mut seen = 0;
+    while !flood.is_finished() {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = written.load(Ordering::Relaxed);
+        if now == seen {
+            break;
+        }
+        seen = now;
+    }
+
+    let mut producer = overlay.client(0).expect("client 0");
+    let (acked, ack) = mpsc::channel();
+    let publisher = std::thread::spawn(move || {
+        let published = producer.publish(b"<media><CD/></media>");
+        let _ = acked.send(published.is_ok());
+    });
+    // A wedged broker never answers: the publisher stays blocked, detached.
+    let published = ack
+        .recv_timeout(Duration::from_secs(5))
+        .expect("another client got no Ack within 5 s");
+    assert!(published, "the publish failed");
+    publisher.join().expect("publisher");
+    flooder.shutdown().expect("shut the flooder down");
+    flood.join().expect("flood thread");
+    overlay.shutdown().expect("shutdown");
+}
+
+#[test]
+fn tcp_a_client_that_never_reads_wedges_only_itself() {
+    a_client_that_never_reads_wedges_only_itself(Transport::Tcp);
+}
+
+#[test]
+fn unix_a_client_that_never_reads_wedges_only_itself() {
+    a_client_that_never_reads_wedges_only_itself(Transport::Unix);
+}
+
+/// On a chain of four the two interior brokers are adjacent, so forwards
+/// cross between them both ways at once while documents of a few hundred
+/// KiB fill the sockets. The run ends, and every document reaches the
+/// subscriber at the far end exactly once or is counted as dropped.
+fn a_chain_carries_large_documents_both_ways_at_once(transport: Transport) {
+    const PRODUCERS: usize = 3;
+    const DOCUMENTS: usize = 12;
+    let config = OverlayConfig {
+        topology: BrokerTopology::chain(4),
+        ..OverlayConfig::default()
+    };
+    let overlay = LocalOverlay::spawn(config, transport).expect("spawn overlay");
+    let ends = [(0, "west", "east"), (3, "east", "west")];
+    let mut subscribers = Vec::new();
+    for (subscriber, &(broker, _, wants)) in ends.iter().enumerate() {
+        let mut client = overlay.client(broker).expect("subscriber");
+        client
+            .subscribe(subscriber as u64, broker as u32, &format!("//{wants}"))
+            .expect("subscribe");
+        subscribers.push(client);
+    }
+    overlay
+        .await_consumers(2, TIMEOUT)
+        .expect("flood converges");
+    let pad = "x".repeat(300 << 10);
+
+    let (finished, done) = mpsc::channel();
+    let overlay = Arc::new(overlay);
+    let run = {
+        let overlay = Arc::clone(&overlay);
+        std::thread::spawn(move || {
+            let received = std::thread::scope(|scope| {
+                for &(broker, kind, _) in &ends {
+                    for producer in 0..PRODUCERS {
+                        let (overlay, pad) = (&overlay, &pad);
+                        scope.spawn(move || {
+                            let mut client = overlay.client(broker).expect("producer");
+                            for i in 0..DOCUMENTS {
+                                let document = format!(
+                                    "<media><{kind}><id>{producer}-{i}</id><pad>{pad}</pad></{kind}></media>"
+                                );
+                                client.publish(document.as_bytes()).expect("publish");
+                            }
+                        });
+                    }
+                }
+                let receivers: Vec<_> = subscribers
+                    .into_iter()
+                    .map(|mut client| {
+                        scope.spawn(move || {
+                            let mut ids = HashSet::new();
+                            while ids.len() < PRODUCERS * DOCUMENTS {
+                                let Some((_, document)) =
+                                    client.recv_delivery(TIMEOUT).expect("recv")
+                                else {
+                                    break;
+                                };
+                                let text = String::from_utf8(document).expect("utf-8");
+                                let id = text.split("<id>").nth(1).expect("an id");
+                                let id = id.split("</id>").next().expect("an id").to_string();
+                                assert!(ids.insert(id), "delivered twice");
+                            }
+                            ids.len()
+                        })
+                    })
+                    .collect();
+                receivers
+                    .into_iter()
+                    .map(|r| r.join().expect("receiver"))
+                    .sum::<usize>()
+            });
+            let _ = finished.send(received);
+        })
+    };
+    let received = done
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the overlay wedged");
+    run.join().expect("run");
+    let stats = overlay.quiesce(TIMEOUT).expect("quiesce");
+    let dropped = total(&stats, |s| s.forwards_dropped) as usize;
+    assert_eq!(received + dropped, 2 * PRODUCERS * DOCUMENTS);
+    assert_eq!(total(&stats, |s| s.deliveries) as usize, received);
+    Arc::into_inner(overlay)
+        .expect("the run is over")
+        .shutdown()
+        .expect("shutdown");
+}
+
+#[test]
+fn tcp_a_chain_carries_large_documents_both_ways_at_once() {
+    a_chain_carries_large_documents_both_ways_at_once(Transport::Tcp);
+}
+
+#[test]
+fn unix_a_chain_carries_large_documents_both_ways_at_once() {
+    a_chain_carries_large_documents_both_ways_at_once(Transport::Unix);
 }
 
 /// Broker-side validation surfaces as typed remote errors, and the
