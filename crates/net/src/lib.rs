@@ -20,7 +20,9 @@
 //! * [`codec`] — wire format: framing, limits, typed decode errors.
 //! * [`transport`] — TCP / Unix socket abstraction.
 //! * [`broker`] — [`broker::BrokerCore`], the single-threaded broker
-//!   brain (subscriptions, view digest, matcher, routing, counters).
+//!   brain (subscriptions, view digest, matcher, counters) around the
+//!   routing hop [`tps_routing::Places::hop`] it shares with the simulator
+//!   and the static evaluation.
 //! * [`server`] — threads and queues around a core: accept loop,
 //!   per-connection readers/writers, peer links, graceful shutdown.
 //! * [`client`] — a blocking request/reply client.

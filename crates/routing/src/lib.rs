@@ -14,6 +14,9 @@
 //!   multi-broker tree overlay with per-link routing tables (exact,
 //!   containment-pruned or aggregated), accounting for link messages and
 //!   broker-side filtering cost.
+//! * [`Places::hop`] — the one per-broker routing step ("interest set →
+//!   local deliveries, forwarded links, [`HopCounts`]") that the static
+//!   evaluation, `tps-sim` and `tps-net` all call.
 //! * [`SemanticOverlay`] — the peer-to-peer community overlay the paper
 //!   motivates, built from any `tps-cluster` clustering and measured on
 //!   filtering cost and delivery accuracy.
@@ -60,6 +63,7 @@
 
 pub mod broker;
 pub mod community;
+pub mod hop;
 pub mod naming;
 pub mod network;
 pub mod overlay;
@@ -69,6 +73,7 @@ pub mod topology;
 
 pub use broker::{Broker, Consumer, RoutingStats, RoutingStrategy};
 pub use community::{Community, CommunityClustering, CommunityConfig, IncrementalCommunities};
+pub use hop::{HopCounts, LinkRule, Places, RouteOutcome};
 pub use network::{BrokerNetwork, ForwardingMode, NetworkConsumer, NetworkStats};
 pub use overlay::{OverlayCommunity, OverlayStats, SemanticOverlay};
 pub use stats::{DeliveryMetrics, LinkMetrics, TableCompaction};

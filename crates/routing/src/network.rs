@@ -3,15 +3,21 @@
 //! Documents are published at a producer broker and forwarded over the
 //! overlay using per-link routing tables ([`crate::table`]); every broker
 //! delivers to its local consumers after exact local filtering. The
-//! simulation accounts for the two costs the paper's introduction discusses —
+//! evaluation accounts for the two costs the paper's introduction discusses —
 //! network messages on overlay links and pattern-match operations at brokers
 //! — under four forwarding disciplines: flooding and the three table
 //! summarisation modes.
+//!
+//! [`BrokerNetwork::route_stream`] is a batch driver of the hop in
+//! [`crate::hop`]: one match of the whole subscription set per document,
+//! then a walk of the tree that calls [`Places::hop`] at every broker the
+//! document reaches.
 
 use tps_pattern::containment::ContainmentOracle;
 use tps_pattern::{PatternSet, TreePattern};
 use tps_xml::XmlTree;
 
+use crate::hop::{HopCounts, LinkRule, Places};
 use crate::impl_variant_name;
 use crate::stats::{DeliveryMetrics, LinkMetrics, TableCompaction};
 use crate::table::{RoutingTable, TableMode};
@@ -114,15 +120,6 @@ impl DeliveryMetrics for NetworkStats {
     }
 }
 
-/// What every document of one `route_stream` call is routed with.
-struct StreamPlan {
-    mode: ForwardingMode,
-    /// One table per broker (none for flooding).
-    tables: Vec<RoutingTable>,
-    /// `local[b]`: the consumers attached to broker `b`.
-    local: Vec<Vec<usize>>,
-}
-
 /// A tree of brokers with consumers attached to them.
 #[derive(Debug, Clone)]
 pub struct BrokerNetwork {
@@ -172,22 +169,12 @@ impl BrokerNetwork {
         self.consumers.len() - 1
     }
 
-    /// Indices of the consumers attached to `broker`.
-    pub fn consumers_at(&self, broker: BrokerId) -> Vec<usize> {
-        self.consumers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.broker == broker)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Build the per-broker routing tables for the given summarisation mode.
     ///
     /// The table of broker `b` has one entry per link of `b`, summarising the
     /// subscriptions of every consumer attached to a broker behind that link.
     pub fn build_tables(&self, mode: TableMode) -> Vec<RoutingTable> {
-        self.tables_from_partitions(mode, None)
+        self.tables(&self.places(), mode, None)
     }
 
     /// [`BrokerNetwork::build_tables`] with a compaction pre-pass: each
@@ -201,34 +188,34 @@ impl BrokerNetwork {
         mode: TableMode,
         oracle: &ContainmentOracle<'_>,
     ) -> Vec<RoutingTable> {
-        self.tables_from_partitions(mode, Some(oracle))
+        self.tables(&self.places(), mode, Some(oracle))
     }
 
-    fn tables_from_partitions(
+    /// Every broker's place lists, consumers filed by index.
+    fn places(&self) -> Vec<Places> {
+        let mut places: Vec<Places> = self
+            .topology
+            .brokers()
+            .map(|broker| Places::new(&self.topology, broker))
+            .collect();
+        for (consumer, attached) in self.consumers.iter().enumerate() {
+            for broker in &mut places {
+                broker.insert(consumer as u64, attached.broker);
+            }
+        }
+        places
+    }
+
+    fn tables(
         &self,
+        places: &[Places],
         mode: TableMode,
         oracle: Option<&ContainmentOracle<'_>>,
     ) -> Vec<RoutingTable> {
-        self.topology
-            .brokers()
-            .map(|broker| {
-                let per_link: Vec<Vec<TreePattern>> = self
-                    .topology
-                    .link_partitions(broker)
-                    .into_iter()
-                    .map(|behind| {
-                        self.consumers
-                            .iter()
-                            .filter(|c| behind.contains(&c.broker))
-                            .map(|c| c.subscription.clone())
-                            .collect()
-                    })
-                    .collect();
-                match oracle {
-                    None => RoutingTable::build(&per_link, mode),
-                    Some(oracle) => RoutingTable::build_compacted(&per_link, mode, oracle),
-                }
-            })
+        let subscription = |consumer: u64| &self.consumers[consumer as usize].subscription;
+        places
+            .iter()
+            .map(|broker| broker.table(subscription, mode, oracle))
             .collect()
     }
 
@@ -267,122 +254,71 @@ impl BrokerNetwork {
             producer < self.topology.broker_count(),
             "producer broker {producer} does not exist"
         );
-        let tables = match mode {
-            ForwardingMode::Flooding => Vec::new(),
-            ForwardingMode::Table(table_mode) => self.tables_from_partitions(table_mode, oracle),
-        };
-        let mut stats = NetworkStats {
-            documents: documents.len(),
-            brokers: self.topology.broker_count(),
-            consumers: self.consumers.len(),
-            table_nodes: tables.iter().map(RoutingTable::node_count).sum(),
-            compaction: TableCompaction {
-                input_entries: tables.iter().map(RoutingTable::input_count).sum(),
-                kept_entries: tables.iter().map(RoutingTable::entry_count).sum(),
-            },
-            ..NetworkStats::default()
-        };
-        // The ground-truth interest of each document comes from one walk of
-        // the shared step forest over all subscriptions; the link decisions
-        // below still go through the tables, entry by entry.
+        let mut places = self.places();
         let mut matcher = PatternSet::new();
         for (consumer, attached) in self.consumers.iter().enumerate() {
             matcher.insert(consumer as u64, &attached.subscription);
         }
-        let plan = StreamPlan {
-            mode,
-            tables,
-            local: self
-                .topology
-                .brokers()
-                .map(|broker| self.consumers_at(broker))
-                .collect(),
+        // An uncompacted exact table is the place lists themselves, so none
+        // is built. Every consumer lives behind one link of every other
+        // broker: that is its size, summed over the place lists.
+        let exact = mode == ForwardingMode::Table(TableMode::Exact) && oracle.is_none();
+        let tables = match mode {
+            ForwardingMode::Table(table_mode) if !exact => self.tables(&places, table_mode, oracle),
+            _ => Vec::new(),
         };
-        let mut interested = vec![false; self.consumers.len()];
+        let (table_nodes, input_entries, kept_entries) = if exact {
+            let others = self.topology.broker_count() - 1;
+            let nodes = self.consumers.iter().map(|c| c.subscription.node_count());
+            let entries = others * self.consumers.len();
+            (others * nodes.sum::<usize>(), entries, entries)
+        } else {
+            let sum = |count: fn(&RoutingTable) -> usize| tables.iter().map(count).sum();
+            let nodes = sum(RoutingTable::node_count);
+            (
+                nodes,
+                sum(RoutingTable::input_count),
+                sum(RoutingTable::entry_count),
+            )
+        };
+
+        // One walk of the shared step forest per document gives its
+        // interest set; the hop at each broker it reaches reads the rest off
+        // that set and the broker's place lists. The overlay is a tree and
+        // no hop sends a document back, so no broker sees it twice.
+        let mut counts = HopCounts::default();
+        let mut missed_deliveries = 0;
+        let mut pending: Vec<(BrokerId, Option<BrokerId>)> = Vec::new();
         for document in documents {
-            interested.fill(false);
-            for &consumer in matcher.matches(document) {
-                interested[consumer as usize] = true;
+            let interest = matcher.matches(document);
+            let delivered = counts.deliveries;
+            pending.push((producer, None));
+            while let Some((broker, from)) = pending.pop() {
+                let rule = match mode {
+                    ForwardingMode::Flooding => LinkRule::Flooding,
+                    _ if exact => LinkRule::Exact,
+                    ForwardingMode::Table(_) => LinkRule::Table(&tables[broker], document),
+                };
+                let outcome = places[broker].hop(interest, from, rule, &mut counts);
+                pending.extend(outcome.forwards.iter().map(|&next| (next, Some(broker))));
             }
-            self.route_one(producer, document, &plan, &interested, &mut stats);
+            missed_deliveries += interest.len() - (counts.deliveries - delivered);
         }
-        stats
-    }
-
-    /// Route one document; `interested[c]` is whether consumer `c`'s
-    /// subscription matches it.
-    fn route_one(
-        &self,
-        producer: BrokerId,
-        document: &XmlTree,
-        plan: &StreamPlan,
-        interested: &[bool],
-        stats: &mut NetworkStats,
-    ) {
-        let mut delivered = vec![false; self.consumers.len()];
-        // Depth-first propagation over the tree, remembering the link we
-        // arrived on so we never send a document back where it came from.
-        let mut stack: Vec<(BrokerId, Option<BrokerId>)> = vec![(producer, None)];
-        while let Some((broker, from)) = stack.pop() {
-            // Local delivery: exact per-consumer filtering.
-            for &consumer in &plan.local[broker] {
-                stats.match_operations += 1;
-                if interested[consumer] {
-                    delivered[consumer] = true;
-                    stats.deliveries += 1;
-                }
-            }
-            // Forwarding decision per outgoing link.
-            let neighbours = self.topology.neighbours(broker);
-            let forward_to: Vec<BrokerId> = match plan.mode {
-                ForwardingMode::Flooding => neighbours
-                    .iter()
-                    .copied()
-                    .filter(|&n| Some(n) != from)
-                    .collect(),
-                ForwardingMode::Table(_) => {
-                    let table = &plan.tables[broker];
-                    let mut chosen = Vec::new();
-                    for (link_index, &neighbour) in neighbours.iter().enumerate() {
-                        if Some(neighbour) == from {
-                            continue;
-                        }
-                        let (hit, cost) = table.link(link_index).matches(document);
-                        stats.match_operations += cost;
-                        if hit {
-                            chosen.push(neighbour);
-                        }
-                    }
-                    chosen
-                }
-            };
-            for neighbour in forward_to {
-                stats.link_messages += 1;
-                // A forward is spurious if nothing behind the link matches.
-                let behind = self.subtree_consumers(neighbour, broker);
-                if !behind.iter().any(|&c| interested[c]) {
-                    stats.spurious_link_messages += 1;
-                }
-                stack.push((neighbour, Some(broker)));
-            }
+        NetworkStats {
+            documents: documents.len(),
+            brokers: self.topology.broker_count(),
+            consumers: self.consumers.len(),
+            link_messages: counts.link_messages,
+            spurious_link_messages: counts.spurious_link_messages,
+            match_operations: counts.match_operations,
+            deliveries: counts.deliveries,
+            missed_deliveries,
+            table_nodes,
+            compaction: TableCompaction {
+                input_entries,
+                kept_entries,
+            },
         }
-        stats.missed_deliveries += interested
-            .iter()
-            .zip(&delivered)
-            .filter(|(&i, &d)| i && !d)
-            .count();
-    }
-
-    /// Consumers attached to brokers in the subtree rooted at `root` when the
-    /// link towards `parent` is removed.
-    fn subtree_consumers(&self, root: BrokerId, parent: BrokerId) -> Vec<usize> {
-        let brokers = self.topology.subtree_brokers(root, parent);
-        self.consumers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| brokers.contains(&c.broker))
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -535,10 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn consumers_at_and_attach_validate_brokers() {
-        let network = network();
-        assert_eq!(network.consumers_at(1).len(), 2);
-        assert_eq!(network.consumers_at(4).len(), 0);
+    fn attach_validates_brokers() {
         let result = std::panic::catch_unwind(|| {
             let mut n = BrokerNetwork::new(BrokerTopology::single());
             n.attach(3, "x", TreePattern::parse("//a").unwrap());

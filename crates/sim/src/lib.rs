@@ -12,9 +12,10 @@
 //!   per-link latency and per-broker service queueing over a
 //!   [`tps_routing::BrokerTopology`]; ties are sequence-numbered, so runs
 //!   are bit-identical per seed.
-//! * [`SimNetwork`] — the evolving state: consumer churn, per-broker
-//!   routing tables (built by the static `tps-routing` code, so a
-//!   churn-free run is table-identical to a batch evaluation), a
+//! * [`SimNetwork`] — the evolving state: consumer churn, each broker's
+//!   place lists and routing tables (built by the static `tps-routing`
+//!   code, so a churn-free run is table-identical to a batch evaluation),
+//!   the routing hop [`tps_routing::Places::hop`] over them, a
 //!   [`tps_core::SimilarityEngine`] folding every published document into
 //!   its synopsis, and the semantic communities re-clustered from it.
 //! * [`ReclusterPolicy`] — *when* to pay the rebuild cost: `eager`,

@@ -1,13 +1,14 @@
 //! The mutable network state a simulation run evolves: consumers with
-//! churn, routing tables with a staleness epoch, the similarity engine
-//! observing the published traffic, and the semantic communities rebuilt by
-//! the recluster policy.
+//! churn, each broker's place lists, routing tables with a staleness epoch,
+//! the similarity engine observing the published traffic, and the semantic
+//! communities rebuilt by the recluster policy.
 
 use tps_core::{LshConfig, PatternId, SimilarityEngine};
+use tps_pattern::containment::ContainmentOracle;
 use tps_pattern::{PatternSet, TreePattern};
 use tps_routing::{
-    BrokerId, BrokerNetwork, BrokerTopology, CommunityClustering, CommunityConfig, ForwardingMode,
-    IncrementalCommunities, RoutingTable, TableCompaction,
+    BrokerId, BrokerTopology, CommunityClustering, CommunityConfig, ForwardingMode, HopCounts,
+    IncrementalCommunities, LinkRule, Places, RouteOutcome, RoutingTable, TableCompaction,
 };
 use tps_synopsis::{IngestTarget, SynopsisConfig};
 use tps_workload::SubscriberId;
@@ -55,7 +56,10 @@ pub struct RebuildOutcome {
 /// unsubscribe. Routing tables depend only on the subscription set, so
 /// [`SimNetwork::tables_stale`] consults the churn counter; the semantic
 /// communities depend on both (similarities drift as traffic accumulates),
-/// so [`SimNetwork::communities_stale`] consults both.
+/// so [`SimNetwork::communities_stale`] consults both. Each broker's
+/// [`Places`], by contrast, follow every subscribe and unsubscribe: a
+/// consumer receives documents, and attracts useful forwards, exactly
+/// while it is subscribed.
 #[derive(Debug)]
 pub struct SimNetwork {
     topology: BrokerTopology,
@@ -66,6 +70,8 @@ pub struct SimNetwork {
     /// The active consumers' patterns under their slots: the publish-time
     /// ground truth is one walk of it per document.
     matcher: PatternSet,
+    /// The active consumers' slots filed at each broker, current.
+    places: Vec<Places>,
     engine: SimilarityEngine,
     tables: Vec<RoutingTable>,
     /// When set, communities are maintained incrementally through the LSH
@@ -77,39 +83,20 @@ pub struct SimNetwork {
     churn_seq: u64,
     tables_built_at_churn: u64,
     communities_built_at: (u64, u64),
-    /// `behind[broker][link][b]`: whether broker `b` lives behind the
-    /// `link`-th link of `broker`. The topology is immutable for the whole
-    /// run, so these membership masks are computed once and spare the
-    /// per-forward subtree BFS the spurious accounting would otherwise pay.
-    behind: Vec<Vec<Vec<bool>>>,
 }
 
 impl SimNetwork {
     /// Create a network with no consumers and no tables yet — call
-    /// [`SimNetwork::rebuild`] after installing the initial subscriptions
-    /// (reading [`SimNetwork::tables`] before the first rebuild yields an
-    /// empty slice).
+    /// [`SimNetwork::rebuild`] after installing the initial subscriptions.
     pub fn new(
         topology: BrokerTopology,
         forwarding: ForwardingMode,
         community: CommunityConfig,
         synopsis: SynopsisConfig,
     ) -> Self {
-        let behind = topology
+        let places = topology
             .brokers()
-            .map(|broker| {
-                topology
-                    .link_partitions(broker)
-                    .into_iter()
-                    .map(|subtree| {
-                        let mut mask = vec![false; topology.broker_count()];
-                        for b in subtree {
-                            mask[b] = true;
-                        }
-                        mask
-                    })
-                    .collect()
-            })
+            .map(|broker| Places::new(&topology, broker))
             .collect();
         // Tables and communities start empty: the driver installs the
         // initial consumers and then performs the first (counted) rebuild,
@@ -121,6 +108,7 @@ impl SimNetwork {
             community,
             consumers: Vec::new(),
             matcher: PatternSet::new(),
+            places,
             engine: SimilarityEngine::new(synopsis),
             tables: Vec::new(),
             incremental: None,
@@ -129,18 +117,12 @@ impl SimNetwork {
             churn_seq: 0,
             tables_built_at_churn: 0,
             communities_built_at: (0, 0),
-            behind,
         }
     }
 
     /// The overlay topology.
     pub fn topology(&self) -> &BrokerTopology {
         &self.topology
-    }
-
-    /// The forwarding discipline.
-    pub fn forwarding(&self) -> ForwardingMode {
-        self.forwarding
     }
 
     /// Enable or disable the static-analysis compaction pre-pass applied
@@ -229,11 +211,6 @@ impl SimNetwork {
         self.mean_selectivity
     }
 
-    /// The per-broker routing tables, as of the last rebuild.
-    pub fn tables(&self) -> &[RoutingTable] {
-        &self.tables
-    }
-
     /// Attach a subscriber. Slots must arrive in [`SubscriberId`] order —
     /// the scenario generator guarantees it, and the assertion catches
     /// hand-built scenarios that do not.
@@ -249,6 +226,9 @@ impl SimNetwork {
         );
         let id = self.engine.register(&pattern);
         self.matcher.insert(subscriber as u64, &pattern);
+        for places in &mut self.places {
+            places.insert(subscriber as u64, broker);
+        }
         self.consumers.push(SimConsumer {
             broker,
             pattern,
@@ -276,6 +256,9 @@ impl SimNetwork {
             Some(consumer) if consumer.active => {
                 consumer.active = false;
                 self.matcher.remove(subscriber as u64, &consumer.pattern);
+                for places in &mut self.places {
+                    places.remove(subscriber as u64, consumer.broker);
+                }
                 if let Some(incremental) = self.incremental.as_mut() {
                     let engine = &self.engine;
                     let consumers = &self.consumers;
@@ -295,14 +278,10 @@ impl SimNetwork {
         }
     }
 
-    /// Ground-truth interest in `document`, per consumer slot: whether the
-    /// consumer is active and its subscription matches.
-    pub fn interested(&mut self, document: &XmlTree) -> Vec<bool> {
-        let mut interested = vec![false; self.consumers.len()];
-        for &slot in self.matcher.matches(document) {
-            interested[slot as usize] = true;
-        }
-        interested
+    /// Ground-truth interest in `document`: the slots of the active
+    /// consumers whose subscription matches, ascending.
+    pub fn interest(&mut self, document: &XmlTree) -> Vec<u64> {
+        self.matcher.matches(document).to_vec()
     }
 
     /// Fold a published document into the engine's synopsis (bumps the
@@ -327,21 +306,17 @@ impl SimNetwork {
     /// fanning the similarity matrix over up to `threads` workers. Returns
     /// the cost/outcome counters for the report.
     pub fn rebuild(&mut self, threads: usize) -> RebuildOutcome {
-        // Tables: reuse the static network's construction over the active
-        // consumers, so a churn-free simulation is table-identical to a
-        // static `BrokerNetwork` evaluation by construction.
+        // Tables: the static network's construction over the place lists of
+        // the active consumers, so a churn-free simulation is table-identical
+        // to a static `BrokerNetwork` evaluation by construction.
         self.tables = match self.forwarding {
             ForwardingMode::Flooding => Vec::new(),
             ForwardingMode::Table(mode) => {
-                let mut network = BrokerNetwork::new(self.topology.clone());
-                for consumer in self.consumers.iter().filter(|c| c.active) {
-                    network.attach(consumer.broker, "sim", consumer.pattern.clone());
-                }
-                if self.analyze {
-                    network.build_tables_compacted(mode, &|_, _| None)
-                } else {
-                    network.build_tables(mode)
-                }
+                let silent: &ContainmentOracle<'_> = &|_, _| None;
+                let oracle = self.analyze.then_some(silent);
+                let pattern = |slot: u64| &self.consumers[slot as usize].pattern;
+                let table = |places: &Places| places.table(pattern, mode, oracle);
+                self.places.iter().map(table).collect()
             }
         };
         self.tables_built_at_churn = self.churn_seq;
@@ -384,40 +359,36 @@ impl SimNetwork {
         }
     }
 
-    /// Indices of the *active* consumers attached to `broker`.
-    pub fn active_consumers_at(&self, broker: BrokerId) -> Vec<usize> {
-        self.consumers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.active && c.broker == broker)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Whether any *active* consumer behind the `link_index`-th link of
-    /// `broker` is marked in the frozen `interested` bitmap — the ground
-    /// truth for spurious-forward accounting, mirroring the static
-    /// network's subtree definition (the membership masks are precomputed
-    /// from [`BrokerTopology::subtree_brokers`] via `link_partitions`).
-    /// Consumer slots beyond the bitmap (arrivals after publication) count
-    /// as uninterested.
-    pub fn link_has_interest(
-        &self,
+    /// Route `document` at `broker` with the routing hop of `tps-routing`
+    /// ([`Places::hop`]): local consumers and spurious accounting come from
+    /// the *current* place lists, `interest` is the set frozen at
+    /// publication (an arrival since is not owed the document, a departure
+    /// since is missed), and links are decided by the tables as of the last
+    /// rebuild.
+    ///
+    /// # Panics
+    ///
+    /// Panics in a table mode before the first [`SimNetwork::rebuild`].
+    pub fn hop(
+        &mut self,
         broker: BrokerId,
-        link_index: usize,
-        interested: &[bool],
-    ) -> bool {
-        let mask = &self.behind[broker][link_index];
-        self.consumers.iter().enumerate().any(|(slot, c)| {
-            c.active && mask[c.broker] && interested.get(slot).copied().unwrap_or(false)
-        })
+        interest: &[u64],
+        document: &XmlTree,
+        from: Option<BrokerId>,
+        counts: &mut HopCounts,
+    ) -> RouteOutcome {
+        let rule = match self.forwarding {
+            ForwardingMode::Flooding => LinkRule::Flooding,
+            ForwardingMode::Table(_) => LinkRule::Table(&self.tables[broker], document),
+        };
+        self.places[broker].hop(interest, from, rule, counts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tps_routing::TableMode;
+    use tps_routing::{BrokerNetwork, TableMode};
 
     fn network() -> SimNetwork {
         SimNetwork::new(
@@ -460,14 +431,12 @@ mod tests {
         network.subscribe(0, 1, pattern("//CD"));
         network.subscribe(1, 3, pattern("//book"));
         let document = XmlTree::parse("<media><CD/><book/></media>").unwrap();
-        assert_eq!(network.interested(&document), vec![true, true]);
+        assert_eq!(network.interest(&document), vec![0, 1]);
         assert!(network.unsubscribe(0));
         assert!(!network.unsubscribe(0), "double departure is a no-op");
-        assert_eq!(network.interested(&document), vec![false, true]);
+        assert_eq!(network.interest(&document), vec![1]);
         assert_eq!(network.active_count(), 1);
         assert_eq!(network.consumers().len(), 2);
-        assert_eq!(network.active_consumers_at(1), Vec::<usize>::new());
-        assert_eq!(network.active_consumers_at(3), vec![1]);
     }
 
     #[test]
@@ -476,16 +445,12 @@ mod tests {
         network.subscribe(0, 1, pattern("//CD"));
         network.subscribe(1, 3, pattern("//book"));
         network.unsubscribe(0);
-        network.rebuild(1);
+        let outcome = network.rebuild(1);
         let mut reference = BrokerNetwork::new(BrokerTopology::balanced_tree(5, 2));
         reference.attach(3, "b", pattern("//book"));
         let tables = reference.build_tables(TableMode::Exact);
         assert_eq!(
-            network
-                .tables()
-                .iter()
-                .map(RoutingTable::node_count)
-                .sum::<usize>(),
+            outcome.table_nodes,
             tables.iter().map(RoutingTable::node_count).sum::<usize>()
         );
     }
@@ -509,26 +474,6 @@ mod tests {
         assert!(compacted.table_nodes < base.table_nodes);
         // Communities are untouched by table compaction.
         assert_eq!(compacted.communities, base.communities);
-    }
-
-    #[test]
-    fn link_interest_ignores_departed_and_late_subscribers() {
-        let mut network = network();
-        // Both consumers sit at broker 1, behind broker 0's first link.
-        network.subscribe(0, 1, pattern("//CD"));
-        network.subscribe(1, 1, pattern("//composer"));
-        let interested = vec![false, true];
-        assert!(network.link_has_interest(0, 0, &interested));
-        // Broker 0's second link (towards broker 2) has nobody behind it.
-        assert!(!network.link_has_interest(0, 1, &interested));
-        // A departed subscriber no longer attracts forwards...
-        network.unsubscribe(1);
-        assert!(!network.link_has_interest(0, 0, &interested));
-        // ...and slots beyond the frozen interest bitmap count as
-        // uninterested (arrivals after publication are not owed the
-        // document).
-        network.subscribe(2, 1, pattern("//book"));
-        assert!(!network.link_has_interest(0, 0, &interested));
     }
 
     #[test]
@@ -583,23 +528,13 @@ mod tests {
         let mut plain = network();
         let mut indexed = network();
         indexed.set_index(Some(LshConfig::default()));
-        for net in [&mut plain, &mut indexed] {
+        let [plain, indexed] = [&mut plain, &mut indexed].map(|net| {
             net.subscribe(0, 1, pattern("//CD"));
             net.subscribe(1, 3, pattern("//book"));
             net.unsubscribe(0);
-            net.rebuild(1);
-        }
-        assert_eq!(
-            plain
-                .tables()
-                .iter()
-                .map(RoutingTable::node_count)
-                .sum::<usize>(),
-            indexed
-                .tables()
-                .iter()
-                .map(RoutingTable::node_count)
-                .sum::<usize>()
-        );
+            net.rebuild(1)
+        });
+        assert_eq!(plain.table_nodes, indexed.table_nodes);
+        assert_eq!(plain.compaction, indexed.compaction);
     }
 }

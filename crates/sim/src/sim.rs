@@ -1,7 +1,16 @@
 //! The discrete-event simulation driver.
+//!
+//! [`Simulation`] owns time: the event queue, per-link latency, per-broker
+//! FIFO service, broker failures and the recluster policy that decides how
+//! stale the routing tables get. What a broker does with a document when
+//! it arrives is not decided here but by the routing hop of `tps-routing`
+//! ([`tps_routing::Places::hop`], through [`SimNetwork::hop`]) — the same
+//! function the static evaluation and the live brokers call.
 
 use tps_core::LshConfig;
-use tps_routing::{BrokerId, BrokerTopology, CommunityConfig, ForwardingMode, TableMode};
+use tps_routing::{
+    BrokerId, BrokerTopology, CommunityConfig, ForwardingMode, HopCounts, TableMode,
+};
 use tps_synopsis::SynopsisConfig;
 use tps_workload::{ChurnScenario, ScenarioAction};
 use tps_xml::XmlTree;
@@ -132,15 +141,18 @@ impl Default for SimConfig {
     }
 }
 
-/// One in-flight document: ground-truth interest and delivery state are
-/// frozen at publication time (consumers arriving later are not owed the
-/// document; consumers departing before it reaches them count as missed —
-/// exactly the staleness cost a recluster policy trades against).
+/// One in-flight document: its ground-truth interest is frozen at
+/// publication time (consumers arriving later are not owed the document;
+/// consumers departing before it reaches them count as missed — exactly the
+/// staleness cost a recluster policy trades against).
 #[derive(Debug)]
 struct DocState {
     document: XmlTree,
-    interested: Vec<bool>,
-    delivered: Vec<bool>,
+    /// The slots interested at publication, ascending.
+    interest: Vec<u64>,
+    /// How many of them the document has not reached yet.
+    owed: usize,
+    /// Hops scheduled and not yet processed.
     outstanding: usize,
 }
 
@@ -385,13 +397,13 @@ impl Simulation {
     /// Publish a document: freeze the ground truth, feed the synopsis, and
     /// inject the first hop at the producer.
     fn publish(&mut self, document: &XmlTree) {
-        let interested = self.network.interested(document);
+        let interest = self.network.interest(document);
         self.network.observe(document);
         let handle: DocHandle = self.docs.len();
         self.docs.push(Some(DocState {
             document: document.clone(),
-            interested,
-            delivered: vec![false; self.network.consumers().len()],
+            owed: interest.len(),
+            interest,
             outstanding: 1,
         }));
         self.report.aggregate.documents += 1;
@@ -408,7 +420,8 @@ impl Simulation {
     }
 
     /// A document arrives at a broker: queue behind the broker's service
-    /// time, deliver locally, and forward per the (possibly stale) tables.
+    /// time, then hop — deliver locally and forward per the (possibly
+    /// stale) tables.
     fn process_hop(&mut self, doc: DocHandle, broker: BrokerId, from: Option<BrokerId>) {
         // A failed broker drops the document on the floor: the hop ends
         // here, and whatever interest lives behind this broker becomes
@@ -437,71 +450,26 @@ impl Simulation {
         }
         self.busy_until[broker] = self.clock + self.config.service_time;
 
-        // Local delivery: exact per-consumer filtering over the *current*
-        // active set, against the interest frozen at publication.
-        let local = self.network.active_consumers_at(broker);
         // invariant: hops are only scheduled for in-flight documents
         let state = self.docs[doc].as_mut().expect("hop for finalised document");
-        let mut delivered_here = 0usize;
-        for consumer in local {
-            self.report.aggregate.match_operations += 1;
-            self.window.match_operations += 1;
-            if state.interested.get(consumer).copied().unwrap_or(false)
-                && !state.delivered.get(consumer).copied().unwrap_or(true)
-            {
-                state.delivered[consumer] = true;
-                self.report.aggregate.deliveries += 1;
-                self.window.deliveries += 1;
-                delivered_here += 1;
-            }
-        }
-
-        // Forwarding decision per outgoing link, mirroring the static
-        // network: flooding forwards everywhere (except back), tables are
-        // consulted per link with first-hit cost accounting.
-        let neighbours = self.network.topology().neighbours(broker).to_vec();
-        let mut forwards: Vec<(usize, BrokerId)> = Vec::new();
-        let mut table_cost = 0usize;
-        for (link_index, &neighbour) in neighbours.iter().enumerate() {
-            if Some(neighbour) == from {
-                continue;
-            }
-            match self.network.forwarding() {
-                ForwardingMode::Flooding => forwards.push((link_index, neighbour)),
-                ForwardingMode::Table(_) => {
-                    let (hit, cost) = self.network.tables()[broker]
-                        .link(link_index)
-                        .matches(&state.document);
-                    table_cost += cost;
-                    if hit {
-                        forwards.push((link_index, neighbour));
-                    }
-                }
-            }
-        }
-        self.report.aggregate.match_operations += table_cost;
-        self.window.match_operations += table_cost;
-
-        state.outstanding -= 1;
-        state.outstanding += forwards.len();
+        let mut counts = HopCounts::default();
+        let outcome = self
+            .network
+            .hop(broker, &state.interest, &state.document, from, &mut counts);
+        state.owed -= outcome.deliveries.len();
+        state.outstanding = state.outstanding - 1 + outcome.forwards.len();
         let outstanding = state.outstanding;
-
-        for &(link_index, neighbour) in &forwards {
-            self.report.aggregate.link_messages += 1;
-            self.window.link_messages += 1;
-            // A forward is spurious when no *active* consumer behind the
-            // link wants the document (frozen interest, current
-            // attachment — a stale table forwarding into a subtree whose
-            // subscribers departed is exactly what this measures).
-            // invariant: hops are only scheduled for in-flight documents
-            let state = self.docs[doc].as_ref().expect("document is in flight");
-            if !self
-                .network
-                .link_has_interest(broker, link_index, &state.interested)
-            {
-                self.report.aggregate.spurious_link_messages += 1;
-                self.window.spurious_link_messages += 1;
-            }
+        let a = &mut self.report.aggregate;
+        a.deliveries += counts.deliveries;
+        a.link_messages += counts.link_messages;
+        a.spurious_link_messages += counts.spurious_link_messages;
+        a.match_operations += counts.match_operations;
+        let w = &mut self.window;
+        w.deliveries += counts.deliveries;
+        w.link_messages += counts.link_messages;
+        w.spurious_link_messages += counts.spurious_link_messages;
+        w.match_operations += counts.match_operations;
+        for &neighbour in &outcome.forwards {
             self.queue.push(
                 self.clock + self.config.link_latency,
                 EventKind::Hop {
@@ -511,9 +479,10 @@ impl Simulation {
                 },
             );
         }
-        let forwarded: Vec<BrokerId> = forwards.iter().map(|&(_, n)| n).collect();
         self.trace(format!(
-            "hop doc{doc} at {broker} from {from:?} delivered={delivered_here} forwards={forwarded:?}"
+            "hop doc{doc} at {broker} from {from:?} delivered={} forwards={:?}",
+            outcome.deliveries.len(),
+            outcome.forwards
         ));
         if outstanding == 0 {
             self.finalise(doc);
@@ -524,12 +493,7 @@ impl Simulation {
     fn finalise(&mut self, doc: DocHandle) {
         // invariant: finalise is scheduled exactly once per in-flight document
         let state = self.docs[doc].take().expect("document is in flight");
-        let missed = state
-            .interested
-            .iter()
-            .zip(&state.delivered)
-            .filter(|(&interested, &delivered)| interested && !delivered)
-            .count();
+        let missed = state.owed;
         self.report.aggregate.missed_deliveries += missed;
         self.window.missed_deliveries += missed;
         self.trace(format!("done doc{doc} missed={missed}"));

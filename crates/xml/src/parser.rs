@@ -70,7 +70,7 @@ impl<'a> Parser<'a> {
         if self.peek() != Some(b'<') || self.starts_with("</") {
             return Err(self.err(XmlErrorKind::NoRootElement));
         }
-        let mut tree = self.parse_root_element()?;
+        let tree = self.parse_root_element()?;
         // After the root element, only misc (whitespace, comments, PIs) is allowed.
         loop {
             self.skip_whitespace();
@@ -85,7 +85,6 @@ impl<'a> Parser<'a> {
                 return Err(self.err(XmlErrorKind::TrailingContent));
             }
         }
-        normalize_text_merges(&mut tree);
         Ok(tree)
     }
 
@@ -423,17 +422,6 @@ pub(crate) fn decode_entities(raw: &str, offset: usize) -> Result<String, XmlErr
         }
     }
     Ok(out)
-}
-
-/// Merge adjacent text leaves that ended up as siblings (e.g. text split by a
-/// comment); keeps the tree deterministic regardless of how text was chunked.
-fn normalize_text_merges(tree: &mut XmlTree) {
-    // The streaming construction already trims and concatenates text within a
-    // single flush, so sibling text leaves only occur when interleaved with
-    // markup. Merging them is not semantically required for pattern matching
-    // (each text leaf is a label), so we leave the structure as parsed. This
-    // function exists as a hook and documents the decision.
-    let _ = tree;
 }
 
 #[cfg(test)]
