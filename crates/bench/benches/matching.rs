@@ -45,9 +45,13 @@ fn bench_exact_matching(c: &mut Criterion) {
 /// taught the cache every path of the pool); `match_set_cold/*` inserts and
 /// removes a pattern with a step of its own before each pass, so every pass
 /// starts from an empty cache and pays each path's miss once.
+/// `match_bytes/*` is the steady state again from the documents' bytes, as a
+/// broker is handed them: one scan per document validates it and drives the
+/// same walk (its cache line counts on from `match_set/*`'s, same sets).
 /// `bench_thresholds.txt` holds the steady state to a twentieth of the scan
-/// at 10k, the cold pass to a tenth, and the pass at 100k under 0.30 of that
-/// same scan of 10k (ROADMAP item 3's gate).
+/// at 10k, the cold pass to a tenth, the pass at 100k under 0.30 of that
+/// same scan of 10k (ROADMAP item 3's gate), and the bytes at 10k to 1.4
+/// times the tree replay.
 fn bench_match_set(c: &mut Criterion) {
     let dtd = Dtd::nitf_like();
     let documents = DocumentGenerator::new(&dtd, DocGenConfig::default().with_seed(1_000_001))
@@ -77,13 +81,33 @@ fn bench_match_set(c: &mut Criterion) {
         );
     };
 
+    let mut sets: Vec<PatternSet> = sizes.iter().map(|&(_, size)| set_of(size)).collect();
     let mut group = c.benchmark_group("match_set");
-    for (label, size) in sizes {
-        let mut set = set_of(size);
-        group.bench_function(label, |b| b.iter(|| black_box(pass(&mut set))));
-        report("match_set", label, &set);
+    for ((label, _), set) in sizes.iter().zip(&mut sets) {
+        group.bench_function(*label, |b| b.iter(|| black_box(pass(set))));
+        report("match_set", label, set);
     }
     group.finish();
+
+    let texts: Vec<String> = documents.iter().map(XmlTree::to_xml).collect();
+    let mut group = c.benchmark_group("match_bytes");
+    for ((label, _), set) in sizes.iter().zip(&mut sets).skip(1) {
+        group.bench_function(*label, |b| {
+            b.iter(|| {
+                let keys: usize = texts
+                    .iter()
+                    .map(|text| {
+                        let keys = set.matches_bytes(text.as_bytes());
+                        keys.expect("generated documents scan").len()
+                    })
+                    .sum();
+                black_box(keys)
+            })
+        });
+        report("match_bytes", label, set);
+    }
+    group.finish();
+    drop(sets);
 
     // No generated pattern mentions this label: the step is a forest node
     // of its own, so both the insert and the remove reset the cache.

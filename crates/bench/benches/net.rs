@@ -6,9 +6,11 @@
 //! mix of control and data frames (the decode path is what every broker
 //! connection pays per frame). `net_core` holds a warm [`BrokerCore`] over
 //! 10 000 nitf subscriptions and routes one pool of forwarded documents
-//! through `forward_in` (parse + match + hop) and through `forward_matched`
-//! with the sender's digest and interest sets (scan + hop);
-//! `bench_thresholds.txt` keeps the second under a quarter of the first.
+//! through `forward_in` (one scan driving the match, then the hop) and
+//! through `forward_matched` with the sender's digest and interest sets
+//! (scan + hop); `net_core/parse` builds the tree of every document of the
+//! pool, which neither path does, and `bench_thresholds.txt` keeps the
+//! trusted path under 1.6 times that.
 //! `net_loopback` spawns a real two-broker TCP
 //! overlay and measures the full closed loop: a producer publishes at
 //! broker 0, the document crosses one overlay link, matches at broker 1
@@ -26,6 +28,7 @@ use tps_net::{
 };
 use tps_routing::BrokerTopology;
 use tps_workload::{DocGenConfig, DocumentGenerator, Dtd, XPathGenConfig, XPathGenerator};
+use tps_xml::XmlTree;
 
 /// A representative frame mix: mostly data (publish / forward / deliver),
 /// some control, one stats reply, and one matched forward whose documents
@@ -183,6 +186,17 @@ fn bench_core(c: &mut Criterion) {
     );
 
     let mut group = c.benchmark_group("net_core");
+    let texts: Vec<&str> = documents
+        .iter()
+        .map(|bytes| std::str::from_utf8(bytes).expect("generated documents are UTF-8"))
+        .collect();
+    group.bench_function("parse", |b| {
+        b.iter(|| {
+            for text in &texts {
+                black_box(XmlTree::parse(text).expect("generated documents parse"));
+            }
+        })
+    });
     let mut receiver = core(0);
     group.bench_function("forward_in/10k", |b| {
         b.iter(|| {

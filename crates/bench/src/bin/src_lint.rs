@@ -20,6 +20,12 @@
 //! let victim = self.argmax().expect("non-empty");
 //! ```
 //!
+//! Under `crates/net/src` there is one more rule, with no justification: a
+//! broker matches documents from their bytes, so `XmlTree::parse` may only
+//! appear in the body of `fn summary_tree`, and that function may only be
+//! called within two lines after a `summarised()` test — the summarised
+//! routing tables are the one reader of a document tree there.
+//!
 //! Out of scope, deliberately: `bin/` targets and `main.rs` (CLI skeletons
 //! report errors to humans directly), `tests/`, benches, and everything
 //! under `#[cfg(test)]` (panicking is the point of an assertion), plus the
@@ -40,6 +46,12 @@ const JUSTIFICATION_WINDOW: usize = 8;
 /// The justification marker looked for in comments.
 const MARKER: &str = "invariant:";
 
+/// What to do about an unjustified hit.
+const JUSTIFY: &str = "or explain with a `// invariant: ...` comment";
+
+/// What to do about a document tree built in `crates/net/src`.
+const MATCH_BYTES: &str = "tps-net matches documents from their bytes";
+
 const USAGE: &str = "usage: src-lint [ROOT]";
 
 /// One unjustified occurrence.
@@ -47,10 +59,37 @@ const USAGE: &str = "usage: src-lint [ROOT]";
 struct Finding {
     line: usize,
     what: &'static str,
+    /// How to fix it, after "restructure, ".
+    fix: &'static str,
 }
 
-/// Scan one file's source text for unjustified hits.
-fn scan_source(source: &str) -> Vec<Finding> {
+/// The one function of `crates/net/src` that may build a document tree.
+const TREE_FN: &str = "summary_tree";
+
+/// Lines a `summarised()` test may precede a [`TREE_FN`] call by.
+const TREE_WINDOW: usize = 2;
+
+/// Whether `path` is under `crates/net/src`, where [`TREE_FN`] is the only
+/// way to a document tree.
+fn tree_free(path: &Path) -> bool {
+    let parts: Vec<_> = path.components().map(|c| c.as_os_str()).collect();
+    parts.windows(3).any(|w| w == ["crates", "net", "src"])
+}
+
+/// The name of the function a line declares, if it declares one.
+fn declared_fn(trimmed: &str) -> Option<&str> {
+    let rest = ["fn ", "pub fn ", "pub(crate) fn "]
+        .iter()
+        .find_map(|prefix| trimmed.strip_prefix(prefix))?;
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    Some(&rest[..end])
+}
+
+/// Scan one file's source text for unjustified hits; `tree_free` adds the
+/// `crates/net/src` rule on document trees.
+fn scan_source(source: &str, tree_free: bool) -> Vec<Finding> {
     let lines: Vec<&str> = source.lines().collect();
     let mut findings = Vec::new();
     // `#[cfg(test)]` region tracking: after the attribute, wait for the
@@ -59,6 +98,7 @@ fn scan_source(source: &str) -> Vec<Finding> {
     let mut in_test = false;
     let mut awaiting_brace = false;
     let mut depth = 0isize;
+    let mut function = "";
     for (index, &line) in lines.iter().enumerate() {
         if !in_test && line.contains("#[cfg(test)]") {
             in_test = true;
@@ -91,12 +131,35 @@ fn scan_source(source: &str) -> Vec<Finding> {
         if trimmed.starts_with("//") {
             continue;
         }
+        if tree_free {
+            if let Some(name) = declared_fn(trimmed) {
+                function = name;
+            }
+            if line.contains("XmlTree::parse") && function != TREE_FN {
+                findings.push(Finding {
+                    line: index + 1,
+                    what: "XmlTree::parse outside fn summary_tree",
+                    fix: MATCH_BYTES,
+                });
+            }
+            let call = line.contains(&format!("{TREE_FN}(")) && declared_fn(trimmed).is_none();
+            let guarded = lines[index.saturating_sub(TREE_WINDOW)..=index]
+                .iter()
+                .any(|l| l.contains("summarised()"));
+            if call && !guarded {
+                findings.push(Finding {
+                    line: index + 1,
+                    what: "summary_tree() outside a summarised() branch",
+                    fix: MATCH_BYTES,
+                });
+            }
+        }
         let hit = if line.contains(".unwrap()") {
-            Some(".unwrap()")
+            Some("unjustified .unwrap()")
         } else if line.contains(".expect(\"") {
-            Some(".expect(\"...\")")
+            Some("unjustified .expect(\"...\")")
         } else if line.contains("#[allow(clippy::") {
-            Some("#[allow(clippy::...)]")
+            Some("unjustified #[allow(clippy::...)]")
         } else {
             None
         };
@@ -109,6 +172,7 @@ fn scan_source(source: &str) -> Vec<Finding> {
             findings.push(Finding {
                 line: index + 1,
                 what,
+                fix: JUSTIFY,
             });
         }
     }
@@ -179,13 +243,13 @@ fn run(root: &Path) -> Result<usize, String> {
     for path in &files {
         let source =
             std::fs::read_to_string(path).map_err(|err| format!("{}: {err}", path.display()))?;
-        for finding in scan_source(&source) {
+        for finding in scan_source(&source, tree_free(path)) {
             println!(
-                "{}:{}: unjustified {} in library code — restructure, or explain with a \
-                 `// {MARKER} ...` comment",
+                "{}:{}: {} in library code — restructure, {}",
                 path.display(),
                 finding.line,
-                finding.what
+                finding.what,
+                finding.fix,
             );
             total += 1;
         }
@@ -226,7 +290,7 @@ mod tests {
     fn flags_unwrap_and_expect_and_bare_allow() {
         let source = "fn f() {\n    x.unwrap();\n    y.expect(\"msg\");\n}\n\
                       #[allow(clippy::needless_range_loop)]\nfn g() {}\n";
-        let findings = scan_source(source);
+        let findings = scan_source(source, false);
         assert_eq!(findings.len(), 3);
         assert_eq!(findings[0].line, 2);
         assert_eq!(findings[1].line, 3);
@@ -236,7 +300,7 @@ mod tests {
     #[test]
     fn justified_hits_pass() {
         let source = "fn f() {\n    // invariant: x is always Some here\n    x.unwrap();\n}\n";
-        assert!(scan_source(source).is_empty());
+        assert!(scan_source(source, false).is_empty());
     }
 
     #[test]
@@ -246,21 +310,21 @@ mod tests {
             source.push_str("    let _ = 0;\n");
         }
         source.push_str("    x.unwrap();\n}\n");
-        assert!(scan_source(&source).is_empty());
+        assert!(scan_source(&source, false).is_empty());
         // One line further away and the justification no longer counts.
         let mut far = String::from("fn f() {\n    // invariant: resolver never fails\n");
         for _ in 0..JUSTIFICATION_WINDOW {
             far.push_str("    let _ = 0;\n");
         }
         far.push_str("    x.unwrap();\n}\n");
-        assert_eq!(scan_source(&far).len(), 1);
+        assert_eq!(scan_source(&far, false).len(), 1);
     }
 
     #[test]
     fn cfg_test_regions_are_exempt() {
         let source = "fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
                       x.unwrap();\n    }\n}\nfn g() {\n    y.unwrap();\n}\n";
-        let findings = scan_source(source);
+        let findings = scan_source(source, false);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].line, 10);
     }
@@ -268,14 +332,14 @@ mod tests {
     #[test]
     fn braceless_cfg_test_item_ends_the_region() {
         let source = "#[cfg(test)]\nuse something::Test;\nfn f() {\n    x.unwrap();\n}\n";
-        assert_eq!(scan_source(source).len(), 1);
+        assert_eq!(scan_source(source, false).len(), 1);
     }
 
     #[test]
     fn comment_lines_and_plain_expect_calls_are_ignored() {
         let source = "fn f() {\n    // mentions .unwrap() in prose\n    \
                       self.expect(Token::Dot)?;\n}\n";
-        assert!(scan_source(source).is_empty());
+        assert!(scan_source(source, false).is_empty());
     }
 
     #[test]
@@ -284,6 +348,20 @@ mod tests {
         assert!(!in_scope(Path::new("crates/cli/src/main.rs")));
         assert!(!in_scope(Path::new("crates/cli/src/bin/probe.rs")));
         assert!(!in_scope(Path::new("crates/core/src/README.md")));
+    }
+
+    #[test]
+    fn net_sources_build_trees_only_in_the_summarised_branch() {
+        let source = "fn summary_tree(bytes: &[u8]) -> Tree {\n    XmlTree::parse(text)\n}\n\
+                      fn route(&mut self) {\n    if self.summarised() {\n        \
+                      let tree = summary_tree(bytes)?;\n    }\n    let tree = summary_tree(bytes)?;\n    \
+                      let other = XmlTree::parse(text);\n}\n\
+                      #[cfg(test)]\nmod tests {\n    fn t() { XmlTree::parse(text); }\n}\n";
+        let lines: Vec<usize> = scan_source(source, true).iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![8, 9]);
+        assert!(scan_source(source, false).is_empty());
+        assert!(tree_free(Path::new("./crates/net/src/broker.rs")));
+        assert!(!tree_free(Path::new("./crates/routing/src/network.rs")));
     }
 
     /// The workspace itself stays clean — the same guarantee CI enforces,

@@ -117,21 +117,29 @@ fn committed_thresholds_file_parses_and_carries_the_build_par_rules() {
             "the forest must stay well under the per-subscription scan: {vs_scan:?}"
         );
     }
+    let match_bytes: Vec<_> = thresholds
+        .ratios
+        .iter()
+        .filter(|rule| rule.numerator.starts_with("match_bytes"))
+        .collect();
+    assert_eq!(match_bytes.len(), 1, "bytes-vs-tree at 10k");
+    assert_eq!(match_bytes[0].numerator, "match_bytes/10k");
+    assert_eq!(match_bytes[0].denominator, "match_set/10k");
+    assert!(
+        match_bytes[0].max <= 1.4,
+        "matching from the bytes must cost about what the tree replay does: {match_bytes:?}"
+    );
     let net_core: Vec<_> = thresholds
         .ratios
         .iter()
         .filter(|rule| rule.numerator.starts_with("net_core/"))
         .collect();
-    assert_eq!(
-        net_core.len(),
-        1,
-        "the carried-interest-vs-local-match rule"
-    );
+    assert_eq!(net_core.len(), 1, "the carried-interest-vs-parse rule");
     assert_eq!(net_core[0].numerator, "net_core/forward_matched/10k");
-    assert_eq!(net_core[0].denominator, "net_core/forward_in/10k");
+    assert_eq!(net_core[0].denominator, "net_core/parse");
     assert!(
-        net_core[0].max <= 0.25,
-        "a trusted forward must skip the parse and the match: {net_core:?}"
+        net_core[0].max <= 2.0,
+        "a trusted forward must skip the match: {net_core:?}"
     );
     assert_eq!(
         thresholds.ratios.len(),
@@ -140,6 +148,7 @@ fn committed_thresholds_file_parses_and_carries_the_build_par_rules() {
             + index.len()
             + ingest.len()
             + match_set.len()
+            + match_bytes.len()
             + net_core.len(),
         "no unaccounted-for ratio rules"
     );

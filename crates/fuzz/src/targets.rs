@@ -1149,6 +1149,10 @@ const MATCHSET_SHAPES: &[&str] = &[
 ///
 /// * `matches` returns exactly the keys of the live patterns for which
 ///   `TreePattern::matches` holds, strictly ascending;
+/// * `matches_bytes` on the document's serialized bytes returns the keys
+///   `matches` and per-pattern matching give for the tree those bytes hold,
+///   and a prefix of them that ends before the last `>` is refused first,
+///   without disturbing that match or the cache bound;
 /// * the path cache holds no more than its bound;
 /// * `len` counts the live patterns, and removing a key that is not live is
 ///   refused and changes nothing;
@@ -1253,23 +1257,29 @@ fn execute_matchset(bytes: &[u8]) -> Result<(), String> {
                 fresh.node_count()
             ));
         }
-        for document in &documents {
-            let mut expected: Vec<u64> = live
+        let describe = |live: &[(u64, usize)]| -> Vec<String> {
+            live.iter()
+                .map(|&(key, index)| format!("{key}={}", pool[index]))
+                .collect()
+        };
+        let reference = |document: &XmlTree| -> Vec<u64> {
+            let mut keys: Vec<u64> = live
                 .iter()
                 .filter(|&&(_, index)| pool[index].matches(document))
                 .map(|&(key, _)| key)
                 .collect();
-            expected.sort_unstable();
+            keys.sort_unstable();
+            keys
+        };
+        for (index, document) in documents.iter().enumerate() {
+            let expected = reference(document);
             let got = set.matches(document);
             if got != expected {
-                let patterns: Vec<String> = live
-                    .iter()
-                    .map(|&(key, index)| format!("{key}={}", pool[index]))
-                    .collect();
                 return Err(format!(
                     "step {step}: set says {got:?}, per-pattern matching says {expected:?} on \
-                     {} with {patterns:?} (scenario {scenario:#x})",
-                    document.to_xml()
+                     {} with {:?} (scenario {scenario:#x})",
+                    document.to_xml(),
+                    describe(live)
                 ));
             }
             let cache = set.cache_stats();
@@ -1284,6 +1294,43 @@ fn execute_matchset(bytes: &[u8]) -> Result<(), String> {
                 return Err(format!(
                     "step {step}: a freshly built set disagrees with per-pattern matching \
                      (scenario {scenario:#x})"
+                ));
+            }
+
+            // The bytes leg. Written out, adjacent text leaves run together
+            // into one, so the reference is the document the bytes hold.
+            let text = document.to_xml();
+            let Ok(reread) = XmlTree::parse(&text) else {
+                return Err(format!("step {step}: {text} does not read back"));
+            };
+            let expected = reference(&reread);
+            let from_tree = set.matches(&reread).to_vec();
+            // A prefix that stops before the root's last `>` is refused, and
+            // the walk it broke off leaves nothing behind.
+            let end = text.rfind('>').unwrap_or(0);
+            let cut = (scenario ^ (step * documents.len() + index) as u64)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15) as usize
+                % (end + 1);
+            if set.matches_bytes(&text.as_bytes()[..cut]).is_ok() {
+                return Err(format!(
+                    "step {step}: the first {cut} bytes of {text} were accepted \
+                     (scenario {scenario:#x})"
+                ));
+            }
+            let cache = set.cache_stats();
+            if cache.nodes + cache.references > cache.bound {
+                return Err(format!(
+                    "step {step}: a refused prefix left the path cache over its bound \
+                     (scenario {scenario:#x})"
+                ));
+            }
+            let from_bytes = set.matches_bytes(text.as_bytes()).map(<[u64]>::to_vec);
+            if from_bytes.as_ref() != Ok(&expected) || from_tree != expected {
+                return Err(format!(
+                    "step {step}: after a refused prefix of {cut} bytes the set says \
+                     {from_bytes:?} from the bytes of {text} and {from_tree:?} from its tree, \
+                     per-pattern matching says {expected:?} with {:?} (scenario {scenario:#x})",
+                    describe(live)
                 ));
             }
         }

@@ -18,9 +18,11 @@
 //! interest set comes from and which [`LinkRule`] decides a link.
 //!
 //! A document is matched against the whole view **once** per broker, by the
-//! shared step forest [`PatternSet`]; local delivery, exact-table link
-//! decisions, first-hit cost and spurious accounting are all read off that
-//! one interest set (docs/NET.md, "One pass per document").
+//! shared step forest [`PatternSet`], straight from its bytes in the one
+//! scan that also validates it (no tree is built unless a summarised table
+//! reads one); local delivery, exact-table link decisions, first-hit cost
+//! and spurious accounting are all read off that one interest set
+//! (docs/NET.md, "One pass per document").
 //!
 //! And, while views agree, once per *overlay*: the core keeps a 128-bit
 //! digest of its view ([`BrokerCore::view_digest`]) and hands out the
@@ -289,24 +291,26 @@ impl BrokerCore {
         }
     }
 
-    /// Publish raw document bytes at this broker: parsed once, then routed.
-    /// Bytes that are not a well-formed UTF-8 document are a
-    /// [`ErrorCode::BadDocument`] and leave the broker unchanged but for
-    /// its `errors` count.
+    /// Publish raw document bytes at this broker: one scan validates them
+    /// and drives the matcher's walk ([`PatternSet::matches_bytes`]), then
+    /// the document is routed on the interest set; no tree is built unless
+    /// a summarised table needs one for its link lookups. Bytes that are
+    /// not a well-formed UTF-8 document are a [`ErrorCode::BadDocument`]
+    /// and leave the broker unchanged but for its `errors` count.
     pub fn publish(&mut self, bytes: &[u8]) -> Result<RouteOutcome, (ErrorCode, String)> {
-        let document = parse(bytes).map_err(|detail| {
+        let outcome = self.route(bytes, None).map_err(|detail| {
             self.stats.errors += 1;
             (ErrorCode::BadDocument, detail)
         })?;
         self.stats.documents += 1;
-        Ok(self.route(&document, None))
+        Ok(outcome)
     }
 
     /// A document arrived in a forward batch from neighbour `from`, without
     /// an interest set. The publishing broker already validated it, so it
-    /// is only parsed for routing here; bytes that fail anyway (a byzantine
-    /// peer) are dropped with an error count rather than poisoning the
-    /// broker.
+    /// is matched from the bytes like a publication; bytes that fail anyway
+    /// (a byzantine peer) are dropped with an error count rather than
+    /// poisoning the broker.
     pub fn forward_in(&mut self, from: BrokerId, bytes: &[u8]) -> Option<RouteOutcome> {
         self.forward_matched(from, 0, bytes, None)
     }
@@ -322,7 +326,8 @@ impl BrokerCore {
     /// match. A summarised table still needs the tree for its link lookups
     /// and builds it, but skips the match all the same. With any other
     /// digest (counted in `forwards_rematched`), or without a set, this *is*
-    /// `forward_in`: the document is delivered by this broker's own view.
+    /// `forward_in`: the document is matched from the bytes, in the one scan
+    /// that also checks it, and delivered by this broker's own view.
     pub fn forward_matched(
         &mut self,
         from: BrokerId,
@@ -336,13 +341,13 @@ impl BrokerCore {
             self.stats.forwards_rematched += 1;
         }
         let Some(carried) = carried else {
-            let Ok(document) = parse(bytes) else {
-                return self.malformed();
+            return match self.route(bytes, Some(from)) {
+                Ok(outcome) => Some(outcome),
+                Err(_) => self.malformed(),
             };
-            return Some(self.route(&document, Some(from)));
         };
         let document = if self.summarised() {
-            let Ok(document) = parse(bytes) else {
+            let Ok(document) = summary_tree(bytes) else {
                 return self.malformed();
             };
             Some(document)
@@ -376,12 +381,26 @@ impl BrokerCore {
     }
 
     /// Route one document at this broker: match it once, then hop on the
-    /// interest set.
-    fn route(&mut self, document: &XmlTree, from: Option<BrokerId>) -> RouteOutcome {
-        let interested = self.matcher.matches(document);
+    /// interest set. One scan of the bytes validates and matches them; only
+    /// a summarised table, whose link lookups read the tree, parses them
+    /// instead and matches the tree. `Err` says why the bytes are not a
+    /// well-formed UTF-8 document, and nothing was counted.
+    fn route(&mut self, bytes: &[u8], from: Option<BrokerId>) -> Result<RouteOutcome, String> {
+        let document = if self.summarised() {
+            Some(summary_tree(bytes)?)
+        } else {
+            None
+        };
+        let interested = match &document {
+            Some(document) => self.matcher.matches(document),
+            None => self
+                .matcher
+                .matches_bytes(bytes)
+                .map_err(|e| e.to_string())?,
+        };
         self.interest.clear();
         self.interest.extend_from_slice(interested);
-        self.hop(Some(document), from)
+        Ok(self.hop(document.as_ref(), from))
     }
 
     /// [`Places::hop`] on `self.interest`, with the link rule of this
@@ -401,7 +420,7 @@ impl BrokerCore {
                     self.table
                         .as_ref()
                         .expect("summarised forwarding has a table"),
-                    // invariant: every caller parses the document when the
+                    // invariant: every caller builds the tree when the
                     // table is summarised.
                     document.expect("summarised forwarding has the tree"),
                 )
@@ -451,9 +470,11 @@ impl BrokerCore {
     }
 }
 
-/// The tree of document bytes, or why they are not a well-formed UTF-8
-/// document.
-fn parse(bytes: &[u8]) -> Result<XmlTree, String> {
+/// The tree of document bytes for a summarised table's link lookups, or
+/// why they are not a well-formed UTF-8 document. Nothing else in this
+/// crate builds a tree: `src_lint` fails the build on an `XmlTree::parse`
+/// outside this function, or a call of it outside a `summarised()` branch.
+fn summary_tree(bytes: &[u8]) -> Result<XmlTree, String> {
     let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
     XmlTree::parse(text).map_err(|e| e.to_string())
 }

@@ -15,13 +15,42 @@
 //! active for the whole document subtree below; `*` is an edge any label
 //! follows.
 //!
+//! The walk is a [`SkeletonSink`]: it takes the `open` / `text` / `close`
+//! events of the byte scanner ([`PatternSet::matches_bytes`]), and
+//! [`PatternSet::matches`] replays a parsed tree as the same events. A
+//! subtree under a path that reaches nothing with steps left is skipped with
+//! a depth counter.
+//!
 //! * A pattern **without branches** matches iff the forest node of its leaf
 //!   is reached.
-//! * A **branching** pattern can only match if *all* of its leaf paths are
-//!   reached (each branch is existential on its own, so this is necessary but
-//!   not sufficient: `/a[b/c][b/d]` needs one `a`, not two). Such candidates
-//!   are confirmed with [`TreePattern::matches`], which stays the reference
-//!   implementation.
+//! * A **branching** pattern is decided exactly from the walk's record. Each
+//!   one is compiled at `insert` to its pattern nodes — forest node, parent,
+//!   how many conditions each needs — from its topmost branch node down (the
+//!   single path above it is the branch node's own forest node). A tag or `*`
+//!   node that has no tag or `*` child carries an *anchor* at its forest
+//!   node: "this node is reached here". The pattern is a candidate once
+//!   every anchor was reached somewhere in the document (each branch is
+//!   existential on its own, so that is necessary, not sufficient:
+//!   `/a[b/c][b/d]` needs one `a`, not two).
+//! * The walk records every document node it visits, in document order, as
+//!   its parent and the anchors its path reaches; skipped subtrees hold no
+//!   pattern node. After the walk, one reverse (post-order) pass over that
+//!   record decides the candidates bottom-up, reading only their anchors. A
+//!   tag or `*` node holds at document node `z` iff its anchor was reached
+//!   at `z` (when it has one) and each child holds: a tag or `*` child at
+//!   some child of `z`, a `//` child at `z` itself. A `//` node holds at `y`
+//!   iff all its children hold at `y`, or it holds at some child of `y`.
+//!   The pattern matches iff its topmost branch node (or, for a `//` one,
+//!   that node's parent) holds anywhere. Reaching a forest node means the
+//!   label matched *and* the parent image is this instance, so no label is
+//!   compared: `//a[b][c]` does not match `<a><a><b/></a><c/></a>`, whose
+//!   `b` hangs off the other `a`.
+//! * A tag or `*` node that holds tells its parent node at the parent
+//!   document node. A `//` node only remembers the first document node it
+//!   holds at: a subtree is a run of the record, so "holds at some
+//!   descendant of `x`" is one comparison with the end of `x`'s run. A node
+//!   with `//` children is settled after everything else at its document
+//!   node, deepest node first.
 //!
 //! # The path cache
 //!
@@ -39,21 +68,24 @@
 //!   one shared symbol that follows only `*` edges — so text content, which
 //!   rarely repeats, does not fan the trie out.
 //! * The trie stays valid while the forest keeps its shape and no forest
-//!   node gets its first pattern to credit: keys are read from the forest at
-//!   crediting time, so a duplicate subscription, or a departure that frees
-//!   no forest node, keeps it. Any other change forgets the whole trie; its
-//!   arenas are cleared, not freed, and refilled.
+//!   node gets its first pattern to credit or its first anchor: keys are
+//!   read from the forest at crediting time, so a duplicate subscription, or
+//!   a departure that frees no forest node, keeps it. Any other change
+//!   forgets the whole trie; its arenas are cleared, not freed, and refilled.
 //! * The trie is bounded by a fixed multiple of the forest's size. Paths
-//!   beyond the bound are computed, used and dropped again, and the next
+//!   beyond the bound are computed, used and dropped again when the walk
+//!   leaves them (the record keeps a copy of their anchors), and the next
 //!   document starts from an empty trie.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use tps_xml::{NodeId, XmlTree};
+use tps_xml::{scan_document, ScanLimits, SkeletonSink, XmlError, XmlTree};
 
 use crate::pattern::{PatternLabel, PatternNodeId, TreePattern};
 
-/// "No such forest node."
+/// "No such forest node", and "no parent" in the walk's record and a
+/// compiled pattern.
 const NONE: u32 = u32::MAX;
 
 /// The symbol of every label that is on no forest edge.
@@ -153,8 +185,9 @@ struct Node {
     is_descendant: bool,
     /// Keys of the branch-free patterns whose leaf is this node.
     linear: Vec<u64>,
-    /// Slots of the branching patterns with a leaf path ending here.
-    branching: Vec<u32>,
+    /// Slots of the branching patterns with an anchor at this node, once
+    /// per anchor.
+    anchors: Vec<u32>,
     /// Clock reading of the step computation that last reached the node.
     mark: u64,
     /// Clock reading of the document that last credited the node's patterns.
@@ -170,7 +203,7 @@ impl Node {
             unmatchable: NONE,
             is_descendant,
             linear: Vec::new(),
-            branching: Vec::new(),
+            anchors: Vec::new(),
             mark: 0,
             credited: 0,
         }
@@ -188,7 +221,7 @@ impl Node {
 
     /// Whether reaching this node credits a pattern.
     fn accepts(&self) -> bool {
-        !self.linear.is_empty() || !self.branching.is_empty()
+        !self.linear.is_empty() || !self.anchors.is_empty()
     }
 
     fn is_unused(&self) -> bool {
@@ -196,14 +229,34 @@ impl Node {
     }
 }
 
-/// A branching pattern: a candidate once all its leaf paths are reached.
+/// One pattern node of a compiled branching pattern.
+#[derive(Debug, Clone, Copy)]
+struct Twig {
+    forest: u32,
+    /// Index of the parent twig; [`NONE`] for the one that decides.
+    parent: u32,
+    descendant: bool,
+    /// Whether the node holds an anchor at its forest node.
+    anchored: bool,
+    /// Conditions to meet at one document node: one per tag or `*` child,
+    /// one for the anchor.
+    needs: u32,
+    /// The first of its `//` children, which are threaded through
+    /// `across`; [`NONE`] if it has none.
+    down: u32,
+    across: u32,
+}
+
+/// A branching pattern: a candidate once all its anchors are reached, then
+/// decided by the record pass.
 #[derive(Debug, Clone)]
 struct Branching {
     key: u64,
-    pattern: TreePattern,
-    /// Number of its leaf paths. Two of them may end at one forest node
+    /// Its pattern nodes from the one that decides down, parents first.
+    twigs: Box<[Twig]>,
+    /// Number of anchored twigs. Two of them may sit at one forest node
     /// (`/a[b][b]`), which then holds the pattern's slot twice.
-    leaves: u32,
+    anchors: u32,
     /// How many of them the document stamped `document` has reached.
     reached: u32,
     document: u64,
@@ -214,12 +267,22 @@ struct Branching {
 #[derive(Debug, Clone, Copy)]
 struct PathNode {
     /// `refs[begin..][..steps]` are the forest nodes with steps to take,
-    /// the next `credits` entries the forest nodes that credit patterns.
+    /// the next `credits` entries the forest nodes that credit patterns,
+    /// those holding anchors first (`anchored` of them).
     begin: usize,
     steps: u32,
     credits: u32,
+    anchored: u32,
     /// Clock reading of the document that last credited from this path.
     seen: u64,
+}
+
+impl PathNode {
+    /// Where in `refs` the forest nodes holding anchors are.
+    fn anchored(&self) -> std::ops::Range<usize> {
+        let begin = self.begin + self.steps as usize;
+        begin..begin + self.anchored as usize
+    }
 }
 
 /// Health of the path cache of a [`PatternSet`], from
@@ -248,7 +311,7 @@ pub struct PathCacheStats {
 struct PathCache {
     /// Trie nodes; 0 is the virtual node above the document root. Those from
     /// `kept` on were computed past the bound and belong to the document
-    /// nodes on the walk's stack only.
+    /// nodes the walk is inside of only.
     paths: Vec<PathNode>,
     refs: Vec<u32>,
     kept: usize,
@@ -295,7 +358,7 @@ impl PathCache {
     }
 
     /// The walk leaves the document node that reached `path`: a path computed
-    /// past the bound goes with it.
+    /// past the bound goes with it, and so does everything after it.
     fn leave(&mut self, path: u32) {
         if path as usize >= self.kept {
             self.refs.truncate(self.paths[path as usize].begin);
@@ -304,12 +367,92 @@ impl PathCache {
     }
 }
 
-/// A document node on the walk's stack and the trie node of its path.
+/// A document node the walk visited.
 #[derive(Debug, Clone, Copy)]
-struct Frame {
-    node: NodeId,
-    next_child: usize,
+struct Visit {
+    /// The visit of its parent; [`NONE`] for the virtual node (visit 0).
+    parent: u32,
+    /// Its trie node, valid while the walk is inside it.
     path: u32,
+    /// Where its copy of the path's forest nodes holding anchors begins in
+    /// `Scratch::seeds`; the next visit's copy ends it.
+    seeds: u32,
+    /// Head of its list in `Scratch::facts`.
+    facts: u32,
+    /// One past its last descendant's visit: the visits of its subtree are
+    /// `self..end`.
+    end: u32,
+}
+
+/// An entry of a list threaded through a vector: the [`Pending`] twig at
+/// `twig` in `Scratch::pending`, and the index of the list's next entry.
+#[derive(Debug, Clone, Copy)]
+struct Fact {
+    twig: u32,
+    next: u32,
+}
+
+/// A candidate's twig while the record pass decides it; `parent`, `down`
+/// and `across` index the candidate's entries. Its stamps are visit
+/// indices: the entries are made afresh for every document.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    parent: u32,
+    /// The pattern's slot.
+    slot: u32,
+    descendant: bool,
+    /// [`Twig::needs`]; [`NONE`] once the pattern is reported.
+    needs: u32,
+    down: u32,
+    across: u32,
+    /// Conditions met at visit `counted`.
+    count: u32,
+    counted: u32,
+    /// The visit the twig was last known to hold below.
+    seen: u32,
+    /// The visit it last told so: most repeats are of one visit in a row.
+    told: u32,
+    /// For a `//`: the least visit decided so far where it holds. The pass
+    /// runs backwards, so it holds in the subtree of visit `x` iff this is
+    /// below that subtree's `end`.
+    below: u32,
+}
+
+/// What one document's match works in, kept so a steady stream allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Ticks once per document and once per step computed; `Node::mark`,
+    /// `Node::credited`, `PathNode::seen` and `Branching::document` hold
+    /// readings of it.
+    clock: u64,
+    /// The clock reading that stamps the current document.
+    document: u64,
+    crediting: Vec<u32>,
+    /// Slots of the branching patterns whose anchors have all been reached.
+    candidates: Vec<u32>,
+    /// The candidates' twigs, each candidate's from the one that decides on.
+    pending: Vec<Pending>,
+    /// Per forest node: the head of its list of the candidates' anchors in
+    /// `anchored`, [`NONE`] outside the record pass, so the pass reads no
+    /// other pattern's anchor.
+    live: Vec<u32>,
+    anchored: Vec<Fact>,
+    /// Twigs with `//` children whose other conditions are met at the visit
+    /// being settled.
+    ready: Vec<u32>,
+    visits: Vec<Visit>,
+    seeds: Vec<u32>,
+    /// "Twig holds below the visit whose list this is in", one list per
+    /// visit.
+    facts: Vec<Fact>,
+    /// The innermost visit the walk is inside of.
+    current: u32,
+    /// Elements open below `current` in a subtree the walk skips.
+    skipped: usize,
+    hits: Vec<u64>,
+    /// The open nodes of a tree [`PatternSet::matches`] replays.
+    replay: Vec<(tps_xml::NodeId, usize)>,
 }
 
 /// A set of tree patterns under caller-chosen keys, matched against a
@@ -322,8 +465,9 @@ struct Frame {
 /// [module documentation](self)): on a stream of similar documents most
 /// document nodes cost one lookup. `insert` and `remove` stay linear in the
 /// pattern; one that adds or frees a forest node, or gives a forest node its
-/// first key, makes the set forget the paths, and the next documents teach
-/// them again. [`PatternSet::cache_stats`] reports how that is going.
+/// first key or anchor, makes the set forget the paths, and the next
+/// documents teach them again. [`PatternSet::cache_stats`] reports how that
+/// is going.
 ///
 /// # Example
 ///
@@ -336,11 +480,9 @@ struct Frame {
 /// for (key, text) in patterns.iter().enumerate() {
 ///     set.insert(key as u64, &TreePattern::parse(text).unwrap());
 /// }
-/// let doc = XmlTree::parse(
-///     "<media><CD><title>Requiem</title><composer><last>Mozart</last></composer></CD></media>",
-/// )
-/// .unwrap();
-/// assert_eq!(set.matches(&doc), &[0, 2]);
+/// let text = "<media><CD><title>Requiem</title><composer><last>Mozart</last></composer></CD></media>";
+/// assert_eq!(set.matches_bytes(text.as_bytes()).unwrap(), &[0, 2]);
+/// assert_eq!(set.matches(&XmlTree::parse(text).unwrap()), &[0, 2]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PatternSet {
@@ -351,16 +493,8 @@ pub struct PatternSet {
     branching: Vec<Branching>,
     free_branching: Vec<u32>,
     len: usize,
-    /// Ticks once per document and once per step computed; `Node::mark`,
-    /// `Node::credited`, `PathNode::seen` and `Branching::document` hold
-    /// readings of it.
-    clock: u64,
     cache: PathCache,
-    // Scratch of `matches`, kept so a steady stream allocates nothing.
-    crediting: Vec<u32>,
-    stack: Vec<Frame>,
-    candidates: Vec<u32>,
-    hits: Vec<u64>,
+    scratch: Scratch,
 }
 
 impl Default for PatternSet {
@@ -379,12 +513,8 @@ impl PatternSet {
             branching: Vec::new(),
             free_branching: Vec::new(),
             len: 0,
-            clock: 0,
             cache: PathCache::new(),
-            crediting: Vec::new(),
-            stack: Vec::new(),
-            candidates: Vec::new(),
-            hits: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -426,40 +556,45 @@ impl PatternSet {
 
     /// Add `pattern` under `key`, in time linear in the pattern's size.
     pub fn insert(&mut self, key: u64, pattern: &TreePattern) {
-        let mut leaves = Vec::new();
-        self.insert_paths(0, pattern, pattern.root(), &mut leaves);
-        // The cached paths list the forest nodes that credit; one more such
-        // node is not in them. This covers every new forest node too: a new
-        // step path ends in a new leaf, which credited nothing so far.
-        if leaves
-            .iter()
-            .any(|&leaf| !self.nodes[leaf as usize].accepts())
-        {
-            self.cache.invalidate();
-        }
+        let mut forest = vec![0; pattern.node_count()];
+        // The cached paths list the forest nodes with steps and those that
+        // credit, anchors first; a new forest node, a node's first key and
+        // a node's first anchor are in none of those lists.
+        let mut changed = self.insert_paths(0, pattern, pattern.root(), &mut forest);
+        let end = forest[chain_end(pattern).index()];
         if pattern.branching_count() == 0 {
-            self.nodes[leaves[0] as usize].linear.push(key);
+            let node = &mut self.nodes[end as usize];
+            changed |= !node.accepts();
+            node.linear.push(key);
         } else {
-            let entry = Branching {
+            let twigs = compile(pattern, &forest);
+            let slot = self.free_branching.pop().unwrap_or_else(|| {
+                self.branching.push(Branching {
+                    key,
+                    twigs: Box::default(),
+                    anchors: 0,
+                    reached: 0,
+                    document: 0,
+                });
+                (self.branching.len() - 1) as u32
+            });
+            let mut anchors = 0;
+            for twig in twigs.iter().filter(|twig| twig.anchored) {
+                let node = &mut self.nodes[twig.forest as usize];
+                changed |= node.anchors.is_empty();
+                node.anchors.push(slot);
+                anchors += 1;
+            }
+            self.branching[slot as usize] = Branching {
                 key,
-                pattern: pattern.clone(),
-                leaves: leaves.len() as u32,
+                twigs,
+                anchors,
                 reached: 0,
                 document: 0,
             };
-            let slot = match self.free_branching.pop() {
-                Some(slot) => {
-                    self.branching[slot as usize] = entry;
-                    slot
-                }
-                None => {
-                    self.branching.push(entry);
-                    (self.branching.len() - 1) as u32
-                }
-            };
-            for leaf in leaves {
-                self.nodes[leaf as usize].branching.push(slot);
-            }
+        }
+        if changed {
+            self.cache.invalidate();
         }
         self.len += 1;
     }
@@ -468,20 +603,61 @@ impl PatternSet {
     /// pattern. Forest nodes no remaining pattern uses are freed. Returns
     /// whether the key was in the set.
     pub fn remove(&mut self, key: u64, pattern: &TreePattern) -> bool {
-        let mut slot = None;
-        let linear = pattern.branching_count() == 0;
-        let removed = self.remove_paths(0, pattern, pattern.root(), key, linear, &mut slot);
-        if let Some(slot) = slot {
+        let mut forest = vec![0; pattern.node_count()];
+        // No such path: the pattern is not in the set.
+        if !self.find_paths(0, pattern, pattern.root(), &mut forest) {
+            return false;
+        }
+        if pattern.branching_count() == 0 {
+            let linear = &mut self.nodes[forest[chain_end(pattern).index()] as usize].linear;
+            let Some(position) = linear.iter().position(|&k| k == key) else {
+                return false;
+            };
+            linear.swap_remove(position);
+        } else {
+            let twigs = compile(pattern, &forest);
+            let Some(first) = twigs.iter().find(|twig| twig.anchored) else {
+                return false;
+            };
+            let branching = &self.branching;
+            let Some(&slot) = self.nodes[first.forest as usize]
+                .anchors
+                .iter()
+                .find(|&&slot| branching[slot as usize].key == key)
+            else {
+                return false;
+            };
+            let entry = std::mem::take(&mut self.branching[slot as usize].twigs);
             debug_assert!(
-                self.branching[slot as usize].pattern == *pattern,
+                entry
+                    .iter()
+                    .map(|twig| twig.forest)
+                    .eq(twigs.iter().map(|twig| twig.forest)),
                 "remove() was given a different pattern than insert()"
             );
+            for twig in entry.iter().filter(|twig| twig.anchored) {
+                self.nodes[twig.forest as usize]
+                    .anchors
+                    .retain(|&anchor| anchor != slot);
+            }
             self.free_branching.push(slot);
         }
-        if removed {
-            self.len -= 1;
+        // Children before parents: a node freed here may leave its parent
+        // unused in turn.
+        for v in pattern.preorder().into_iter().rev() {
+            let Some(parent) = pattern.parent(v) else {
+                continue;
+            };
+            let (at, label, node) = (forest[parent.index()], pattern.label(v), forest[v.index()]);
+            // `/a[b][b]` reaches one forest node twice; it is freed once.
+            if self.edge(at, label) == node && self.nodes[node as usize].is_unused() {
+                self.unlink(at, label);
+                self.free_nodes.push(node);
+                self.cache.invalidate();
+            }
         }
-        removed
+        self.len -= 1;
+        true
     }
 
     /// The child slot of `at` for a step labelled `label`.
@@ -530,19 +706,17 @@ impl PatternSet {
     }
 
     /// Walk (creating as needed) the forest paths of the pattern subtree at
-    /// `v`, starting from forest node `at`; collect the nodes its leaves end
-    /// at.
+    /// `v`, starting from forest node `at`, and note the forest node of
+    /// every pattern node in `forest`. Returns whether a node was created.
     fn insert_paths(
         &mut self,
         at: u32,
         pattern: &TreePattern,
         v: PatternNodeId,
-        leaves: &mut Vec<u32>,
-    ) {
-        if pattern.is_leaf(v) {
-            leaves.push(at);
-            return;
-        }
+        forest: &mut [u32],
+    ) -> bool {
+        forest[v.index()] = at;
+        let mut created = false;
         for &child in pattern.children(v) {
             let label = pattern.label(child);
             let mut next = self.edge(at, label);
@@ -559,76 +733,101 @@ impl PatternSet {
                     }
                 };
                 self.link(at, label, next);
+                created = true;
             }
-            self.insert_paths(next, pattern, child, leaves);
+            created |= self.insert_paths(next, pattern, child, forest);
         }
+        created
     }
 
-    /// Undo [`PatternSet::insert_paths`] for `key`: drop its entry at every
-    /// leaf, then free the forest nodes left without any use on the way back
-    /// up. Returns whether an entry was found.
-    fn remove_paths(
-        &mut self,
+    /// [`PatternSet::insert_paths`] without creating anything: false if a
+    /// step of the pattern subtree at `v` has no forest edge.
+    fn find_paths(
+        &self,
         at: u32,
         pattern: &TreePattern,
         v: PatternNodeId,
-        key: u64,
-        linear: bool,
-        slot: &mut Option<u32>,
+        forest: &mut [u32],
     ) -> bool {
-        if pattern.is_leaf(v) {
-            let Self {
-                nodes, branching, ..
-            } = self;
-            let node = &mut nodes[at as usize];
-            let position = if linear {
-                node.linear.iter().position(|&k| k == key)
-            } else {
-                node.branching
-                    .iter()
-                    .position(|&s| branching[s as usize].key == key)
-            };
-            let Some(position) = position else {
-                return false;
-            };
-            if linear {
-                node.linear.swap_remove(position);
-            } else {
-                *slot = Some(node.branching.swap_remove(position));
-            }
-            return true;
-        }
-        let mut removed = false;
-        for &child in pattern.children(v) {
-            let label = pattern.label(child);
-            let next = self.edge(at, label);
-            // No such path: the pattern is not in the set.
-            if next == NONE {
-                continue;
-            }
-            removed |= self.remove_paths(next, pattern, child, key, linear, slot);
-            if self.nodes[next as usize].is_unused() {
-                self.unlink(at, label);
-                self.free_nodes.push(next);
-                self.cache.invalidate();
-            }
-        }
-        removed
+        forest[v.index()] = at;
+        pattern.children(v).iter().all(|&child| {
+            let next = self.edge(at, pattern.label(child));
+            next != NONE && self.find_paths(next, pattern, child, forest)
+        })
     }
 
     /// The keys of the patterns `document` satisfies, ascending: exactly
     /// those for which [`TreePattern::matches`] is true.
     ///
-    /// The document and the trie of known label paths are walked together:
-    /// a document node whose path is known is one lookup, a new path is
-    /// computed from its parent's forest nodes and remembered. Patterns are
-    /// credited once per document, the first time a path that reaches them
-    /// occurs in it; a subtree under a path that reaches nothing with steps
-    /// left is skipped.
+    /// This replays the tree as the scanner's events into the one walk
+    /// [`PatternSet::matches_bytes`] runs, so the two agree on every
+    /// document the parser and the scanner both accept — which are the same
+    /// documents.
     pub fn matches(&mut self, document: &XmlTree) -> &[u64] {
-        self.clock += 1;
-        self.candidates.clear();
-        self.hits.clear();
+        let mut replay = std::mem::take(&mut self.scratch.replay);
+        let mut walk = self.walk();
+        let root = document.root();
+        walk.open(Cow::Borrowed(document.label(root)));
+        replay.push((root, 0));
+        while let Some((node, next)) = replay.last_mut() {
+            match document.children(*node).get(*next) {
+                Some(&child) => {
+                    *next += 1;
+                    walk.open(Cow::Borrowed(document.label(child)));
+                    replay.push((child, 0));
+                }
+                None => {
+                    walk.close();
+                    replay.pop();
+                }
+            }
+        }
+        self.scratch.replay = replay;
+        self.decide()
+    }
+
+    /// The keys of the patterns the document in `bytes` satisfies,
+    /// ascending, or why the bytes are not a well-formed UTF-8 document.
+    ///
+    /// One scan ([`tps_xml::scan_document`] with the default limits, which
+    /// accepts exactly what `XmlTree::parse` accepts) both validates the
+    /// document and drives the walk; no tree is built. The document and the
+    /// trie of known label paths are walked together: a document node whose
+    /// path is known is one lookup, a new path is computed from its parent's
+    /// forest nodes and remembered. Patterns are credited once per document,
+    /// the first time a path that reaches them occurs in it; a subtree under
+    /// a path that reaches nothing with steps left is skipped. Branching
+    /// candidates are then decided on the walk's record.
+    ///
+    /// A scan that fails part-way leaves the set as it was before the
+    /// document, but for what its cache learnt.
+    pub fn matches_bytes(&mut self, bytes: &[u8]) -> Result<&[u64], XmlError> {
+        let mut walk = self.walk();
+        if let Err(error) = scan_document(bytes, &ScanLimits::default(), &mut walk) {
+            // Paths computed past the bound belong to the elements the scan
+            // was inside of; they were never left.
+            let kept = self.cache.kept;
+            if self.cache.paths.len() > kept {
+                self.cache.leave(kept as u32);
+            }
+            return Err(error);
+        }
+        Ok(self.decide())
+    }
+
+    /// Start the walk of one document at its virtual node.
+    fn walk(&mut self) -> Walk<'_> {
+        let scratch = &mut self.scratch;
+        scratch.clock += 1;
+        scratch.document = scratch.clock;
+        scratch.candidates.clear();
+        scratch.visits.clear();
+        scratch.seeds.clear();
+        scratch.facts.clear();
+        scratch.hits.clear();
+        scratch.replay.clear();
+        scratch.current = 0;
+        scratch.skipped = 0;
         if self.cache.full {
             self.cache.reset();
             self.cache.full_resets += 1;
@@ -639,73 +838,206 @@ impl PatternSet {
             branching: &mut self.branching,
             alphabet: &self.alphabet,
             cache: &mut self.cache,
-            crediting: &mut self.crediting,
-            candidates: &mut self.candidates,
-            hits: &mut self.hits,
-            document: self.clock,
-            clock: self.clock,
+            scratch: &mut self.scratch,
             bound,
         };
-
         // The virtual node reaches the forest root (and what `//` hangs off
         // it); the document root is its only child.
         if walk.cache.paths.is_empty() {
             walk.compute(None, OTHER);
         }
         walk.credit(0);
-        self.stack.clear();
-        self.stack.push(Frame {
-            node: document.root(),
-            next_child: 0,
-            path: walk.step(0, document.label(document.root())),
-        });
-        while let Some(frame) = self.stack.last_mut() {
-            let children = document.children(frame.node);
-            // Nothing with steps to take here means nothing is reached below.
-            if walk.cache.paths[frame.path as usize].steps > 0 && frame.next_child < children.len()
-            {
-                let child = children[frame.next_child];
-                frame.next_child += 1;
-                let path = walk.step(frame.path, document.label(child));
-                self.stack.push(Frame {
-                    node: child,
-                    next_child: 0,
-                    path,
-                });
-            } else {
-                walk.cache.leave(frame.path);
-                self.stack.pop();
-            }
-        }
-        self.clock = walk.clock;
+        walk.visit(0);
+        walk
+    }
 
-        for &slot in self.candidates.iter() {
-            let entry = &self.branching[slot as usize];
-            if entry.pattern.matches(document) {
-                self.hits.push(entry.key);
+    /// Decide the branching candidates on the walk's record, then report
+    /// every key.
+    fn decide(&mut self) -> &[u64] {
+        let scratch = &mut self.scratch;
+        if !scratch.candidates.is_empty() {
+            scratch.live.resize(self.nodes.len(), NONE);
+            scratch.pending.clear();
+            scratch.anchored.clear();
+            for &slot in &scratch.candidates {
+                let base = scratch.pending.len() as u32;
+                for twig in self.branching[slot as usize].twigs.iter() {
+                    if twig.anchored {
+                        let head = &mut scratch.live[twig.forest as usize];
+                        scratch.anchored.push(Fact {
+                            twig: scratch.pending.len() as u32,
+                            next: *head,
+                        });
+                        *head = (scratch.anchored.len() - 1) as u32;
+                    }
+                    let rebase = |twig: u32| if twig == NONE { NONE } else { base + twig };
+                    scratch.pending.push(Pending {
+                        parent: rebase(twig.parent),
+                        slot,
+                        descendant: twig.descendant,
+                        needs: twig.needs,
+                        down: rebase(twig.down),
+                        across: rebase(twig.across),
+                        count: 0,
+                        counted: NONE,
+                        seen: NONE,
+                        told: NONE,
+                        below: NONE,
+                    });
+                }
+            }
+            scratch.visits[0].end = scratch.visits.len() as u32;
+            let mut pass = Pass {
+                branching: &self.branching,
+                scratch,
+            };
+            for z in (0..pass.scratch.visits.len()).rev() {
+                pass.visit(z as u32);
+            }
+            for &slot in &scratch.candidates {
+                for twig in self.branching[slot as usize].twigs.iter() {
+                    scratch.live[twig.forest as usize] = NONE;
+                }
             }
         }
-        self.hits.sort_unstable();
-        &self.hits
+        let hits = &mut self.scratch.hits;
+        hits.sort_unstable();
+        hits
     }
 }
 
-/// The borrowed pieces of a [`PatternSet`] one document walk works on.
+/// Where the walk of a branching pattern starts: the end of the single path
+/// down from the root, which is a branch node (a leaf for a pattern without
+/// branches).
+fn chain_end(pattern: &TreePattern) -> PatternNodeId {
+    let mut v = pattern.root();
+    while let [only] = pattern.children(v) {
+        v = *only;
+    }
+    v
+}
+
+/// Compile a branching pattern whose pattern nodes sit at the forest nodes
+/// `forest`, from its topmost branch node down — or from that node's parent
+/// when it is a `//`, which can hold below where its parent is reached.
+fn compile(pattern: &TreePattern, forest: &[u32]) -> Box<[Twig]> {
+    let mut top = chain_end(pattern);
+    if pattern.label(top).is_descendant() {
+        // invariant: a `//` node is never the root.
+        top = pattern.parent(top).expect("a `//` node has a parent");
+    }
+    let mut twigs = Vec::new();
+    compile_node(pattern, forest, top, NONE, &mut twigs);
+    twigs.into()
+}
+
+/// Append the pattern subtree at `v` to `twigs` below twig `parent`.
+fn compile_node(
+    pattern: &TreePattern,
+    forest: &[u32],
+    v: PatternNodeId,
+    parent: u32,
+    twigs: &mut Vec<Twig>,
+) {
+    let children = pattern.children(v);
+    // A tag or `*` child reached at a child of the document node reached
+    // this node there; a `//` child says nothing about where this node is.
+    let untagged = children.iter().all(|&c| pattern.label(c).is_descendant());
+    let descendant = pattern.label(v).is_descendant();
+    if descendant && untagged {
+        // A `//` holding below `x` holds at `x`, so one over `//`s only holds
+        // where they all do: they are its parent's conditions. Over nothing
+        // it holds everywhere, and is no condition at all.
+        for &child in children {
+            compile_node(pattern, forest, child, parent, twigs);
+        }
+        return;
+    }
+    let at = twigs.len() as u32;
+    let anchored = !descendant && untagged;
+    twigs.push(Twig {
+        forest: forest[v.index()],
+        parent,
+        descendant,
+        anchored,
+        needs: u32::from(anchored),
+        down: NONE,
+        across: NONE,
+    });
+    if let Some(up) = twigs.get_mut(parent as usize) {
+        if descendant {
+            let next = std::mem::replace(&mut up.down, at);
+            twigs[at as usize].across = next;
+        } else {
+            up.needs += 1;
+        }
+    }
+    for &child in children {
+        compile_node(pattern, forest, child, at, twigs);
+    }
+}
+
+/// The borrowed pieces of a [`PatternSet`] one document walk works on: a
+/// [`SkeletonSink`] for the document's events.
 struct Walk<'a> {
     nodes: &'a mut [Node],
     branching: &'a mut [Branching],
     alphabet: &'a Alphabet,
     cache: &'a mut PathCache,
-    crediting: &'a mut Vec<u32>,
-    candidates: &'a mut Vec<u32>,
-    hits: &'a mut Vec<u64>,
-    /// The clock reading that stamps this document.
-    document: u64,
-    clock: u64,
+    scratch: &'a mut Scratch,
     bound: usize,
 }
 
+impl SkeletonSink for Walk<'_> {
+    fn open(&mut self, label: Cow<'_, str>) {
+        let scratch = &mut *self.scratch;
+        let current = scratch.visits[scratch.current as usize].path;
+        // Nothing with steps to take here means nothing is reached below.
+        if scratch.skipped > 0 || self.cache.paths[current as usize].steps == 0 {
+            scratch.skipped += 1;
+            return;
+        }
+        let path = self.step(current, &label);
+        self.scratch.current = self.visit(path);
+    }
+
+    fn text(&mut self, label: Cow<'_, str>) {
+        self.open(label);
+        self.close();
+    }
+
+    fn close(&mut self) {
+        let scratch = &mut *self.scratch;
+        if scratch.skipped > 0 {
+            scratch.skipped -= 1;
+            return;
+        }
+        let end = scratch.visits.len() as u32;
+        let visit = &mut scratch.visits[scratch.current as usize];
+        visit.end = end;
+        self.cache.leave(visit.path);
+        scratch.current = visit.parent;
+    }
+}
+
 impl Walk<'_> {
+    /// Record a visit of a document node at trie node `path`, a child of the
+    /// current one, and return its index.
+    fn visit(&mut self, path: u32) -> u32 {
+        let scratch = &mut *self.scratch;
+        let index = scratch.visits.len() as u32;
+        scratch.visits.push(Visit {
+            parent: if index == 0 { NONE } else { scratch.current },
+            path,
+            seeds: scratch.seeds.len() as u32,
+            facts: NONE,
+            end: NONE,
+        });
+        let anchored = self.cache.paths[path as usize].anchored();
+        scratch.seeds.extend_from_slice(&self.cache.refs[anchored]);
+        index
+    }
+
     /// The trie node of a child labelled `label` of a document node at trie
     /// node `parent`, its patterns credited.
     fn step(&mut self, parent: u32, label: &str) -> u32 {
@@ -727,29 +1059,30 @@ impl Walk<'_> {
     /// Credit the patterns reached at trie node `path`, unless this document
     /// has been there before.
     fn credit(&mut self, path: u32) {
+        let document = self.scratch.document;
         let path = &mut self.cache.paths[path as usize];
-        if path.seen == self.document {
+        if path.seen == document {
             return;
         }
-        path.seen = self.document;
+        path.seen = document;
         let begin = path.begin + path.steps as usize;
         for &at in &self.cache.refs[begin..begin + path.credits as usize] {
             let node = &mut self.nodes[at as usize];
             // Another path of this document may have reached the node.
-            if node.credited == self.document {
+            if node.credited == document {
                 continue;
             }
-            node.credited = self.document;
-            self.hits.extend_from_slice(&node.linear);
-            for &slot in &node.branching {
+            node.credited = document;
+            self.scratch.hits.extend_from_slice(&node.linear);
+            for &slot in &node.anchors {
                 let entry = &mut self.branching[slot as usize];
-                if entry.document != self.document {
-                    entry.document = self.document;
+                if entry.document != document {
+                    entry.document = document;
                     entry.reached = 0;
                 }
                 entry.reached += 1;
-                if entry.reached == entry.leaves {
-                    self.candidates.push(slot);
+                if entry.reached == entry.anchors {
+                    self.scratch.candidates.push(slot);
                 }
             }
         }
@@ -759,8 +1092,9 @@ impl Walk<'_> {
     /// virtual node) by taking one step from each of the parent's forest
     /// nodes, and keep it if the bound allows.
     fn compute(&mut self, parent: Option<u32>, symbol: u32) -> u32 {
-        self.clock += 1;
-        self.crediting.clear();
+        self.scratch.clock += 1;
+        let clock = self.scratch.clock;
+        self.scratch.crediting.clear();
         let begin = self.cache.refs.len();
         match parent {
             None => self.enter(0),
@@ -778,8 +1112,8 @@ impl Walk<'_> {
                     // What hangs off it by `//` was entered with it, so it
                     // is among the parent's nodes itself, and both were
                     // credited up there.
-                    if node.is_descendant && node.mark != self.clock {
-                        self.nodes[at as usize].mark = self.clock;
+                    if node.is_descendant && node.mark != clock {
+                        self.nodes[at as usize].mark = clock;
                         self.cache.refs.push(at);
                     }
                     self.enter(wildcard);
@@ -788,12 +1122,20 @@ impl Walk<'_> {
             }
         }
         let steps = self.cache.refs.len() - begin;
-        self.cache.refs.extend_from_slice(self.crediting);
+        let nodes = &*self.nodes;
+        let crediting = &self.scratch.crediting;
+        let anchored = |at: &&u32| !nodes[**at as usize].anchors.is_empty();
+        self.cache.refs.extend(crediting.iter().filter(anchored));
+        let anchored_count = self.cache.refs.len() - begin - steps;
+        self.cache
+            .refs
+            .extend(crediting.iter().filter(|at| !anchored(at)));
         let path = self.cache.paths.len() as u32;
         self.cache.paths.push(PathNode {
             begin,
             steps: steps as u32,
-            credits: self.crediting.len() as u32,
+            credits: crediting.len() as u32,
+            anchored: anchored_count as u32,
             seen: 0,
         });
         match parent {
@@ -816,24 +1158,127 @@ impl Walk<'_> {
     /// and with it whatever hangs off it by `//` (which may match the empty
     /// path).
     fn enter(&mut self, mut at: u32) {
+        let clock = self.scratch.clock;
         while at != NONE {
             let node = &mut self.nodes[at as usize];
             // A `//` node can arrive twice in one step: carried down from
             // above, and re-reached through its parent. Once is enough, and
             // without this the reached set grows combinatorially on
             // `//a//a//a` against `<a><a><a>…`.
-            if node.mark == self.clock {
+            if node.mark == clock {
                 return;
             }
-            node.mark = self.clock;
+            node.mark = clock;
             // Only a node with steps to take is of use to the children.
             if node.has_steps() {
                 self.cache.refs.push(at);
             }
             if node.accepts() {
-                self.crediting.push(at);
+                self.scratch.crediting.push(at);
             }
             at = node.descendant;
+        }
+    }
+}
+
+/// The record pass: the walk's visits in reverse, each after all of its
+/// descendants, deciding the branching candidates bottom-up.
+struct Pass<'a> {
+    branching: &'a [Branching],
+    scratch: &'a mut Scratch,
+}
+
+impl Pass<'_> {
+    /// Settle visit `z`: what holds below it and the anchors its path
+    /// reaches, then the twigs that also need `//` children, deepest first
+    /// (a `//` child is deeper than its parent).
+    fn visit(&mut self, z: u32) {
+        let mut fact = self.scratch.visits[z as usize].facts;
+        while fact != NONE {
+            let Fact { twig, next } = self.scratch.facts[fact as usize];
+            let node = &mut self.scratch.pending[twig as usize];
+            // Several children of `z` may hold it.
+            if node.seen != z {
+                node.seen = z;
+                let parent = node.parent;
+                self.bump(parent, z);
+            }
+            fact = next;
+        }
+        let begin = self.scratch.visits[z as usize].seeds as usize;
+        let end = self
+            .scratch
+            .visits
+            .get(z as usize + 1)
+            .map_or(self.scratch.seeds.len(), |next| next.seeds as usize);
+        for index in begin..end {
+            let mut anchor = self.scratch.live[self.scratch.seeds[index] as usize];
+            while anchor != NONE {
+                let Fact { twig, next } = self.scratch.anchored[anchor as usize];
+                self.bump(twig, z);
+                anchor = next;
+            }
+        }
+        if self.scratch.ready.is_empty() {
+            return;
+        }
+        let mut ready = std::mem::take(&mut self.scratch.ready);
+        ready.sort_unstable_by(|a, b| b.cmp(a));
+        let end = self.scratch.visits[z as usize].end;
+        for &twig in &ready {
+            let pending = &self.scratch.pending;
+            let mut child = pending[twig as usize].down;
+            while child != NONE && pending[child as usize].below < end {
+                child = pending[child as usize].across;
+            }
+            if child == NONE {
+                self.holds(twig, z);
+            }
+        }
+        ready.clear();
+        self.scratch.ready = ready;
+    }
+
+    /// One more condition of twig `twig` is met at visit `z`.
+    fn bump(&mut self, twig: u32, z: u32) {
+        let node = &mut self.scratch.pending[twig as usize];
+        if node.counted != z {
+            node.counted = z;
+            node.count = 0;
+        }
+        node.count += 1;
+        if node.count != node.needs {
+            return;
+        }
+        if node.down == NONE {
+            self.holds(twig, z);
+        } else {
+            self.scratch.ready.push(twig);
+        }
+    }
+
+    /// Twig `twig` holds at visit `z`.
+    fn holds(&mut self, twig: u32, z: u32) {
+        let scratch = &mut *self.scratch;
+        let node = &mut scratch.pending[twig as usize];
+        if node.parent == NONE {
+            node.needs = NONE;
+            scratch.hits.push(self.branching[node.slot as usize].key);
+        } else if node.descendant {
+            node.below = z;
+        } else {
+            // A condition of its parent at the parent of `z`.
+            let visit = scratch.visits[z as usize].parent;
+            if node.told == visit {
+                return;
+            }
+            node.told = visit;
+            let visit = &mut scratch.visits[visit as usize];
+            scratch.facts.push(Fact {
+                twig,
+                next: visit.facts,
+            });
+            visit.facts = (scratch.facts.len() - 1) as u32;
         }
     }
 }
@@ -907,15 +1352,182 @@ mod tests {
         assert_eq!(set.len(), patterns.len());
     }
 
+    /// `expected[i]` is what `patterns` match on `texts[i]`: from the bytes,
+    /// from the tree, and pattern by pattern.
+    fn assert_decides(patterns: &[&str], texts: &[&str], expected: &[&[u64]]) {
+        let mut set = set_of(patterns);
+        for (text, &keys) in texts.iter().zip(expected) {
+            let document = XmlTree::parse(text).unwrap();
+            assert_eq!(
+                brute_force(patterns, &document),
+                keys,
+                "reference on {text}"
+            );
+            assert_eq!(set.matches_bytes(text.as_bytes()).unwrap(), keys, "{text}");
+            assert_eq!(set.matches(&document), keys, "tree of {text}");
+        }
+    }
+
     #[test]
     fn branches_reached_in_different_places_are_verified_not_assumed() {
         // Both leaf paths /a/b/c and /a/b/d exist, but under different `b`s.
-        let patterns = ["/a/b[c][d]", "/a[b/c][b/d]", "/a/b/c"];
+        assert_decides(
+            &["/a/b[c][d]", "/a[b/c][b/d]", "/a/b/c"],
+            &["<a><b><c/></b><b><d/></b></a>", "<a><b><c/><d/></b></a>"],
+            &[&[1, 2], &[0, 1, 2]],
+        );
+    }
+
+    #[test]
+    fn a_descendant_branch_node_is_one_instance() {
+        // Every leaf path of `//a[b][c]` is reached, and an `a` has a `b`
+        // and an `a` has a `c` — but not the same one.
+        assert_decides(
+            &["//a[b][c]", "//a/b", "//a/c"],
+            &[
+                "<a><a><b/></a><c/></a>",
+                "<a><a><b/><c/></a></a>",
+                "<a><b/><a><c/></a></a>",
+            ],
+            &[&[1, 2], &[0, 1, 2], &[1, 2]],
+        );
+    }
+
+    #[test]
+    fn descendant_branches_of_the_document_root() {
+        let patterns = [".[//CD][//Mozart]", ".[//CD/Mozart]"];
+        assert_decides(
+            &patterns,
+            &[
+                "<media><CD/><last>Mozart</last></media>",
+                "<media><CD>Mozart</CD></media>",
+                "<media><CD/></media>",
+            ],
+            &[&[0], &[0, 1], &[]],
+        );
+    }
+
+    #[test]
+    fn a_descendant_step_between_two_branch_nodes() {
+        // The `b` with both children must be below the `a` that has an `x`.
+        assert_decides(
+            &["/r/a[x]//b[c][d]", "//a[x][.//b[c][d]]"],
+            &[
+                "<r><a><x/><y><b><c/><d/></b></y></a></r>",
+                "<r><a><x/><b><c/></b><b><d/></b></a></r>",
+                "<r><a><x/></a><a><b><c/><d/></b></a></r>",
+                "<r><a><b><c/><d/></b><x/></a></r>",
+            ],
+            &[&[0, 1], &[], &[], &[0, 1]],
+        );
+    }
+
+    #[test]
+    fn text_leaves_are_branches_too() {
+        assert_decides(
+            &[
+                "/last[Mozart][first]",
+                "//composer[last/Mozart][first/Wolfgang]",
+            ],
+            &[
+                "<last>Mozart<first/></last>",
+                "<last><first>Mozart</first></last>",
+                "<c><composer><first>Wolfgang</first><last>Mozart</last></composer></c>",
+                "<c><composer><first>Wolfgang</first></composer>\
+                 <composer><last>Mozart</last></composer></c>",
+            ],
+            &[&[0], &[], &[1], &[]],
+        );
+    }
+
+    #[test]
+    fn descendant_nodes_with_several_children() {
+        // The parser gives a `//` one child; a hand-built pattern may give
+        // it more. `/a[D]` with `D = //[b][//c]`: a `b` child and a `c`
+        // below one node under `a`. With `E = //[//b][//c]` only the `//`s
+        // are left, and `/a[E]` asks for a `b` and a `c` anywhere below.
+        let mut d = TreePattern::new();
+        let a = d.add_child(d.root(), PatternLabel::tag("a"));
+        let descendant = d.add_child(a, PatternLabel::Descendant);
+        d.add_child(descendant, PatternLabel::tag("b"));
+        let below = d.add_child(descendant, PatternLabel::Descendant);
+        d.add_child(below, PatternLabel::tag("c"));
+        let mut e = TreePattern::new();
+        let a = e.add_child(e.root(), PatternLabel::tag("a"));
+        let descendant = e.add_child(a, PatternLabel::Descendant);
+        for label in ["b", "c"] {
+            let below = e.add_child(descendant, PatternLabel::Descendant);
+            e.add_child(below, PatternLabel::tag(label));
+        }
+        let mut set = PatternSet::new();
+        set.insert(0, &d);
+        set.insert(1, &e);
+        // In the first, `D` holds at `a` itself and nowhere below: it is
+        // settled at `a` before `a` is.
+        for text in [
+            "<a><b/><c/></a>",
+            "<a><x><b/></x><c/></a>",
+            "<a><x><b/><y><c/></y></x></a>",
+            "<a><b/><x><c/></x></a>",
+        ] {
+            let document = XmlTree::parse(text).unwrap();
+            let expected: Vec<u64> = [&d, &e]
+                .iter()
+                .zip(0..)
+                .filter(|(pattern, _)| pattern.matches(&document))
+                .map(|(_, key)| key)
+                .collect();
+            assert!(expected.contains(&1), "{text}");
+            assert_eq!(
+                set.matches_bytes(text.as_bytes()).unwrap(),
+                expected,
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_refused_document_leaves_the_next_one_to_match_as_in_a_fresh_set() {
+        let patterns = ["//a", "/a[a][b]", "//a/b"];
         let mut set = set_of(&patterns);
-        let apart = XmlTree::parse("<a><b><c/></b><b><d/></b></a>").unwrap();
-        assert_eq!(set.matches(&apart), &[1, 2]);
-        let together = XmlTree::parse("<a><b><c/><d/></b></a>").unwrap();
-        assert_eq!(set.matches(&together), &[0, 1, 2]);
+        let good = "<a><a/><b/></a>";
+        let expected = [0, 1, 2];
+        // Broken off inside an element, at an unknown entity, at a
+        // mismatched end tag, and as bad UTF-8.
+        for bad in [
+            "<a><a><b>",
+            "<a><b>x &bogus; y</b></a>",
+            "<a><a><b></a></a>",
+        ] {
+            assert!(set.matches_bytes(bad.as_bytes()).is_err(), "{bad}");
+            assert_eq!(set.matches_bytes(good.as_bytes()).unwrap(), &expected);
+        }
+        assert!(set.matches_bytes(&[b'<', b'a', b'>', 0xff]).is_err());
+        assert_eq!(set.matches_bytes(good.as_bytes()).unwrap(), &expected);
+
+        // Deeper than the whole cache bound: a chain of `a`s costs five
+        // entries per level here (a trie node, `//` and `a` with steps, two
+        // crediting nodes), so the bound is used up at level 256 and the
+        // paths below are not kept; the scan fails inside them.
+        let patterns = ["//a", "//a[a][b]"];
+        let mut set = set_of(&patterns);
+        let bound = set.cache_stats().bound;
+        let depth = 400;
+        let deep = "<a>".repeat(depth);
+        assert!(set.matches_bytes(deep.as_bytes()).is_err());
+        let stats = set.cache_stats();
+        assert!(stats.nodes + stats.references <= bound, "{stats:?}");
+        assert_eq!(set.matches_bytes(good.as_bytes()).unwrap(), &[0, 1]);
+        assert_eq!(
+            set.cache_stats().full_resets,
+            1,
+            "the chain filled the cache"
+        );
+        let closed = format!("{deep}<b/>{}", "</a>".repeat(depth));
+        let document = XmlTree::parse(&closed).unwrap();
+        let keys = brute_force(&patterns, &document);
+        assert_eq!(set.matches_bytes(closed.as_bytes()).unwrap(), keys);
+        assert_eq!(set_of(&patterns).matches(&document), keys);
     }
 
     #[test]

@@ -134,13 +134,19 @@ fn set_and_reference(patterns: &[TreePattern], d: &XmlTree) -> (Vec<u64>, Vec<u6
     let reference = (0..patterns.len() as u64)
         .filter(|&key| patterns[key as usize].matches(d))
         .collect();
-    (set.matches(d).to_vec(), reference)
+    let from_tree = set.matches(d).to_vec();
+    let from_bytes = set
+        .matches_bytes(d.to_xml().as_bytes())
+        .map(<[u64]>::to_vec);
+    assert_eq!(from_bytes.as_ref(), Ok(&from_tree), "doc={}", d.to_xml());
+    (from_tree, reference)
 }
 
 /// A set that learnt the paths of `docs` under `before`, then lost the keys
 /// of `before` whose `leaving` flag is set and took `arriving` in, reports
-/// on every document what a set that only ever held the remaining patterns
-/// reports, and what per-pattern matching selects.
+/// on every document — from its tree and from its bytes — what a set that
+/// only ever held the remaining patterns reports, and what per-pattern
+/// matching selects.
 fn warm_set_survives_churn(
     before: &[(TreePattern, bool)],
     arriving: &[TreePattern],
@@ -150,8 +156,13 @@ fn warm_set_survives_churn(
     for (key, (p, _)) in before.iter().enumerate() {
         warm.insert(key as u64, p);
     }
-    for d in docs {
-        warm.matches(d);
+    for (i, d) in docs.iter().enumerate() {
+        // Half the documents are learnt from their bytes.
+        if i % 2 == 0 {
+            warm.matches(d);
+        } else {
+            prop_assert!(warm.matches_bytes(d.to_xml().as_bytes()).is_ok());
+        }
     }
     let mut fresh = PatternSet::new();
     let mut live: Vec<(u64, &TreePattern)> = Vec::new();
@@ -176,7 +187,10 @@ fn warm_set_survives_churn(
             .filter(|(_, p)| p.matches(d))
             .map(|&(key, _)| key)
             .collect();
-        prop_assert_eq!(warm.matches(d), &reference[..], "doc={}", d.to_xml());
+        let text = d.to_xml();
+        prop_assert_eq!(warm.matches(d), &reference[..], "doc={}", text);
+        prop_assert_eq!(warm.matches_bytes(text.as_bytes()), Ok(&reference[..]));
+        prop_assert_eq!(fresh.matches_bytes(text.as_bytes()), Ok(&reference[..]));
         prop_assert_eq!(fresh.matches(d), &reference[..]);
     }
     prop_assert_eq!(warm.node_count(), fresh.node_count());
@@ -269,8 +283,9 @@ proptest! {
         prop_assert!(p.matches(&d));
     }
 
-    /// One walk of the shared step forest selects exactly the patterns
-    /// that match on their own — tag-only paths.
+    /// One walk of the shared step forest, from the tree or from the
+    /// bytes, selects exactly the patterns that match on their own —
+    /// tag-only paths.
     #[test]
     fn pattern_set_is_exact_on_tag_paths(
         ps in prop::collection::vec(gen_linear(true), 1..10),
