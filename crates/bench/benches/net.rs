@@ -9,8 +9,9 @@
 //! through `forward_in` (one scan driving the match, then the hop) and
 //! through `forward_matched` with the sender's digest and interest sets
 //! (scan + hop); `net_core/parse` builds the tree of every document of the
-//! pool, which neither path does, and `bench_thresholds.txt` keeps the
-//! trusted path under 1.6 times that.
+//! pool, which neither path does, and `net_core/scan` runs the bare
+//! `NullSink` scan the trusted path validates each document with.
+//! `bench_thresholds.txt` keeps the trusted path under 4.5 times that scan.
 //! `net_loopback` spawns a real two-broker TCP
 //! overlay and measures the full closed loop: a producer publishes at
 //! broker 0, the document crosses one overlay link, matches at broker 1
@@ -28,7 +29,7 @@ use tps_net::{
 };
 use tps_routing::BrokerTopology;
 use tps_workload::{DocGenConfig, DocumentGenerator, Dtd, XPathGenConfig, XPathGenerator};
-use tps_xml::XmlTree;
+use tps_xml::{scan_document, NullSink, ScanLimits, XmlTree};
 
 /// A representative frame mix: mostly data (publish / forward / deliver),
 /// some control, one stats reply, and one matched forward whose documents
@@ -194,6 +195,15 @@ fn bench_core(c: &mut Criterion) {
         b.iter(|| {
             for text in &texts {
                 black_box(XmlTree::parse(text).expect("generated documents parse"));
+            }
+        })
+    });
+    let limits = ScanLimits::default();
+    group.bench_function("scan", |b| {
+        b.iter(|| {
+            for bytes in &documents {
+                black_box(scan_document(bytes, &limits, &mut NullSink))
+                    .expect("generated documents scan");
             }
         })
     });

@@ -26,6 +26,13 @@
 //! called within two lines after a `summarised()` test — the summarised
 //! routing tables are the one reader of a document tree there.
 //!
+//! And one rule for the whole workspace, also with no justification: the
+//! `"<![CDATA["` literal may only appear in `crates/xml/src/scan.rs`.
+//! Every XML document lexer must recognise CDATA sections (the DTD parser
+//! lexes declarations, not documents, and has no use for it), so the
+//! literal anywhere else is a second lexer. The fuzzer (`crates/fuzz/src`)
+//! is exempt: its mutation dictionaries splice the token into inputs.
+//!
 //! Out of scope, deliberately: `bin/` targets and `main.rs` (CLI skeletons
 //! report errors to humans directly), `tests/`, benches, and everything
 //! under `#[cfg(test)]` (panicking is the point of an assertion), plus the
@@ -52,6 +59,12 @@ const JUSTIFY: &str = "or explain with a `// invariant: ...` comment";
 /// What to do about a document tree built in `crates/net/src`.
 const MATCH_BYTES: &str = "tps-net matches documents from their bytes";
 
+/// The token only an XML document lexer looks for.
+const CDATA: &str = "\"<![CDATA[\"";
+
+/// What to do about a second XML lexer.
+const ONE_LEXER: &str = "XML documents are lexed by tps_xml::scan alone";
+
 const USAGE: &str = "usage: src-lint [ROOT]";
 
 /// One unjustified occurrence.
@@ -76,6 +89,14 @@ fn tree_free(path: &Path) -> bool {
     parts.windows(3).any(|w| w == ["crates", "net", "src"])
 }
 
+/// Whether `path` may hold an XML lexer: the scanner itself, or the
+/// fuzzer, whose dictionaries splice grammar tokens into inputs.
+fn may_lex(path: &Path) -> bool {
+    let parts: Vec<_> = path.components().map(|c| c.as_os_str()).collect();
+    parts.ends_with(&["crates", "xml", "src", "scan.rs"].map(std::ffi::OsStr::new))
+        || parts.windows(3).any(|w| w == ["crates", "fuzz", "src"])
+}
+
 /// The name of the function a line declares, if it declares one.
 fn declared_fn(trimmed: &str) -> Option<&str> {
     let rest = ["fn ", "pub fn ", "pub(crate) fn "]
@@ -87,9 +108,12 @@ fn declared_fn(trimmed: &str) -> Option<&str> {
     Some(&rest[..end])
 }
 
-/// Scan one file's source text for unjustified hits; `tree_free` adds the
-/// `crates/net/src` rule on document trees.
-fn scan_source(source: &str, tree_free: bool) -> Vec<Finding> {
+/// Scan the source text of the file at `path` for unjustified hits; the
+/// path decides whether the `crates/net/src` rule on document trees and
+/// the one-lexer rule apply.
+fn scan_source(source: &str, path: &Path) -> Vec<Finding> {
+    let tree_free = tree_free(path);
+    let lexer_free = !may_lex(path);
     let lines: Vec<&str> = source.lines().collect();
     let mut findings = Vec::new();
     // `#[cfg(test)]` region tracking: after the attribute, wait for the
@@ -153,6 +177,13 @@ fn scan_source(source: &str, tree_free: bool) -> Vec<Finding> {
                     fix: MATCH_BYTES,
                 });
             }
+        }
+        if lexer_free && line.contains(CDATA) {
+            findings.push(Finding {
+                line: index + 1,
+                what: "a CDATA literal outside the XML scanner",
+                fix: ONE_LEXER,
+            });
         }
         let hit = if line.contains(".unwrap()") {
             Some("unjustified .unwrap()")
@@ -243,7 +274,7 @@ fn run(root: &Path) -> Result<usize, String> {
     for path in &files {
         let source =
             std::fs::read_to_string(path).map_err(|err| format!("{}: {err}", path.display()))?;
-        for finding in scan_source(&source, tree_free(path)) {
+        for finding in scan_source(&source, path) {
             println!(
                 "{}:{}: {} in library code — restructure, {}",
                 path.display(),
@@ -286,11 +317,16 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    /// A library file no path-specific rule applies to.
+    fn lib() -> &'static Path {
+        Path::new("crates/core/src/lib.rs")
+    }
+
     #[test]
     fn flags_unwrap_and_expect_and_bare_allow() {
         let source = "fn f() {\n    x.unwrap();\n    y.expect(\"msg\");\n}\n\
                       #[allow(clippy::needless_range_loop)]\nfn g() {}\n";
-        let findings = scan_source(source, false);
+        let findings = scan_source(source, lib());
         assert_eq!(findings.len(), 3);
         assert_eq!(findings[0].line, 2);
         assert_eq!(findings[1].line, 3);
@@ -300,7 +336,7 @@ mod tests {
     #[test]
     fn justified_hits_pass() {
         let source = "fn f() {\n    // invariant: x is always Some here\n    x.unwrap();\n}\n";
-        assert!(scan_source(source, false).is_empty());
+        assert!(scan_source(source, lib()).is_empty());
     }
 
     #[test]
@@ -310,21 +346,21 @@ mod tests {
             source.push_str("    let _ = 0;\n");
         }
         source.push_str("    x.unwrap();\n}\n");
-        assert!(scan_source(&source, false).is_empty());
+        assert!(scan_source(&source, lib()).is_empty());
         // One line further away and the justification no longer counts.
         let mut far = String::from("fn f() {\n    // invariant: resolver never fails\n");
         for _ in 0..JUSTIFICATION_WINDOW {
             far.push_str("    let _ = 0;\n");
         }
         far.push_str("    x.unwrap();\n}\n");
-        assert_eq!(scan_source(&far, false).len(), 1);
+        assert_eq!(scan_source(&far, lib()).len(), 1);
     }
 
     #[test]
     fn cfg_test_regions_are_exempt() {
         let source = "fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
                       x.unwrap();\n    }\n}\nfn g() {\n    y.unwrap();\n}\n";
-        let findings = scan_source(source, false);
+        let findings = scan_source(source, lib());
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].line, 10);
     }
@@ -332,14 +368,14 @@ mod tests {
     #[test]
     fn braceless_cfg_test_item_ends_the_region() {
         let source = "#[cfg(test)]\nuse something::Test;\nfn f() {\n    x.unwrap();\n}\n";
-        assert_eq!(scan_source(source, false).len(), 1);
+        assert_eq!(scan_source(source, lib()).len(), 1);
     }
 
     #[test]
     fn comment_lines_and_plain_expect_calls_are_ignored() {
         let source = "fn f() {\n    // mentions .unwrap() in prose\n    \
                       self.expect(Token::Dot)?;\n}\n";
-        assert!(scan_source(source, false).is_empty());
+        assert!(scan_source(source, lib()).is_empty());
     }
 
     #[test]
@@ -357,11 +393,31 @@ mod tests {
                       let tree = summary_tree(bytes)?;\n    }\n    let tree = summary_tree(bytes)?;\n    \
                       let other = XmlTree::parse(text);\n}\n\
                       #[cfg(test)]\nmod tests {\n    fn t() { XmlTree::parse(text); }\n}\n";
-        let lines: Vec<usize> = scan_source(source, true).iter().map(|f| f.line).collect();
+        let lines: Vec<usize> = scan_source(source, Path::new("crates/net/src/broker.rs"))
+            .iter()
+            .map(|f| f.line)
+            .collect();
         assert_eq!(lines, vec![8, 9]);
-        assert!(scan_source(source, false).is_empty());
+        assert!(scan_source(source, lib()).is_empty());
         assert!(tree_free(Path::new("./crates/net/src/broker.rs")));
         assert!(!tree_free(Path::new("./crates/routing/src/network.rs")));
+    }
+
+    #[test]
+    fn only_the_scanner_lexes_xml() {
+        let source = "fn lex(input: &str) -> bool {\n    \
+                      input.starts_with(\"<![CDATA[\")\n}\n\
+                      // a comment may name \"<![CDATA[\"\n\
+                      #[cfg(test)]\nmod tests {\n    const DOC: &str = \"<![CDATA[\";\n}\n";
+        let lines: Vec<usize> = scan_source(source, lib()).iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2]);
+        let planted = "const TOKEN: &[u8] = b\"<![CDATA[\";\n";
+        let dtd = Path::new("./crates/dtd/src/parser.rs");
+        assert_eq!(scan_source(planted, dtd).len(), 1);
+        for home in ["./crates/xml/src/scan.rs", "./crates/fuzz/src/targets.rs"] {
+            assert!(scan_source(source, Path::new(home)).is_empty(), "{home}");
+        }
+        assert!(!may_lex(Path::new("./crates/xml/src/tree.rs")));
     }
 
     /// The workspace itself stays clean — the same guarantee CI enforces,

@@ -46,11 +46,11 @@ pub enum Target {
     /// nonzero estimate, and removal keeps the online leader partition
     /// consistent.
     Index,
-    /// `tps-xml`/`tps-synopsis`: the zero-copy streaming scanner against
-    /// the tree parser — accept/reject parity (identical typed errors on
-    /// UTF-8 input), estimate-identical byte vs tree synopsis ingest for
-    /// every matching-set representation, rollback on rejected documents,
-    /// and panic-freedom under tiny scan limits.
+    /// `tps-xml`/`tps-synopsis`: the one XML lexer through two sinks —
+    /// accept/reject parity of a bare scan and `XmlTree::parse` (identical
+    /// typed errors on UTF-8 input), estimate-identical byte vs tree
+    /// synopsis ingest for every matching-set representation, rollback on
+    /// rejected documents, and panic-freedom under tiny scan limits.
     Ingest,
     /// `tps-net`: the wire codec — decoding arbitrary bytes never panics,
     /// accepted frames re-encode byte-identically (the encoding is
@@ -831,12 +831,14 @@ fn execute_index(bytes: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
-/// Differentially test the zero-copy streaming scanner against the tree
-/// parser on arbitrary bytes:
+/// Differentially test the two consumers of the one XML lexer
+/// (`tps_xml::scan`) on arbitrary bytes:
 ///
-/// * on valid UTF-8 the scanner and the tree parser agree error-for-error
-///   (same [`XmlErrorKind`](tps_xml::error::XmlErrorKind), same byte
-///   offset) and accept the same documents;
+/// * on valid UTF-8, a scan into the discarding [`NullSink`] and
+///   [`XmlTree::parse`] (the same scan into a tree-building sink) agree
+///   error-for-error (same [`XmlErrorKind`](tps_xml::error::XmlErrorKind),
+///   same byte offset) and accept the same documents: the sink never
+///   changes the outcome;
 /// * on accepted documents, byte-level synopsis ingest is
 ///   estimate-identical to tree ingest for every matching-set
 ///   representation;
@@ -857,7 +859,7 @@ fn execute_ingest(bytes: &[u8]) -> Result<(), String> {
                 (Err(scan_err), Err(parse_err)) if scan_err == parse_err => {}
                 (scan, parse) => {
                     return Err(format!(
-                        "scanner/parser divergence on {text:?}: scan {:?} vs parse {:?}",
+                        "sink-dependent outcome on {text:?}: scan {:?} vs parse {:?}",
                         scan.as_ref().err().map(|e| e.to_string()),
                         parse.as_ref().err().map(|e| e.to_string()),
                     ));

@@ -485,7 +485,7 @@ mod tests {
     use proptest::prelude::*;
     use tps_routing::BrokerNetwork;
     use tps_workload::{DocGenConfig, DocumentGenerator, Dtd, XPathGenConfig, XPathGenerator};
-    use tps_xml::parser::{MAX_ATTRIBUTES, MAX_DEPTH};
+    use tps_xml::ScanLimits;
 
     fn config(brokers: usize) -> OverlayConfig {
         OverlayConfig {
@@ -576,17 +576,21 @@ mod tests {
     fn bad_documents_are_typed_errors_and_roll_back() {
         let mut core = BrokerCore::new(0, &config(3));
         core.subscribe(0, 0, "/a").unwrap();
-        // What the parser refuses, its resource limits included: the
-        // innermost element one level past `MAX_DEPTH` is not self-closing.
+        // What the scanner refuses, its resource limits included: the
+        // innermost element one level past `max_depth` is not self-closing.
+        let ScanLimits {
+            max_depth,
+            max_attributes,
+        } = ScanLimits::default();
         let past_depth = doc(&format!(
             "{}{}",
-            "<a>".repeat(MAX_DEPTH),
-            "</a>".repeat(MAX_DEPTH)
+            "<a>".repeat(max_depth),
+            "</a>".repeat(max_depth)
         ));
         let bad: [&[u8]; 7] = [
             b"<open>",
             &past_depth,
-            &attributed(MAX_ATTRIBUTES + 1),
+            &attributed(max_attributes + 1),
             b"<a/><a/>",
             b"<a/>trailing",
             &[0xff, 0xfe],
@@ -601,7 +605,7 @@ mod tests {
             assert_eq!(stats.deliveries, 0);
         }
         // Exactly at each limit, a document still routes.
-        for bytes in [nested(MAX_DEPTH), attributed(MAX_ATTRIBUTES)] {
+        for bytes in [nested(max_depth), attributed(max_attributes)] {
             assert_eq!(core.publish(&bytes).unwrap().deliveries, vec![0]);
         }
         let stats = core.stats();

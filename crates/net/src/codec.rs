@@ -183,7 +183,7 @@ pub enum ErrorCode {
     BadPattern,
     /// The lint pre-pass rejected the subscription.
     LintRejected,
-    /// The published document was rejected by the scanner/parser.
+    /// The published document was rejected by the scanner.
     BadDocument,
     /// The request referenced a broker outside the overlay topology.
     UnknownBroker,

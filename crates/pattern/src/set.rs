@@ -761,8 +761,8 @@ impl PatternSet {
     ///
     /// This replays the tree as the scanner's events into the one walk
     /// [`PatternSet::matches_bytes`] runs, so the two agree on every
-    /// document the parser and the scanner both accept — which are the same
-    /// documents.
+    /// document: `XmlTree::parse` is that same scan into a tree-building
+    /// sink.
     pub fn matches(&mut self, document: &XmlTree) -> &[u64] {
         let mut replay = std::mem::take(&mut self.scratch.replay);
         let mut walk = self.walk();
@@ -789,8 +789,8 @@ impl PatternSet {
     /// The keys of the patterns the document in `bytes` satisfies,
     /// ascending, or why the bytes are not a well-formed UTF-8 document.
     ///
-    /// One scan ([`tps_xml::scan_document`] with the default limits, which
-    /// accepts exactly what `XmlTree::parse` accepts) both validates the
+    /// One scan ([`tps_xml::scan_document`] with the default limits, the
+    /// lexer and limits `XmlTree::parse` runs) both validates the
     /// document and drives the walk; no tree is built. The document and the
     /// trie of known label paths are walked together: a document node whose
     /// path is known is one lookup, a new path is computed from its parent's

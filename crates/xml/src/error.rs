@@ -22,8 +22,6 @@ pub enum XmlErrorKind {
         /// Tag that was found.
         found: String,
     },
-    /// A closing tag appeared with no element open.
-    UnexpectedClosingTag(String),
     /// An element or attribute name was empty or contained invalid characters.
     InvalidName(String),
     /// Malformed markup (e.g. `<` followed by an unexpected character).
@@ -71,9 +69,6 @@ impl fmt::Display for XmlError {
                 f,
                 "mismatched closing tag: expected </{expected}>, found </{found}>"
             ),
-            XmlErrorKind::UnexpectedClosingTag(tag) => {
-                write!(f, "closing tag </{tag}> with no matching open element")
-            }
             XmlErrorKind::InvalidName(name) => write!(f, "invalid name {name:?}"),
             XmlErrorKind::Malformed(msg) => write!(f, "malformed XML: {msg}"),
             XmlErrorKind::NoRootElement => write!(f, "document has no root element"),

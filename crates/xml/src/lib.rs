@@ -7,12 +7,12 @@
 //!   XML document (Section 2 of the paper represents documents as
 //!   node-labelled trees; leaf text values such as `"Mozart"` become leaf
 //!   nodes whose label is the text itself).
-//! * [`parser`] — a small, dependency-free XML parser for the element/text
-//!   subset needed by the evaluation (attributes, comments, processing
-//!   instructions and CDATA sections are accepted and skipped or inlined).
-//! * [`scan`] — a zero-copy streaming scanner over raw bytes emitting
-//!   skeleton events into a [`SkeletonSink`]; accepts and rejects exactly
-//!   the same documents as [`parser`] but never materialises a tree.
+//! * [`scan`] — the XML lexer: a dependency-free, zero-copy streaming
+//!   scanner over raw bytes for the element/text subset needed by the
+//!   evaluation (attributes, comments, processing instructions and CDATA
+//!   sections are accepted and skipped or inlined), emitting skeleton events
+//!   into a [`SkeletonSink`]. [`XmlTree::parse`] is one scan into a
+//!   tree-building sink.
 //! * [`skeleton`] — *skeleton tree* construction: children of a node that
 //!   share a tag are coalesced so that every node has at most one child per
 //!   tag (Section 3.1).
@@ -40,13 +40,18 @@
 
 pub mod error;
 pub mod label;
-pub mod parser;
 pub mod paths;
 pub mod scan;
 pub mod skeleton;
 pub mod stream;
 pub mod tree;
 pub mod writer;
+
+// `XmlTree::parse`'s unit tests, under the module path of the tree parser
+// they were written against.
+#[cfg(test)]
+#[path = "parse_tests.rs"]
+mod parser;
 
 pub use error::XmlError;
 pub use label::{LabelId, LabelTable};

@@ -1,4 +1,5 @@
-//! Byte-level streaming skeleton scanner (zero-copy ingest).
+//! The XML lexer: a byte-level streaming skeleton scanner (zero-copy
+//! ingest).
 //!
 //! The synopsis of the paper is maintained from *skeleton events* — which
 //! element labels open, close and carry text along each root-to-node path —
@@ -14,31 +15,50 @@
 //!
 //! Labels are handed over as [`Cow`]: element names and entity-free text
 //! runs borrow straight from the input, only entity decoding or
-//! CDATA-spliced runs allocate. No tree is ever materialised — a sink can
-//! fold a document into a synopsis in one pass over the bytes.
+//! CDATA-spliced runs allocate. A sink can fold a document into a synopsis
+//! in one pass over the bytes without materialising a tree.
 //!
-//! The scanner accepts and rejects **exactly** the same inputs as the tree
-//! parser ([`crate::parser`]), with the same [`XmlError`] kinds and byte
-//! offsets: both are exercised differentially by the conformance harness
-//! (`tests/conformance.rs`) and the `ingest` fuzz target. Resource limits
-//! (nesting depth, attribute count) are explicit via [`ScanLimits`] and
-//! default to the tree parser's constants.
+//! This is the only XML lexer of the workspace: [`XmlTree::parse`] is one
+//! scan into a tree-building sink, so trees, synopses and matchers accept
+//! and reject the same documents, with the same [`XmlError`] kinds and byte
+//! offsets. The accepted subset is what the evaluation needs:
+//!
+//! * elements with arbitrary nesting and self-closing tags,
+//! * attributes (checked for well-formedness, then ignored — the paper's
+//!   tree patterns do not address attributes),
+//! * character data, trimmed; a non-empty run becomes a text leaf,
+//! * XML declarations, processing instructions, comments and `DOCTYPE`
+//!   declarations (skipped) and CDATA sections (inlined into the text),
+//! * the five predefined entity references plus decimal/hex character
+//!   references.
+//!
+//! Anything else is an [`XmlError`]. Resource limits (nesting depth,
+//! attribute count) are explicit via [`ScanLimits`].
+//!
+//! [`XmlTree::parse`]: crate::XmlTree::parse
 
 use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlErrorKind};
-use crate::parser::{decode_entities, MAX_ATTRIBUTES, MAX_DEPTH};
+
+/// Default maximum element nesting depth (root = depth 1). Tree walks
+/// downstream recurse over element nesting, so the bound keeps arbitrary
+/// input from exhausting the stack; real documents stay far below it.
+pub(crate) const MAX_DEPTH: usize = 512;
+
+/// Default maximum number of attributes on a single start tag.
+pub(crate) const MAX_ATTRIBUTES: usize = 1024;
 
 /// Explicit resource limits for one scan.
 ///
-/// The defaults match the tree parser's hard limits, so the two ingest
-/// paths accept the same documents. Tightened limits are useful for corpus
+/// The defaults are the limits [`XmlTree::parse`](crate::XmlTree::parse)
+/// and byte-level ingest run under. Tightened limits are useful for corpus
 /// linting (`tps lint --corpus`) and for bounding adversarial input in
 /// fuzzing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanLimits {
     /// Maximum element nesting depth (root = depth 1). A non-self-closing
-    /// element *at* this depth is rejected, mirroring the tree parser.
+    /// element *at* this depth is rejected.
     pub max_depth: usize,
     /// Maximum number of attributes on a single start tag.
     pub max_attributes: usize,
@@ -82,9 +102,8 @@ impl SkeletonSink for NullSink {
 
 // Byte classification table: one lookup replaces the chains of range and
 // equality tests in the hot loops (name runs, character-data runs,
-// whitespace). Non-ASCII bytes classify as name bytes, exactly like the
-// tree parser's `is_name_byte` (UTF-8 continuation bytes are all >= 0x80,
-// so multi-byte names stay intact).
+// whitespace). Non-ASCII bytes classify as name bytes (UTF-8 continuation
+// bytes are all >= 0x80, so multi-byte names stay intact).
 const CLASS_WS: u8 = 1 << 0;
 const CLASS_NAME_START: u8 = 1 << 1;
 const CLASS_NAME: u8 = 1 << 2;
@@ -173,10 +192,9 @@ pub fn scan_str<S: SkeletonSink>(
 
 /// Scan the content of the (non-self-closing) root element to its end tag.
 ///
-/// Unlike the tree parser this is iterative: the open-element stack is an
-/// explicit `Vec` of borrowed names, with one pending text buffer per open
-/// element (text is flushed to the sink when markup interrupts it, exactly
-/// where the parser attaches text leaves).
+/// Iterative: the open-element stack is an explicit `Vec` of borrowed
+/// names, with one pending text buffer per open element (text is flushed to
+/// the sink when markup other than CDATA interrupts it).
 fn scan_content<'a, S: SkeletonSink>(
     cursor: &mut Cursor<'a>,
     limits: &ScanLimits,
@@ -202,8 +220,8 @@ fn scan_content<'a, S: SkeletonSink>(
             flush_text(&mut texts, sink);
             cursor.skip_comment()?;
         } else if cursor.starts_with("<![CDATA[") {
-            // CDATA splices into the running text buffer without a flush,
-            // mirroring the parser (`<a>x<![CDATA[y]]>z</a>` is one leaf).
+            // CDATA splices into the running text buffer without a flush
+            // (`<a>x<![CDATA[y]]>z</a>` is one leaf).
             let start = cursor.pos + 9;
             match cursor.input[start..].find("]]>") {
                 Some(rel) => {
@@ -317,7 +335,7 @@ fn push_owned(texts: &mut [TextBuf<'_>], run: String) {
 }
 
 /// Flush the innermost pending text buffer: trim it and, when non-empty,
-/// emit it as a text event (the parser's `flush_text` equivalent).
+/// emit it as a text event.
 fn flush_text<S: SkeletonSink>(texts: &mut [TextBuf<'_>], sink: &mut S) {
     // invariant: `texts` parallels the open-element stack, non-empty in content
     let buf = texts.last_mut().expect("one text buffer per open element");
@@ -343,9 +361,8 @@ fn flush_text<S: SkeletonSink>(texts: &mut [TextBuf<'_>], sink: &mut S) {
     }
 }
 
-/// Byte cursor over the (UTF-8 validated) input; the low-level vocabulary
-/// is a deliberate mirror of `parser::Parser` so that offsets and error
-/// kinds stay in lock-step between the two ingest paths.
+/// Byte cursor over the (UTF-8 validated) input; every error carries the
+/// cursor's byte offset.
 struct Cursor<'a> {
     input: &'a str,
     bytes: &'a [u8],
@@ -551,6 +568,56 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Decode the predefined entities and numeric character references of `raw`,
+/// a character-data run starting at byte `offset` of the input.
+fn decode_entities(raw: &str, offset: usize) -> Result<String, XmlError> {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.char_indices();
+    while let Some((i, c)) = chars.next() {
+        if c != '&' {
+            out.push(c);
+            continue;
+        }
+        // Collect up to ';', giving up past ten characters.
+        let mut entity = String::new();
+        let mut closed = false;
+        for (_, e) in chars.by_ref() {
+            if e == ';' {
+                closed = true;
+                break;
+            }
+            entity.push(e);
+            if entity.len() > 10 {
+                break;
+            }
+        }
+        let decoded = match entity.as_str() {
+            _ if !closed => None,
+            "lt" => Some('<'),
+            "gt" => Some('>'),
+            "amp" => Some('&'),
+            "apos" => Some('\''),
+            "quot" => Some('"'),
+            _ => match entity
+                .strip_prefix("#x")
+                .or_else(|| entity.strip_prefix("#X"))
+            {
+                Some(hex) => u32::from_str_radix(hex, 16).ok(),
+                None => entity.strip_prefix('#').and_then(|dec| dec.parse().ok()),
+            }
+            .and_then(char::from_u32),
+        };
+        match decoded {
+            Some(ch) => out.push(ch),
+            None => {
+                let kind = XmlErrorKind::InvalidEntity(entity);
+                return Err(XmlError::new(kind, offset + i));
+            }
+        }
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,8 +731,12 @@ mod tests {
         let limits = ScanLimits::default();
         let input = "<a>".repeat(MAX_DEPTH * 2);
         let scan_err = scan_document(input.as_bytes(), &limits, &mut NullSink).unwrap_err();
-        let parse_err = crate::parser::parse_document(&input).unwrap_err();
-        assert_eq!(scan_err, parse_err);
+        // The tree parser's error: right after the 512th start tag.
+        let depth = XmlErrorKind::LimitExceeded {
+            what: "element nesting depth",
+            limit: 512,
+        };
+        assert_eq!(scan_err, XmlError::new(depth, 1536));
         // Custom limits bite earlier.
         let tight = ScanLimits {
             max_depth: 4,
@@ -712,23 +783,45 @@ mod tests {
 
     #[test]
     fn prolog_epilog_and_errors_mirror_the_parser() {
-        for input in [
-            r#"<?xml version="1.0"?><!DOCTYPE a []><a><!-- c --><b/></a><!-- t -->"#,
-            "<a>&lt;x&gt;</a>",
-            "<données><été>chaud</été></données>",
-            "<a/><b/>",
-            "</a>",
-            "<a><b></c></a>",
-            "<a attr></a>",
-            "<a attr=1></a>",
-            "<a>&nope;</a>",
-            "<a><b>",
-            "   ",
-            "<a><![CDATA[never closed",
+        // Each expectation is the outcome the tree parser gave the input.
+        use XmlErrorKind::*;
+        let malformed = |what: &str| Malformed(what.to_string());
+        let mismatched = MismatchedClosingTag {
+            expected: "b".to_string(),
+            found: "c".to_string(),
+        };
+        for (input, expected) in [
+            (
+                r#"<?xml version="1.0"?><!DOCTYPE a []><a><!-- c --><b/></a><!-- t -->"#,
+                None,
+            ),
+            ("<a>&lt;x&gt;</a>", None),
+            ("<données><été>chaud</été></données>", None),
+            ("<a/><b/>", Some((TrailingContent, 4))),
+            ("</a>", Some((NoRootElement, 0))),
+            ("<a><b></c></a>", Some((mismatched, 10))),
+            (
+                "<a attr></a>",
+                Some((malformed("attribute without '=' value"), 7)),
+            ),
+            (
+                "<a attr=1></a>",
+                Some((malformed("attribute value must be quoted"), 8)),
+            ),
+            (
+                "<a>&nope;</a>",
+                Some((InvalidEntity("nope".to_string()), 3)),
+            ),
+            ("<a><b>", Some((UnexpectedEof, 6))),
+            ("   ", Some((NoRootElement, 3))),
+            ("<a><![CDATA[never closed", Some((UnexpectedEof, 24))),
         ] {
             let scanned = scan_document(input.as_bytes(), &ScanLimits::default(), &mut NullSink);
-            let parsed = crate::parser::parse_document(input).map(|_| ());
-            assert_eq!(scanned, parsed, "input: {input:?}");
+            let expected = match expected {
+                None => Ok(()),
+                Some((kind, offset)) => Err(XmlError::new(kind, offset)),
+            };
+            assert_eq!(scanned, expected, "input: {input:?}");
         }
     }
 }

@@ -28,7 +28,8 @@ use std::io::{self, BufRead, BufReader};
 use std::path::Path;
 
 use crate::error::XmlError;
-use crate::tree::XmlTree;
+use crate::scan::{scan_document, ScanLimits};
+use crate::tree::{TreeBuilder, XmlTree};
 
 /// One document pulled from a stream: either parsed already, or the raw
 /// text of a single document for the consumer to parse (possibly on a
@@ -50,21 +51,19 @@ pub enum StreamItem {
 impl StreamItem {
     /// Parse the item into a tree (a no-op for [`StreamItem::Tree`]).
     ///
-    /// Lossless for every variant: [`StreamItem::RawBytes`] is UTF-8
-    /// validated first ([`crate::error::XmlErrorKind::InvalidUtf8`] with the
-    /// offset of the longest valid prefix on failure) and then parsed like
-    /// raw text.
+    /// Lossless for every variant: [`StreamItem::RawBytes`] is scanned
+    /// straight into the tree, like [`XmlTree::parse`] but UTF-8 validated
+    /// first ([`crate::error::XmlErrorKind::InvalidUtf8`] with the offset of
+    /// the longest valid prefix on failure).
     pub fn into_tree(self) -> Result<XmlTree, XmlError> {
         match self {
             StreamItem::Tree(tree) => Ok(tree),
             StreamItem::Raw(text) => XmlTree::parse(&text),
-            StreamItem::RawBytes(bytes) => match std::str::from_utf8(&bytes) {
-                Ok(text) => XmlTree::parse(text),
-                Err(e) => Err(XmlError::new(
-                    crate::error::XmlErrorKind::InvalidUtf8,
-                    e.valid_up_to(),
-                )),
-            },
+            StreamItem::RawBytes(bytes) => {
+                let mut builder = TreeBuilder::new();
+                scan_document(&bytes, &ScanLimits::default(), &mut builder)?;
+                Ok(builder.tree)
+            }
         }
     }
 }

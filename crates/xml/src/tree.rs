@@ -6,9 +6,11 @@
 //! is `"Mozart"` and whose [`XmlNode::is_text`] flag is set. This mirrors the
 //! document trees in Figure 1 of the paper, where values appear as leaves.
 
+use std::borrow::Cow;
+
 use crate::error::XmlError;
-use crate::parser;
 use crate::paths::RootToLeafPaths;
+use crate::scan::{scan_str, ScanLimits, SkeletonSink};
 use crate::skeleton;
 use crate::writer;
 
@@ -99,11 +101,14 @@ impl XmlTree {
         }
     }
 
-    /// Parse an XML document from text.
+    /// Parse an XML document from text: one [`scan_str`] under the default
+    /// [`ScanLimits`] into a tree-building sink.
     ///
-    /// See [`crate::parser`] for the supported subset.
+    /// See [`crate::scan`] for the supported subset.
     pub fn parse(input: &str) -> Result<Self, XmlError> {
-        parser::parse_document(input)
+        let mut builder = TreeBuilder::new();
+        scan_str(input, &ScanLimits::default(), &mut builder)?;
+        Ok(builder.tree)
     }
 
     /// The root node id (always valid).
@@ -254,6 +259,47 @@ impl XmlTree {
     /// generator targets roughly 100 *tag pairs* per document.
     pub fn edge_count(&self) -> usize {
         self.nodes.len().saturating_sub(1)
+    }
+}
+
+/// Builds an [`XmlTree`] from scanner events: the first `open` makes the
+/// root, later ones add an element under the innermost open one, `text`
+/// adds a text leaf there and `close` pops.
+pub(crate) struct TreeBuilder {
+    /// Empty until the root opens; complete once the scan returns `Ok`.
+    pub(crate) tree: XmlTree,
+    stack: Vec<NodeId>,
+}
+
+impl TreeBuilder {
+    pub(crate) fn new() -> Self {
+        Self {
+            tree: XmlTree { nodes: Vec::new() },
+            stack: Vec::new(),
+        }
+    }
+}
+
+impl SkeletonSink for TreeBuilder {
+    fn open(&mut self, label: Cow<'_, str>) {
+        let id = match self.stack.last() {
+            Some(&parent) => self.tree.add_child(parent, &label),
+            None => {
+                self.tree = XmlTree::new(&label);
+                self.tree.root()
+            }
+        };
+        self.stack.push(id);
+    }
+
+    fn text(&mut self, text: Cow<'_, str>) {
+        if let Some(&parent) = self.stack.last() {
+            self.tree.add_text_child(parent, &text);
+        }
+    }
+
+    fn close(&mut self) {
+        self.stack.pop();
     }
 }
 

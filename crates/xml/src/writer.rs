@@ -2,8 +2,8 @@
 //!
 //! The writer produces a canonical, attribute-free form: element nodes become
 //! tags and text leaves become escaped character data. Round-tripping a tree
-//! through [`write_document`] and [`crate::parser::parse_document`] yields an
-//! equal tree (this is covered by property tests).
+//! through [`write_document`] and [`XmlTree::parse`] yields an equal tree
+//! (this is covered by property tests).
 
 use crate::tree::{NodeId, XmlTree};
 

@@ -1,102 +1,29 @@
-//! Scanner-vs-parser conformance: the zero-copy streaming scanner
-//! (`tps_xml::scan`) must agree with the tree parser on every input —
-//! accept/reject **error-for-error** (same kind, same byte offset), and on
-//! accepted documents the event stream must rebuild the exact parse tree.
+//! Parse-outcome conformance: the one XML lexer (`tps_xml::scan`, which
+//! `XmlTree::parse` drives into a tree-building sink) must reproduce, byte
+//! for byte, the outcome the workspace's former recursive-descent tree
+//! parser recorded for every input in `fixtures/parse_outcomes.txt`:
+//! `ok <to_xml>` for an accepted document, `err <Display>` (error text and
+//! byte offset) for a rejected one.
 //!
-//! The suite replays a committed conformance corpus plus every case in the
-//! repository's fuzz corpora (`fuzz/corpus/xml`, `fuzz/corpus/ingest`), so
-//! each crash the fuzzers ever minimized doubles as a scanner conformance
-//! fixture.
+//! The inputs are a committed conformance corpus, three nesting depths
+//! around the default limit and every case in the repository's fuzz corpora
+//! (`fuzz/corpus/xml`, `fuzz/corpus/ingest`), so each crash the fuzzers
+//! ever minimized doubles as a fixture. A case added to those corpora needs
+//! its line in the fixture; the failure message prints it.
+//!
+//! Fixture format: one `<key>\t<outcome>` line per input, with `\`, line
+//! breaks and tabs escaped in both halves. Invalid UTF-8 has no text to
+//! parse; its outcome is `scan_document`'s `InvalidUtf8` error.
 
-use std::borrow::Cow;
+use std::collections::HashMap;
 
 use tps_xml::error::XmlErrorKind;
-use tps_xml::{scan_document, NullSink, ScanLimits, SkeletonSink, XmlTree};
+use tps_xml::{scan_document, NullSink, ScanLimits, XmlTree};
 
-/// Rebuilds an [`XmlTree`] from scanner events: `open` pushes a child,
-/// `text` adds a text leaf, `close` pops. Event order equals the parser's
-/// construction order, so an equal document yields an arena-identical tree.
-#[derive(Default)]
-struct TreeBuilder {
-    tree: Option<XmlTree>,
-    stack: Vec<tps_xml::tree::NodeId>,
-}
+/// The outcomes the tree parser gave every input below.
+const RECORDED: &str = include_str!("fixtures/parse_outcomes.txt");
 
-impl SkeletonSink for TreeBuilder {
-    fn open(&mut self, label: Cow<'_, str>) {
-        match self.tree.as_mut() {
-            None => {
-                let tree = XmlTree::new(&label);
-                self.stack.push(tree.root());
-                self.tree = Some(tree);
-            }
-            Some(tree) => {
-                let parent = *self.stack.last().expect("open events are balanced");
-                let child = tree.add_child(parent, &label);
-                self.stack.push(child);
-            }
-        }
-    }
-
-    fn text(&mut self, text: Cow<'_, str>) {
-        let tree = self.tree.as_mut().expect("text only under an open root");
-        let parent = *self.stack.last().expect("text only under an open element");
-        tree.add_text_child(parent, &text);
-    }
-
-    fn close(&mut self) {
-        self.stack.pop();
-    }
-}
-
-/// One differential run: scanner and parser must agree on acceptance, on
-/// the exact error (kind **and** byte offset), and on the resulting tree.
-fn check_conformance(bytes: &[u8], provenance: &str) {
-    let limits = ScanLimits::default();
-    let mut builder = TreeBuilder::default();
-    let scanned = scan_document(bytes, &limits, &mut builder);
-    let Ok(text) = std::str::from_utf8(bytes) else {
-        // The lossy re-decode the parser would need changes the bytes, so
-        // the only conformance requirement is a typed `InvalidUtf8`.
-        match scanned {
-            Err(err) => assert!(
-                matches!(err.kind(), XmlErrorKind::InvalidUtf8),
-                "{provenance}: non-UTF-8 input produced {err:?}"
-            ),
-            Ok(()) => panic!("{provenance}: non-UTF-8 input was accepted"),
-        }
-        return;
-    };
-    match (scanned, XmlTree::parse(text)) {
-        (Ok(()), Ok(parsed)) => {
-            let rebuilt = builder.tree.expect("accepted document has a root");
-            assert_eq!(
-                rebuilt.to_xml(),
-                parsed.to_xml(),
-                "{provenance}: scanner events diverge from the parse tree of {text:?}"
-            );
-            assert_eq!(
-                rebuilt.skeleton().to_xml(),
-                parsed.skeleton().to_xml(),
-                "{provenance}: skeletons diverge for {text:?}"
-            );
-        }
-        (Err(scan_err), Err(parse_err)) => {
-            assert_eq!(
-                scan_err, parse_err,
-                "{provenance}: scanner and parser reject {text:?} differently"
-            );
-        }
-        (Ok(()), Err(parse_err)) => {
-            panic!("{provenance}: scanner accepted what the parser rejects ({parse_err}): {text:?}")
-        }
-        (Err(scan_err), Ok(_)) => {
-            panic!("{provenance}: scanner rejected what the parser accepts ({scan_err}): {text:?}")
-        }
-    }
-}
-
-/// The committed conformance corpus: every construct the scanner handles,
+/// The committed conformance corpus: every construct the lexer handles,
 /// valid and invalid, including the error taxonomy.
 const CONFORMANCE_CORPUS: &[&str] = &[
     // Plain structure.
@@ -126,8 +53,7 @@ const CONFORMANCE_CORPUS: &[&str] = &[
     "<a one=\"1\" two=\"2\" three=\"3\" four=\"4\"/>",
     // Non-ASCII names and text.
     "<h\u{e9}llo>caf\u{e9}</h\u{e9}llo>",
-    // Errors: each kind of rejection, scanner and parser must agree on
-    // kind and offset.
+    // Errors: each kind of rejection, with its byte offset.
     "",
     "   ",
     "<a>",
@@ -146,57 +72,117 @@ const CONFORMANCE_CORPUS: &[&str] = &[
     "<?pi never closed",
 ];
 
+/// Escape `\`, line breaks and tabs so a key or outcome fits on one line.
+fn escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// The fixture line of one input: its key and what parsing it gives.
+fn outcome_line(key: &str, bytes: &[u8]) -> String {
+    let outcome = match std::str::from_utf8(bytes) {
+        Ok(text) => XmlTree::parse(text).map(|tree| tree.to_xml()),
+        Err(_) => {
+            let err = scan_document(bytes, &ScanLimits::default(), &mut NullSink)
+                .expect_err("invalid UTF-8 is rejected");
+            assert_eq!(*err.kind(), XmlErrorKind::InvalidUtf8, "{key}");
+            Err(err)
+        }
+    };
+    match outcome {
+        Ok(xml) => format!("{key}\tok {}", escape(&xml)),
+        Err(err) => format!("{key}\terr {}", escape(&err.to_string())),
+    }
+}
+
+/// Assert that `fresh` reproduces, line for line, every recorded line whose
+/// key starts with one of `groups` — no more, no fewer.
+fn assert_recorded(groups: &[&str], fresh: &[String]) {
+    let recorded: HashMap<&str, &str> = RECORDED
+        .lines()
+        .filter(|line| groups.iter().any(|group| line.starts_with(group)))
+        .map(|line| (line.split('\t').next().expect("split yields a key"), line))
+        .collect();
+    for line in fresh {
+        let key = line.split('\t').next().expect("split yields a key");
+        let Some(&expected) = recorded.get(key) else {
+            panic!("no recorded outcome for {key:?}; its line would be:\n{line}");
+        };
+        assert_eq!(line, expected, "outcome of {key:?} changed");
+    }
+    assert_eq!(
+        fresh.len(),
+        recorded.len(),
+        "the fixture records {} {groups:?} inputs, {} were replayed",
+        recorded.len(),
+        fresh.len()
+    );
+}
+
 #[test]
 fn committed_corpus_scans_identically_to_the_parser() {
-    for (i, doc) in CONFORMANCE_CORPUS.iter().enumerate() {
-        check_conformance(doc.as_bytes(), &format!("conformance[{i}]"));
+    let fresh: Vec<String> = CONFORMANCE_CORPUS
+        .iter()
+        .map(|doc| outcome_line(&format!("corpus {}", escape(doc)), doc.as_bytes()))
+        .collect();
+    assert_recorded(&["corpus "], &fresh);
+    // Every fixture line belongs to a group some test replays.
+    for line in RECORDED.lines() {
+        assert!(
+            ["corpus ", "depth ", "xml/", "ingest/"]
+                .iter()
+                .any(|group| line.starts_with(group)),
+            "unreplayed fixture line {line:?}"
+        );
     }
 }
 
 #[test]
 fn deeply_nested_documents_hit_the_same_depth_limit() {
     // One level under, at, and over the default limit.
-    for depth in [
-        ScanLimits::default().max_depth - 1,
-        ScanLimits::default().max_depth,
-        ScanLimits::default().max_depth + 1,
-    ] {
-        let mut doc = String::new();
-        for _ in 0..depth {
-            doc.push_str("<a>");
-        }
-        for _ in 0..depth {
-            doc.push_str("</a>");
-        }
-        check_conformance(doc.as_bytes(), &format!("depth {depth}"));
-    }
+    let limit = ScanLimits::default().max_depth;
+    let fresh: Vec<String> = [limit - 1, limit, limit + 1]
+        .into_iter()
+        .map(|depth| {
+            let doc = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+            outcome_line(&format!("depth {depth}"), doc.as_bytes())
+        })
+        .collect();
+    assert_recorded(&["depth "], &fresh);
 }
 
 #[test]
 fn fuzz_corpora_replay_through_the_differential() {
     // Every minimized fuzz case doubles as a conformance fixture. The
-    // corpus lives at the repository root; a missing directory (e.g. a
-    // stripped-down source distribution) is an empty corpus.
+    // corpus lives at the repository root.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus");
-    let mut replayed = 0usize;
+    let mut fresh = Vec::new();
     for target in ["xml", "ingest"] {
-        let Ok(entries) = std::fs::read_dir(root.join(target)) else {
-            continue;
-        };
+        let entries = std::fs::read_dir(root.join(target)).expect("fuzz corpus directory");
         for entry in entries {
             let path = entry.expect("corpus directory entry").path();
             if path.extension().and_then(|e| e.to_str()) != Some("case") {
                 continue;
             }
+            let name = path.file_name().expect("case file name").to_string_lossy();
             let bytes = std::fs::read(&path).expect("corpus case is readable");
-            check_conformance(&bytes, &path.display().to_string());
-            replayed += 1;
+            fresh.push(outcome_line(&format!("{target}/{name}"), &bytes));
         }
     }
     assert!(
-        replayed >= 5,
+        fresh.len() >= 5,
         "expected the committed fuzz corpora to replay"
     );
+    assert_recorded(&["xml/", "ingest/"], &fresh);
 }
 
 #[test]
