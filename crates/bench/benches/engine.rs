@@ -8,7 +8,8 @@
 //!   registered handles; marginals and unordered joints come from the
 //!   engine's epoch-tagged caches.
 //! * `similarity_matrix` — one batched [`SimilarityEngine::similarity_matrix`]
-//!   call (n marginals, n·(n−1)/2 joints, shared `SEL` memo).
+//!   call (one `SEL` evaluation per distinct root branch, then n marginal
+//!   and n·(n−1)/2 joint folds of the cached branch values).
 //!
 //! Engines are rebuilt in the (untimed) setup of every iteration so each
 //! sample starts with cold marginal/joint/`SEL` caches — the numbers compare
@@ -38,7 +39,7 @@ fn cold_engine(synopsis: &Synopsis, fixture: &BenchFixture) -> (SimilarityEngine
     let mut engine = SimilarityEngine::from_synopsis(synopsis.clone());
     let ids = engine.register_all(fixture.positives());
     // Materialise the per-node matching sets outside the timed section;
-    // the marginal, joint and SEL-memo caches stay cold.
+    // the marginal, joint and branch-value caches stay cold.
     engine.prepare();
     (engine, ids)
 }

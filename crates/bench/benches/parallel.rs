@@ -40,7 +40,7 @@ fn cold_engine(synopsis: &Synopsis, fixture: &BenchFixture) -> (SimilarityEngine
     let mut engine = SimilarityEngine::from_synopsis(synopsis.clone());
     let ids = engine.register_all(fixture.positives());
     // Materialise the per-node matching sets outside the timed section; the
-    // marginal, joint and SEL-memo caches stay cold.
+    // marginal, joint and branch-value caches stay cold.
     engine.prepare();
     (engine, ids)
 }

@@ -33,6 +33,11 @@
 //! literal anywhere else is a second lexer. The fuzzer (`crates/fuzz/src`)
 //! is exempt: its mutation dictionaries splice the token into inputs.
 //!
+//! Under `crates/core/src`, `ops::conjunction` may only appear in
+//! `selectivity.rs`, again with no justification: the engine folds a joint
+//! from its operands' cached root-branch values, and only the reference
+//! `SelectivityEstimator` builds and evaluates the conjunction pattern.
+//!
 //! Out of scope, deliberately: `bin/` targets and `main.rs` (CLI skeletons
 //! report errors to humans directly), `tests/`, benches, and everything
 //! under `#[cfg(test)]` (panicking is the point of an assertion), plus the
@@ -64,6 +69,12 @@ const CDATA: &str = "\"<![CDATA[\"";
 
 /// What to do about a second XML lexer.
 const ONE_LEXER: &str = "XML documents are lexed by tps_xml::scan alone";
+
+/// The call only the reference estimator makes in `crates/core/src`.
+const CONJUNCTION: &str = "ops::conjunction";
+
+/// What to do about a conjunction pattern built in the engine.
+const FOLD_JOINTS: &str = "fold the joint from the operands' root-branch values";
 
 const USAGE: &str = "usage: src-lint [ROOT]";
 
@@ -97,6 +108,14 @@ fn may_lex(path: &Path) -> bool {
         || parts.windows(3).any(|w| w == ["crates", "fuzz", "src"])
 }
 
+/// Whether `path` is under `crates/core/src` but is not the reference
+/// estimator, `selectivity.rs`: code that may not build a conjunction.
+fn folds_joints(path: &Path) -> bool {
+    let parts: Vec<_> = path.components().map(|c| c.as_os_str()).collect();
+    parts.windows(3).any(|w| w == ["crates", "core", "src"])
+        && !parts.ends_with(&["crates", "core", "src", "selectivity.rs"].map(std::ffi::OsStr::new))
+}
+
 /// The name of the function a line declares, if it declares one.
 fn declared_fn(trimmed: &str) -> Option<&str> {
     let rest = ["fn ", "pub fn ", "pub(crate) fn "]
@@ -109,11 +128,12 @@ fn declared_fn(trimmed: &str) -> Option<&str> {
 }
 
 /// Scan the source text of the file at `path` for unjustified hits; the
-/// path decides whether the `crates/net/src` rule on document trees and
-/// the one-lexer rule apply.
+/// path decides whether the `crates/net/src` rule on document trees, the
+/// one-lexer rule and the `crates/core/src` rule on conjunctions apply.
 fn scan_source(source: &str, path: &Path) -> Vec<Finding> {
     let tree_free = tree_free(path);
     let lexer_free = !may_lex(path);
+    let folds_joints = folds_joints(path);
     let lines: Vec<&str> = source.lines().collect();
     let mut findings = Vec::new();
     // `#[cfg(test)]` region tracking: after the attribute, wait for the
@@ -183,6 +203,13 @@ fn scan_source(source: &str, path: &Path) -> Vec<Finding> {
                 line: index + 1,
                 what: "a CDATA literal outside the XML scanner",
                 fix: ONE_LEXER,
+            });
+        }
+        if folds_joints && line.contains(CONJUNCTION) {
+            findings.push(Finding {
+                line: index + 1,
+                what: "ops::conjunction outside the reference estimator",
+                fix: FOLD_JOINTS,
             });
         }
         let hit = if line.contains(".unwrap()") {
@@ -319,7 +346,7 @@ mod tests {
 
     /// A library file no path-specific rule applies to.
     fn lib() -> &'static Path {
-        Path::new("crates/core/src/lib.rs")
+        Path::new("crates/synopsis/src/lib.rs")
     }
 
     #[test]
@@ -418,6 +445,20 @@ mod tests {
             assert!(scan_source(source, Path::new(home)).is_empty(), "{home}");
         }
         assert!(!may_lex(Path::new("./crates/xml/src/tree.rs")));
+    }
+
+    #[test]
+    fn only_the_reference_estimator_builds_conjunctions() {
+        let source = "fn joint(p: &TreePattern, q: &TreePattern) -> f64 {\n    \
+                      let both = tps_pattern::ops::conjunction(p, q);\n}\n\
+                      // prose may name ops::conjunction\n\
+                      #[cfg(test)]\nmod tests {\n    fn t() { ops::conjunction(p, q); }\n}\n";
+        let engine = Path::new("./crates/core/src/engine.rs");
+        let lines: Vec<usize> = scan_source(source, engine).iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2]);
+        assert!(scan_source(source, Path::new("./crates/core/src/selectivity.rs")).is_empty());
+        assert!(scan_source(source, Path::new("./crates/pattern/src/ops.rs")).is_empty());
+        assert!(scan_source(source, lib()).is_empty());
     }
 
     /// The workspace itself stays clean — the same guarantee CI enforces,

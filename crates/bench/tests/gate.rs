@@ -141,9 +141,37 @@ fn committed_thresholds_file_parses_and_carries_the_build_par_rules() {
         net_core[0].max <= 4.5,
         "a trusted forward must skip the match: {net_core:?}"
     );
+    let engine: Vec<_> = thresholds
+        .ratios
+        .iter()
+        .filter(|rule| rule.numerator.starts_with("engine"))
+        .collect();
+    assert_eq!(engine.len(), 2, "batched-vs-per-call + matrix-vs-marginals");
+    for (numerator, denominator, max) in [
+        (
+            "engine_selectivities/batched",
+            "engine_selectivities/per_call",
+            0.12,
+        ),
+        (
+            "engine/similarity_matrix/M3",
+            "engine_selectivities/batched",
+            3.0,
+        ),
+    ] {
+        let rule = engine
+            .iter()
+            .find(|rule| rule.numerator == numerator && rule.denominator == denominator)
+            .unwrap_or_else(|| panic!("the {numerator}-vs-{denominator} rule"));
+        assert!(
+            rule.max <= max,
+            "cached branch values must keep their lead: {rule:?}"
+        );
+    }
     assert_eq!(
         thresholds.ratios.len(),
         build_par.len()
+            + engine.len()
             + analyze.len()
             + index.len()
             + ingest.len()
@@ -167,6 +195,10 @@ fn gate_rejects_the_prefix_build_par_snapshot() {
     prefix.extend(
         parse_snapshot(&read(&repo_root().join("BENCH_analyze.json")))
             .expect("analyze snapshot parses"),
+    );
+    prefix.extend(
+        parse_snapshot(&read(&repo_root().join("BENCH_engine.json")))
+            .expect("engine snapshot parses"),
     );
     prefix.extend(
         parse_snapshot(&read(&repo_root().join("BENCH_index.json")))
@@ -210,6 +242,10 @@ fn gate_accepts_the_committed_snapshots() {
     union.extend(
         parse_snapshot(&read(&repo_root().join("BENCH_analyze.json")))
             .expect("analyze snapshot parses"),
+    );
+    union.extend(
+        parse_snapshot(&read(&repo_root().join("BENCH_engine.json")))
+            .expect("engine snapshot parses"),
     );
     union.extend(
         parse_snapshot(&read(&repo_root().join("BENCH_index.json")))

@@ -12,24 +12,30 @@
 //! results are invalidated exactly when the synopsis changes):
 //!
 //! 1. an engine-side materialisation of the per-node full matching sets
-//!    (subsuming the old `SynopsisConfig`-then-`prepare()` two-step),
-//! 2. per-pattern selectivities and per-pair joint selectivities,
-//! 3. a `SEL` memo shared **across** patterns, keyed by
-//!    `(synopsis node, canonical pattern subtree)` — common subscription
-//!    fragments, and the operand copies inside conjunction patterns, hit the
-//!    same entries.
+//!    (subsuming the old `SynopsisConfig`-then-`prepare()` two-step), with a
+//!    label signature per node that lets a `SEL` step skip the synopsis
+//!    subtrees lacking one of its prefix tags;
+//! 2. the value `sat(u)` of every root branch `u` evaluated so far, keyed by
+//!    the branch's canonical subtree: a pattern's value is the intersection
+//!    of its root branches' values, so patterns sharing a branch share its
+//!    evaluation;
+//! 3. per-pattern selectivities and per-pair joint selectivities.
 //!
-//! The batched entry points [`SimilarityEngine::selectivities`] and
-//! [`SimilarityEngine::similarity_matrix`] evaluate a whole workload in one
-//! pass over those caches: an `n × n` similarity matrix costs `n` marginal
-//! evaluations plus one joint evaluation per unordered pair, instead of the
-//! `2·n²` marginal and `n²` joint evaluations of per-call estimation.
+//! The joint `P(p ∧ q)` is the value of the root-merge of `p` and `q`
+//! (Section 4), whose root branches are those of `p` and `q`. It is folded
+//! from the cached branch values in the order of the normalised
+//! conjunction, with no conjunction pattern built and no `SEL` run. The
+//! batched entry points [`SimilarityEngine::selectivities`] and
+//! [`SimilarityEngine::similarity_matrix`] therefore evaluate each distinct
+//! root branch of a workload once; an `n × n` similarity matrix then costs
+//! `n` marginal folds plus one fold of a few cached values per unordered
+//! pair, instead of the `2·n²` marginal and `n²` joint evaluations of
+//! per-call estimation.
 //!
 //! The engine is `Send + Sync` — the immutable core (synopsis, compiled
 //! patterns) sits behind an [`Arc`], the caches behind a [`Mutex`] — and
-//! [`SimilarityEngine::similarity_matrix_par`] splits the matrix evaluation
-//! across scoped worker threads with per-worker memo shards that are merged
-//! back afterwards, bit-identical to the sequential result.
+//! [`SimilarityEngine::similarity_matrix_par`] evaluates the missing branch
+//! values on scoped worker threads, bit-identical to the sequential result.
 //!
 //! # Example
 //!
@@ -59,17 +65,21 @@
 //! assert_eq!(matrix.get(0, 1), sim);
 //! ```
 
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use tps_pattern::{containment, ops, CompiledPattern, SubtreeInterner, TreePattern};
+use tps_pattern::{
+    containment, ops, CompiledPattern, PatternNodeId, SubtreeInterner, SubtreeKeyId, TreePattern,
+};
 use tps_synopsis::{
     DocId, IngestTarget, PruneConfig, PruneReport, SummaryValue, Synopsis, SynopsisConfig,
     SynopsisSize,
 };
 use tps_xml::XmlTree;
 
-use crate::eval::{SelEvaluator, SelMemo, ValueSource};
+use crate::eval::{self, Materialised, SelEvaluator, SelMemo, ValueSource};
 use crate::index::{CandidateIndex, LshConfig};
 use crate::metrics::ProximityMetric;
 use crate::par;
@@ -209,6 +219,7 @@ impl SimilarityEngineBuilder {
             core: Arc::new(EngineCore {
                 synopsis: Synopsis::new(config),
                 patterns: Vec::new(),
+                branches: Vec::new(),
                 by_key: HashMap::new(),
                 covered_by: Vec::new(),
             }),
@@ -231,9 +242,11 @@ pub struct EngineCacheStats {
     pub marginal_misses: u64,
     /// Joint selectivity queries answered from the pair cache.
     pub joint_hits: u64,
-    /// Joint selectivity queries that evaluated a conjunction.
+    /// Joint selectivity queries folded from branch values.
     pub joint_misses: u64,
-    /// Entries currently in the shared `SEL` memo.
+    /// Root-branch values currently cached: one per distinct canonical
+    /// branch the queries of this epoch have needed. (The name predates
+    /// this cache, which replaced a shared `SEL` memo.)
     pub memo_entries: usize,
     /// Distinct canonical pattern subtrees interned so far.
     pub interned_subtrees: usize,
@@ -251,6 +264,8 @@ pub struct EngineCacheStats {
 struct EngineCore {
     synopsis: Synopsis,
     patterns: Vec<CompiledPattern>,
+    /// Per pattern: its root branches (parallel to `patterns`).
+    branches: Vec<Box<[Branch]>>,
     by_key: HashMap<Box<str>, PatternId>,
     /// Per pattern: the handle of another registered pattern whose match set
     /// provably includes this one's (`None` for active patterns). Only
@@ -259,38 +274,63 @@ struct EngineCore {
     covered_by: Vec<Option<PatternId>>,
 }
 
-/// One evaluation through the shared caches: clear the per-evaluation
-/// scratch memo, run `SEL` with `shared` consulted read-only, and return the
-/// clamped selectivity. The pure building block behind both the sequential
-/// cache methods and the per-worker shards of the parallel matrix.
-fn eval_selectivity(
-    synopsis: &Synopsis,
-    full: &[SummaryValue],
-    shared: &SelMemo,
-    scratch: &mut SelMemo,
-    compiled: &CompiledPattern,
-) -> f64 {
-    scratch.clear();
-    SelEvaluator {
-        synopsis,
-        source: ValueSource::Cached(full),
-        shared,
-        local: scratch,
-    }
-    .selectivity(compiled)
+/// A root branch of a compiled pattern: the node that roots it, the
+/// interned key its value is cached under, and its canonical key text,
+/// which orders it among the root branches of a conjunction.
+#[derive(Debug, Clone)]
+struct Branch {
+    text: Box<str>,
+    key: SubtreeKeyId,
+    node: PatternNodeId,
+}
+
+/// The root branches of a compiled pattern, in its normalised order.
+fn branches_of(compiled: &CompiledPattern) -> Box<[Branch]> {
+    let pattern = compiled.pattern();
+    pattern
+        .children(pattern.root())
+        .iter()
+        .map(|&node| Branch {
+            text: ops::subtree_key(pattern, node).into(),
+            key: compiled.node_key(node),
+            node,
+        })
+        .collect()
+}
+
+/// The keys of the root branches of `p ∧ q` after normalisation: both lists
+/// are in canonical text order, so this is their merge, a shared branch
+/// once.
+fn merged<'a>(p: &'a [Branch], q: &'a [Branch]) -> impl Iterator<Item = SubtreeKeyId> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let order = match (p.get(i), q.get(j)) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(a), Some(b)) if a.key == b.key => Ordering::Equal,
+            (Some(a), Some(b)) => a.text.cmp(&b.text),
+        };
+        let key = if order == Ordering::Greater {
+            q[j].key
+        } else {
+            p[i].key
+        };
+        i += usize::from(order != Ordering::Greater);
+        j += usize::from(order != Ordering::Less);
+        Some(key)
+    })
 }
 
 /// The one matrix-assembly pass behind both
 /// [`SimilarityEngine::similarity_matrix`] and
 /// [`SimilarityEngine::similarity_matrix_par`]: unit diagonal, `1.0` for
-/// duplicate handles, marginals/joints through the cache state (computed on
-/// demand when cold, pure hits when a parallel wave warmed them), and the
+/// duplicate handles, marginals/joints through the cache state, and the
 /// mirror entry recomputed for asymmetric metrics. A single implementation
 /// is what keeps the two entry points bit-identical by construction.
 fn assemble_matrix(
     st: &mut EngineState,
-    synopsis: &Synopsis,
-    patterns: &[CompiledPattern],
+    core: &EngineCore,
     ids: &[PatternId],
     metric: ProximityMetric,
 ) -> SimMatrix {
@@ -307,9 +347,9 @@ fn assemble_matrix(
                 values[j * n + i] = 1.0;
                 continue;
             }
-            let p_p = st.marginal(synopsis, patterns, p);
-            let p_q = st.marginal(synopsis, patterns, q);
-            let p_and = st.joint(synopsis, patterns, p, q);
+            let p_p = st.marginal(core, p);
+            let p_q = st.marginal(core, q);
+            let p_and = st.joint(core, p, q);
             let forward = metric.compute(p_p, p_q, p_and);
             values[i * n + j] = forward;
             values[j * n + i] = if metric.is_symmetric() {
@@ -326,44 +366,17 @@ fn assemble_matrix(
     }
 }
 
-/// Promote the *top-level* `SEL` entries of an evaluated pattern — `(root
-/// child of the synopsis, root branch of the pattern)` — from the
-/// per-evaluation scratch memo into a persistent memo. `or_insert`
-/// semantics: an entry already present (necessarily the same value, `SEL`
-/// is a pure function) is kept, so promotion order never matters.
-fn promote_top_level(
-    synopsis: &Synopsis,
-    compiled: &CompiledPattern,
-    scratch: &SelMemo,
-    memo: &mut SelMemo,
-) {
-    let pattern = compiled.pattern();
-    for &u in pattern.children(pattern.root()) {
-        let key_u = compiled.node_key(u);
-        for &v in synopsis.children(synopsis.root()) {
-            let key = (v, key_u);
-            if let Some(entry) = scratch.get(&key) {
-                memo.entry(key).or_insert_with(|| entry.clone());
-            }
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct EngineState {
     /// Synopsis epoch the value caches below were computed at.
     epoch: u64,
     /// Subtree-key interner (survives epoch bumps: keys are pattern-side).
     interner: SubtreeInterner,
-    /// Engine-side materialisation of the full matching sets, built lazily.
-    full: Option<Vec<SummaryValue>>,
-    /// Persistent cross-pattern `SEL` memo, keyed by `(synopsis node,
-    /// pattern subtree)`. Holds only promoted *top-level* entries (root
-    /// branches at the synopsis root's children) — enough to make
-    /// conjunction evaluation a handful of lookups, while staying a few
-    /// entries per pattern.
-    memo: SelMemo,
-    /// Reusable per-evaluation memo (cleared between evaluations).
+    /// Engine-side materialisation of the synopsis, built lazily.
+    materialised: Option<Materialised>,
+    /// `sat(u)` of every root branch evaluated so far, by its key.
+    branch_values: HashMap<SubtreeKeyId, SummaryValue>,
+    /// Reusable per-branch `SEL` memo (cleared between branches).
     scratch: SelMemo,
     /// Cached marginal selectivity per registered pattern.
     marginals: Vec<Option<f64>>,
@@ -380,8 +393,8 @@ impl EngineState {
         Self {
             epoch: 0,
             interner: SubtreeInterner::new(),
-            full: None,
-            memo: SelMemo::new(),
+            materialised: None,
+            branch_values: HashMap::new(),
             scratch: SelMemo::new(),
             marginals: Vec::new(),
             joints: HashMap::new(),
@@ -397,8 +410,8 @@ impl EngineState {
     /// [`EngineCacheStats`] always describes the current epoch's caches.
     fn invalidate(&mut self, epoch: u64, pattern_count: usize) {
         self.epoch = epoch;
-        self.full = None;
-        self.memo.clear();
+        self.materialised = None;
+        self.branch_values.clear();
         self.scratch.clear();
         self.marginals = vec![None; pattern_count];
         self.joints.clear();
@@ -408,51 +421,66 @@ impl EngineState {
         self.joint_misses = 0;
     }
 
-    fn ensure_full<'a>(
-        full: &'a mut Option<Vec<SummaryValue>>,
-        synopsis: &Synopsis,
-    ) -> &'a [SummaryValue] {
-        full.get_or_insert_with(|| synopsis.full_values())
+    /// Compile a pattern through the engine's interner.
+    fn compile(&mut self, pattern: &TreePattern) -> (CompiledPattern, Box<[Branch]>) {
+        let compiled = CompiledPattern::compile(pattern, &mut self.interner);
+        let branches = branches_of(&compiled);
+        (compiled, branches)
     }
 
-    /// Selectivity of a compiled pattern through the shared caches. After
-    /// the evaluation, the pattern's top-level `SEL` entries are promoted
-    /// into the persistent cross-pattern memo, so later conjunctions over
-    /// this pattern resolve without recursing into the synopsis.
-    fn selectivity(&mut self, synopsis: &Synopsis, compiled: &CompiledPattern) -> f64 {
-        let full = Self::ensure_full(&mut self.full, synopsis);
-        let value = eval_selectivity(synopsis, full, &self.memo, &mut self.scratch, compiled);
-        promote_top_level(synopsis, compiled, &self.scratch, &mut self.memo);
-        value
+    /// Evaluate the root branches of `compiled` that have no cached value.
+    fn evaluate_branches(
+        &mut self,
+        synopsis: &Synopsis,
+        compiled: &CompiledPattern,
+        branches: &[Branch],
+    ) {
+        let materialised = self
+            .materialised
+            .get_or_insert_with(|| Materialised::of(synopsis));
+        for branch in branches {
+            if let Entry::Vacant(slot) = self.branch_values.entry(branch.key) {
+                self.scratch.clear();
+                let source = ValueSource::Cached(materialised);
+                slot.insert(
+                    SelEvaluator::new(synopsis, source, &mut self.scratch)
+                        .branch(compiled, branch.node),
+                );
+            }
+        }
+    }
+
+    /// The selectivity of `p ∧ q` (of `p` alone when `q` is empty), folded
+    /// from cached branch values.
+    fn fold(&self, p: &[Branch], q: &[Branch]) -> f64 {
+        // invariant: `evaluate_branches` ran for both lists this epoch
+        let universe = self
+            .materialised
+            .as_ref()
+            .expect("materialised with the branches")
+            .universe;
+        let values = merged(p, q).map(|key| &self.branch_values[&key]);
+        eval::selectivity(eval::conjunction_units(universe, values), universe)
     }
 
     /// Cached marginal selectivity of a registered pattern.
-    fn marginal(
-        &mut self,
-        synopsis: &Synopsis,
-        patterns: &[CompiledPattern],
-        id: PatternId,
-    ) -> f64 {
+    fn marginal(&mut self, core: &EngineCore, id: PatternId) -> f64 {
         if let Some(cached) = self.marginals[id.index()] {
             self.marginal_hits += 1;
             return cached;
         }
         self.marginal_misses += 1;
-        let value = self.selectivity(synopsis, &patterns[id.index()]);
+        let branches = &core.branches[id.index()];
+        self.evaluate_branches(&core.synopsis, &core.patterns[id.index()], branches);
+        let value = self.fold(branches, &[]);
         self.marginals[id.index()] = Some(value);
         value
     }
 
     /// Cached joint selectivity of an unordered pair of registered patterns.
-    fn joint(
-        &mut self,
-        synopsis: &Synopsis,
-        patterns: &[CompiledPattern],
-        p: PatternId,
-        q: PatternId,
-    ) -> f64 {
+    fn joint(&mut self, core: &EngineCore, p: PatternId, q: PatternId) -> f64 {
         if p == q {
-            return self.marginal(synopsis, patterns, p);
+            return self.marginal(core, p);
         }
         let key = (p.0.min(q.0), p.0.max(q.0));
         if let Some(&cached) = self.joints.get(&key) {
@@ -460,10 +488,11 @@ impl EngineState {
             return cached;
         }
         self.joint_misses += 1;
-        let conjunction =
-            ops::conjunction(patterns[p.index()].pattern(), patterns[q.index()].pattern());
-        let compiled = CompiledPattern::compile(&conjunction, &mut self.interner);
-        let value = self.selectivity(synopsis, &compiled);
+        for id in [p, q] {
+            let i = id.index();
+            self.evaluate_branches(&core.synopsis, &core.patterns[i], &core.branches[i]);
+        }
+        let value = self.fold(&core.branches[p.index()], &core.branches[q.index()]);
         self.joints.insert(key, value);
         value
     }
@@ -471,8 +500,7 @@ impl EngineState {
     /// Similarity of a registered pair under `metric`.
     fn similarity(
         &mut self,
-        synopsis: &Synopsis,
-        patterns: &[CompiledPattern],
+        core: &EngineCore,
         p: PatternId,
         q: PatternId,
         metric: ProximityMetric,
@@ -480,9 +508,9 @@ impl EngineState {
         if p == q {
             return 1.0;
         }
-        let p_p = self.marginal(synopsis, patterns, p);
-        let p_q = self.marginal(synopsis, patterns, q);
-        let p_and = self.joint(synopsis, patterns, p, q);
+        let p_p = self.marginal(core, p);
+        let p_q = self.marginal(core, q);
+        let p_and = self.joint(core, p, q);
         metric.compute(p_p, p_q, p_and)
     }
 }
@@ -623,6 +651,7 @@ impl SimilarityEngine {
             core: Arc::new(EngineCore {
                 synopsis,
                 patterns: Vec::new(),
+                branches: Vec::new(),
                 by_key: HashMap::new(),
                 covered_by: Vec::new(),
             }),
@@ -700,12 +729,14 @@ impl SimilarityEngine {
         self.core_mut().synopsis.prune_to_ratio(alpha, config)
     }
 
-    /// Eagerly materialise the engine's matching-set caches for the current
-    /// epoch. Optional — queries warm the caches lazily — but useful to move
-    /// the one-off cost out of a measured section.
+    /// Eagerly materialise the per-node matching sets and label signatures
+    /// for the current epoch. Optional — queries materialise them lazily —
+    /// but useful to move the one-off cost out of a measured section. No
+    /// branch value is evaluated.
     pub fn prepare(&self) {
         let mut st = self.state_mut();
-        EngineState::ensure_full(&mut st.full, &self.core.synopsis);
+        st.materialised
+            .get_or_insert_with(|| Materialised::of(&self.core.synopsis));
     }
 
     /// The default proximity metric used by the `_default` query variants.
@@ -723,10 +754,7 @@ impl SimilarityEngine {
     /// that is equal (modulo sibling order and duplicate branches) to an
     /// already-registered one returns the existing handle.
     pub fn register(&mut self, pattern: &TreePattern) -> PatternId {
-        let compiled = {
-            let st = self.state_exclusive();
-            CompiledPattern::compile(pattern, &mut st.interner)
-        };
+        let (compiled, branches) = self.state_exclusive().compile(pattern);
         if let Some(&existing) = self.core.by_key.get(compiled.canonical_key()) {
             return existing;
         }
@@ -735,6 +763,7 @@ impl SimilarityEngine {
         let id = PatternId(core.patterns.len() as u32);
         core.by_key.insert(compiled.canonical_key().into(), id);
         core.patterns.push(compiled);
+        core.branches.push(branches);
         core.covered_by.push(covered);
         if covered.is_none() && self.analysis.enabled() {
             // The new pattern became the workload's newest active member;
@@ -868,29 +897,24 @@ impl SimilarityEngine {
     /// Estimated selectivity `P(p)` of a registered pattern (cached until
     /// the synopsis changes).
     pub fn selectivity(&self, id: PatternId) -> f64 {
-        let mut st = self.state_mut();
-        st.marginal(&self.core.synopsis, &self.core.patterns, id)
+        self.state_mut().marginal(&self.core, id)
     }
 
-    /// Batched selectivities of a slice of handles; all evaluations share the
-    /// `SEL` memo and the per-pattern cache.
+    /// Batched selectivities of a slice of handles; a root branch shared by
+    /// several patterns is evaluated once.
     pub fn selectivities(&self, ids: &[PatternId]) -> Vec<f64> {
         let mut st = self.state_mut();
-        ids.iter()
-            .map(|&id| st.marginal(&self.core.synopsis, &self.core.patterns, id))
-            .collect()
+        ids.iter().map(|&id| st.marginal(&self.core, id)).collect()
     }
 
     /// Estimated joint selectivity `P(p ∧ q)` (cached per unordered pair).
     pub fn joint_selectivity(&self, p: PatternId, q: PatternId) -> f64 {
-        let mut st = self.state_mut();
-        st.joint(&self.core.synopsis, &self.core.patterns, p, q)
+        self.state_mut().joint(&self.core, p, q)
     }
 
     /// Estimated similarity of two registered patterns under `metric`.
     pub fn similarity(&self, p: PatternId, q: PatternId, metric: ProximityMetric) -> f64 {
-        let mut st = self.state_mut();
-        st.similarity(&self.core.synopsis, &self.core.patterns, p, q, metric)
+        self.state_mut().similarity(&self.core, p, q, metric)
     }
 
     /// Estimated similarity under the engine's default metric.
@@ -906,9 +930,9 @@ impl SimilarityEngine {
             return [1.0; 3];
         }
         let mut st = self.state_mut();
-        let p_p = st.marginal(&self.core.synopsis, &self.core.patterns, p);
-        let p_q = st.marginal(&self.core.synopsis, &self.core.patterns, q);
-        let p_and = st.joint(&self.core.synopsis, &self.core.patterns, p, q);
+        let p_p = st.marginal(&self.core, p);
+        let p_q = st.marginal(&self.core, q);
+        let p_and = st.joint(&self.core, p, q);
         [
             ProximityMetric::M1.compute(p_p, p_q, p_and),
             ProximityMetric::M2.compute(p_p, p_q, p_and),
@@ -920,16 +944,9 @@ impl SimilarityEngine {
     ///
     /// Entry `(i, j)` is bit-identical to `self.similarity(ids[i], ids[j],
     /// metric)`; the batched form simply shares every marginal evaluation
-    /// (`n` instead of `2·n²`) and evaluates each unordered joint once.
+    /// (`n` instead of `2·n²`) and folds each unordered joint once.
     pub fn similarity_matrix(&self, ids: &[PatternId], metric: ProximityMetric) -> SimMatrix {
-        let mut st = self.state_mut();
-        assemble_matrix(
-            &mut st,
-            &self.core.synopsis,
-            &self.core.patterns,
-            ids,
-            metric,
-        )
+        assemble_matrix(&mut self.state_mut(), &self.core, ids, metric)
     }
 
     /// All-pairs similarity matrix under the engine's default metric.
@@ -940,18 +957,16 @@ impl SimilarityEngine {
     /// All-pairs similarity matrix computed on up to `threads` scoped worker
     /// threads — bit-identical to [`SimilarityEngine::similarity_matrix`].
     ///
-    /// The evaluation work is fanned out in two waves over
-    /// [`std::thread::scope`] workers (see [`crate::par`]): first the
-    /// uncached marginal selectivities, then the uncached joint
-    /// selectivities of the upper-triangle pattern pairs. Every worker
-    /// evaluates into its own memo shard against the read-only shared state
-    /// (synopsis, compiled patterns, materialised matching sets, the
-    /// persistent `SEL` memo); after each wave the shard results — values
-    /// plus promoted top-level `SEL` entries — are merged back into the
-    /// engine's epoch-tagged caches, so later sequential queries stay warm.
+    /// The root branches of `ids` that have no cached value are evaluated
+    /// on [`std::thread::scope`] workers (see [`crate::par`]), each distinct
+    /// branch once, every worker with its own `SEL` memo against the
+    /// read-only synopsis materialisation. The values are merged into the
+    /// engine's epoch-tagged cache, so later sequential queries stay warm.
+    /// The marginals and joints are then folds of cached values, assembled
+    /// sequentially by the same pass as the sequential matrix.
     ///
-    /// `SEL` is a pure function of the synopsis and the pattern subtree, so
-    /// the partitioning (and `threads` itself) cannot change any result:
+    /// A branch's value is a pure function of the synopsis and the branch,
+    /// so the partitioning (and `threads` itself) cannot change any result:
     /// every entry is bit-identical to the sequential matrix and to the
     /// corresponding pairwise [`SimilarityEngine::similarity`] call.
     ///
@@ -964,130 +979,40 @@ impl SimilarityEngine {
         metric: ProximityMetric,
         threads: usize,
     ) -> SimMatrix {
-        let n = ids.len();
-        if threads <= 1 || n < 2 {
+        if threads <= 1 || ids.len() < 2 {
             return self.similarity_matrix(ids, metric);
         }
         let mut guard = self.state_mut();
         let st = &mut *guard;
-        let synopsis = &self.core.synopsis;
-        let patterns = self.core.patterns.as_slice();
-        EngineState::ensure_full(&mut st.full, synopsis);
-
-        // Wave 1: marginal selectivities not yet cached, one entry per
-        // distinct handle.
-        let todo_marginals: Vec<PatternId> = {
-            let mut seen = HashSet::new();
-            ids.iter()
-                .copied()
-                .filter(|id| st.marginals[id.index()].is_none() && seen.insert(*id))
-                .collect()
-        };
-        if !todo_marginals.is_empty() {
-            let shards = {
-                // invariant: `ensure_full` materialised the matrix above
-                let full = st.full.as_deref().expect("materialised above");
-                let shared = &st.memo;
-                par::map_chunks(&todo_marginals, threads, |_, chunk| {
-                    let mut scratch = SelMemo::new();
-                    let mut promote = SelMemo::new();
-                    let values: Vec<f64> = chunk
-                        .iter()
-                        .map(|id| {
-                            let compiled = &patterns[id.index()];
-                            let value =
-                                eval_selectivity(synopsis, full, shared, &mut scratch, compiled);
-                            promote_top_level(synopsis, compiled, &scratch, &mut promote);
-                            value
-                        })
-                        .collect();
-                    (values, promote)
+        let core = &*self.core;
+        let materialised = st
+            .materialised
+            .get_or_insert_with(|| Materialised::of(&core.synopsis));
+        let mut seen = HashSet::new();
+        let todo: Vec<(&CompiledPattern, &Branch)> = ids
+            .iter()
+            .flat_map(|id| {
+                let compiled = &core.patterns[id.index()];
+                core.branches[id.index()].iter().map(move |b| (compiled, b))
+            })
+            .filter(|(_, b)| !st.branch_values.contains_key(&b.key) && seen.insert(b.key))
+            .collect();
+        let shards = par::map_chunks(&todo, threads, |_, chunk| {
+            let mut memo = SelMemo::new();
+            chunk
+                .iter()
+                .map(|&(compiled, branch)| {
+                    memo.clear();
+                    let source = ValueSource::Cached(materialised);
+                    SelEvaluator::new(&core.synopsis, source, &mut memo)
+                        .branch(compiled, branch.node)
                 })
-            };
-            let mut pending = todo_marginals.iter();
-            for (values, promote) in shards {
-                for value in values {
-                    // invariant: map_chunks yields exactly one value per input
-                    let id = pending.next().expect("one value per marginal");
-                    st.marginals[id.index()] = Some(value);
-                    st.marginal_misses += 1;
-                }
-                for (key, entry) in promote {
-                    st.memo.entry(key).or_insert(entry);
-                }
-            }
+                .collect::<Vec<_>>()
+        });
+        for ((_, branch), value) in todo.iter().zip(shards.into_iter().flatten()) {
+            st.branch_values.insert(branch.key, value);
         }
-
-        // Wave 2: joint selectivities of the unordered upper-triangle pairs
-        // not yet cached.
-        let todo_joints: Vec<(u32, u32)> = {
-            let mut seen = HashSet::new();
-            let mut list = Vec::new();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let (p, q) = (ids[i], ids[j]);
-                    if p == q {
-                        continue;
-                    }
-                    let key = (p.0.min(q.0), p.0.max(q.0));
-                    if !st.joints.contains_key(&key) && seen.insert(key) {
-                        list.push(key);
-                    }
-                }
-            }
-            list
-        };
-        if !todo_joints.is_empty() {
-            let shards = {
-                // invariant: `ensure_full` materialised the matrix above
-                let full = st.full.as_deref().expect("materialised above");
-                let shared = &st.memo;
-                let interner = &st.interner;
-                par::map_chunks(&todo_joints, threads, |_, chunk| {
-                    let mut scratch = SelMemo::new();
-                    let mut promote = SelMemo::new();
-                    let values: Vec<f64> = chunk
-                        .iter()
-                        .map(|&(p, q)| {
-                            let conjunction = ops::conjunction(
-                                patterns[p as usize].pattern(),
-                                patterns[q as usize].pattern(),
-                            );
-                            // invariant: a conjunction of registered
-                            // patterns never contains a new subtree (its
-                            // non-root subtrees are copies of the
-                            // operands'), so the read-only interner resolves
-                            // every key — the checked form of the "never
-                            // interns" rule.
-                            let compiled =
-                                CompiledPattern::compile_interned(&conjunction, interner)
-                                    .expect("conjunction subtrees are interned at registration");
-                            let value =
-                                eval_selectivity(synopsis, full, shared, &mut scratch, &compiled);
-                            promote_top_level(synopsis, &compiled, &scratch, &mut promote);
-                            value
-                        })
-                        .collect();
-                    (values, promote)
-                })
-            };
-            let mut pending = todo_joints.iter();
-            for (values, promote) in shards {
-                for value in values {
-                    // invariant: map_chunks yields exactly one value per input
-                    let &key = pending.next().expect("one value per pair");
-                    st.joints.insert(key, value);
-                    st.joint_misses += 1;
-                }
-                for (key, entry) in promote {
-                    st.memo.entry(key).or_insert(entry);
-                }
-            }
-        }
-
-        // Assembly: every marginal and joint is now a cache hit, through
-        // the exact code path the sequential matrix uses.
-        assemble_matrix(st, synopsis, patterns, ids, metric)
+        assemble_matrix(st, core, ids, metric)
     }
 
     /// Sub-quadratic similarity search: the pairs of `ids` whose similarity
@@ -1154,21 +1079,19 @@ impl SimilarityEngine {
     // Transient queries (unregistered patterns)
     // ------------------------------------------------------------------
 
-    /// Selectivity of an ad-hoc pattern without registering it. The
-    /// evaluation still goes through the shared `SEL` memo and matching-set
-    /// caches, but its result is not cached per-pattern.
+    /// Selectivity of an ad-hoc pattern without registering it. Its root
+    /// branches' values are cached like a registered pattern's, but its
+    /// selectivity is not.
     pub fn selectivity_of(&self, pattern: &TreePattern) -> f64 {
         let mut st = self.state_mut();
-        let compiled = {
-            let interner = &mut st.interner;
-            CompiledPattern::compile(pattern, interner)
-        };
-        st.selectivity(&self.core.synopsis, &compiled)
+        let (compiled, branches) = st.compile(pattern);
+        st.evaluate_branches(&self.core.synopsis, &compiled, &branches);
+        st.fold(&branches, &[])
     }
 
     /// Joint selectivity of two ad-hoc patterns.
     pub fn joint_selectivity_of(&self, p: &TreePattern, q: &TreePattern) -> f64 {
-        self.selectivity_of(&ops::conjunction(p, q))
+        self.triple_of(p, q)[2]
     }
 
     /// Similarity of two ad-hoc patterns under `metric`.
@@ -1188,15 +1111,15 @@ impl SimilarityEngine {
         ]
     }
 
+    /// `[P(p), P(q), P(p ∧ q)]` of two ad-hoc patterns, all three folded
+    /// from their root branches' values.
     fn triple_of(&self, p: &TreePattern, q: &TreePattern) -> [f64; 3] {
         let mut st = self.state_mut();
-        let compiled_p = CompiledPattern::compile(p, &mut st.interner);
-        let compiled_q = CompiledPattern::compile(q, &mut st.interner);
-        let compiled_and = CompiledPattern::compile(&ops::conjunction(p, q), &mut st.interner);
-        let p_p = st.selectivity(&self.core.synopsis, &compiled_p);
-        let p_q = st.selectivity(&self.core.synopsis, &compiled_q);
-        let p_and = st.selectivity(&self.core.synopsis, &compiled_and);
-        [p_p, p_q, p_and]
+        let (compiled_p, p) = st.compile(p);
+        let (compiled_q, q) = st.compile(q);
+        st.evaluate_branches(&self.core.synopsis, &compiled_p, &p);
+        st.evaluate_branches(&self.core.synopsis, &compiled_q, &q);
+        [st.fold(&p, &[]), st.fold(&q, &[]), st.fold(&p, &q)]
     }
 
     /// Cache behaviour counters (epoch, hit/miss counts, memo sizes).
@@ -1208,7 +1131,7 @@ impl SimilarityEngine {
             marginal_misses: st.marginal_misses,
             joint_hits: st.joint_hits,
             joint_misses: st.joint_misses,
-            memo_entries: st.memo.len(),
+            memo_entries: st.branch_values.len(),
             interned_subtrees: st.interner.len(),
         }
     }
@@ -1321,7 +1244,7 @@ mod tests {
         assert_eq!(
             engine.cache_stats().interned_subtrees,
             before,
-            "conjunction compilation must not accrue interner entries"
+            "joints fold cached branch values and compile nothing"
         );
     }
 
@@ -1541,18 +1464,87 @@ mod tests {
     }
 
     #[test]
-    fn shared_memo_grows_across_patterns() {
+    fn branch_values_are_shared_across_patterns() {
         let mut engine = engine_with(MatchingSetKind::hashes(64));
-        let ids = engine.register_all(&[pat("//CD/composer/last"), pat("//book/author/last")]);
-        engine.selectivities(&ids);
+        let ids = engine.register_all(&[
+            pat("//CD/composer/last"),
+            pat("//book/author/last"),
+            pat(".[//CD/composer/last][//book]"),
+        ]);
+        engine.selectivities(&ids[..2]);
         let stats = engine.cache_stats();
-        assert!(stats.memo_entries > 0);
+        assert_eq!(stats.memo_entries, 2, "one value per root branch");
         assert!(stats.interned_subtrees >= 6, "subtrees of both patterns");
+        // The third pattern shares its `//CD/composer/last` branch with the
+        // first: only `//book` is evaluated.
+        engine.selectivity(ids[2]);
+        assert_eq!(engine.cache_stats().memo_entries, 3);
+        // Joints evaluate nothing: they fold the cached values. The first
+        // pattern's branches are a subset of the third's, so their joint is
+        // the third's marginal.
+        engine.similarity_matrix(&ids, ProximityMetric::M3);
+        assert_eq!(engine.cache_stats().memo_entries, 3);
+        assert_eq!(
+            engine.joint_selectivity(ids[0], ids[2]),
+            engine.selectivity(ids[2])
+        );
         // The shared //last fragments intern to the same subtree key.
-        let before = stats.interned_subtrees;
+        let before = engine.cache_stats().interned_subtrees;
         let mut engine2 = engine.clone();
         engine2.register(&pat("//last"));
         assert!(engine2.cache_stats().interned_subtrees <= before + 2);
+    }
+
+    #[test]
+    fn joints_fold_branches_in_the_normalised_conjunctions_order() {
+        // Counters' ∩ is an f64 product, which is not associative: with these
+        // fractions, (1/5 · 1/5) · 3/5 and (1/5 · 3/5) · 1/5 differ in the
+        // last bit. The conjunction's branches are `r(a())`, `r(b())`,
+        // `r(c())` in that order; `p`-then-`q` would be a, c, b.
+        let docs: Vec<XmlTree> = [
+            "<r><a/><b/><c/></r>",
+            "<r><c/></r>",
+            "<r><c/></r>",
+            "<r/>",
+            "<r/>",
+        ]
+        .iter()
+        .map(|s| XmlTree::parse(s).unwrap())
+        .collect();
+        let synopsis = Synopsis::from_documents(SynopsisConfig::counters(), &docs);
+        let reference = crate::SelectivityEstimator::new(&synopsis);
+        let (p, q) = (pat(".[r/a][r/c]"), pat("/r/b"));
+        let expected = reference.joint_selectivity(&p, &q);
+        assert_ne!(expected.to_bits(), (0.2f64 * 0.6 * 0.2).to_bits());
+        let mut engine = SimilarityEngine::from_synopsis(synopsis);
+        let ids = engine.register_all(&[p.clone(), q.clone()]);
+        assert_eq!(engine.joint_selectivity(ids[0], ids[1]), expected);
+        assert_eq!(engine.joint_selectivity_of(&q, &p), expected);
+    }
+
+    #[test]
+    fn branching_descendant_steps_are_never_skipped() {
+        // Below `p` no `x` has a `c`, so `x[b][c]` is empty there — but at
+        // the level of `b`'s sample, which overflows a capacity of 4. United
+        // with the sample of the two `q` documents, that level subsamples
+        // the result: skipping the `//` below `p` (the empty value at level
+        // 0) would change the estimate.
+        for crowd in 5..12 {
+            let mut texts = vec!["<r><p><x><b/></x></p></r>"; crowd];
+            texts.extend(["<r><q><x><b/><c/></x></q></r>"; 2]);
+            let docs: Vec<XmlTree> = texts.iter().map(|s| XmlTree::parse(s).unwrap()).collect();
+            let mut synopsis = Synopsis::from_documents(SynopsisConfig::hashes(4), &docs);
+            let mut engine = SimilarityEngine::from_synopsis(synopsis.clone());
+            synopsis.prepare();
+            let p = pat("//x[b][c]");
+            let expected = crate::SelectivityEstimator::new(&synopsis).selectivity(&p);
+            let id = engine.register(&p);
+            assert_eq!(
+                engine.selectivity(id),
+                expected,
+                "{crowd} documents under p"
+            );
+        }
     }
 
     #[test]
@@ -1634,8 +1626,9 @@ mod tests {
         // Regression (benchmark seeds 8211 and 8216): `ops::normalize` was
         // not idempotent, so the branch `e57[e98[e111][e111]][e98/e111]`
         // was registered with two `e98` subtrees while every conjunction
-        // involving it normalised down to one — a subtree the read-only
-        // interner of the parallel matrix had never seen, and a panic.
+        // involving it normalised down to one — a subtree the parallel
+        // matrix had never interned, and a panic. Joints are folds of the
+        // registered branches now; such patterns stay covered.
         let mut engine = engine_with(MatchingSetKind::hashes(64));
         let ids = engine.register_all(&[
             pat("//e4/e40/e57[e98[e111][e111]][e98/e111]"),
@@ -1644,8 +1637,8 @@ mod tests {
             pat("//composer"),
         ]);
         for metric in ProximityMetric::all() {
-            // Cloned before anything is cached: every joint is evaluated by
-            // a worker, against the interner as registration left it.
+            // Cloned before anything is cached: every branch value is
+            // evaluated by a worker.
             let cold = engine.clone();
             let par = cold.similarity_matrix_par(&ids, metric, 2);
             assert_eq!(par, engine.similarity_matrix(&ids, metric), "{metric}");
@@ -1674,7 +1667,7 @@ mod tests {
         let after_par = engine.cache_stats();
         assert_eq!(after_par.marginal_misses, 3, "one evaluation per pattern");
         assert_eq!(after_par.joint_misses, 3, "one evaluation per pair");
-        assert!(after_par.memo_entries > 0, "promoted SEL entries merged");
+        assert!(after_par.memo_entries > 0, "worker branch values merged");
         // The sequential matrix over the same handles is now all hits.
         engine.similarity_matrix(&ids, ProximityMetric::M3);
         let after_seq = engine.cache_stats();

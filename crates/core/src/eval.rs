@@ -1,20 +1,22 @@
 //! The shared `SEL` recursion used by both [`crate::SelectivityEstimator`]
-//! (one-shot, per-call memo) and [`crate::SimilarityEngine`] (persistent,
-//! cross-pattern memo).
+//! and [`crate::SimilarityEngine`].
 //!
 //! The recursion follows Algorithms 1 and 2 of the paper (see
 //! [`crate::selectivity`] for the pseudo-code and the folded-label
-//! extension). It is parameterised over
+//! extension). A pattern's value is the intersection, over its root
+//! branches `u`, of `sat(u) = ⋃_{v ∈ children(root)} SEL(v, u)` (plus the
+//! folded labels below the synopsis root). [`SelEvaluator::branch`]
+//! computes one `sat(u)`; it depends only on the canonical subtree below
+//! `u`, which is what lets the engine cache it per [`SubtreeKeyId`] and
+//! fold marginals and joints alike from those cached values
+//! ([`conjunction_units`]).
 //!
-//! * a [`ValueSource`] — where full matching-set values `S(v)` come from
-//!   (recomputed from the synopsis, or an engine-side epoch-tagged cache),
-//! * a memo table keyed by `(synopsis node, canonical pattern subtree)`.
-//!
-//! Keying the memo by the *canonical subtree* ([`SubtreeKeyId`]) instead of
-//! the pattern node id is what lets an engine share `SEL` work across every
-//! registered pattern: `SEL(v, u)` depends only on the subtree below `u`, so
-//! common subscription fragments — and the operand copies embedded in
-//! conjunction patterns — hit the same entries.
+//! Within one branch evaluation, `SEL(v, u)` is memoised by `(synopsis
+//! node, canonical pattern subtree)`. Full matching-set values come from a
+//! [`ValueSource`]: recomputed from the synopsis (the estimator), or the
+//! engine's [`Materialised`] values, which also carry per-node label
+//! signatures that let a step skip a synopsis subtree its label chain
+//! cannot match.
 
 use std::collections::HashMap;
 
@@ -24,110 +26,194 @@ use tps_synopsis::{FoldedSubtree, MatchingSetKind, SummaryValue, Synopsis, Synop
 /// Memoisation table for `SEL(v, u)` values.
 pub(crate) type SelMemo = HashMap<(SynopsisNodeId, SubtreeKeyId), SummaryValue>;
 
+/// The engine's materialisation of a synopsis for one epoch: the full
+/// matching-set value of every node ([`Synopsis::full_values`]) and a
+/// 128-bit Bloom signature of every label at or below it (its own, its
+/// folded labels', its descendants'), both indexed by
+/// [`SynopsisNodeId::index`].
+#[derive(Debug, Clone)]
+pub(crate) struct Materialised {
+    full: Vec<SummaryValue>,
+    below: Vec<u128>,
+    /// `count_units` of the whole observed document set `S(rs)`.
+    pub(crate) universe: f64,
+}
+
+impl Materialised {
+    pub(crate) fn of(synopsis: &Synopsis) -> Self {
+        let full = synopsis.full_values();
+        let mut below = vec![None; full.len()];
+        signature(synopsis, synopsis.root(), &mut below);
+        let universe = match synopsis.kind() {
+            MatchingSetKind::Counters => 1.0,
+            _ => full[synopsis.root().index()].count_units(),
+        };
+        Self {
+            full,
+            // A node the root does not reach is never visited; all ones
+            // would never skip it anyway.
+            below: below.into_iter().map(|b| b.unwrap_or(u128::MAX)).collect(),
+            universe,
+        }
+    }
+}
+
+/// The Bloom bit of a label (FNV-1a of its bytes, modulo 128).
+fn label_bit(label: &str) -> u128 {
+    let hash = label.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    1 << (hash % 128)
+}
+
+fn folded_bits(folded: &[FoldedSubtree]) -> u128 {
+    folded.iter().fold(0, |bits, f| {
+        bits | label_bit(&f.label) | folded_bits(&f.children)
+    })
+}
+
+/// The signature of `v`, memoised: the synopsis is a DAG after merges.
+fn signature(synopsis: &Synopsis, v: SynopsisNodeId, below: &mut [Option<u128>]) -> u128 {
+    if let Some(bits) = below[v.index()] {
+        return bits;
+    }
+    let mut bits = label_bit(synopsis.label(v)) | folded_bits(synopsis.folded(v));
+    for &child in synopsis.children(v) {
+        bits |= signature(synopsis, child, below);
+    }
+    below[v.index()] = Some(bits);
+    bits
+}
+
 /// Where the evaluator reads full matching-set values from.
 pub(crate) enum ValueSource<'a> {
     /// Ask the synopsis each time ([`Synopsis::matching_value`]); fast when
     /// the synopsis is [`Synopsis::prepare`]d, correct (but slow for the
-    /// Hashes representation) otherwise.
+    /// Hashes representation) otherwise. No step skips a subtree.
     Direct,
-    /// A caller-owned materialisation of [`Synopsis::full_values`], indexed
-    /// by [`SynopsisNodeId::index`].
-    Cached(&'a [SummaryValue]),
+    /// The engine's materialisation of the current epoch.
+    Cached(&'a Materialised),
 }
 
 impl ValueSource<'_> {
     fn value(&self, synopsis: &Synopsis, v: SynopsisNodeId) -> SummaryValue {
         match self {
             ValueSource::Direct => synopsis.matching_value(v),
-            ValueSource::Cached(full) => full[v.index()].clone(),
-        }
-    }
-
-    /// The value representing the whole observed document set `S(rs)` — the
-    /// denominator of Algorithm 2 (mirrors [`Synopsis::universe_value`]).
-    pub(crate) fn universe(&self, synopsis: &Synopsis) -> SummaryValue {
-        match synopsis.kind() {
-            MatchingSetKind::Counters => SummaryValue::Fraction(1.0),
-            _ => self.value(synopsis, synopsis.root()),
+            ValueSource::Cached(m) => m.full[v.index()].clone(),
         }
     }
 }
 
-/// One `SEL` evaluation pass over a compiled pattern.
-///
-/// `local` is the per-evaluation memo (dropped or cleared after the pass,
-/// like the paper's per-query memoisation); `shared` is a small persistent
-/// read-only memo of *top-level* entries — `(root child of the synopsis,
-/// root branch of a previously evaluated pattern)` — promoted by the engine.
-/// A conjunction pattern's root branches are exactly its operands' root
-/// branches, so with the operands' top-level entries promoted, evaluating
-/// `p ∧ q` never recurses below the synopsis root at all: each branch is one
-/// shared-memo hit. Keeping only the top level shared bounds the persistent
-/// memory to a few entries per registered pattern while preserving the whole
-/// cross-pattern amortisation.
+/// `count_units` of the conjunction of root branches with values
+/// `branches`, intersected in the order given (the order of the normalised
+/// conjunction's root children: Counters' `∩` is an `f64` product, which is
+/// not associative). No branch at all is the bare `/.` pattern, which
+/// matches every document: `universe`.
+pub(crate) fn conjunction_units<'v>(
+    universe: f64,
+    mut branches: impl Iterator<Item = &'v SummaryValue>,
+) -> f64 {
+    let Some(first) = branches.next() else {
+        return universe;
+    };
+    match branches.next() {
+        None => first.count_units(),
+        Some(second) => branches
+            .fold(first.intersect(second), |acc, value| acc.intersect(value))
+            .count_units(),
+    }
+}
+
+/// Algorithm 2: a value's share of the universe, clamped to `[0, 1]`.
+pub(crate) fn selectivity(units: f64, universe: f64) -> f64 {
+    if universe <= 0.0 {
+        return 0.0;
+    }
+    (units / universe).clamp(0.0, 1.0)
+}
+
+/// One `SEL` evaluation over a compiled pattern, memoised in `memo`.
 pub(crate) struct SelEvaluator<'a> {
-    pub(crate) synopsis: &'a Synopsis,
-    pub(crate) source: ValueSource<'a>,
-    pub(crate) shared: &'a SelMemo,
-    pub(crate) local: &'a mut SelMemo,
+    synopsis: &'a Synopsis,
+    source: ValueSource<'a>,
+    memo: &'a mut SelMemo,
+    /// Per pattern node: the Bloom bits of the tags on its prefix
+    /// ([`prefix_tags`]). Filled for [`ValueSource::Cached`] only.
+    prefixes: Vec<u128>,
 }
 
-impl SelEvaluator<'_> {
-    /// Run `SEL` on the root nodes and return the raw document-set value.
+impl<'a> SelEvaluator<'a> {
+    pub(crate) fn new(
+        synopsis: &'a Synopsis,
+        source: ValueSource<'a>,
+        memo: &'a mut SelMemo,
+    ) -> Self {
+        Self {
+            synopsis,
+            source,
+            memo,
+            prefixes: Vec::new(),
+        }
+    }
+
+    /// Run `SEL` on the root nodes and return the raw document-set value:
+    /// the root branches' values intersected in the normalised pattern's
+    /// order, or the universe for the bare `/.` pattern.
     pub(crate) fn evaluate(&mut self, compiled: &CompiledPattern) -> SummaryValue {
         let pattern = compiled.pattern();
-        let root_children = pattern.children(pattern.root());
-        if root_children.is_empty() {
-            // The bare `/.` pattern matches every document.
-            return self.source.universe(self.synopsis);
-        }
-        let syn_root = self.synopsis.root();
-        let mut result: Option<SummaryValue> = None;
-        for &u in root_children {
-            let mut sat = self.synopsis.empty_value();
-            for &v in self.synopsis.children(syn_root) {
-                sat = sat.union(&self.sel(v, u, compiled));
-            }
-            // Folded labels directly below the synopsis root (possible after
-            // aggressive pruning) can also satisfy a root branch.
-            if folded_satisfies(self.synopsis.folded(syn_root), pattern, u) {
-                sat = sat.union(&self.source.value(self.synopsis, syn_root));
-            }
-            result = Some(match result {
-                None => sat,
-                Some(acc) => acc.intersect(&sat),
-            });
-        }
-        result.unwrap_or_else(|| self.synopsis.empty_value())
+        let branches = pattern.children(pattern.root()).iter();
+        let values = branches.map(|&u| self.branch(compiled, u));
+        values
+            .reduce(|acc, sat| acc.intersect(&sat))
+            .unwrap_or_else(|| self.synopsis.universe_value())
     }
 
-    /// Estimate `P(p)` from the evaluated value (Algorithm 2), clamped to
-    /// `[0, 1]`.
-    pub(crate) fn selectivity(&mut self, compiled: &CompiledPattern) -> f64 {
-        let universe = self.source.universe(self.synopsis).count_units();
-        if universe <= 0.0 {
-            return 0.0;
+    /// `sat(u)` of a root branch `u`: the union of `SEL(v, u)` over the
+    /// synopsis root's children, plus `S(root)` when folded labels directly
+    /// below the root (possible after aggressive pruning) satisfy `u`.
+    pub(crate) fn branch(&mut self, compiled: &CompiledPattern, u: PatternNodeId) -> SummaryValue {
+        let synopsis = self.synopsis;
+        let pattern = compiled.pattern();
+        if let ValueSource::Cached(_) = self.source {
+            self.prefixes = prefix_tags(pattern);
         }
-        let value = self.evaluate(compiled);
-        (value.count_units() / universe).clamp(0.0, 1.0)
+        let syn_root = synopsis.root();
+        let mut sat = synopsis.empty_value();
+        for &v in synopsis.children(syn_root) {
+            sat = sat.union(&self.sel(v, u, compiled));
+        }
+        if folded_satisfies(synopsis.folded(syn_root), pattern, u) {
+            sat = sat.union(&self.source.value(synopsis, syn_root));
+        }
+        sat
     }
 
     /// `SEL(v, u)` with memoisation keyed by `(v, canonical subtree of u)`.
+    ///
+    /// A sub-pattern with a prefix tag that occurs nowhere at or below `v`
+    /// is the empty value without recursing. That is exact, not an
+    /// estimate: a prefix holds no `∩` with two operands, so the skipped
+    /// recursion could only have united level-0 empty values. (Tags below
+    /// the first branching node could not be used: intersecting an empty
+    /// value with a sample keeps the sample's level, and a later union
+    /// subsamples to it.)
     fn sel(
         &mut self,
         v: SynopsisNodeId,
         u: PatternNodeId,
         compiled: &CompiledPattern,
     ) -> SummaryValue {
-        let key = (v, compiled.node_key(u));
-        if let Some(cached) = self.local.get(&key) {
-            return cached.clone();
+        if let ValueSource::Cached(m) = self.source {
+            if self.prefixes[u.index()] & !m.below[v.index()] != 0 {
+                return self.synopsis.empty_value();
+            }
         }
-        if let Some(cached) = self.shared.get(&key) {
+        let key = (v, compiled.node_key(u));
+        if let Some(cached) = self.memo.get(&key) {
             return cached.clone();
         }
         let value = self.sel_uncached(v, u, compiled);
-        self.local.insert(key, value.clone());
+        self.memo.insert(key, value.clone());
         value
     }
 
@@ -196,6 +282,25 @@ impl SelEvaluator<'_> {
             }
         }
     }
+}
+
+/// The Bloom bits of every node's prefix: its tag and, while a node has one
+/// child, its child's, down to the first node with two or more children
+/// (whose own tag is included) or a leaf. A child follows its parent in
+/// preorder, so the reversed preorder meets every child first.
+fn prefix_tags(pattern: &TreePattern) -> Vec<u128> {
+    let mut prefixes = vec![0; pattern.node_count()];
+    for u in pattern.preorder().into_iter().rev() {
+        let own = match pattern.label(u) {
+            PatternLabel::Tag(tag) => label_bit(tag),
+            _ => 0,
+        };
+        prefixes[u.index()] = match pattern.children(u) {
+            [child] => own | prefixes[child.index()],
+            _ => own,
+        };
+    }
+    prefixes
 }
 
 /// Can the pattern subtree rooted at `u` be satisfied purely within the

@@ -29,11 +29,16 @@
 //!   of Section 3.3: a pattern child that cannot be matched by a real
 //!   synopsis child may still be satisfied by a label folded into `v`, in
 //!   which case its document set is (approximated by) `S(v)`.
+//!
+//! [`SelectivityEstimator`] runs this recursion as written: no step skips a
+//! subtree and nothing is cached between calls. It is the reference the
+//! engine's shortcuts (cached root-branch values, skipped synopsis
+//! subtrees) are held against bit for bit.
 
 use tps_pattern::{CompiledPattern, SubtreeInterner, TreePattern};
 use tps_synopsis::{SummaryValue, Synopsis};
 
-use crate::eval::{SelEvaluator, SelMemo, ValueSource};
+use crate::eval::{self, SelEvaluator, SelMemo, ValueSource};
 
 /// Selectivity estimation over a [`Synopsis`].
 ///
@@ -42,11 +47,11 @@ use crate::eval::{SelEvaluator, SelMemo, ValueSource};
 /// [`Synopsis::prepare`] beforehand caches the per-node full matching sets
 /// and makes repeated evaluations much faster.
 ///
-/// Every call compiles the pattern and evaluates it from scratch; nothing is
-/// shared between calls. For workloads that evaluate many patterns against
-/// the same synopsis, prefer [`crate::SimilarityEngine`], which registers
-/// patterns once and shares `SEL` memoisation and selectivity caches across
-/// the whole batch.
+/// Every call compiles the pattern and evaluates it from scratch, unpruned;
+/// nothing is shared between calls. For workloads that evaluate many
+/// patterns against the same synopsis, prefer [`crate::SimilarityEngine`],
+/// which registers patterns once and caches root-branch values and
+/// selectivities across the whole batch.
 #[derive(Debug, Clone, Copy)]
 pub struct SelectivityEstimator<'a> {
     synopsis: &'a Synopsis,
@@ -67,11 +72,7 @@ impl<'a> SelectivityEstimator<'a> {
     /// (Algorithm 2). The result is clamped to `[0, 1]`.
     pub fn selectivity(&self, pattern: &TreePattern) -> f64 {
         let universe = self.synopsis.universe_value().count_units();
-        if universe <= 0.0 {
-            return 0.0;
-        }
-        let value = self.evaluate(pattern);
-        (value.count_units() / universe).clamp(0.0, 1.0)
+        eval::selectivity(self.evaluate(pattern).count_units(), universe)
     }
 
     /// Estimate the joint selectivity `P(p ∧ q)` by evaluating the root-merge
@@ -88,15 +89,8 @@ impl<'a> SelectivityEstimator<'a> {
     pub fn evaluate(&self, pattern: &TreePattern) -> SummaryValue {
         let mut interner = SubtreeInterner::new();
         let compiled = CompiledPattern::compile(pattern, &mut interner);
-        let shared = SelMemo::new();
-        let mut local = SelMemo::new();
-        SelEvaluator {
-            synopsis: self.synopsis,
-            source: ValueSource::Direct,
-            shared: &shared,
-            local: &mut local,
-        }
-        .evaluate(&compiled)
+        let mut memo = SelMemo::new();
+        SelEvaluator::new(self.synopsis, ValueSource::Direct, &mut memo).evaluate(&compiled)
     }
 }
 

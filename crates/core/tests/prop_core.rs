@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tps_core::{ExactEvaluator, ProximityMetric, SelectivityEstimator, SimilarityEngine};
 use tps_pattern::{PatternLabel, TreePattern};
-use tps_synopsis::{ingest, Ingest, Synopsis, SynopsisConfig};
+use tps_synopsis::{ingest, Ingest, PruneConfig, Synopsis, SynopsisConfig};
 use tps_xml::XmlTree;
 
 const TAGS: &[&str] = &["a", "b", "c", "d"];
@@ -44,16 +44,20 @@ enum GenPat {
     Descendant(Box<GenPat>),
 }
 
-fn gen_pat_node() -> impl Strategy<Value = GenPat> {
+/// A pattern node with at most `width - 1` children below the root.
+fn gen_pat_node(width: usize) -> impl Strategy<Value = GenPat> {
     let leaf = prop_oneof![
         (0..TAGS.len()).prop_map(|i| GenPat::Tag(i, vec![])),
         Just(GenPat::Wildcard(vec![])),
     ];
-    leaf.prop_recursive(3, 12, 2, |inner| {
+    leaf.prop_recursive(3, 12, 2, move |inner| {
         prop_oneof![
-            ((0..TAGS.len()), prop::collection::vec(inner.clone(), 0..2))
+            (
+                (0..TAGS.len()),
+                prop::collection::vec(inner.clone(), 0..width)
+            )
                 .prop_map(|(i, c)| GenPat::Tag(i, c)),
-            prop::collection::vec(inner.clone(), 0..2).prop_map(GenPat::Wildcard),
+            prop::collection::vec(inner.clone(), 0..width).prop_map(GenPat::Wildcard),
             inner
                 .prop_filter("no nested descendants", |g| !matches!(
                     g,
@@ -65,7 +69,11 @@ fn gen_pat_node() -> impl Strategy<Value = GenPat> {
 }
 
 fn gen_pattern() -> impl Strategy<Value = TreePattern> {
-    prop::collection::vec(gen_pat_node(), 1..3).prop_map(|children| {
+    gen_pattern_of(2)
+}
+
+fn gen_pattern_of(width: usize) -> impl Strategy<Value = TreePattern> {
+    prop::collection::vec(gen_pat_node(width), 1..3).prop_map(|children| {
         let mut p = TreePattern::new();
         let root = p.root();
         fn build(p: &mut TreePattern, parent: tps_pattern::PatternNodeId, g: &GenPat) {
@@ -91,8 +99,117 @@ fn gen_pattern() -> impl Strategy<Value = TreePattern> {
     })
 }
 
+/// Workloads for the bit-identity check: generated patterns whose `//`
+/// steps may branch, plus the shapes the engine treats specially — the bare
+/// `/.`, patterns sharing root branches, and `//` chains over `z`, a tag no
+/// document has.
+fn gen_workload() -> impl Strategy<Value = Vec<TreePattern>> {
+    (
+        prop::collection::vec(gen_pattern_of(3), 2..5),
+        gen_pattern_of(3),
+    )
+        .prop_map(|(mut patterns, extra)| {
+            let shared = [
+                tps_pattern::ops::conjunction(&patterns[0], &extra),
+                tps_pattern::ops::conjunction(&patterns[1], &extra),
+            ];
+            patterns.extend(shared);
+            for text in [
+                "/.",
+                "//z",
+                "/a//b/z",
+                ".[//z/a][//a]",
+                "//a[b][z]",
+                "//a[b][c]",
+                "//*[b][d]",
+            ] {
+                patterns.push(TreePattern::parse(text).unwrap());
+            }
+            patterns
+        })
+}
+
+/// A synopsis of `docs` as built, after folding identical leaves, or
+/// pruned to half its size (folded labels and merged nodes).
+fn shaped_synopsis(config: SynopsisConfig, docs: &[XmlTree], shape: usize) -> Synopsis {
+    let mut synopsis = Synopsis::from_documents(config, docs);
+    match shape {
+        0 => {}
+        1 => {
+            synopsis.fold_identical_leaves(0.999);
+        }
+        _ => {
+            synopsis.prune_to_ratio(0.5, PruneConfig::default());
+        }
+    }
+    synopsis
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The engine's shortcuts — joints folded from cached root-branch
+    /// values, steps that skip synopsis subtrees lacking a prefix tag —
+    /// change no bit:
+    /// its selectivities, joints and matrix entries equal the unpruned
+    /// reference estimator's (and `metric.compute` over them), compared by
+    /// `to_bits`, for every representation and synopsis shape. Hash samples
+    /// of capacity 2 reach levels above 0, where an empty value's level
+    /// matters.
+    #[test]
+    fn engine_is_bit_identical_to_the_reference_estimator(
+        docs in prop::collection::vec(gen_doc(), 2..14),
+        patterns in gen_workload(),
+    ) {
+        for config in [
+            SynopsisConfig::counters(),
+            SynopsisConfig::sets(4),
+            SynopsisConfig::hashes(2),
+        ] {
+            for shape in 0..3 {
+                let mut synopsis = shaped_synopsis(config, &docs, shape);
+                let mut engine = SimilarityEngine::from_synopsis(synopsis.clone());
+                // A second engine folds each joint first with the operands
+                // the other way round, and with no marginal cached.
+                let mut pairwise = SimilarityEngine::from_synopsis(synopsis.clone());
+                pairwise.register_all(&patterns);
+                synopsis.prepare();
+                let reference = SelectivityEstimator::new(&synopsis);
+                let ids = engine.register_all(&patterns);
+                let marginals: Vec<f64> =
+                    patterns.iter().map(|p| reference.selectivity(p)).collect();
+                let engine_marginals = engine.selectivities(&ids);
+                for (i, (got, want)) in engine_marginals.iter().zip(&marginals).enumerate() {
+                    prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        "{:?} shape {}: P({}) = {} != {}", config.kind, shape, patterns[i], got, want
+                    );
+                }
+                let metric = ProximityMetric::all()[shape];
+                let matrix = engine.similarity_matrix(&ids, metric);
+                for i in (0..ids.len()).rev() {
+                    for j in (0..ids.len()).rev() {
+                        if ids[i] == ids[j] {
+                            continue;
+                        }
+                        let joint = reference.joint_selectivity(&patterns[i], &patterns[j]);
+                        let got = pairwise.joint_selectivity(ids[i], ids[j]);
+                        prop_assert!(
+                            got.to_bits() == joint.to_bits(),
+                            "{:?} shape {}: P({} ∧ {}) = {} != {}",
+                            config.kind, shape, patterns[i], patterns[j], got, joint
+                        );
+                        let want = metric.compute(marginals[i], marginals[j], joint);
+                        prop_assert!(
+                            matrix.get(i, j).to_bits() == want.to_bits(),
+                            "{:?} shape {}: {} ({}, {}) = {} != {}",
+                            config.kind, shape, metric, i, j, matrix.get(i, j), want
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// Estimates are always valid probabilities, for every representation.
     #[test]

@@ -57,15 +57,6 @@ fn expand_input(input: &str) -> Result<String, DtdError> {
     for _ in 0..MAX_EXPANSION_PASSES {
         let entities = collect_parameter_entities(&text)?;
         let next = rewrite_once(&text, &entities)?;
-        if next.len() > MAX_EXPANSION_SIZE {
-            return Err(DtdError::new(
-                DtdErrorKind::EntityExpansionTooLarge {
-                    size: next.len(),
-                    limit: MAX_EXPANSION_SIZE,
-                },
-                0,
-            ));
-        }
         if next == text {
             return Ok(text);
         }
@@ -114,11 +105,29 @@ fn collect_parameter_entities(text: &str) -> Result<BTreeMap<String, String>, Dt
 
 /// Perform one rewrite pass: substitute `%name;` references (outside of
 /// parameter-entity declarations) and unwrap conditional sections.
+///
+/// The output is held to [`MAX_EXPANSION_SIZE`] as it grows: one pass over
+/// a text under the cap can multiply it by its number of references, so a
+/// check after the pass would come after the allocation. Each step appends
+/// at most the text's length (an entity's value is a slice of the text), so
+/// the pass never holds more than the cap plus that.
 fn rewrite_once(text: &str, entities: &BTreeMap<String, String>) -> Result<String, DtdError> {
-    let mut out = String::with_capacity(text.len());
+    let too_large = |size| {
+        DtdError::new(
+            DtdErrorKind::EntityExpansionTooLarge {
+                size,
+                limit: MAX_EXPANSION_SIZE,
+            },
+            0,
+        )
+    };
+    let mut out = String::with_capacity(text.len().min(MAX_EXPANSION_SIZE));
     let bytes = text.as_bytes();
     let mut i = 0usize;
     while i < bytes.len() {
+        if out.len() > MAX_EXPANSION_SIZE {
+            return Err(too_large(out.len()));
+        }
         if text[i..].starts_with("<!--") {
             let end = find_from(text, "-->", i + 4)
                 .ok_or_else(|| DtdError::new(DtdErrorKind::UnexpectedEof, i))?;
@@ -164,6 +173,9 @@ fn rewrite_once(text: &str, entities: &BTreeMap<String, String>) -> Result<Strin
         } else {
             break;
         }
+    }
+    if out.len() > MAX_EXPANSION_SIZE {
+        return Err(too_large(out.len()));
     }
     Ok(out)
 }
@@ -942,6 +954,24 @@ mod tests {
             err.kind(),
             DtdErrorKind::EntityExpansionTooLarge { size, limit }
                 if *size > *limit && *limit == MAX_EXPANSION_SIZE
+        ));
+    }
+
+    #[test]
+    fn one_pass_is_capped_while_it_grows() {
+        // One entity of just under 1 MiB referenced 4 096 times: the first
+        // pass alone would write 4 GiB. It must stop one entity past the
+        // cap, without ever holding the whole pass.
+        let value = "a".repeat(MAX_EXPANSION_SIZE - 64);
+        let dtd = format!(
+            "<!ENTITY % big \"{value}\">\n<!ELEMENT r ({})>",
+            "%big;".repeat(4096)
+        );
+        let err = parse(&dtd).unwrap_err();
+        assert!(matches!(
+            err.kind(),
+            DtdErrorKind::EntityExpansionTooLarge { size, limit }
+                if *size > *limit && *size < 3 * MAX_EXPANSION_SIZE
         ));
     }
 

@@ -7,9 +7,8 @@
 //! across *different* patterns. [`CompiledPattern`] makes that sharing cheap:
 //! it normalises the pattern once and tags every node with an interned
 //! [`SubtreeKeyId`] for its canonical subtree, so an engine can key its
-//! memoisation table by `(synopsis node, subtree key)` and reuse work across
-//! an entire registered workload (including the conjunction patterns built
-//! for joint-selectivity queries, whose subtrees are copies of the operands').
+//! memoisation table by `(synopsis node, subtree key)`, and cache the value
+//! of a root branch by its key, across an entire registered workload.
 
 use std::collections::HashMap;
 
@@ -25,10 +24,7 @@ pub struct SubtreeKeyId(u32);
 
 impl SubtreeKeyId {
     /// Reserved id carried by pattern *root* nodes, which are never interned:
-    /// `SEL` is only ever evaluated at root *children* and below, and
-    /// skipping the root keeps the interner from accruing one whole-pattern
-    /// key per ad-hoc conjunction (whose non-root subtrees are all copies of
-    /// its operands' and therefore already interned).
+    /// `SEL` is only ever evaluated at root *children* and below.
     pub const UNKEYED: SubtreeKeyId = SubtreeKeyId(u32::MAX);
 
     /// The dense interner index of this key.
@@ -40,8 +36,8 @@ impl SubtreeKeyId {
 /// Interner mapping canonical subtree keys to dense [`SubtreeKeyId`]s.
 ///
 /// One interner is shared by every pattern compiled for the same engine, so
-/// that common subscription fragments (shared prefixes, shared branches, the
-/// operand subtrees inside a conjunction) collapse to the same id.
+/// that common subscription fragments (shared prefixes, shared branches)
+/// collapse to the same id.
 #[derive(Debug, Clone, Default)]
 pub struct SubtreeInterner {
     ids: HashMap<Box<str>, u32>,
@@ -62,11 +58,6 @@ impl SubtreeInterner {
         debug_assert!(id != u32::MAX, "subtree interner exhausted");
         self.ids.insert(key.into(), id);
         SubtreeKeyId(id)
-    }
-
-    /// Look up an already-interned key without inserting.
-    pub fn lookup(&self, key: &str) -> Option<SubtreeKeyId> {
-        self.ids.get(key).map(|&id| SubtreeKeyId(id))
     }
 
     /// Number of distinct subtrees interned so far.
@@ -97,48 +88,22 @@ impl CompiledPattern {
     ///
     /// The root node is left [`SubtreeKeyId::UNKEYED`]: its canonical key is
     /// still computed (for [`CompiledPattern::canonical_key`]) but not
-    /// interned, so compiling the conjunction of two already-compiled
-    /// patterns adds nothing to the interner.
+    /// interned.
     pub fn compile(source: &TreePattern, interner: &mut SubtreeInterner) -> Self {
-        Self::compile_with(source, &mut |key| Some(interner.intern(key)))
-            // invariant: the resolver below always returns Some
-            .expect("an interning resolver never fails")
-    }
-
-    /// Compile `source` against a *read-only* interner: every non-root
-    /// subtree key must already be interned, or `None` is returned.
-    ///
-    /// This is the shared-immutably counterpart of
-    /// [`CompiledPattern::compile`] for parallel evaluators. Conjunctions of
-    /// already-compiled patterns qualify by construction — their non-root
-    /// subtrees are copies of the operands' (see
-    /// [`CompiledPattern::compile`] on roots never being interned) — and
-    /// the `None` case turns that assumption into a checked invariant.
-    pub fn compile_interned(source: &TreePattern, interner: &SubtreeInterner) -> Option<Self> {
-        Self::compile_with(source, &mut |key| interner.lookup(key))
-    }
-
-    /// The one compilation pass behind both entry points, parameterised
-    /// over how a canonical subtree key resolves to its id — interning
-    /// (infallible) or read-only lookup (`None` on a missing key). A single
-    /// recursion guarantees both paths build identical canonical keys.
-    fn compile_with(
-        source: &TreePattern,
-        resolve: &mut dyn FnMut(&str) -> Option<SubtreeKeyId>,
-    ) -> Option<Self> {
         let pattern = ops::normalize(source);
         let mut node_keys = vec![SubtreeKeyId::UNKEYED; pattern.node_count()];
         let root = pattern.root();
-        let mut child_keys = Vec::with_capacity(pattern.children(root).len());
-        for &c in pattern.children(root) {
-            child_keys.push(resolve_nodes(&pattern, c, resolve, &mut node_keys)?);
-        }
+        let child_keys = pattern
+            .children(root)
+            .iter()
+            .map(|&c| intern_nodes(&pattern, c, interner, &mut node_keys))
+            .collect();
         let canonical = subtree_key(pattern.label(root), child_keys);
-        Some(Self {
+        Self {
             pattern,
             node_keys,
             canonical: canonical.into(),
-        })
+        }
     }
 
     /// The normalised pattern this compiled form evaluates.
@@ -172,23 +137,22 @@ fn subtree_key(label: impl std::fmt::Display, mut child_keys: Vec<String>) -> St
     format!("{}({})", label, child_keys.join(","))
 }
 
-/// Recursively compute the canonical key of every node and resolve it to a
-/// [`SubtreeKeyId`] through `resolve`; `None` as soon as any key fails to
-/// resolve (only possible for read-only lookup resolvers). Returns the
-/// textual key of `id`.
-fn resolve_nodes(
+/// Recursively compute the canonical key of every node and intern it.
+/// Returns the textual key of `id`.
+fn intern_nodes(
     pattern: &TreePattern,
     id: PatternNodeId,
-    resolve: &mut dyn FnMut(&str) -> Option<SubtreeKeyId>,
+    interner: &mut SubtreeInterner,
     node_keys: &mut [SubtreeKeyId],
-) -> Option<String> {
-    let mut child_keys = Vec::with_capacity(pattern.children(id).len());
-    for &c in pattern.children(id) {
-        child_keys.push(resolve_nodes(pattern, c, resolve, node_keys)?);
-    }
+) -> String {
+    let child_keys = pattern
+        .children(id)
+        .iter()
+        .map(|&c| intern_nodes(pattern, c, interner, node_keys))
+        .collect();
     let key = subtree_key(pattern.label(id), child_keys);
-    node_keys[id.index()] = resolve(&key)?;
-    Some(key)
+    node_keys[id.index()] = interner.intern(&key);
+    key
 }
 
 #[cfg(test)]
@@ -250,28 +214,6 @@ mod tests {
             before,
             "a conjunction's non-root subtrees are copies of its operands'"
         );
-    }
-
-    #[test]
-    fn compile_interned_matches_compile_for_known_subtrees() {
-        let mut interner = SubtreeInterner::new();
-        let p = pat("/a[b][c//d]");
-        let q = pat("//e/f");
-        let cp = CompiledPattern::compile(&p, &mut interner);
-        let cq = CompiledPattern::compile(&q, &mut interner);
-        let both = crate::ops::conjunction(&p, &q);
-        let read_only = CompiledPattern::compile_interned(&both, &interner)
-            .expect("conjunction subtrees are pre-interned");
-        let mutable = CompiledPattern::compile(&both, &mut interner);
-        assert_eq!(read_only.canonical_key(), mutable.canonical_key());
-        for id in 0..read_only.node_count() {
-            let id = PatternNodeId(id as u32);
-            assert_eq!(read_only.node_key(id), mutable.node_key(id));
-        }
-        let _ = (cp, cq);
-        // A pattern with an unknown subtree is rejected instead of silently
-        // producing fresh ids.
-        assert!(CompiledPattern::compile_interned(&pat("//zzz"), &interner).is_none());
     }
 
     #[test]
