@@ -1302,6 +1302,17 @@ mod tests {
         assert!(output.contains("/media/magazine: satisfiable=false"));
     }
 
+    /// `//e188` under the xCBL DTD once enumerated every DTD path to depth
+    /// 8 and ran out of memory; both analysing commands now return.
+    #[test]
+    fn xcbl_root_descendant_analysis_returns() {
+        let args = ["--dtd", "xcbl", "--pattern", "//e188"];
+        let dtd = run_capture(&[&["dtd"], &args[..]].concat()).unwrap();
+        assert!(dtd.contains("//e188: satisfiable=false expansions=0 (truncated)"));
+        let lint = run_capture(&[&["lint"], &args[..]].concat()).unwrap();
+        assert!(lint.contains("W004"), "{lint}");
+    }
+
     #[test]
     fn dtd_command_exports_parsable_text() {
         let output = run_capture(&["dtd", "--dtd", "media", "--export"]).unwrap();

@@ -79,7 +79,7 @@ use tps_synopsis::{
 };
 use tps_xml::XmlTree;
 
-use crate::eval::{self, Materialised, SelEvaluator, SelMemo, ValueSource};
+use crate::eval::{self, IdMap, Materialised, SelEvaluator, SelMemo, ValueSource};
 use crate::index::{CandidateIndex, LshConfig};
 use crate::metrics::ProximityMetric;
 use crate::par;
@@ -375,13 +375,13 @@ struct EngineState {
     /// Engine-side materialisation of the synopsis, built lazily.
     materialised: Option<Materialised>,
     /// `sat(u)` of every root branch evaluated so far, by its key.
-    branch_values: HashMap<SubtreeKeyId, SummaryValue>,
+    branch_values: IdMap<SubtreeKeyId, SummaryValue>,
     /// Reusable per-branch `SEL` memo (cleared between branches).
     scratch: SelMemo,
     /// Cached marginal selectivity per registered pattern.
     marginals: Vec<Option<f64>>,
     /// Cached joint selectivity per unordered pattern pair.
-    joints: HashMap<(u32, u32), f64>,
+    joints: IdMap<(u32, u32), f64>,
     marginal_hits: u64,
     marginal_misses: u64,
     joint_hits: u64,
@@ -394,10 +394,10 @@ impl EngineState {
             epoch: 0,
             interner: SubtreeInterner::new(),
             materialised: None,
-            branch_values: HashMap::new(),
-            scratch: SelMemo::new(),
+            branch_values: IdMap::default(),
+            scratch: SelMemo::default(),
             marginals: Vec::new(),
-            joints: HashMap::new(),
+            joints: IdMap::default(),
             marginal_hits: 0,
             marginal_misses: 0,
             joint_hits: 0,
@@ -998,7 +998,7 @@ impl SimilarityEngine {
             .filter(|(_, b)| !st.branch_values.contains_key(&b.key) && seen.insert(b.key))
             .collect();
         let shards = par::map_chunks(&todo, threads, |_, chunk| {
-            let mut memo = SelMemo::new();
+            let mut memo = SelMemo::default();
             chunk
                 .iter()
                 .map(|&(compiled, branch)| {

@@ -12,19 +12,45 @@
 //! ([`conjunction_units`]).
 //!
 //! Within one branch evaluation, `SEL(v, u)` is memoised by `(synopsis
-//! node, canonical pattern subtree)`. Full matching-set values come from a
-//! [`ValueSource`]: recomputed from the synopsis (the estimator), or the
-//! engine's [`Materialised`] values, which also carry per-node label
-//! signatures that let a step skip a synopsis subtree its label chain
-//! cannot match.
+//! node, canonical pattern subtree)`, two dense ids ([`IdHasher`]); a step
+//! whose label `v` does not satisfy is empty before the memo is probed.
+//! Full matching-set values come from a [`ValueSource`]: recomputed from
+//! the synopsis (the estimator), or the engine's [`Materialised`] values,
+//! which also carry per-node label signatures that let a step skip a
+//! synopsis subtree its label chain cannot match. Unions go through
+//! [`SummaryValue::unite`], so uniting with the level-0 empty value, the
+//! one neutral empty value, builds nothing.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use tps_pattern::{CompiledPattern, PatternLabel, PatternNodeId, SubtreeKeyId, TreePattern};
 use tps_synopsis::{FoldedSubtree, MatchingSetKind, SummaryValue, Synopsis, SynopsisNodeId};
 
+/// A map keyed by program-assigned dense ids, hashed by [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 /// Memoisation table for `SEL(v, u)` values.
-pub(crate) type SelMemo = HashMap<(SynopsisNodeId, SubtreeKeyId), SummaryValue>;
+pub(crate) type SelMemo = IdMap<(SynopsisNodeId, SubtreeKeyId), SummaryValue>;
+
+/// A multiply-rotate fold of the `u32` ids a key is made of.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(u32::from(b)));
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = self.0.rotate_left(29);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// The engine's materialisation of a synopsis for one epoch: the full
 /// matching-set value of every node ([`Synopsis::full_values`]) and a
@@ -107,7 +133,8 @@ impl ValueSource<'_> {
 /// `count_units` of the conjunction of root branches with values
 /// `branches`, intersected in the order given (the order of the normalised
 /// conjunction's root children: Counters' `∩` is an `f64` product, which is
-/// not associative). No branch at all is the bare `/.` pattern, which
+/// not associative). Two branches are counted by a merge, without building
+/// their intersection. No branch at all is the bare `/.` pattern, which
 /// matches every document: `universe`.
 pub(crate) fn conjunction_units<'v>(
     universe: f64,
@@ -116,10 +143,15 @@ pub(crate) fn conjunction_units<'v>(
     let Some(first) = branches.next() else {
         return universe;
     };
+    let Some(second) = branches.next() else {
+        return first.count_units();
+    };
     match branches.next() {
-        None => first.count_units(),
-        Some(second) => branches
-            .fold(first.intersect(second), |acc, value| acc.intersect(value))
+        None => first.intersect_units(second),
+        Some(third) => branches
+            .fold(first.intersect(second).intersect(third), |acc, value| {
+                acc.intersect(value)
+            })
             .count_units(),
     }
 }
@@ -180,18 +212,19 @@ impl<'a> SelEvaluator<'a> {
         let syn_root = synopsis.root();
         let mut sat = synopsis.empty_value();
         for &v in synopsis.children(syn_root) {
-            sat = sat.union(&self.sel(v, u, compiled));
+            sat = sat.unite(self.sel(v, u, compiled));
         }
         if folded_satisfies(synopsis.folded(syn_root), pattern, u) {
-            sat = sat.union(&self.source.value(synopsis, syn_root));
+            sat = sat.unite(self.source.value(synopsis, syn_root));
         }
         sat
     }
 
     /// `SEL(v, u)` with memoisation keyed by `(v, canonical subtree of u)`.
     ///
-    /// A sub-pattern with a prefix tag that occurs nowhere at or below `v`
-    /// is the empty value without recursing. That is exact, not an
+    /// A label `v` does not satisfy (Line 1) is the empty value before the
+    /// memo is probed. So is a sub-pattern with a prefix tag that occurs
+    /// nowhere at or below `v`, without recursing. That is exact, not an
     /// estimate: a prefix holds no `∩` with two operands, so the skipped
     /// recursion could only have united level-0 empty values. (Tags below
     /// the first branching node could not be used: intersecting an empty
@@ -207,6 +240,15 @@ impl<'a> SelEvaluator<'a> {
             if self.prefixes[u.index()] & !m.below[v.index()] != 0 {
                 return self.synopsis.empty_value();
             }
+        }
+        let pattern = compiled.pattern();
+        // Line 1: label compatibility (the partial order `a ⪯ * ⪯ //`).
+        if !pattern.label(u).subsumes(self.synopsis.label(v)) {
+            return self.synopsis.empty_value();
+        }
+        // Line 3-4: u is a leaf → S(v), a copy no memo entry would save.
+        if pattern.is_leaf(u) {
+            return self.source.value(self.synopsis, v);
         }
         let key = (v, compiled.node_key(u));
         if let Some(cached) = self.memo.get(&key) {
@@ -225,16 +267,7 @@ impl<'a> SelEvaluator<'a> {
     ) -> SummaryValue {
         let synopsis = self.synopsis;
         let pattern = compiled.pattern();
-        let u_label = pattern.label(u);
-        // Line 1: label compatibility (the partial order `a ⪯ * ⪯ //`).
-        if !u_label.subsumes(synopsis.label(v)) {
-            return synopsis.empty_value();
-        }
-        // Line 3-4: u is a leaf → S(v).
-        if pattern.is_leaf(u) {
-            return self.source.value(synopsis, v);
-        }
-        match u_label {
+        match pattern.label(u) {
             PatternLabel::Descendant => {
                 // Lines 11-14: the descendant maps to a path of length 0 or
                 // recurses into the children of v.
@@ -248,7 +281,7 @@ impl<'a> SelEvaluator<'a> {
                 }
                 let mut result = s0.unwrap_or_else(|| synopsis.empty_value());
                 for &v_child in synopsis.children(v) {
-                    result = result.union(&self.sel(v_child, u, compiled));
+                    result = result.unite(self.sel(v_child, u, compiled));
                 }
                 // Folded labels: the descendant's target may have been folded
                 // into v (or deeper); all of S(v) is then assumed to satisfy
@@ -257,7 +290,7 @@ impl<'a> SelEvaluator<'a> {
                     folded_satisfies_descendant(synopsis.folded(v), pattern, u_child)
                 }) && !pattern.children(u).is_empty()
                 {
-                    result = result.union(&self.source.value(synopsis, v));
+                    result = result.unite(self.source.value(synopsis, v));
                 }
                 result
             }
@@ -268,10 +301,10 @@ impl<'a> SelEvaluator<'a> {
                 for &u_child in pattern.children(u) {
                     let mut sat = synopsis.empty_value();
                     for &v_child in synopsis.children(v) {
-                        sat = sat.union(&self.sel(v_child, u_child, compiled));
+                        sat = sat.unite(self.sel(v_child, u_child, compiled));
                     }
                     if folded_satisfies(synopsis.folded(v), pattern, u_child) {
-                        sat = sat.union(&self.source.value(synopsis, v));
+                        sat = sat.unite(self.source.value(synopsis, v));
                     }
                     result = Some(match result {
                         None => sat,

@@ -89,7 +89,7 @@ impl<'a> SelectivityEstimator<'a> {
     pub fn evaluate(&self, pattern: &TreePattern) -> SummaryValue {
         let mut interner = SubtreeInterner::new();
         let compiled = CompiledPattern::compile(pattern, &mut interner);
-        let mut memo = SelMemo::new();
+        let mut memo = SelMemo::default();
         SelEvaluator::new(self.synopsis, ValueSource::Direct, &mut memo).evaluate(&compiled)
     }
 }

@@ -594,16 +594,19 @@ impl<'a> PatternAnalyzer<'a> {
     /// strictly below `from` (the empty path meaning "match at `from`
     /// itself").
     ///
-    /// When the depth bound prunes a subtree that still had element children
-    /// to descend into, `truncated` is set: paths beyond the bound exist but
-    /// were not enumerated, so callers must not treat the result as the
-    /// complete set.
+    /// At most [`AnalysisConfig::max_expansions`] paths are produced: on a
+    /// large DTD the paths to the depth bound are far too many to hold, so
+    /// the enumeration stops there. When the depth bound prunes a subtree
+    /// that still had element children to descend into, or the enumeration
+    /// stops, `truncated` is set: paths beyond the bound exist but were not
+    /// enumerated, so callers must not treat the result as the complete set.
     fn descendant_paths(
         &self,
         from: &str,
         include_start: bool,
         truncated: &mut bool,
     ) -> Vec<Vec<String>> {
+        let limit = self.config.max_expansions;
         let mut out = Vec::new();
         if include_start {
             let mut stack = vec![from.to_string()];
@@ -612,6 +615,7 @@ impl<'a> PatternAnalyzer<'a> {
                 self.config.max_descendant_depth,
                 &mut stack,
                 &mut out,
+                limit,
                 truncated,
             );
         } else {
@@ -627,6 +631,7 @@ impl<'a> PatternAnalyzer<'a> {
                     self.config.max_descendant_depth.saturating_sub(1),
                     &mut stack,
                     &mut out,
+                    limit,
                     truncated,
                 );
                 stack.pop();
@@ -641,8 +646,13 @@ impl<'a> PatternAnalyzer<'a> {
         remaining: usize,
         stack: &mut Vec<String>,
         out: &mut Vec<Vec<String>>,
+        limit: usize,
         truncated: &mut bool,
     ) {
+        if out.len() >= limit {
+            *truncated = true;
+            return;
+        }
         out.push(stack.clone());
         let children: Vec<&str> = self
             .schema
@@ -662,7 +672,7 @@ impl<'a> PatternAnalyzer<'a> {
         }
         for child in children {
             stack.push(child.to_string());
-            self.collect_descendant_paths(child, remaining - 1, stack, out, truncated);
+            self.collect_descendant_paths(child, remaining - 1, stack, out, limit, truncated);
             stack.pop();
         }
     }
@@ -819,6 +829,26 @@ mod tests {
         ]));
         assert!(paths.iter().all(|p| p.len() <= 3));
         assert!(paths.iter().all(|p| p[0] == "media"));
+    }
+
+    /// The 569-element xCBL-like DTD has ~44 million label paths to depth 8.
+    /// A root `//` holds at most `max_expansions` of them (it once held
+    /// them all: 16 GB), reports the cut, and so answers `Unknown`.
+    #[test]
+    fn root_descendant_on_the_xcbl_dtd_stops_at_the_expansion_cap() {
+        let schema = crate::writer::schema_from_workload(&tps_workload::Dtd::xcbl_like());
+        let analyzer = PatternAnalyzer::new(&schema);
+        let mut truncated = false;
+        let paths = analyzer.descendant_paths(schema.root().unwrap(), true, &mut truncated);
+        assert_eq!(paths.len(), AnalysisConfig::default().max_expansions);
+        assert!(truncated);
+        let e188 = pattern("//e188");
+        let started = std::time::Instant::now();
+        let expansions = analyzer.expansions(&e188);
+        assert!(expansions.truncated);
+        assert!(expansions.len() <= AnalysisConfig::default().max_expansions);
+        assert_eq!(analyzer.satisfiability(&e188), Trivalent::Unknown);
+        assert!(started.elapsed() < std::time::Duration::from_secs(10));
     }
 
     #[test]

@@ -14,10 +14,15 @@
 //! These operations are exactly what the paper's selectivity algorithm needs
 //! (Sections 3.2 and 4, following Gibbons VLDB'01 and Ganguly et al.
 //! SIGMOD'03).
+//!
+//! The identifiers are a [`DocSet`], an ascending list, and union and
+//! intersection are single merges. A union hashes an id's level only when
+//! the id's operand is below the result level and the other operand lacks
+//! it: any other id is at the result level already. An intersection hashes
+//! none, as each of its ids is in the higher operand. So ids, level and
+//! capacity are those of a set-based sample, and estimates bit-identical.
 
-use std::collections::BTreeSet;
-
-use crate::docid::DocId;
+use crate::docid::{DocId, DocSet};
 use crate::hash::sample_level;
 
 /// Default hash seed used when none is specified.
@@ -27,7 +32,7 @@ pub const DEFAULT_SEED: u64 = 0x0005_EED0_FD15_71C7;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistinctSample {
     /// Identifiers currently in the sample (all have `level(x) >= level`).
-    items: BTreeSet<DocId>,
+    items: DocSet,
     /// Current sampling level (sampling probability `2^-level`).
     level: u32,
     /// Maximum number of identifiers retained.
@@ -48,7 +53,7 @@ impl DistinctSample {
     /// same seed; the synopsis guarantees this by construction.
     pub fn with_seed(capacity: usize, seed: u64) -> Self {
         Self {
-            items: BTreeSet::new(),
+            items: DocSet::default(),
             level: 0,
             capacity: capacity.max(1),
             seed,
@@ -82,7 +87,7 @@ impl DistinctSample {
 
     /// Iterate over the identifiers currently in the sample.
     pub fn iter(&self) -> impl Iterator<Item = DocId> + '_ {
-        self.items.iter().copied()
+        self.items.iter()
     }
 
     /// Insert a document identifier.
@@ -99,17 +104,31 @@ impl DistinctSample {
 
     /// Remove an identifier if present (used when a document is retired).
     pub fn remove(&mut self, doc: DocId) {
-        self.items.remove(&doc);
+        self.items.remove(doc);
     }
 
     fn shrink_to_capacity(&mut self) {
         while self.items.len() > self.capacity {
-            self.level += 1;
-            let level = self.level;
-            let seed = self.seed;
-            self.items
-                .retain(|d| sample_level(d.as_u64(), seed) >= level);
+            self.subsample_to_level(self.level + 1);
         }
+    }
+
+    /// Whether an id of this sample stays in a sample at `level`.
+    fn keeps(&self, level: u32) -> impl Fn(DocId) -> bool {
+        let (own, seed) = (self.level, self.seed);
+        move |d| own >= level || sample_level(d.as_u64(), seed) >= level
+    }
+
+    /// `items` at `level`, sub-sampled to the larger capacity.
+    fn combined(&self, other: &DistinctSample, items: DocSet, level: u32) -> DistinctSample {
+        let mut result = DistinctSample {
+            items,
+            level,
+            capacity: self.capacity.max(other.capacity),
+            seed: self.seed,
+        };
+        result.shrink_to_capacity();
+        result
     }
 
     /// Estimate of the cardinality of the underlying (unsampled) set.
@@ -133,45 +152,26 @@ impl DistinctSample {
     /// `max(l1, l2)`, further sub-sampled if it exceeds the capacity.
     pub fn union(&self, other: &DistinctSample) -> DistinctSample {
         debug_assert_eq!(self.seed, other.seed, "samples must share a hash seed");
-        let mut result = self.clone();
-        result.capacity = self.capacity.max(other.capacity);
-        result.subsample_to_level(other.level);
-        let level = result.level;
-        let seed = result.seed;
-        for doc in other.items.iter().copied() {
-            if sample_level(doc.as_u64(), seed) >= level {
-                result.items.insert(doc);
-            }
-        }
-        result.shrink_to_capacity();
-        result
+        let level = self.level.max(other.level);
+        let (keep_self, keep_other) = (self.keeps(level), other.keeps(level));
+        let items = self.items.union(&other.items, keep_self, keep_other);
+        self.combined(other, items, level)
     }
 
     /// Intersection of two samples: identifiers present in both sides once
     /// both are brought to the common level `max(l1, l2)`.
     pub fn intersect(&self, other: &DistinctSample) -> DistinctSample {
         debug_assert_eq!(self.seed, other.seed, "samples must share a hash seed");
-        let level = self.level.max(other.level);
-        let capacity = self.capacity.max(other.capacity);
-        let mut items = BTreeSet::new();
-        let (smaller, larger) = if self.items.len() <= other.items.len() {
-            (&self.items, &other.items)
-        } else {
-            (&other.items, &self.items)
-        };
-        for doc in smaller.iter().copied() {
-            if sample_level(doc.as_u64(), self.seed) >= level && larger.contains(&doc) {
-                items.insert(doc);
-            }
-        }
-        let mut result = DistinctSample {
-            items,
-            level,
-            capacity,
-            seed: self.seed,
-        };
-        result.shrink_to_capacity();
-        result
+        let items = self.items.intersection(&other.items);
+        self.combined(other, items, self.level.max(other.level))
+    }
+
+    /// `self.intersect(other).cardinality_estimate()`, counted without
+    /// building the intersection (which never exceeds either side's size,
+    /// so it is never sub-sampled).
+    pub fn intersection_estimate(&self, other: &DistinctSample) -> f64 {
+        let len = self.items.common(&other.items).count();
+        len as f64 * 2f64.powi(self.level.max(other.level) as i32)
     }
 
     /// An empty sample compatible with `self` (same capacity and seed, level

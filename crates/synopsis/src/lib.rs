@@ -54,7 +54,7 @@ pub mod summary;
 pub mod synopsis;
 
 pub use distinct::DistinctSample;
-pub use docid::DocId;
+pub use docid::{DocId, DocSet};
 pub use ingest::{Ingest, IngestSource, IngestTarget};
 pub use prune::{PruneConfig, PruneReport};
 pub use reservoir::{ReservoirDecision, ReservoirSampler};

@@ -18,7 +18,6 @@
 //! (Section 5.2, "Compressed synopsis"): lossless folds first, then folds and
 //! deletions of low-cardinality leaves, and finally same-label merges.
 
-use crate::summary::SummaryValue;
 use crate::synopsis::{FoldedSubtree, Synopsis, SynopsisNodeId};
 
 /// Tuning knobs for the pruning driver.
@@ -67,29 +66,6 @@ impl PruneReport {
             1.0
         } else {
             self.final_size as f64 / self.original_size as f64
-        }
-    }
-}
-
-/// Estimated Jaccard similarity between the *full* matching sets of two
-/// nodes, used to rank fold and merge candidates.
-fn value_similarity(a: &SummaryValue, b: &SummaryValue) -> f64 {
-    match (a, b) {
-        (SummaryValue::Fraction(x), SummaryValue::Fraction(y)) => {
-            if x.max(*y) == 0.0 {
-                1.0
-            } else {
-                x.min(*y) / x.max(*y)
-            }
-        }
-        _ => {
-            let inter = a.intersect(b).count_units();
-            let union = a.union(b).count_units();
-            if union == 0.0 {
-                1.0
-            } else {
-                (inter / union).min(1.0)
-            }
         }
     }
 }
@@ -153,7 +129,7 @@ impl Synopsis {
         let leaf_value = self.matching_value(leaf);
         let total: f64 = parents
             .iter()
-            .map(|&p| value_similarity(&leaf_value, &self.matching_value(p)))
+            .map(|&p| leaf_value.jaccard(&self.matching_value(p)))
             .sum();
         total / parents.len() as f64
     }
@@ -235,7 +211,7 @@ impl Synopsis {
                     continue;
                 }
                 evaluated += 1;
-                let sim = value_similarity(&self.matching_value(a), &self.matching_value(b));
+                let sim = self.matching_value(a).jaccard(&self.matching_value(b));
                 if best.map(|(_, _, s)| sim > s).unwrap_or(true) {
                     best = Some((a, b, sim));
                 }
@@ -433,7 +409,7 @@ impl Synopsis {
                         continue;
                     }
                     evaluated += 1;
-                    let sim = value_similarity(&self.matching_value(a), &self.matching_value(b));
+                    let sim = self.matching_value(a).jaccard(&self.matching_value(b));
                     candidates.push((a, b, sim));
                 }
             }

@@ -16,11 +16,13 @@
 //! [`NodeSummary`] is the per-node storage; [`SummaryValue`] is the value the
 //! recursive selectivity function manipulates (the paper's Algorithm 1 works
 //! on sets and notes the counter-mode substitution of max/product/value).
-
-use std::collections::BTreeSet;
+//!
+//! A Sets value is a [`DocSet`], an ascending id list, combined by merges.
+//! A merge yields exactly the ids a set operation yields, so every count is
+//! bit-identical to a set-based value's.
 
 use crate::distinct::DistinctSample;
-use crate::docid::DocId;
+use crate::docid::{DocId, DocSet};
 
 /// Which matching-set representation a synopsis uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +75,7 @@ pub enum NodeSummary {
     /// Number of documents whose matching set contains this node.
     Counter(u64),
     /// Sampled document identifiers containing this node (Sets mode).
-    Set(BTreeSet<DocId>),
+    Set(DocSet),
     /// Distinct sample of the documents whose skeleton path *ends* at this
     /// node (Hashes mode); the full matching set is the union over the
     /// node's descendants.
@@ -86,7 +88,7 @@ impl NodeSummary {
     pub fn empty(kind: MatchingSetKind, seed: u64) -> Self {
         match kind {
             MatchingSetKind::Counters => NodeSummary::Counter(0),
-            MatchingSetKind::Sets { .. } => NodeSummary::Set(BTreeSet::new()),
+            MatchingSetKind::Sets { .. } => NodeSummary::Set(DocSet::default()),
             MatchingSetKind::Hashes { capacity } => {
                 NodeSummary::Hash(DistinctSample::with_seed(capacity, seed))
             }
@@ -97,9 +99,7 @@ impl NodeSummary {
     pub fn insert(&mut self, doc: DocId) {
         match self {
             NodeSummary::Counter(c) => *c += 1,
-            NodeSummary::Set(s) => {
-                s.insert(doc);
-            }
+            NodeSummary::Set(s) => s.insert(doc),
             NodeSummary::Hash(h) => h.insert(doc),
         }
     }
@@ -109,9 +109,7 @@ impl NodeSummary {
     pub fn remove(&mut self, doc: DocId) {
         match self {
             NodeSummary::Counter(_) => {}
-            NodeSummary::Set(s) => {
-                s.remove(&doc);
-            }
+            NodeSummary::Set(s) => s.remove(doc),
             NodeSummary::Hash(h) => h.remove(doc),
         }
     }
@@ -151,7 +149,7 @@ impl NodeSummary {
         match (self, other) {
             (NodeSummary::Counter(a), NodeSummary::Counter(b)) => NodeSummary::Counter(*a.max(b)),
             (NodeSummary::Set(a), NodeSummary::Set(b)) => {
-                NodeSummary::Set(a.union(b).copied().collect())
+                NodeSummary::Set(a.union(b, |_| true, |_| true))
             }
             (NodeSummary::Hash(a), NodeSummary::Hash(b)) => NodeSummary::Hash(a.union(b)),
             _ => panic!("cannot combine summaries of different kinds"),
@@ -164,47 +162,9 @@ impl NodeSummary {
     pub fn intersection(&self, other: &NodeSummary) -> NodeSummary {
         match (self, other) {
             (NodeSummary::Counter(a), NodeSummary::Counter(b)) => NodeSummary::Counter(*a.min(b)),
-            (NodeSummary::Set(a), NodeSummary::Set(b)) => {
-                NodeSummary::Set(a.intersection(b).copied().collect())
-            }
+            (NodeSummary::Set(a), NodeSummary::Set(b)) => NodeSummary::Set(a.intersection(b)),
             (NodeSummary::Hash(a), NodeSummary::Hash(b)) => NodeSummary::Hash(a.intersect(b)),
             _ => panic!("cannot combine summaries of different kinds"),
-        }
-    }
-
-    /// Estimated Jaccard similarity `|S(t) ∩ S(t')| / |S(t) ∪ S(t')|` between
-    /// two summaries, used to rank candidate pairs for merging and folding.
-    pub fn jaccard(&self, other: &NodeSummary) -> f64 {
-        match (self, other) {
-            (NodeSummary::Counter(a), NodeSummary::Counter(b)) => {
-                // Counters cannot express overlap; use the best-case bound
-                // min/max, which is what an inclusion assumption gives.
-                let (a, b) = (*a as f64, *b as f64);
-                if a.max(b) == 0.0 {
-                    1.0
-                } else {
-                    a.min(b) / a.max(b)
-                }
-            }
-            (NodeSummary::Set(a), NodeSummary::Set(b)) => {
-                let inter = a.intersection(b).count() as f64;
-                let union = (a.len() + b.len()) as f64 - inter;
-                if union == 0.0 {
-                    1.0
-                } else {
-                    inter / union
-                }
-            }
-            (NodeSummary::Hash(a), NodeSummary::Hash(b)) => {
-                let inter = a.intersect(b).cardinality_estimate();
-                let union = a.union(b).cardinality_estimate();
-                if union == 0.0 {
-                    1.0
-                } else {
-                    (inter / union).min(1.0)
-                }
-            }
-            _ => panic!("cannot compare summaries of different kinds"),
         }
     }
 }
@@ -222,7 +182,7 @@ pub enum SummaryValue {
     /// Counters mode: a fraction of the document stream in `[0, 1]`.
     Fraction(f64),
     /// Sets mode: explicit sampled document identifiers.
-    Set(BTreeSet<DocId>),
+    Set(DocSet),
     /// Hashes mode: a distinct sample.
     Hash(DistinctSample),
 }
@@ -232,7 +192,7 @@ impl SummaryValue {
     pub fn empty(kind: MatchingSetKind, seed: u64) -> Self {
         match kind {
             MatchingSetKind::Counters => SummaryValue::Fraction(0.0),
-            MatchingSetKind::Sets { .. } => SummaryValue::Set(BTreeSet::new()),
+            MatchingSetKind::Sets { .. } => SummaryValue::Set(DocSet::default()),
             MatchingSetKind::Hashes { capacity } => {
                 SummaryValue::Hash(DistinctSample::with_seed(capacity, seed))
             }
@@ -246,7 +206,7 @@ impl SummaryValue {
                 SummaryValue::Fraction(a.max(*b))
             }
             (SummaryValue::Set(a), SummaryValue::Set(b)) => {
-                SummaryValue::Set(a.union(b).copied().collect())
+                SummaryValue::Set(a.union(b, |_| true, |_| true))
             }
             (SummaryValue::Hash(a), SummaryValue::Hash(b)) => SummaryValue::Hash(a.union(b)),
             _ => panic!("cannot combine selectivity values of different kinds"),
@@ -257,11 +217,56 @@ impl SummaryValue {
     pub fn intersect(&self, other: &SummaryValue) -> SummaryValue {
         match (self, other) {
             (SummaryValue::Fraction(a), SummaryValue::Fraction(b)) => SummaryValue::Fraction(a * b),
-            (SummaryValue::Set(a), SummaryValue::Set(b)) => {
-                SummaryValue::Set(a.intersection(b).copied().collect())
-            }
+            (SummaryValue::Set(a), SummaryValue::Set(b)) => SummaryValue::Set(a.intersection(b)),
             (SummaryValue::Hash(a), SummaryValue::Hash(b)) => SummaryValue::Hash(a.intersect(b)),
             _ => panic!("cannot combine selectivity values of different kinds"),
+        }
+    }
+
+    /// `self ∪ other` by value: an operand that is the level-0 empty value
+    /// (the identity of `∪` among values of one synopsis) returns the other
+    /// unbuilt. An empty sample above level 0 is no identity: the union
+    /// sub-samples the other operand to its level.
+    pub fn unite(self, other: SummaryValue) -> SummaryValue {
+        if other.is_union_identity() {
+            self
+        } else if self.is_union_identity() {
+            other
+        } else {
+            self.union(&other)
+        }
+    }
+
+    fn is_union_identity(&self) -> bool {
+        match self {
+            SummaryValue::Hash(h) => h.is_empty() && h.level() == 0,
+            _ => self.is_empty(),
+        }
+    }
+
+    /// `self.intersect(other).count_units()`, counted by a merge without
+    /// building the intersection.
+    pub fn intersect_units(&self, other: &SummaryValue) -> f64 {
+        match (self, other) {
+            (SummaryValue::Fraction(a), SummaryValue::Fraction(b)) => a * b,
+            (SummaryValue::Set(a), SummaryValue::Set(b)) => a.common(b).count() as f64,
+            (SummaryValue::Hash(a), SummaryValue::Hash(b)) => a.intersection_estimate(b),
+            _ => panic!("cannot combine selectivity values of different kinds"),
+        }
+    }
+
+    /// Estimated Jaccard similarity `|S ∩ S'| / |S ∪ S'|` of two values, used
+    /// to rank candidate pairs for folding and merging. Counters cannot
+    /// express overlap and give the inclusion bound `min / max`.
+    pub fn jaccard(&self, other: &SummaryValue) -> f64 {
+        let (inter, union) = match (self, other) {
+            (SummaryValue::Fraction(a), SummaryValue::Fraction(b)) => (a.min(*b), a.max(*b)),
+            _ => (self.intersect_units(other), self.union(other).count_units()),
+        };
+        if union == 0.0 {
+            1.0
+        } else {
+            (inter / union).min(1.0)
         }
     }
 
@@ -287,7 +292,7 @@ impl SummaryValue {
 mod tests {
     use super::*;
 
-    fn set(ids: &[u64]) -> BTreeSet<DocId> {
+    fn set(ids: &[u64]) -> DocSet {
         ids.iter().copied().map(DocId).collect()
     }
 
@@ -339,6 +344,10 @@ mod tests {
         let b = NodeSummary::Set(set(&[2, 3, 4]));
         assert_eq!(a.union(&b).count_estimate(), 4.0);
         assert_eq!(a.intersection(&b).count_estimate(), 2.0);
+        let (a, b) = (
+            SummaryValue::Set(set(&[1, 2, 3])),
+            SummaryValue::Set(set(&[2, 3, 4])),
+        );
         assert!((a.jaccard(&b) - 0.5).abs() < 1e-9);
     }
 
@@ -348,14 +357,15 @@ mod tests {
         let b = NodeSummary::Counter(4);
         assert_eq!(a.union(&b).count_estimate(), 10.0);
         assert_eq!(a.intersection(&b).count_estimate(), 4.0);
+        let (a, b) = (SummaryValue::Fraction(1.0), SummaryValue::Fraction(0.4));
         assert!((a.jaccard(&b) - 0.4).abs() < 1e-9);
     }
 
     #[test]
     fn jaccard_of_identical_sets_is_one() {
-        let a = NodeSummary::Set(set(&[5, 6]));
+        let a = SummaryValue::Set(set(&[5, 6]));
         assert_eq!(a.jaccard(&a), 1.0);
-        let empty = NodeSummary::Set(set(&[]));
+        let empty = SummaryValue::Set(set(&[]));
         assert_eq!(empty.jaccard(&empty), 1.0);
     }
 

@@ -515,7 +515,7 @@ impl Synopsis {
         let summary = &mut self.nodes[id.index()].summary;
         match (summary, other) {
             (NodeSummary::Counter(a), NodeSummary::Counter(b)) => *a += *b,
-            (NodeSummary::Set(a), NodeSummary::Set(b)) => a.extend(b.iter().copied()),
+            (NodeSummary::Set(a), NodeSummary::Set(b)) => *a = a.union(b, |_| true, |_| true),
             (a @ NodeSummary::Hash(_), b @ NodeSummary::Hash(_)) => *a = a.union(b),
             _ => unreachable!("merge() checks that the configurations agree"),
         }
@@ -781,7 +781,7 @@ impl Synopsis {
                 let mut value = own;
                 for &child in &self.nodes[id.index()].children {
                     let child_value = self.compute_full_value(child, cache);
-                    value = value.union(&child_value);
+                    value = value.unite(child_value);
                 }
                 value
             }
