@@ -81,7 +81,7 @@ fn fixture_messages() -> Vec<Message> {
                 .iter()
                 .enumerate()
                 .map(|(d, bytes)| MatchedDocument {
-                    bytes: bytes.clone(),
+                    bytes: bytes.as_slice().into(),
                     // 300 of 10 000 ids, unevenly spaced.
                     interested: Some(
                         (0..300u64)
@@ -96,9 +96,9 @@ fn fixture_messages() -> Vec<Message> {
         messages.push(Message::Publish {
             document: document.clone(),
         });
-        messages.push(Message::Deliver {
-            subscriber: i as u64,
-            document: document.clone(),
+        messages.push(Message::DeliverMatched {
+            subscribers: vec![i as u64].into(),
+            document: document.as_slice().into(),
         });
     }
     messages
@@ -174,7 +174,7 @@ fn bench_core(c: &mut Criterion) {
             .iter()
             .zip(&interest)
             .map(|(bytes, ids)| MatchedDocument {
-                bytes: bytes.clone(),
+                bytes: bytes.as_slice().into(),
                 interested: carried.then(|| ids.as_slice().into()),
             });
         matched.map(|m| m.encoded_len()).sum::<usize>() / documents.len()

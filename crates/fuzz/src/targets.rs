@@ -126,11 +126,11 @@ impl Target {
                     view: 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
                     documents: vec![
                         MatchedDocument {
-                            bytes: b"<a><b/></a>".to_vec(),
+                            bytes: b"<a><b/></a>"[..].into(),
                             interested: Some(vec![0, 1, 127, 128, 1 << 21, u64::MAX].into()),
                         },
                         MatchedDocument {
-                            bytes: b"<a/>".to_vec(),
+                            bytes: b"<a/>"[..].into(),
                             interested: None,
                         },
                     ],
@@ -153,6 +153,10 @@ impl Target {
                 Message::Deliver {
                     subscriber: 9,
                     document: b"<a/>".to_vec(),
+                },
+                Message::DeliverMatched {
+                    subscribers: vec![3, 9, 200, u64::MAX].into(),
+                    document: b"<a/>"[..].into(),
                 },
                 Message::SyncState {
                     consumers: vec![SyncConsumer {
@@ -930,7 +934,18 @@ fn net_frame(rng: &mut StdRng) -> Vec<u8> {
             .map(|_| alphabet[rng.gen_range(0..alphabet.len())] as char)
             .collect()
     }
-    let message = match rng.gen_range(0u32..14) {
+    /// Ascending ids with gaps of every varint width, at most `max - 1`.
+    fn ids(rng: &mut StdRng, max: usize) -> Vec<u64> {
+        let mut id = 0u64;
+        (0..rng.gen_range(0..max))
+            .map_while(|_| {
+                let gap = (rng.gen::<u64>() >> rng.gen_range(0u32..64)).max(1);
+                id = id.checked_add(gap)?;
+                Some(id)
+            })
+            .collect()
+    }
+    let message = match rng.gen_range(0u32..15) {
         0 => Message::Subscribe {
             subscriber: rng.gen(),
             broker: rng.gen_range(0..8),
@@ -985,20 +1000,16 @@ fn net_frame(rng: &mut StdRng) -> Vec<u8> {
             view: u128::from(rng.gen::<u64>()) << 64 | u128::from(rng.gen::<u64>()),
             documents: (0..rng.gen_range(0usize..4))
                 .map(|_| MatchedDocument {
-                    bytes: gen::xml_document(rng),
-                    // Ascending ids with gaps of every varint width.
-                    interested: rng.gen_bool(0.8).then(|| {
-                        let mut id = 0u64;
-                        (0..rng.gen_range(0usize..12))
-                            .map_while(|_| {
-                                let gap = (rng.gen::<u64>() >> rng.gen_range(0u32..64)).max(1);
-                                id = id.checked_add(gap)?;
-                                Some(id)
-                            })
-                            .collect()
-                    }),
+                    bytes: gen::xml_document(rng).into(),
+                    interested: rng.gen_bool(0.8).then(|| ids(rng, 12).into()),
                 })
                 .collect(),
+        },
+        13 => Message::DeliverMatched {
+            // Mostly one or more subscribers; an empty list now and then,
+            // which the decoder refuses.
+            subscribers: ids(rng, 12).into(),
+            document: gen::xml_document(rng).into(),
         },
         _ => Message::SyncState {
             consumers: (0..rng.gen_range(0usize..4))

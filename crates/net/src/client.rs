@@ -1,13 +1,18 @@
 //! A synchronous request-reply client for one broker connection.
 //!
-//! The protocol interleaves asynchronous [`Message::Deliver`] pushes with
-//! request replies on the same connection; the client buffers pushes that
-//! arrive while it is waiting for a reply, so `subscribe → publish → read
-//! deliveries` works on a single connection without extra threads.
+//! The protocol interleaves asynchronous [`Message::DeliverMatched`] pushes
+//! with request replies on the same connection; the client buffers pushes
+//! that arrive while it is waiting for a reply, so `subscribe → publish →
+//! read deliveries` works on a single connection without extra threads.
+//!
+//! A push names every subscriber on the connection its document matches;
+//! the client hands it out as one delivery per subscriber, in id order,
+//! and copies the document only when it hands a delivery out.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufRead, BufReader};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::codec::{
@@ -65,10 +70,11 @@ impl From<FrameError> for ClientError {
     }
 }
 
-/// [`Message::Deliver`] pushes a client keeps for a caller that is not
-/// taking them. A subscriber that only ever sends requests would otherwise
-/// buffer every document pushed at it, without bound; like the broker's own
-/// queues, the client keeps the newest and counts what it let go.
+/// Deliveries a client keeps for a caller that is not taking them — one per
+/// subscriber a push names. A subscriber that only ever sends requests
+/// would otherwise buffer every document pushed at it, without bound; like
+/// the broker's own queues, the client keeps the newest and counts what it
+/// let go.
 pub const DELIVERY_BACKLOG: usize = 1024;
 
 /// A connected broker client.
@@ -80,8 +86,9 @@ pub struct BrokerClient {
     limits: FrameLimits,
     /// The read timeout the socket holds; set only when it changes.
     timeout: Option<Duration>,
-    /// At most [`DELIVERY_BACKLOG`] deliveries, oldest first.
-    pending: VecDeque<(u64, Vec<u8>)>,
+    /// At most [`DELIVERY_BACKLOG`] deliveries, oldest first; the
+    /// deliveries of one push share its document.
+    pending: VecDeque<(u64, Arc<[u8]>)>,
     dropped: u64,
 }
 
@@ -98,27 +105,38 @@ impl BrokerClient {
     }
 
     /// Send one request and read frames until its reply arrives, buffering
-    /// the [`Message::Deliver`] pushes that come first (the newest
+    /// the deliveries of the pushes that come first (the newest
     /// [`DELIVERY_BACKLOG`] of them).
     fn roundtrip(&mut self, request: &Message) -> Result<Message, ClientError> {
         self.arm(None)?;
         write_frame(self.stream.get_mut(), request)?;
         loop {
-            match read_frame(&mut self.stream, &self.limits)? {
-                Some(Message::Deliver {
-                    subscriber,
-                    document,
-                }) => {
-                    if self.pending.len() == DELIVERY_BACKLOG {
-                        self.pending.pop_front();
-                        self.dropped += 1;
-                    }
-                    self.pending.push_back((subscriber, document));
-                }
-                Some(reply) => return Ok(reply),
-                None => return Err(ClientError::Disconnected),
+            let frame = read_frame(&mut self.stream, &self.limits)?;
+            if let Some(reply) = self.buffer_push(frame.ok_or(ClientError::Disconnected)?) {
+                return Ok(reply);
             }
         }
+    }
+
+    /// Buffer a push as one delivery per subscriber it names, in id order,
+    /// dropping the oldest deliveries past [`DELIVERY_BACKLOG`]; any other
+    /// frame is handed back.
+    fn buffer_push(&mut self, frame: Message) -> Option<Message> {
+        let Message::DeliverMatched {
+            subscribers,
+            document,
+        } = frame
+        else {
+            return Some(frame);
+        };
+        for &subscriber in subscribers.iter() {
+            if self.pending.len() == DELIVERY_BACKLOG {
+                self.pending.pop_front();
+                self.dropped += 1;
+            }
+            self.pending.push_back((subscriber, Arc::clone(&document)));
+        }
+        None
     }
 
     fn expect_ack(reply: Message) -> Result<(), ClientError> {
@@ -191,7 +209,10 @@ impl BrokerClient {
 
     /// Deliveries buffered so far, without touching the socket.
     pub fn take_deliveries(&mut self) -> Vec<(u64, Vec<u8>)> {
-        self.pending.drain(..).collect()
+        self.pending
+            .drain(..)
+            .map(|(subscriber, document)| (subscriber, document.to_vec()))
+            .collect()
     }
 
     /// Deliveries dropped because more than [`DELIVERY_BACKLOG`] arrived
@@ -200,8 +221,8 @@ impl BrokerClient {
         self.dropped
     }
 
-    /// Wait up to `timeout` for the next delivery push. Returns `Ok(None)`
-    /// on timeout.
+    /// Wait up to `timeout` for the next delivery: the oldest one buffered,
+    /// else the first of the next push. Returns `Ok(None)` on timeout.
     ///
     /// The timeout is armed only while nothing of a frame is buffered, so a
     /// timed-out read consumes nothing and the stream stays frame-aligned.
@@ -213,41 +234,40 @@ impl BrokerClient {
         &mut self,
         timeout: Duration,
     ) -> Result<Option<(u64, Vec<u8>)>, ClientError> {
-        if let Some(delivery) = self.pending.pop_front() {
-            return Ok(Some(delivery));
-        }
-        let message = loop {
-            if let Some(frame) = take_buffered_frame(&mut self.stream, &self.limits) {
-                break frame.map_err(ClientError::Frame)?;
-            }
-            if !self.stream.buffer().is_empty() {
-                self.arm(None)?;
-                break read_frame(&mut self.stream, &self.limits)?
-                    .ok_or(ClientError::Disconnected)?;
-            }
-            self.arm(Some(timeout))?;
-            match self.stream.fill_buf() {
-                Ok([]) => return Err(ClientError::Disconnected),
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None);
+        if self.pending.is_empty() {
+            let message = loop {
+                if let Some(frame) = take_buffered_frame(&mut self.stream, &self.limits) {
+                    break frame.map_err(ClientError::Frame)?;
                 }
-                Err(e) => return Err(e.into()),
+                if !self.stream.buffer().is_empty() {
+                    self.arm(None)?;
+                    break read_frame(&mut self.stream, &self.limits)?
+                        .ok_or(ClientError::Disconnected)?;
+                }
+                self.arm(Some(timeout))?;
+                match self.stream.fill_buf() {
+                    Ok([]) => return Err(ClientError::Disconnected),
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e)
+                        if e.kind() == io::ErrorKind::WouldBlock
+                            || e.kind() == io::ErrorKind::TimedOut =>
+                    {
+                        return Ok(None);
+                    }
+                    Err(e) => return Err(e.into()),
+                }
+            };
+            if let Some(other) = self.buffer_push(message) {
+                return Err(ClientError::Protocol(format!(
+                    "expected a delivery push, got {other:?}"
+                )));
             }
-        };
-        match message {
-            Message::Deliver {
-                subscriber,
-                document,
-            } => Ok(Some((subscriber, document))),
-            other => Err(ClientError::Protocol(format!(
-                "expected Deliver, got {other:?}"
-            ))),
         }
+        Ok(self
+            .pending
+            .pop_front()
+            .map(|(subscriber, document)| (subscriber, document.to_vec())))
     }
 
     /// Set the socket's read timeout, unless it already holds `timeout`.

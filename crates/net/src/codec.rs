@@ -4,10 +4,11 @@
 //! payload; the payload starts with a protocol version byte and a verb
 //! byte, then verb-specific fields built from four primitives — `u32`,
 //! `u64`, length-prefixed byte strings and length-prefixed UTF-8 strings —
-//! all big-endian, no serde anywhere. One verb adds a fifth: the interest
-//! set of a [`MatchedDocument`] is a list of ascending subscriber ids, sent
-//! as canonical LEB128 varints of their gaps (docs/NET.md, "Canonical
-//! encodings"). Decoding never panics and never
+//! all big-endian, no serde anywhere. Two verbs add a fifth: the interest
+//! set of a [`MatchedDocument`] and the subscribers a
+//! [`Message::DeliverMatched`] push names are lists of ascending subscriber
+//! ids, sent as canonical LEB128 varints of their gaps (docs/NET.md,
+//! "Canonical encodings"). Decoding never panics and never
 //! trusts a length field: every count is checked against the bytes that
 //! are actually present *and* against the hard [`FrameLimits`] (modelled
 //! on `tps_xml::ScanLimits`) before anything is allocated, so a hostile
@@ -25,8 +26,9 @@ use std::sync::Arc;
 /// Protocol version carried by every frame. Version 2 added
 /// [`Message::ForwardMatched`] and the view digest and
 /// `forwards_rematched` counter of [`BrokerStats`]; version 3 dropped its
-/// `communities` counter.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// `communities` counter; version 4 added [`Message::DeliverMatched`], one
+/// push per connection and document, and the `pushes_dropped` counter.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Hard limits a decoder enforces on incoming frames, in the mould of
 /// `tps_xml::ScanLimits`: exceeding any of them is a typed
@@ -41,8 +43,9 @@ pub struct FrameLimits {
     pub max_document: usize,
     /// Maximum number of documents in one forward batch.
     pub max_batch: usize,
-    /// Maximum number of consumers in one state-sync reply, and of
-    /// subscriber ids in the interest set of one forwarded document.
+    /// Maximum number of consumers in one state-sync reply, of subscriber
+    /// ids in the interest set of one forwarded document, and of
+    /// subscribers named by one delivery push.
     pub max_subscriptions: usize,
 }
 
@@ -123,6 +126,8 @@ pub enum DecodeError {
     IdsNotAscending,
     /// The presence byte of an interest set is neither 0 nor 1.
     BadPresenceFlag(u8),
+    /// A delivery push names no subscriber.
+    NoSubscribers,
 }
 
 impl fmt::Display for DecodeError {
@@ -170,6 +175,7 @@ impl fmt::Display for DecodeError {
                 write!(f, "subscriber ids do not ascend strictly within 64 bits")
             }
             DecodeError::BadPresenceFlag(b) => write!(f, "presence byte {b:#04x} is not 0 or 1"),
+            DecodeError::NoSubscribers => write!(f, "delivery push names no subscriber"),
         }
     }
 }
@@ -281,6 +287,11 @@ pub struct BrokerStats {
     pub forwards_rematched: u64,
     /// Documents dropped because a peer link was down or saturated.
     pub forwards_dropped: u64,
+    /// Deliveries lost because a subscriber connection's writer queue was
+    /// full or its writer gone: the subscribers a dropped push named, not
+    /// the pushes. `deliveries` counts them all the same, as it counts
+    /// matching, not push success.
+    pub pushes_dropped: u64,
     /// Requests answered with an error reply.
     pub errors: u64,
     /// Routing-table rebuilds performed. An exact table is never built
@@ -301,8 +312,9 @@ pub struct BrokerStats {
 /// One document of a [`Message::ForwardMatched`] batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchedDocument {
-    /// Raw document bytes.
-    pub bytes: Vec<u8>,
+    /// Raw document bytes, shared with the document's other forwards and
+    /// its delivery pushes.
+    pub bytes: Arc<[u8]>,
     /// The subscribers of the sender's view the document interests,
     /// strictly ascending — or `None` when the set was too large to send
     /// (over [`FrameLimits::max_subscriptions`] ids or over the frame
@@ -392,7 +404,9 @@ pub enum Message {
         /// The broker's counters.
         stats: BrokerStats,
     },
-    /// A matched document pushed to a subscriber's connection.
+    /// A matched document pushed to one subscriber's connection. Decoded,
+    /// no longer sent: brokers push [`Message::DeliverMatched`], and a
+    /// client does not take this as a push.
     Deliver {
         /// The matching subscriber.
         subscriber: u64,
@@ -403,6 +417,16 @@ pub enum Message {
     SyncState {
         /// The broker's consumer view, in subscriber-id order.
         consumers: Vec<SyncConsumer>,
+    },
+    /// A matched document pushed once to a connection, naming every
+    /// subscriber on it that the document matches (docs/NET.md, "One push
+    /// per connection and document").
+    DeliverMatched {
+        /// The matching subscribers, strictly ascending and never empty.
+        subscribers: Arc<[u64]>,
+        /// Raw document bytes, shared with the document's other pushes
+        /// and forwards.
+        document: Arc<[u8]>,
     },
 }
 
@@ -420,6 +444,7 @@ const VERB_ERROR: u8 = 0x81;
 const VERB_STATS_REPLY: u8 = 0x82;
 const VERB_DELIVER: u8 = 0x83;
 const VERB_SYNC_STATE: u8 = 0x84;
+const VERB_DELIVER_MATCHED: u8 = 0x85;
 
 fn put_u32(out: &mut Vec<u8>, value: u32) {
     out.extend_from_slice(&value.to_be_bytes());
@@ -458,6 +483,14 @@ fn put_varint(out: &mut Vec<u8>, mut value: u64) {
         value >>= 7;
     }
     out.push(value as u8);
+}
+
+/// An ascending id list: its count, then its gaps as varints.
+fn put_ids(out: &mut Vec<u8>, ids: &[u64]) {
+    put_u32(out, ids.len() as u32);
+    for gap in gaps(ids) {
+        put_varint(out, gap);
+    }
 }
 
 /// A bounds-checked cursor over one frame payload.
@@ -569,6 +602,7 @@ impl Message {
             Message::StatsReply { .. } => VERB_STATS_REPLY,
             Message::Deliver { .. } => VERB_DELIVER,
             Message::SyncState { .. } => VERB_SYNC_STATE,
+            Message::DeliverMatched { .. } => VERB_DELIVER_MATCHED,
         }
     }
 
@@ -619,10 +653,7 @@ impl Message {
                         None => out.push(0),
                         Some(ids) => {
                             out.push(1);
-                            put_u32(out, ids.len() as u32);
-                            for gap in gaps(ids) {
-                                put_varint(out, gap);
-                            }
+                            put_ids(out, ids);
                         }
                     }
                 }
@@ -643,6 +674,7 @@ impl Message {
                     stats.forwards_received,
                     stats.forwards_rematched,
                     stats.forwards_dropped,
+                    stats.pushes_dropped,
                     stats.errors,
                     stats.table_rebuilds,
                     stats.table_nodes,
@@ -665,6 +697,13 @@ impl Message {
                     put_u32(out, consumer.broker);
                     put_bytes(out, consumer.pattern.as_bytes());
                 }
+            }
+            Message::DeliverMatched {
+                subscribers,
+                document,
+            } => {
+                put_ids(out, subscribers);
+                put_bytes(out, document);
             }
         }
     }
@@ -700,7 +739,7 @@ impl Message {
                 subscriber: reader.u64()?,
             },
             VERB_PUBLISH => Message::Publish {
-                document: decode_document(&mut reader, limits)?,
+                document: decode_document(&mut reader, limits)?.to_vec(),
             },
             VERB_STATS => Message::Stats,
             VERB_FORWARD => {
@@ -708,7 +747,7 @@ impl Message {
                 let count = decode_batch_count(&mut reader, limits)?;
                 let mut documents = Vec::with_capacity(count.min(reader.remaining()));
                 for _ in 0..count {
-                    documents.push(decode_document(&mut reader, limits)?);
+                    documents.push(decode_document(&mut reader, limits)?.to_vec());
                 }
                 Message::Forward { from, documents }
             }
@@ -718,7 +757,7 @@ impl Message {
                 let count = decode_batch_count(&mut reader, limits)?;
                 let mut documents = Vec::with_capacity(count.min(reader.remaining()));
                 for _ in 0..count {
-                    let bytes = decode_document(&mut reader, limits)?;
+                    let bytes = decode_document(&mut reader, limits)?.into();
                     let interested = match reader.u8()? {
                         0 => None,
                         1 => Some(decode_interest(&mut reader, limits)?),
@@ -746,7 +785,7 @@ impl Message {
             }
             VERB_STATS_REPLY => {
                 let broker = reader.u32()?;
-                let mut values = [0u64; 12];
+                let mut values = [0u64; 13];
                 for value in &mut values {
                     *value = reader.u64()?;
                 }
@@ -762,16 +801,17 @@ impl Message {
                         forwards_received: values[6],
                         forwards_rematched: values[7],
                         forwards_dropped: values[8],
-                        errors: values[9],
-                        table_rebuilds: values[10],
-                        table_nodes: values[11],
+                        pushes_dropped: values[9],
+                        errors: values[10],
+                        table_rebuilds: values[11],
+                        table_nodes: values[12],
                         view_digest: reader.u128()?,
                     },
                 }
             }
             VERB_DELIVER => {
                 let subscriber = reader.u64()?;
-                let document = decode_document(&mut reader, limits)?;
+                let document = decode_document(&mut reader, limits)?.to_vec();
                 Message::Deliver {
                     subscriber,
                     document,
@@ -798,6 +838,16 @@ impl Message {
                 }
                 Message::SyncState { consumers }
             }
+            VERB_DELIVER_MATCHED => {
+                let subscribers = decode_interest(&mut reader, limits)?;
+                if subscribers.is_empty() {
+                    return Err(DecodeError::NoSubscribers);
+                }
+                Message::DeliverMatched {
+                    subscribers,
+                    document: decode_document(&mut reader, limits)?.into(),
+                }
+            }
             other => return Err(DecodeError::UnknownVerb(other)),
         };
         reader.finish()?;
@@ -818,30 +868,37 @@ fn decode_batch_count(reader: &mut Reader<'_>, limits: &FrameLimits) -> Result<u
 }
 
 fn decode_pattern(reader: &mut Reader<'_>, limits: &FrameLimits) -> Result<String, DecodeError> {
-    let len = peek_len(reader)?;
+    let len = reader.u32()? as usize;
     if len > limits.max_pattern {
         return Err(DecodeError::PatternTooLong {
             size: len,
             limit: limits.max_pattern,
         });
     }
-    reader.string_field()
+    String::from_utf8(reader.take(len)?.to_vec()).map_err(|_| DecodeError::InvalidUtf8)
 }
 
-fn decode_document(reader: &mut Reader<'_>, limits: &FrameLimits) -> Result<Vec<u8>, DecodeError> {
-    let len = peek_len(reader)?;
+/// A document field, borrowed from the payload: the caller copies it into
+/// whichever buffer the message holds.
+fn decode_document<'a>(
+    reader: &mut Reader<'a>,
+    limits: &FrameLimits,
+) -> Result<&'a [u8], DecodeError> {
+    let len = reader.u32()? as usize;
     if len > limits.max_document {
         return Err(DecodeError::DocumentTooLarge {
             size: len,
             limit: limits.max_document,
         });
     }
-    reader.bytes_field()
+    reader.take(len)
 }
 
-/// An interest set: an id count, then the ids as varints of their gaps. The
-/// count is checked against the limit and every id takes at least a byte,
-/// so the allocation is bounded by both before it is made.
+/// An id list — the interest set of a forwarded document, or the
+/// subscribers of a delivery push: an id count, then the ids as varints of
+/// their gaps. The count is checked against the limit and every id takes
+/// at least a byte, so the allocation is bounded by both before it is
+/// made.
 fn decode_interest(
     reader: &mut Reader<'_>,
     limits: &FrameLimits,
@@ -869,15 +926,6 @@ fn decode_interest(
         ids.push(previous);
     }
     Ok(ids.into())
-}
-
-/// The length prefix of the next field, without consuming it.
-fn peek_len(reader: &Reader<'_>) -> Result<usize, DecodeError> {
-    if reader.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let b = &reader.bytes[reader.pos..reader.pos + 4];
-    Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]) as usize)
 }
 
 /// Errors of the framed stream I/O layer.
@@ -1008,15 +1056,15 @@ mod tests {
                 view: u128::MAX - 5,
                 documents: vec![
                     MatchedDocument {
-                        bytes: b"<a/>".to_vec(),
+                        bytes: b"<a/>"[..].into(),
                         interested: Some(vec![0, 1, 127, 128, 1 << 40, u64::MAX].into()),
                     },
                     MatchedDocument {
-                        bytes: b"<b><c/></b>".to_vec(),
+                        bytes: b"<b><c/></b>"[..].into(),
                         interested: None,
                     },
                     MatchedDocument {
-                        bytes: Vec::new(),
+                        bytes: b""[..].into(),
                         interested: Some(Vec::new().into()),
                     },
                 ],
@@ -1041,6 +1089,7 @@ mod tests {
                     forwards_received: 2,
                     forwards_rematched: 1,
                     forwards_dropped: 0,
+                    pushes_dropped: 11,
                     errors: 1,
                     table_rebuilds: 8,
                     table_nodes: 120,
@@ -1057,6 +1106,10 @@ mod tests {
                     broker: 1,
                     pattern: "//book".to_string(),
                 }],
+            },
+            Message::DeliverMatched {
+                subscribers: vec![0, 3, 200, u64::MAX].into(),
+                document: b"<media/>"[..].into(),
             },
         ]
     }
@@ -1273,6 +1326,101 @@ mod tests {
         assert_eq!(
             Message::decode(&payload, &FrameLimits::default()),
             Err(DecodeError::BadPresenceFlag(2))
+        );
+    }
+
+    /// A `DeliverMatched` payload whose subscriber list is `count` ids
+    /// followed by the raw `ids` bytes, then the document `<a/>`.
+    fn delivery_payload(count: u32, ids: &[u8]) -> Vec<u8> {
+        let mut payload = vec![PROTOCOL_VERSION, VERB_DELIVER_MATCHED];
+        payload.extend_from_slice(&count.to_be_bytes());
+        payload.extend_from_slice(ids);
+        put_bytes(&mut payload, b"<a/>");
+        payload
+    }
+
+    fn decoded_subscribers(count: u32, ids: &[u8]) -> Result<Vec<u64>, DecodeError> {
+        match Message::decode(&delivery_payload(count, ids), &FrameLimits::default())? {
+            Message::DeliverMatched {
+                subscribers,
+                document,
+            } => {
+                assert_eq!(&document[..], b"<a/>");
+                Ok(subscribers.to_vec())
+            }
+            other => panic!("expected DeliverMatched, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn delivery_pushes_name_ascending_subscribers_as_gaps() {
+        assert_eq!(decoded_subscribers(3, &[5, 1, 2]), Ok(vec![5, 6, 8]));
+        assert_eq!(decoded_subscribers(1, &[0]), Ok(vec![0]));
+    }
+
+    #[test]
+    fn a_delivery_push_naming_no_subscriber_is_refused() {
+        assert_eq!(decoded_subscribers(0, &[]), Err(DecodeError::NoSubscribers));
+    }
+
+    #[test]
+    fn a_delivery_push_whose_ids_do_not_ascend_is_refused() {
+        // A repeated id: a zero gap after the first.
+        assert_eq!(
+            decoded_subscribers(2, &[5, 0]),
+            Err(DecodeError::IdsNotAscending)
+        );
+        // A gap that carries the id past `u64::MAX`.
+        let mut ids = vec![0xff; 9];
+        ids.push(0x01);
+        ids.push(1);
+        assert_eq!(
+            decoded_subscribers(2, &ids),
+            Err(DecodeError::IdsNotAscending)
+        );
+    }
+
+    #[test]
+    fn a_delivery_push_over_the_subscriber_limit_is_refused() {
+        let limits = FrameLimits {
+            max_subscriptions: 2,
+            ..FrameLimits::default()
+        };
+        assert_eq!(
+            Message::decode(&delivery_payload(3, &[1, 1, 1]), &limits),
+            Err(DecodeError::InterestTooLarge { size: 3, limit: 2 })
+        );
+        let count = FrameLimits::default().max_subscriptions as u32 + 1;
+        assert_eq!(
+            decoded_subscribers(count, &[]),
+            Err(DecodeError::InterestTooLarge {
+                size: count as usize,
+                limit: count as usize - 1
+            })
+        );
+    }
+
+    #[test]
+    fn a_truncated_delivery_push_is_refused() {
+        // More ids announced than bytes left, the document included.
+        assert_eq!(
+            decoded_subscribers(100, &[1, 1]),
+            Err(DecodeError::Truncated)
+        );
+        // The list ends inside a varint.
+        let mut payload = vec![PROTOCOL_VERSION, VERB_DELIVER_MATCHED];
+        payload.extend_from_slice(&2u32.to_be_bytes());
+        payload.extend_from_slice(&[1, 0x80]);
+        assert_eq!(
+            Message::decode(&payload, &FrameLimits::default()),
+            Err(DecodeError::Truncated)
+        );
+        // The list is whole and the document is missing.
+        let mut payload = delivery_payload(1, &[7]);
+        payload.truncate(payload.len() - 8);
+        assert_eq!(
+            Message::decode(&payload, &FrameLimits::default()),
+            Err(DecodeError::Truncated)
         );
     }
 

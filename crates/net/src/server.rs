@@ -32,8 +32,9 @@
 //! 2. A reader never writes to the peer link it reads from: forwards and
 //!    floods never go back over their arrival link.
 //! 3. Pushes to *other* connections use that connection's bounded writer
-//!    queue with `try_send`: a slow consumer loses pushes, it never blocks
-//!    a reader.
+//!    queue with `try_send`: a slow consumer loses pushes, counted in
+//!    [`BrokerStats::pushes_dropped`](crate::codec::BrokerStats::pushes_dropped);
+//!    it never blocks a reader.
 //!
 //! A blocked link write waits for the reader at the far end. By 1 that
 //! reader never waits long for the lock, and by 3 it never waits for a
@@ -48,6 +49,11 @@
 //! view routes it without parsing or matching
 //! ([`BrokerCore::forward_matched`]). A plain [`Message::Forward`] is still
 //! accepted and matched locally; brokers no longer send it.
+//!
+//! Every local delivery leaves as [`Message::DeliverMatched`]: one push per
+//! connection and document, naming every subscriber on the connection the
+//! document matches. The document's bytes are one shared buffer, held by
+//! each of its pushes and forwards.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
@@ -59,6 +65,7 @@ use std::thread::JoinHandle;
 use tps_routing::BrokerId;
 
 use crate::broker::{BrokerCore, RouteOutcome};
+use crate::client::DELIVERY_BACKLOG;
 use crate::codec::{
     read_frame, take_buffered_frame, write_frame, FrameLimits, MatchedDocument, Message,
 };
@@ -121,13 +128,15 @@ impl Outbox {
     }
 
     /// Queue a push from another connection's reader; a full queue loses
-    /// it (rule 3). Called under the core lock, so the queue holds pushes
-    /// in core order.
-    fn push(&self, message: Message) {
+    /// it (rule 3), and the caller learns so. Called under the core lock,
+    /// so the queue holds pushes in core order.
+    fn push(&self, message: Message) -> bool {
         self.half.queued.fetch_add(1, Ordering::SeqCst);
-        if self.tx.try_send(message).is_err() {
+        let queued = self.tx.try_send(message).is_ok();
+        if !queued {
             self.half.queued.fetch_sub(1, Ordering::SeqCst);
         }
+        queued
     }
 
     /// Write the owning reader's frames after it released the core lock:
@@ -260,6 +269,8 @@ pub fn spawn_broker(
             core,
             conns: HashMap::new(),
             deliver_conns: HashMap::new(),
+            pushes: Vec::new(),
+            pushes_dropped: 0,
         }),
         links,
         addrs,
@@ -576,8 +587,14 @@ struct Service {
     /// The writer queue of every open connection, for pushes.
     conns: HashMap<u64, Outbox>,
     /// Which connection a locally attached subscriber receives
-    /// [`Message::Deliver`] pushes on (the one its subscribe arrived on).
+    /// [`Message::DeliverMatched`] pushes on (the one its subscribe arrived
+    /// on).
     deliver_conns: HashMap<u64, u64>,
+    /// Scratch of [`Service::dispatch`]: one document's local deliveries as
+    /// (connection, subscriber) pairs.
+    pushes: Vec<(u64, u64)>,
+    /// Deliveries lost to full writer queues.
+    pushes_dropped: u64,
 }
 
 impl Service {
@@ -630,7 +647,7 @@ impl Service {
             }
             Message::Publish { document } => match self.core.publish(&document) {
                 Ok(outcome) => {
-                    self.dispatch(&outcome, &document, batch);
+                    self.dispatch(&outcome, &document.into(), batch);
                     batch.reply(Message::Ack);
                 }
                 Err((code, message)) => batch.reply(Message::Error { code, message }),
@@ -638,7 +655,7 @@ impl Service {
             Message::Forward { from, documents } => {
                 for document in documents {
                     if let Some(outcome) = self.core.forward_in(batch.arrival(from), &document) {
-                        self.dispatch(&outcome, &document, batch);
+                        self.dispatch(&outcome, &document.into(), batch);
                     }
                 }
             }
@@ -662,6 +679,7 @@ impl Service {
             Message::Stats => {
                 let mut stats = self.core.stats();
                 stats.forwards_dropped += batch.shared.dropped.load(Ordering::Relaxed);
+                stats.pushes_dropped = self.pushes_dropped;
                 batch.reply(Message::StatsReply { stats });
             }
             Message::SyncRequest => {
@@ -678,35 +696,64 @@ impl Service {
             | Message::Error { .. }
             | Message::StatsReply { .. }
             | Message::Deliver { .. }
+            | Message::DeliverMatched { .. }
             | Message::SyncState { .. } => {}
         }
     }
 
-    /// Push local deliveries to attached subscriber connections and queue
-    /// the forward decisions of the document the core routed last, with the
-    /// interest set and the view digest the core holds for it.
-    fn dispatch(&mut self, outcome: &RouteOutcome, document: &[u8], batch: &mut Batch) {
-        for &subscriber in &outcome.deliveries {
-            let Some(&conn) = self.deliver_conns.get(&subscriber) else {
-                continue;
+    /// Push local deliveries to attached subscriber connections, one push
+    /// per connection, and queue the forward decisions of the document the
+    /// core routed last, with the interest set and the view digest the core
+    /// holds for it. Every push and forward shares `document`.
+    fn dispatch(&mut self, outcome: &RouteOutcome, document: &Arc<[u8]>, batch: &mut Batch) {
+        // Sorted by connection, then subscriber: each connection's
+        // subscribers are one ascending run.
+        self.pushes.clear();
+        self.pushes.extend(
+            outcome
+                .deliveries
+                .iter()
+                .filter_map(|subscriber| Some((*self.deliver_conns.get(subscriber)?, *subscriber))),
+        );
+        self.pushes.sort_unstable();
+        // Split so the receiver takes every push whole: within its
+        // decoder's id limit and frame budget (an id costs at most a
+        // 10-byte varint), and no larger than a client's delivery backlog,
+        // which a push is expanded into.
+        let limits = &batch.shared.limits;
+        let fit = limits.max_frame.saturating_sub(256 + document.len()) / 10;
+        let most = limits
+            .max_subscriptions
+            .min(DELIVERY_BACKLOG)
+            .min(fit)
+            .max(1);
+        let mut rest = &self.pushes[..];
+        while let Some(&(conn, _)) = rest.first() {
+            let run = rest
+                .iter()
+                .take(most)
+                .take_while(|(c, _)| *c == conn)
+                .count();
+            let push = Message::DeliverMatched {
+                subscribers: rest[..run].iter().map(|&(_, s)| s).collect(),
+                document: Arc::clone(document),
             };
-            let push = Message::Deliver {
-                subscriber,
-                document: document.to_vec(),
-            };
+            rest = &rest[run..];
             // The delivery counter tracks matching, not push success (same
             // as the simulator's counters).
             if conn == batch.conn {
                 batch.replies.push(push);
             } else if let Some(outbox) = self.conns.get(&conn) {
-                outbox.push(push);
+                if !outbox.push(push) {
+                    self.pushes_dropped += run as u64;
+                }
             }
         }
         if outcome.forwards.is_empty() {
             return;
         }
-        // One buffer per document, shared by every link it leaves on. A set
-        // the receiver's decoder would refuse is not sent: it matches then.
+        // A set the receiver's decoder would refuse is not sent: it matches
+        // then.
         let interest = self.core.interest();
         let interested: Option<Arc<[u64]>> =
             (interest.len() <= batch.shared.limits.max_subscriptions).then(|| interest.into());
@@ -721,7 +768,7 @@ impl Service {
                 batch.forwards[link].push(Outbound {
                     view,
                     document: MatchedDocument {
-                        bytes: document.to_vec(),
+                        bytes: Arc::clone(document),
                         interested: interested.clone(),
                     },
                 });
@@ -785,9 +832,9 @@ mod tests {
         );
         // Another reader's push waits for the writer thread; the reply
         // queues behind it instead of reaching the socket first.
-        let push = Message::Deliver {
-            subscriber: 1,
-            document: b"<a/>".to_vec(),
+        let push = Message::DeliverMatched {
+            subscribers: vec![1, 2].into(),
+            document: b"<a/>"[..].into(),
         };
         outbox.push(push.clone());
         outbox.answer(vec![Message::Stats]).unwrap();
@@ -808,7 +855,7 @@ mod tests {
         Outbound {
             view,
             document: MatchedDocument {
-                bytes: vec![b'x'; bytes],
+                bytes: vec![b'x'; bytes].into(),
                 // Gaps of 200: two bytes per id.
                 interested: ids.map(|n| (1..=n as u64).map(|i| i * 200).collect()),
             },

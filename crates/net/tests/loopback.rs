@@ -11,9 +11,11 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use tps_net::client::DELIVERY_BACKLOG;
-use tps_net::codec::write_frame;
+use tps_net::codec::{read_frame, write_frame};
 use tps_net::transport::Stream;
-use tps_net::{BrokerStats, ErrorCode, LocalOverlay, Message, OverlayConfig, Transport};
+use tps_net::{
+    BrokerStats, ErrorCode, FrameLimits, LocalOverlay, Message, OverlayConfig, Transport,
+};
 use tps_routing::BrokerTopology;
 
 const TIMEOUT: Duration = Duration::from_secs(20);
@@ -193,6 +195,316 @@ fn tcp_an_undrained_subscriber_keeps_a_bounded_backlog() {
 #[test]
 fn unix_an_undrained_subscriber_keeps_a_bounded_backlog() {
     an_undrained_subscriber_keeps_a_bounded_backlog(Transport::Unix);
+}
+
+/// The same with several subscribers on the connection: a push of k
+/// subscribers is k deliveries, and past the backlog the oldest deliveries
+/// go one by one, not a push at a time.
+fn an_undrained_connection_of_many_subscribers_keeps_a_bounded_backlog(transport: Transport) {
+    const SUBSCRIBERS: u64 = 3;
+    let overlay = spawn(transport);
+    let mut idle = overlay.client(0).expect("client 0");
+    for subscriber in 0..SUBSCRIBERS {
+        idle.subscribe(subscriber, 0, "//a").expect("subscribe");
+    }
+    let mut producer = overlay.client(0).expect("producer");
+    let documents = DELIVERY_BACKLOG / 2;
+    for i in 0..documents {
+        producer
+            .publish(format!("<a>{i}</a>").as_bytes())
+            .expect("publish");
+    }
+    let sent = documents * SUBSCRIBERS as usize;
+    assert_eq!(idle.stats().expect("stats").deliveries as usize, sent);
+    assert_eq!(idle.deliveries_dropped() as usize, sent - DELIVERY_BACKLOG);
+    // Every document to every subscriber in id order, newest last.
+    let expected: Vec<(u64, Vec<u8>)> = (0..documents)
+        .flat_map(|i| (0..SUBSCRIBERS).map(move |s| (s, format!("<a>{i}</a>").into_bytes())))
+        .collect();
+    assert_ne!(
+        (sent - DELIVERY_BACKLOG) % SUBSCRIBERS as usize,
+        0,
+        "the oldest kept delivery is not the first of its push"
+    );
+    assert_eq!(idle.take_deliveries(), expected[sent - DELIVERY_BACKLOG..]);
+    overlay.shutdown().expect("shutdown");
+}
+
+#[test]
+fn tcp_an_undrained_connection_of_many_subscribers_keeps_a_bounded_backlog() {
+    an_undrained_connection_of_many_subscribers_keeps_a_bounded_backlog(Transport::Tcp);
+}
+
+#[test]
+fn unix_an_undrained_connection_of_many_subscribers_keeps_a_bounded_backlog() {
+    an_undrained_connection_of_many_subscribers_keeps_a_bounded_backlog(Transport::Unix);
+}
+
+/// Send `request` on a raw connection and read the next frame.
+fn raw_roundtrip(stream: &mut Stream, request: &Message) -> Option<Message> {
+    write_frame(stream, request).expect("write");
+    read_frame(stream, &FrameLimits::default()).expect("read")
+}
+
+/// A document goes to a connection once, however many of its subscribers
+/// it matches: one `DeliverMatched` frame naming them in ascending order,
+/// whether the document was published at the connection's broker or
+/// forwarded to it.
+fn one_push_per_connection_and_document(transport: Transport) {
+    let overlay = spawn(transport);
+    // (broker, subscribers); `3` on the first connection matches nothing.
+    let connections = [
+        (
+            0,
+            vec![(7, "//CD"), (3, "//book"), (2, "//title"), (5, "/media/CD")],
+        ),
+        (1, vec![(9, "//CD/title"), (4, "//media")]),
+    ];
+    let mut raw = Vec::new();
+    for (broker, subscribers) in &connections {
+        let mut stream = Stream::connect(&overlay.addr(*broker).expect("up")).expect("connect");
+        for &(subscriber, pattern) in subscribers {
+            let subscribe = Message::Subscribe {
+                subscriber,
+                broker: *broker as u32,
+                pattern: pattern.to_string(),
+            };
+            assert_eq!(raw_roundtrip(&mut stream, &subscribe), Some(Message::Ack));
+        }
+        raw.push(stream);
+    }
+    overlay
+        .await_consumers(6, TIMEOUT)
+        .expect("flood converges");
+
+    let mut producer = overlay.client(0).expect("producer");
+    let documents: Vec<String> = (0..5)
+        .map(|i| format!("<media><CD><title>{i}</title></CD></media>"))
+        .collect();
+    for document in &documents {
+        producer.publish(document.as_bytes()).expect("publish");
+    }
+    let expected: [&[u64]; 2] = [&[2, 5, 7], &[4, 9]];
+    for (stream, ids) in raw.iter_mut().zip(expected) {
+        for document in &documents {
+            match read_frame(stream, &FrameLimits::default()).expect("read") {
+                Some(Message::DeliverMatched {
+                    subscribers,
+                    document: bytes,
+                }) => {
+                    assert_eq!(&subscribers[..], ids);
+                    assert_eq!(&bytes[..], document.as_bytes());
+                }
+                other => panic!("expected one DeliverMatched per document, got {other:?}"),
+            }
+        }
+        // Every push was queued before the publisher's last Ack, and a
+        // reply never overtakes a push: the next frame is the reply.
+        let reply = raw_roundtrip(stream, &Message::Stats);
+        assert!(
+            matches!(reply, Some(Message::StatsReply { .. })),
+            "{reply:?}"
+        );
+    }
+    let stats = overlay.quiesce(TIMEOUT).expect("quiesce");
+    assert_eq!(stats[0].deliveries, 15);
+    assert_eq!(stats[1].deliveries, 10);
+    assert_eq!(total(&stats, |s| s.pushes_dropped), 0);
+    overlay.shutdown().expect("shutdown");
+}
+
+#[test]
+fn tcp_one_push_per_connection_and_document() {
+    one_push_per_connection_and_document(Transport::Tcp);
+}
+
+#[test]
+fn unix_one_push_per_connection_and_document() {
+    one_push_per_connection_and_document(Transport::Unix);
+}
+
+/// `recv_delivery` hands a connection's pushes out one subscriber at a
+/// time: each subscriber gets each of its documents once, in publication
+/// order, and a push's subscribers come in id order.
+fn recv_delivery_yields_each_subscribers_documents_in_order(transport: Transport) {
+    let overlay = spawn(transport);
+    let mut fan = overlay.client(1).expect("client 1");
+    let subscribers = [(12, "//media"), (10, "//CD"), (11, "//book")];
+    for (subscriber, pattern) in subscribers {
+        fan.subscribe(subscriber, 1, pattern).expect("subscribe");
+    }
+    overlay
+        .await_consumers(3, TIMEOUT)
+        .expect("flood converges");
+    let mut producer = overlay.client(0).expect("producer");
+    let mut expected = Vec::new();
+    for i in 0..20 {
+        let (kind, ids) = if i % 3 == 0 {
+            ("book", [11, 12])
+        } else {
+            ("CD", [10, 12])
+        };
+        let document = format!("<media><{kind}><title>{i}</title></{kind}></media>");
+        producer.publish(document.as_bytes()).expect("publish");
+        expected.extend(ids.map(|id| (id, document.clone().into_bytes())));
+    }
+    let mut received = Vec::new();
+    while received.len() < expected.len() {
+        let delivery = fan.recv_delivery(TIMEOUT).expect("recv");
+        received.push(delivery.expect("a delivery arrives"));
+    }
+    assert_eq!(received, expected);
+    assert_eq!(
+        fan.recv_delivery(Duration::from_millis(200)).expect("recv"),
+        None,
+        "exactly once"
+    );
+    assert_eq!(fan.deliveries_dropped(), 0);
+    overlay.shutdown().expect("shutdown");
+}
+
+#[test]
+fn tcp_recv_delivery_yields_each_subscribers_documents_in_order() {
+    recv_delivery_yields_each_subscribers_documents_in_order(Transport::Tcp);
+}
+
+#[test]
+fn unix_recv_delivery_yields_each_subscribers_documents_in_order() {
+    recv_delivery_yields_each_subscribers_documents_in_order(Transport::Unix);
+}
+
+/// A push is never larger than a client's backlog: with more matching
+/// subscribers on one connection than `DELIVERY_BACKLOG`, the broker splits
+/// the push, and a caller draining with `recv_delivery` loses nothing.
+fn a_push_never_outgrows_the_client_backlog(transport: Transport) {
+    const SUBSCRIBERS: u64 = DELIVERY_BACKLOG as u64 + 1;
+    let overlay = spawn(transport);
+    let mut fan = overlay.client(0).expect("client 0");
+    for subscriber in 0..SUBSCRIBERS {
+        fan.subscribe(subscriber, 0, "//a").expect("subscribe");
+    }
+    let mut producer = overlay.client(0).expect("producer");
+    let documents: Vec<Vec<u8>> = (0..3).map(|i| format!("<a>{i}</a>").into_bytes()).collect();
+    for document in &documents {
+        producer.publish(document).expect("publish");
+    }
+    let expected: Vec<(u64, Vec<u8>)> = documents
+        .iter()
+        .flat_map(|document| (0..SUBSCRIBERS).map(move |s| (s, document.clone())))
+        .collect();
+    let mut received = Vec::new();
+    while received.len() < expected.len() {
+        let delivery = fan.recv_delivery(TIMEOUT).expect("recv");
+        received.push(delivery.expect("a delivery arrives"));
+    }
+    assert_eq!(received, expected);
+    assert_eq!(fan.deliveries_dropped(), 0);
+    overlay.shutdown().expect("shutdown");
+}
+
+#[test]
+fn tcp_a_push_never_outgrows_the_client_backlog() {
+    a_push_never_outgrows_the_client_backlog(Transport::Tcp);
+}
+
+#[test]
+fn unix_a_push_never_outgrows_the_client_backlog() {
+    a_push_never_outgrows_the_client_backlog(Transport::Unix);
+}
+
+/// A push stays within the receiver's frame limit: a document near the
+/// limit, matched by more subscribers than one frame can name beside it,
+/// goes out as several pushes, and the client decodes every one.
+fn a_push_stays_within_the_frame_limit(transport: Transport) {
+    const SUBSCRIBERS: u64 = 400;
+    let limits = FrameLimits {
+        max_frame: 1024,
+        ..FrameLimits::default()
+    };
+    let config = OverlayConfig {
+        topology: BrokerTopology::single(),
+        limits,
+        ..OverlayConfig::default()
+    };
+    let overlay = LocalOverlay::spawn(config, transport).expect("spawn overlay");
+    let mut fan = overlay.client(0).expect("client 0");
+    for subscriber in 0..SUBSCRIBERS {
+        fan.subscribe(subscriber, 0, "//a").expect("subscribe");
+    }
+    // One id per subscriber would take the frame past its limit.
+    let document = format!("<a>{}</a>", "x".repeat(700)).into_bytes();
+    overlay
+        .client(0)
+        .expect("producer")
+        .publish(&document)
+        .expect("publish");
+    for subscriber in 0..SUBSCRIBERS {
+        let delivery = fan.recv_delivery(TIMEOUT).expect("recv");
+        assert_eq!(delivery, Some((subscriber, document.clone())));
+    }
+    assert_eq!(fan.deliveries_dropped(), 0);
+    overlay.shutdown().expect("shutdown");
+}
+
+#[test]
+fn tcp_a_push_stays_within_the_frame_limit() {
+    a_push_stays_within_the_frame_limit(Transport::Tcp);
+}
+
+#[test]
+fn unix_a_push_stays_within_the_frame_limit() {
+    a_push_stays_within_the_frame_limit(Transport::Unix);
+}
+
+/// A connection that stops reading fills its writer queue, and the pushes
+/// that find it full are lost (a slow consumer never blocks a broker). None
+/// goes unaccounted: every delivery the broker counted was received, let go
+/// by the client's backlog, or counted in `pushes_dropped`.
+fn pushes_a_full_writer_queue_drops_are_counted(transport: Transport) {
+    const SUBSCRIBERS: u64 = 2;
+    const DOCUMENTS: usize = 800;
+    let config = OverlayConfig {
+        queue_depth: 4,
+        ..OverlayConfig::default()
+    };
+    let overlay = LocalOverlay::spawn(config, transport).expect("spawn overlay");
+    let mut stalled = overlay.client(0).expect("client 0");
+    for subscriber in 0..SUBSCRIBERS {
+        stalled.subscribe(subscriber, 0, "//a").expect("subscribe");
+    }
+    // ~26 MB of pushes: more than the socket buffers between the two hold.
+    let pad = "x".repeat(32 << 10);
+    let mut producer = overlay.client(0).expect("producer");
+    for i in 0..DOCUMENTS {
+        producer
+            .publish(format!("<a><i>{i}</i>{pad}</a>").as_bytes())
+            .expect("publish");
+    }
+    // The reply queues behind every push that was not dropped.
+    let stats = stalled.stats().expect("stats");
+    let received = stalled.take_deliveries().len() as u64;
+    assert_eq!(stats.deliveries, SUBSCRIBERS * DOCUMENTS as u64);
+    assert!(stats.pushes_dropped > 0, "the writer queue never filled");
+    assert_eq!(
+        stats.pushes_dropped % SUBSCRIBERS,
+        0,
+        "a dropped push counts the subscribers it named"
+    );
+    assert_eq!(
+        stats.deliveries,
+        received + stalled.deliveries_dropped() + stats.pushes_dropped
+    );
+    overlay.shutdown().expect("shutdown");
+}
+
+#[test]
+fn tcp_pushes_a_full_writer_queue_drops_are_counted() {
+    pushes_a_full_writer_queue_drops_are_counted(Transport::Tcp);
+}
+
+#[test]
+fn unix_pushes_a_full_writer_queue_drops_are_counted() {
+    pushes_a_full_writer_queue_drops_are_counted(Transport::Unix);
 }
 
 /// A client that sends requests and never reads its replies blocks only
