@@ -1,33 +1,28 @@
 //! Benchmarks for semantic-community discovery: similarity-matrix
-//! construction, the three clustering algorithms, and MinHash signatures as
-//! the cheap alternative for large subscription populations.
+//! construction and the three clustering algorithms.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use tps_bench::BenchFixture;
-#[allow(deprecated)]
-use tps_cluster::minhash_matrix;
 use tps_cluster::{
     agglomerative, kmedoids, leader, AgglomerativeConfig, KMedoidsConfig, LeaderConfig,
-    SimilarityMatrix,
 };
-use tps_core::{ExactEvaluator, ProximityMetric, SimilarityEngine};
+use tps_core::{ProximityMetric, SimMatrix, SimilarityEngine};
 use tps_synopsis::MatchingSetKind;
 
-fn fixture_matrix() -> (BenchFixture, SimilarityMatrix) {
+fn fixture_matrix() -> (BenchFixture, SimMatrix) {
     let fixture = BenchFixture::nitf();
     let synopsis = fixture.synopsis(MatchingSetKind::Hashes { capacity: 256 });
     let mut engine = SimilarityEngine::from_synopsis(synopsis);
     let ids = engine.register_all(fixture.positives());
-    let matrix = SimilarityMatrix::from_engine(&engine, &ids, ProximityMetric::M3);
+    let matrix = engine.similarity_matrix(&ids, ProximityMetric::M3);
     (fixture, matrix)
 }
 
 fn bench_matrix_construction(c: &mut Criterion) {
     let fixture = BenchFixture::nitf();
     let synopsis = fixture.synopsis(MatchingSetKind::Hashes { capacity: 256 });
-    let exact = ExactEvaluator::new(fixture.documents().to_vec());
     let mut group = c.benchmark_group("similarity_matrix");
     group.sample_size(10);
     group.bench_function("estimated_hashes", |b| {
@@ -36,18 +31,8 @@ fn bench_matrix_construction(c: &mut Criterion) {
         b.iter(|| {
             let mut engine = SimilarityEngine::from_synopsis(synopsis.clone());
             let ids = engine.register_all(fixture.positives());
-            black_box(SimilarityMatrix::from_engine(
-                &engine,
-                &ids,
-                ProximityMetric::M3,
-            ))
+            black_box(engine.similarity_matrix(&ids, ProximityMetric::M3))
         })
-    });
-    group.bench_function("minhash_256", |b| {
-        // The deprecated document-set path stays benchmarked so the snapshot
-        // history keeps tracking it until it is removed outright.
-        #[allow(deprecated)]
-        b.iter(|| black_box(minhash_matrix(&exact, fixture.positives(), 256, 7)))
     });
     group.finish();
 }

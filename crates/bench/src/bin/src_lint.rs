@@ -38,6 +38,10 @@
 //! from its operands' cached root-branch values, and only the reference
 //! `SelectivityEstimator` builds and evaluates the conjunction pattern.
 //!
+//! And one more for the whole workspace, with no justification: no
+//! `#[deprecated]` attribute. A replaced path is deleted in the change that
+//! replaces it, not kept beside its replacement behind a warning.
+//!
 //! Out of scope, deliberately: `bin/` targets and `main.rs` (CLI skeletons
 //! report errors to humans directly), `tests/`, benches, and everything
 //! under `#[cfg(test)]` (panicking is the point of an assertion), plus the
@@ -75,6 +79,12 @@ const CONJUNCTION: &str = "ops::conjunction";
 
 /// What to do about a conjunction pattern built in the engine.
 const FOLD_JOINTS: &str = "fold the joint from the operands' root-branch values";
+
+/// The attribute that keeps a replaced path alive.
+const DEPRECATED: &str = "#[deprecated";
+
+/// What to do about a deprecated item.
+const DELETE_REPLACED: &str = "a replaced path is deleted, not kept beside its replacement";
 
 const USAGE: &str = "usage: src-lint [ROOT]";
 
@@ -203,6 +213,13 @@ fn scan_source(source: &str, path: &Path) -> Vec<Finding> {
                 line: index + 1,
                 what: "a CDATA literal outside the XML scanner",
                 fix: ONE_LEXER,
+            });
+        }
+        if line.contains(DEPRECATED) {
+            findings.push(Finding {
+                line: index + 1,
+                what: "a #[deprecated] item",
+                fix: DELETE_REPLACED,
             });
         }
         if folds_joints && line.contains(CONJUNCTION) {
@@ -459,6 +476,21 @@ mod tests {
         assert!(scan_source(source, Path::new("./crates/core/src/selectivity.rs")).is_empty());
         assert!(scan_source(source, Path::new("./crates/pattern/src/ops.rs")).is_empty());
         assert!(scan_source(source, lib()).is_empty());
+    }
+
+    #[test]
+    fn deprecated_items_are_refused_even_when_justified() {
+        let source = "// invariant: callers still use it\n\
+                      #[deprecated(note = \"use g\")]\npub fn f() {}\n\
+                      // a comment may name #[deprecated]\n\
+                      #[cfg(test)]\nmod tests {\n    #[deprecated]\n    fn t() {}\n}\n";
+        let findings = scan_source(source, lib());
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].line, 2);
+        assert_eq!(findings[0].fix, DELETE_REPLACED);
+        let planted = "    #[deprecated]\n    pub fn old() {}\n";
+        let engine = Path::new("./crates/core/src/engine.rs");
+        assert_eq!(scan_source(planted, engine).len(), 1);
     }
 
     /// The workspace itself stays clean — the same guarantee CI enforces,

@@ -10,13 +10,14 @@ use std::io::Write;
 use tps_analyze::{render_json_lines, render_text, WorkloadAnalyzer, WorkloadEntry};
 use tps_cluster::{
     agglomerative, evaluate, kmedoids, leader, AgglomerativeConfig, Clustering, KMedoidsConfig,
-    LeaderConfig, OnlineLeader, SimilarityMatrix,
+    LeaderConfig, OnlineLeader,
 };
 use tps_core::{ExactEvaluator, LshConfig, PatternId, ProximityMetric, SimilarityEngine};
 use tps_dtd::{writer as dtd_writer, PatternAnalyzer, ValidationMode, Validator};
 use tps_pattern::TreePattern;
 use tps_routing::{
-    BrokerNetwork, BrokerTopology, DeliveryMetrics, ForwardingMode, SemanticOverlay,
+    Broker, BrokerNetwork, BrokerTopology, CommunityClustering, CommunityConfig, Consumer,
+    DeliveryMetrics, ForwardingMode, RoutingStrategy,
 };
 use tps_synopsis::{ingest, Ingest, SynopsisConfig};
 use tps_workload::{Dataset, DatasetConfig, DocGenConfig, DocumentGenerator, Dtd, XPathGenConfig};
@@ -672,7 +673,7 @@ fn cluster<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     let (patterns, engine, ids) = build_engine(&dataset, args)?;
     // The full matrix is still evaluated for the quality report; only the
     // clustering pass itself goes through the candidate index.
-    let matrix = SimilarityMatrix::from_engine_par(&engine, &ids, metric, threads);
+    let matrix = engine.similarity_matrix_par(&ids, metric, threads);
     let threshold = args.get_f64("threshold", 0.6)?;
     let algorithm = args.get("algorithm").unwrap_or("agglomerative");
     if index.is_some() && algorithm != "leader" {
@@ -932,7 +933,6 @@ fn route<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     let dataset = generate_dataset(args, dtd, subscriptions)?;
     let metric = metric_from(args)?;
     let (patterns, engine, ids) = build_engine(&dataset, args)?;
-    let matrix = SimilarityMatrix::from_engine_par(&engine, &ids, metric, threads);
     // Multi-broker simulation: consumers spread round-robin over the leaves.
     let mut network = BrokerNetwork::new(BrokerTopology::balanced_tree(brokers, 2));
     for (index, pattern) in patterns.iter().enumerate() {
@@ -977,13 +977,14 @@ fn route<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
         }
         writeln!(out)?;
     }
-    // Semantic overlay built from the similarity matrix — or, with
-    // `--index`, from the candidate-driven community build that never
-    // touches the full matrix.
+    // Community routing at one broker: communities from the agglomerative
+    // clustering of the similarity matrix — or, with `--index`, from the
+    // candidate-driven community build, which never computes the full
+    // matrix. Either way each community is represented by its medoid under
+    // the symmetrised similarity.
     let threshold = args.get_f64("threshold", 0.6)?;
-    let clustering = match index {
+    let communities = match index {
         Some(lsh) => {
-            use tps_routing::{CommunityClustering, CommunityConfig};
             let communities = CommunityClustering::cluster_indexed(
                 &engine,
                 &ids,
@@ -994,25 +995,35 @@ fn route<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
                 },
                 lsh,
             );
-            Clustering::from_assignment(communities.assignment(patterns.len()))
+            let clustering = Clustering::from_assignment(communities.assignment(patterns.len()));
+            CommunityClustering::from_clustering(&clustering, |a, b| {
+                (engine.similarity(ids[a], ids[b], metric)
+                    + engine.similarity(ids[b], ids[a], metric))
+                    / 2.0
+            })
         }
         None => {
-            agglomerative(
+            let matrix = engine.similarity_matrix_par(&ids, metric, threads);
+            let clustering = agglomerative(
                 &matrix,
                 AgglomerativeConfig {
                     similarity_threshold: threshold,
                     ..AgglomerativeConfig::default()
                 },
             )
-            .clustering
+            .clustering;
+            CommunityClustering::from_clustering(&clustering, |a, b| matrix.symmetric(a, b))
         }
     };
-    let overlay = SemanticOverlay::from_clustering(patterns, &clustering, Some(&matrix));
-    let stats = overlay.route_stream(&dataset.documents);
+    let count = communities.len();
+    let mut broker = Broker::new();
+    for (index, pattern) in patterns.into_iter().enumerate() {
+        broker.subscribe(Consumer::new(format!("c{index}"), pattern));
+    }
+    let stats = broker.route_stream(&dataset.documents, &RoutingStrategy::Community(communities));
     writeln!(
         out,
-        "\nsemantic overlay ({} communities{}):",
-        overlay.community_count(),
+        "\nsemantic overlay ({count} communities{}):",
         if index.is_some() {
             ", candidate-indexed"
         } else {

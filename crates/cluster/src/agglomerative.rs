@@ -7,8 +7,9 @@
 //! history (dendrogram) is recorded, which is useful to pick the threshold a
 //! routing overlay should use.
 
+use tps_core::SimMatrix;
+
 use crate::assignment::Clustering;
-use crate::matrix::SimilarityMatrix;
 
 /// How the similarity between two communities is derived from member
 /// similarities.
@@ -67,7 +68,7 @@ pub struct Dendrogram {
 }
 
 /// Cluster subscriptions hierarchically over a similarity matrix.
-pub fn agglomerative(matrix: &SimilarityMatrix, config: AgglomerativeConfig) -> Dendrogram {
+pub fn agglomerative(matrix: &SimMatrix, config: AgglomerativeConfig) -> Dendrogram {
     let n = matrix.len();
     let mut clusters: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
     let mut merges = Vec::new();
@@ -110,12 +111,7 @@ pub fn agglomerative(matrix: &SimilarityMatrix, config: AgglomerativeConfig) -> 
     }
 }
 
-fn linkage_similarity(
-    matrix: &SimilarityMatrix,
-    a: &[usize],
-    b: &[usize],
-    linkage: Linkage,
-) -> f64 {
+fn linkage_similarity(matrix: &SimMatrix, a: &[usize], b: &[usize], linkage: Linkage) -> f64 {
     let mut best = f64::NEG_INFINITY;
     let mut worst = f64::INFINITY;
     let mut sum = 0.0;
@@ -146,8 +142,8 @@ mod tests {
 
     /// Two obvious blocks: {0,1,2} highly similar, {3,4} highly similar,
     /// low similarity across blocks.
-    fn block_matrix() -> SimilarityMatrix {
-        SimilarityMatrix::from_symmetric_fn(5, ProximityMetric::M3, |i, j| {
+    fn block_matrix() -> SimMatrix {
+        SimMatrix::from_symmetric_fn(5, ProximityMetric::M3, |i, j| {
             let same_block = (i < 3) == (j < 3);
             if same_block {
                 0.9
@@ -171,7 +167,7 @@ mod tests {
 
     #[test]
     fn threshold_one_keeps_singletons_when_nothing_is_identical() {
-        let matrix = SimilarityMatrix::from_symmetric_fn(4, ProximityMetric::M3, |_, _| 0.6);
+        let matrix = SimMatrix::from_symmetric_fn(4, ProximityMetric::M3, |_, _| 0.6);
         let dendrogram = agglomerative(
             &matrix,
             AgglomerativeConfig {
@@ -215,7 +211,7 @@ mod tests {
     fn linkages_order_chain_similarities_correctly() {
         // 0-1 similar, 1-2 similar, 0-2 dissimilar: single linkage chains,
         // complete linkage does not.
-        let matrix = SimilarityMatrix::from_symmetric_fn(3, ProximityMetric::M3, |i, j| {
+        let matrix = SimMatrix::from_symmetric_fn(3, ProximityMetric::M3, |i, j| {
             match (i.min(j), i.max(j)) {
                 (0, 1) | (1, 2) => 0.8,
                 _ => 0.1,
@@ -243,10 +239,10 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
-        let empty = SimilarityMatrix::from_fn(0, ProximityMetric::M3, |_, _| 0.0);
+        let empty = SimMatrix::from_symmetric_fn(0, ProximityMetric::M3, |_, _| 0.0);
         let dendrogram = agglomerative(&empty, AgglomerativeConfig::default());
         assert!(dendrogram.clustering.is_empty());
-        let single = SimilarityMatrix::from_fn(1, ProximityMetric::M3, |_, _| 0.0);
+        let single = SimMatrix::from_symmetric_fn(1, ProximityMetric::M3, |_, _| 0.0);
         let dendrogram = agglomerative(&single, AgglomerativeConfig::default());
         assert_eq!(dendrogram.clustering.cluster_count(), 1);
     }

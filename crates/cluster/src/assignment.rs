@@ -1,6 +1,8 @@
 //! The result type shared by all clustering algorithms: an assignment of
 //! subscriptions to semantic communities.
 
+use std::collections::HashMap;
+
 /// A partition of `n` subscriptions into `k` communities.
 ///
 /// Cluster identifiers are dense (`0..k`); every subscription belongs to
@@ -15,19 +17,14 @@ impl Clustering {
     /// Build a clustering from a raw per-item assignment. Cluster ids are
     /// renumbered densely in order of first appearance.
     pub fn from_assignment(raw: Vec<usize>) -> Self {
-        let mut remap: Vec<(usize, usize)> = Vec::new();
-        let mut assignment = Vec::with_capacity(raw.len());
-        for value in raw {
-            let dense = match remap.iter().find(|(original, _)| *original == value) {
-                Some(&(_, dense)) => dense,
-                None => {
-                    let dense = remap.len();
-                    remap.push((value, dense));
-                    dense
-                }
-            };
-            assignment.push(dense);
-        }
+        let mut remap: HashMap<usize, usize> = HashMap::new();
+        let assignment = raw
+            .into_iter()
+            .map(|value| {
+                let next = remap.len();
+                *remap.entry(value).or_insert(next)
+            })
+            .collect();
         Self {
             assignment,
             cluster_count: remap.len(),
@@ -126,9 +123,9 @@ mod tests {
 
     #[test]
     fn from_assignment_renumbers_densely() {
-        let clustering = Clustering::from_assignment(vec![7, 7, 3, 9, 3]);
-        assert_eq!(clustering.assignment(), &[0, 0, 1, 2, 1]);
-        assert_eq!(clustering.cluster_count(), 3);
+        let clustering = Clustering::from_assignment(vec![7, 7, 3, 9, 3, usize::MAX]);
+        assert_eq!(clustering.assignment(), &[0, 0, 1, 2, 1, 3]);
+        assert_eq!(clustering.cluster_count(), 4);
         assert_eq!(clustering.members(1), vec![2, 4]);
     }
 

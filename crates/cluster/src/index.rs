@@ -391,8 +391,7 @@ impl OnlineLeader {
 mod tests {
     use super::*;
     use crate::leader::{leader, LeaderConfig};
-    use crate::matrix::SimilarityMatrix;
-    use tps_core::ProximityMetric;
+    use tps_core::{ProximityMetric, SimMatrix};
 
     fn parse(text: &str) -> TreePattern {
         TreePattern::parse(text).unwrap()
@@ -435,7 +434,7 @@ mod tests {
                 online.insert_estimated(pattern);
             }
             let matrix =
-                SimilarityMatrix::from_symmetric_fn(patterns.len(), ProximityMetric::M3, |i, j| {
+                SimMatrix::from_symmetric_fn(patterns.len(), ProximityMetric::M3, |i, j| {
                     online.index().estimate(i as u32, j as u32)
                 });
             let batch = leader(&matrix, config);

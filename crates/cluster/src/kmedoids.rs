@@ -9,8 +9,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use tps_core::SimMatrix;
+
 use crate::assignment::Clustering;
-use crate::matrix::SimilarityMatrix;
 
 /// Configuration for [`kmedoids()`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +50,7 @@ pub struct KMedoidsResult {
 }
 
 /// Cluster subscriptions into `k` communities around medoid subscriptions.
-pub fn kmedoids(matrix: &SimilarityMatrix, config: KMedoidsConfig) -> KMedoidsResult {
+pub fn kmedoids(matrix: &SimMatrix, config: KMedoidsConfig) -> KMedoidsResult {
     let n = matrix.len();
     if n == 0 {
         return KMedoidsResult {
@@ -123,7 +124,7 @@ pub fn kmedoids(matrix: &SimilarityMatrix, config: KMedoidsConfig) -> KMedoidsRe
     }
 }
 
-fn assign_to_medoids(matrix: &SimilarityMatrix, medoids: &[usize]) -> Vec<usize> {
+fn assign_to_medoids(matrix: &SimMatrix, medoids: &[usize]) -> Vec<usize> {
     (0..matrix.len())
         .map(|i| {
             let mut best_cluster = 0usize;
@@ -150,8 +151,8 @@ mod tests {
     use super::*;
     use tps_core::ProximityMetric;
 
-    fn block_matrix() -> SimilarityMatrix {
-        SimilarityMatrix::from_symmetric_fn(6, ProximityMetric::M3, |i, j| {
+    fn block_matrix() -> SimMatrix {
+        SimMatrix::from_symmetric_fn(6, ProximityMetric::M3, |i, j| {
             if (i < 3) == (j < 3) {
                 0.85
             } else {
@@ -183,7 +184,7 @@ mod tests {
 
     #[test]
     fn k_larger_than_n_is_clamped() {
-        let matrix = SimilarityMatrix::from_symmetric_fn(3, ProximityMetric::M3, |_, _| 0.5);
+        let matrix = SimMatrix::from_symmetric_fn(3, ProximityMetric::M3, |_, _| 0.5);
         let result = kmedoids(
             &matrix,
             KMedoidsConfig {
@@ -236,7 +237,7 @@ mod tests {
 
     #[test]
     fn empty_input_returns_an_empty_result() {
-        let matrix = SimilarityMatrix::from_fn(0, ProximityMetric::M3, |_, _| 0.0);
+        let matrix = SimMatrix::from_symmetric_fn(0, ProximityMetric::M3, |_, _| 0.0);
         let result = kmedoids(&matrix, KMedoidsConfig::default());
         assert!(result.clustering.is_empty());
         assert!(result.medoids.is_empty());

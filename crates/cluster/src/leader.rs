@@ -7,8 +7,9 @@
 //! per existing leader) and the one closest to what the paper's semantic
 //! overlay construction needs in practice.
 
+use tps_core::SimMatrix;
+
 use crate::assignment::Clustering;
-use crate::matrix::SimilarityMatrix;
 
 /// Configuration for [`leader()`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +43,7 @@ pub struct LeaderResult {
 
 /// Cluster subscriptions by greedily assigning each to a sufficiently
 /// similar leader, in index order.
-pub fn leader(matrix: &SimilarityMatrix, config: LeaderConfig) -> LeaderResult {
+pub fn leader(matrix: &SimMatrix, config: LeaderConfig) -> LeaderResult {
     let mut leaders: Vec<usize> = Vec::new();
     let mut assignment = vec![0usize; matrix.len()];
     for (i, slot) in assignment.iter_mut().enumerate() {
@@ -80,8 +81,8 @@ mod tests {
     use super::*;
     use tps_core::ProximityMetric;
 
-    fn block_matrix() -> SimilarityMatrix {
-        SimilarityMatrix::from_symmetric_fn(6, ProximityMetric::M3, |i, j| {
+    fn block_matrix() -> SimMatrix {
+        SimMatrix::from_symmetric_fn(6, ProximityMetric::M3, |i, j| {
             if (i < 3) == (j < 3) {
                 0.8
             } else {
@@ -128,7 +129,7 @@ mod tests {
     #[test]
     fn best_fit_picks_the_most_similar_leader() {
         // Item 2 is similar to both leaders 0 and 1, but more similar to 1.
-        let matrix = SimilarityMatrix::from_symmetric_fn(3, ProximityMetric::M3, |i, j| {
+        let matrix = SimMatrix::from_symmetric_fn(3, ProximityMetric::M3, |i, j| {
             match (i.min(j), i.max(j)) {
                 (0, 2) => 0.6,
                 (1, 2) => 0.9,
@@ -161,7 +162,7 @@ mod tests {
 
     #[test]
     fn empty_matrix_produces_empty_result() {
-        let matrix = SimilarityMatrix::from_fn(0, ProximityMetric::M3, |_, _| 0.0);
+        let matrix = SimMatrix::from_symmetric_fn(0, ProximityMetric::M3, |_, _| 0.0);
         let result = leader(&matrix, LeaderConfig::default());
         assert!(result.clustering.is_empty());
         assert!(result.leaders.is_empty());

@@ -6,7 +6,9 @@
 //! similarity estimator — provides the pairwise proximity values; this crate
 //! supplies everything needed to turn them into communities:
 //!
-//! * [`SimilarityMatrix`] — dense pairwise similarities (estimated or exact),
+//! * [`SimMatrix`](tps_core::SimMatrix) — dense pairwise similarities (estimated by
+//!   [`SimilarityEngine::similarity_matrix`], exact by
+//!   [`ExactEvaluator::similarity_matrix`]), from `tps-core`,
 //! * [`agglomerative()`] / [`kmedoids()`] / [`leader()`] — three clustering
 //!   algorithms with different cost/quality/online trade-offs,
 //! * [`Clustering`] — the shared partition representation,
@@ -14,16 +16,17 @@
 //!   [`CandidateIndex`] re-exported from `tps-core` plus [`OnlineLeader`],
 //!   incremental candidate-filtered leader clustering that absorbs
 //!   subscribe/unsubscribe churn without full re-clustering,
-//! * [`minhash`] — MinHash signatures for cheap approximate `M3`
-//!   similarities when the subscription population is large,
-//! * [`quality`] — geometric quality (intra/inter similarity, silhouette)
-//!   and routing quality (spurious deliveries under community-based
-//!   dissemination).
+//! * [`minhash`] — MinHash signatures over structural pattern features, the
+//!   cheap first pass when the subscription population is large,
+//! * [`quality`] — geometric quality (intra/inter similarity, silhouette).
+//!
+//! [`SimilarityEngine::similarity_matrix`]: tps_core::SimilarityEngine::similarity_matrix
+//! [`ExactEvaluator::similarity_matrix`]: tps_core::ExactEvaluator::similarity_matrix
 //!
 //! # Example
 //!
 //! ```
-//! use tps_cluster::{agglomerative, AgglomerativeConfig, SimilarityMatrix};
+//! use tps_cluster::{agglomerative, AgglomerativeConfig};
 //! use tps_core::{ProximityMetric, SimilarityEngine};
 //! use tps_pattern::TreePattern;
 //! use tps_synopsis::{ingest, Ingest, SynopsisConfig};
@@ -44,9 +47,9 @@
 //!     .map(|s| TreePattern::parse(s).unwrap())
 //!     .collect();
 //! let ids = engine.register_all(&subscriptions);
-//! // `from_engine_par(.., threads)` computes the same matrix on worker
-//! // threads, bit-identical to the sequential path.
-//! let matrix = SimilarityMatrix::from_engine(&engine, &ids, ProximityMetric::M3);
+//! // `similarity_matrix_par(.., threads)` computes the same matrix on
+//! // worker threads, bit-identical to the sequential path.
+//! let matrix = engine.similarity_matrix(&ids, ProximityMetric::M3);
 //! let communities = agglomerative(&matrix, AgglomerativeConfig::default()).clustering;
 //! assert!(communities.same_cluster(0, 1));
 //! assert!(!communities.same_cluster(0, 2));
@@ -59,7 +62,6 @@ pub mod assignment;
 pub mod index;
 pub mod kmedoids;
 pub mod leader;
-pub mod matrix;
 pub mod minhash;
 pub mod quality;
 
@@ -68,8 +70,12 @@ pub use assignment::Clustering;
 pub use index::{pattern_features, CandidateIndex, LshConfig, OnlineLeader};
 pub use kmedoids::{kmedoids, KMedoidsConfig, KMedoidsResult};
 pub use leader::{leader, LeaderConfig, LeaderResult};
-pub use matrix::SimilarityMatrix;
-#[allow(deprecated)]
-pub use minhash::minhash_matrix;
 pub use minhash::{MinHashSignature, SignatureWidthMismatch};
-pub use quality::{community_delivery, evaluate, silhouette, ClusterQuality, DeliveryStats};
+pub use quality::{evaluate, silhouette, ClusterQuality};
+
+/// The former name of the dense similarity matrix, now
+/// [`tps_core::SimMatrix`]. Nothing in the workspace uses it: the
+/// repository benchmark (`benchmark/src/layers.rs`) imports it and writes
+/// `let matrix: SimilarityMatrix = matrix.into();`, which is the identity
+/// `From`.
+pub use tps_core::SimMatrix as SimilarityMatrix;

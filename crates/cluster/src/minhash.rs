@@ -3,29 +3,14 @@
 //! Building the full similarity matrix costs one (joint-)selectivity
 //! evaluation per subscription pair. A cheaper first pass summarises each
 //! subscription as a fixed-width MinHash signature and estimates the Jaccard
-//! coefficient `|A ∩ B| / |A ∪ B|` — exactly the paper's `M3` metric when
-//! the sets are matched-document sets — from the signatures alone, in
+//! coefficient `|A ∩ B| / |A ∪ B|` from the signatures alone, in
 //! `O(num_hashes)` per pair.
 //!
 //! [`MinHashSignature`] itself is agnostic about what the ids describe: any
-//! `u64` set works. Two set choices appear in this workspace:
-//!
-//! * **Structural pattern features** ([`tps_core::pattern_features`]) — the
-//!   production choice. Signature construction is `O(pattern)` with no
-//!   corpus access, which is what lets the banded LSH candidate index
-//!   ([`crate::index`]) scale to millions of subscriptions.
-//! * **Matched-document sets** ([`tps_core::ExactEvaluator`]) — the original
-//!   design, still available through the deprecated [`for_pattern`] /
-//!   [`minhash_matrix`] helpers. Enumerating a pattern's documents scans the
-//!   stored corpus, so this path is linear in the collection per pattern and
-//!   only suitable for small evaluation harnesses.
-//!
-//! [`for_pattern`]: MinHashSignature::for_pattern
-
-use tps_core::{ExactEvaluator, ProximityMetric};
-use tps_pattern::TreePattern;
-
-use crate::matrix::SimilarityMatrix;
+//! `u64` set works. The workspace signs **structural pattern features**
+//! ([`tps_core::pattern_features`]): signature construction is
+//! `O(pattern)` with no corpus access, which is what lets the banded LSH
+//! candidate index ([`crate::index`]) scale to millions of subscriptions.
 
 /// Mixing function used to derive the per-permutation hash values
 /// (SplitMix64 finaliser).
@@ -97,34 +82,6 @@ impl MinHashSignature {
         Self { values, is_empty }
     }
 
-    /// The signature of the document set matched by `pattern` in the stored
-    /// collection of `exact`.
-    ///
-    /// Enumerating the matching documents scans the whole stored corpus, so
-    /// this costs `O(collection)` per pattern. Prefer signatures over
-    /// [`tps_core::pattern_features`], which are `O(pattern)` and need no
-    /// corpus at all.
-    #[deprecated(
-        since = "0.1.0",
-        note = "scans the stored corpus per pattern; build signatures from \
-                tps_core::pattern_features instead"
-    )]
-    pub fn for_pattern(
-        exact: &ExactEvaluator,
-        pattern: &TreePattern,
-        num_hashes: usize,
-        seed: u64,
-    ) -> Self {
-        Self::from_ids(
-            exact
-                .matching_documents(pattern)
-                .into_iter()
-                .map(|index| index as u64),
-            num_hashes,
-            seed,
-        )
-    }
-
     /// Number of hash functions in the signature.
     pub fn num_hashes(&self) -> usize {
         self.values.len()
@@ -161,41 +118,11 @@ impl MinHashSignature {
     }
 }
 
-/// Build an approximate `M3` similarity matrix from per-pattern MinHash
-/// signatures over matched-document sets.
-///
-/// The exact evaluator is consulted once per pattern (a full corpus scan to
-/// enumerate its matching documents); every pairwise similarity is then
-/// estimated from the signatures in `O(num_hashes)`.
-#[deprecated(
-    since = "0.1.0",
-    note = "scans the stored corpus per pattern; use the structural-feature \
-            candidate index (crate::index) for scalable similarity"
-)]
-pub fn minhash_matrix(
-    exact: &ExactEvaluator,
-    patterns: &[TreePattern],
-    num_hashes: usize,
-    seed: u64,
-) -> SimilarityMatrix {
-    #[allow(deprecated)]
-    let signatures: Vec<MinHashSignature> = patterns
-        .iter()
-        .map(|pattern| MinHashSignature::for_pattern(exact, pattern, num_hashes, seed))
-        .collect();
-    SimilarityMatrix::from_symmetric_fn(patterns.len(), ProximityMetric::M3, |i, j| {
-        // invariant: every signature above was built with the same
-        // num_hashes, so the width check cannot fail.
-        signatures[i]
-            .jaccard_estimate(&signatures[j])
-            .expect("uniform signature widths")
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tps_core::pattern_features;
+    use tps_core::{pattern_features, ExactEvaluator, ProximityMetric};
+    use tps_pattern::TreePattern;
     use tps_xml::XmlTree;
 
     #[test]
@@ -279,45 +206,11 @@ mod tests {
         assert_eq!(fast, reference);
     }
 
+    /// The structural-feature estimate agrees with the matched-document
+    /// Jaccard (the exact `M3`) where the two set notions agree by
+    /// construction: identical patterns, and patterns that are disjoint
+    /// both structurally and behaviourally.
     #[test]
-    #[allow(deprecated)]
-    fn minhash_matrix_approximates_exact_m3() {
-        let docs: Vec<XmlTree> = (0..40)
-            .map(|i| {
-                let body = if i % 2 == 0 {
-                    "<media><CD><title>t</title></CD></media>"
-                } else {
-                    "<media><book><author>a</author></book></media>"
-                };
-                XmlTree::parse(body).unwrap()
-            })
-            .collect();
-        let exact = ExactEvaluator::new(docs);
-        let patterns: Vec<TreePattern> = ["//CD", "//CD/title", "//book", "//author"]
-            .iter()
-            .map(|s| TreePattern::parse(s).unwrap())
-            .collect();
-        let approx = minhash_matrix(&exact, &patterns, 256, 99);
-        let truth = SimilarityMatrix::from_exact(&exact, &patterns, ProximityMetric::M3);
-        for i in 0..patterns.len() {
-            for j in 0..patterns.len() {
-                assert!(
-                    (approx.get(i, j) - truth.get(i, j)).abs() < 0.15,
-                    "pair ({i},{j}): approx {} vs exact {}",
-                    approx.get(i, j),
-                    truth.get(i, j)
-                );
-            }
-        }
-    }
-
-    /// Differential check between the deprecated document-set estimator and
-    /// the structural-feature estimator that replaces it: on pairs where the
-    /// two underlying set notions agree by construction (identical patterns,
-    /// and patterns that are disjoint both structurally and behaviourally)
-    /// the estimates must agree within MinHash error bounds.
-    #[test]
-    #[allow(deprecated)]
     fn document_and_feature_estimates_agree_on_seeded_workloads() {
         let docs: Vec<XmlTree> = (0..60)
             .map(|i| {
@@ -334,26 +227,26 @@ mod tests {
         let tolerance = 3.0 / (num_hashes as f64).sqrt();
 
         let parse = |s: &str| TreePattern::parse(s).unwrap();
-        let doc_sig = |p: &TreePattern| MinHashSignature::for_pattern(&exact, p, num_hashes, seed);
         let feature_sig =
             |p: &TreePattern| MinHashSignature::from_ids(pattern_features(p), num_hashes, seed);
 
         // Identical patterns: both notions give Jaccard exactly 1.
         let (a, b) = (parse("//CD/title"), parse("//CD/title"));
-        assert_eq!(doc_sig(&a).jaccard_estimate(&doc_sig(&b)).unwrap(), 1.0);
+        assert_eq!(exact.similarity(&a, &b, ProximityMetric::M3), 1.0);
         assert_eq!(
             feature_sig(&a).jaccard_estimate(&feature_sig(&b)).unwrap(),
             1.0
         );
 
         // Structurally and behaviourally disjoint patterns: both notions
-        // give Jaccard 0, so the estimates must agree within MinHash error.
+        // give Jaccard 0, so the estimate must be within MinHash error.
         let (a, b) = (parse("//CD/title"), parse("//book/author"));
-        let old = doc_sig(&a).jaccard_estimate(&doc_sig(&b)).unwrap();
-        let new = feature_sig(&a).jaccard_estimate(&feature_sig(&b)).unwrap();
+        let documents = exact.similarity(&a, &b, ProximityMetric::M3);
+        let features = feature_sig(&a).jaccard_estimate(&feature_sig(&b)).unwrap();
+        assert_eq!(documents, 0.0);
         assert!(
-            (old - new).abs() <= tolerance,
-            "disjoint pair: document estimate {old} vs feature estimate {new}"
+            (documents - features).abs() <= tolerance,
+            "disjoint pair: document Jaccard {documents} vs feature estimate {features}"
         );
     }
 }

@@ -1,17 +1,13 @@
-//! Quality metrics for semantic communities.
-//!
-//! Two views of quality are provided:
-//!
-//! * *Geometric* quality over the similarity matrix: average intra- and
-//!   inter-community similarity and the silhouette coefficient. These say
-//!   how well a clustering respects the proximity metric.
-//! * *Routing* quality over the actual pattern/document match relation:
-//!   when a document is broadcast to every member of each community that
-//!   contains at least one interested member (the dissemination scheme that
-//!   motivates the paper), how many deliveries are spurious?
+//! Geometric quality of semantic communities over the similarity matrix:
+//! average intra- and inter-community similarity and the silhouette
+//! coefficient. These say how well a clustering respects the proximity
+//! metric. Routing quality (precision and recall of delivering a document
+//! to whole communities) is measured by `tps_routing::Broker`'s community
+//! strategy, on the actual documents.
+
+use tps_core::SimMatrix;
 
 use crate::assignment::Clustering;
-use crate::matrix::SimilarityMatrix;
 
 /// Geometric quality summary of a clustering against a similarity matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,21 +26,17 @@ pub struct ClusterQuality {
 
 /// Average similarity over pairs of subscriptions that share a community.
 /// Returns 1.0 when no such pair exists (all singletons).
-pub fn intra_cluster_similarity(matrix: &SimilarityMatrix, clustering: &Clustering) -> f64 {
+pub fn intra_cluster_similarity(matrix: &SimMatrix, clustering: &Clustering) -> f64 {
     pair_average(matrix, clustering, true).unwrap_or(1.0)
 }
 
 /// Average similarity over pairs of subscriptions in different communities.
 /// Returns 0.0 when no such pair exists (a single community).
-pub fn inter_cluster_similarity(matrix: &SimilarityMatrix, clustering: &Clustering) -> f64 {
+pub fn inter_cluster_similarity(matrix: &SimMatrix, clustering: &Clustering) -> f64 {
     pair_average(matrix, clustering, false).unwrap_or(0.0)
 }
 
-fn pair_average(
-    matrix: &SimilarityMatrix,
-    clustering: &Clustering,
-    same_cluster: bool,
-) -> Option<f64> {
+fn pair_average(matrix: &SimMatrix, clustering: &Clustering, same_cluster: bool) -> Option<f64> {
     let n = matrix.len();
     let mut sum = 0.0;
     let mut count = 0usize;
@@ -62,7 +54,7 @@ fn pair_average(
 /// Mean silhouette coefficient of the clustering, computed on the
 /// dissimilarity `1 - s`. Subscriptions in singleton communities contribute
 /// a silhouette of 0, following the usual convention.
-pub fn silhouette(matrix: &SimilarityMatrix, clustering: &Clustering) -> f64 {
+pub fn silhouette(matrix: &SimMatrix, clustering: &Clustering) -> f64 {
     let n = matrix.len();
     if n == 0 {
         return 0.0;
@@ -108,7 +100,7 @@ pub fn silhouette(matrix: &SimilarityMatrix, clustering: &Clustering) -> f64 {
 }
 
 /// Compute the full geometric quality summary.
-pub fn evaluate(matrix: &SimilarityMatrix, clustering: &Clustering) -> ClusterQuality {
+pub fn evaluate(matrix: &SimMatrix, clustering: &Clustering) -> ClusterQuality {
     ClusterQuality {
         intra_similarity: intra_cluster_similarity(matrix, clustering),
         inter_similarity: inter_cluster_similarity(matrix, clustering),
@@ -118,106 +110,13 @@ pub fn evaluate(matrix: &SimilarityMatrix, clustering: &Clustering) -> ClusterQu
     }
 }
 
-/// Delivery statistics of community-based dissemination.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DeliveryStats {
-    /// Number of documents disseminated.
-    pub documents: usize,
-    /// Total consumer deliveries performed.
-    pub deliveries: usize,
-    /// Deliveries to consumers whose subscription actually matched.
-    pub useful_deliveries: usize,
-    /// Matching (consumer, document) pairs in the ground truth.
-    pub relevant: usize,
-}
-
-impl DeliveryStats {
-    /// Fraction of deliveries that were useful (1.0 when nothing was
-    /// delivered).
-    pub fn precision(&self) -> f64 {
-        if self.deliveries == 0 {
-            1.0
-        } else {
-            self.useful_deliveries as f64 / self.deliveries as f64
-        }
-    }
-
-    /// Fraction of matching pairs that received a delivery (1.0 when there
-    /// was nothing to deliver).
-    pub fn recall(&self) -> f64 {
-        if self.relevant == 0 {
-            1.0
-        } else {
-            self.useful_deliveries as f64 / self.relevant as f64
-        }
-    }
-
-    /// Average number of deliveries per document.
-    pub fn deliveries_per_document(&self) -> f64 {
-        if self.documents == 0 {
-            0.0
-        } else {
-            self.deliveries as f64 / self.documents as f64
-        }
-    }
-}
-
-/// Simulate community-based dissemination over a match relation.
-///
-/// `interests[s][d]` states whether subscription `s` matches document `d`.
-/// A document is forwarded to a community as soon as one member matches it,
-/// and is then delivered to *every* member of that community (intra-community
-/// dissemination is filter-free, which is the whole point of semantic
-/// communities). Perfectly homogeneous communities therefore reach precision
-/// 1.0; heterogeneous communities pay for it with spurious deliveries.
-/// Recall is always 1.0 by construction — the scheme never loses documents —
-/// so the interesting figure is precision (or deliveries per document).
-pub fn community_delivery(clustering: &Clustering, interests: &[Vec<bool>]) -> DeliveryStats {
-    let mut stats = DeliveryStats::default();
-    let Some(first) = interests.first() else {
-        return stats;
-    };
-    let document_count = first.len();
-    assert!(
-        interests.len() == clustering.len(),
-        "one interest row per clustered subscription is required"
-    );
-    assert!(
-        interests.iter().all(|row| row.len() == document_count),
-        "all interest rows must cover the same documents"
-    );
-    stats.documents = document_count;
-    stats.relevant = interests
-        .iter()
-        .map(|row| row.iter().filter(|&&m| m).count())
-        .sum();
-    let clusters = clustering.clusters();
-    // invariant: `document` indexes a column across every subscription
-    // row, so a plain index loop is clearer than nested row iterators.
-    #[allow(clippy::needless_range_loop)]
-    for document in 0..document_count {
-        for members in &clusters {
-            if members.is_empty() {
-                continue;
-            }
-            let interested = members.iter().any(|&s| interests[s][document]);
-            if !interested {
-                continue;
-            }
-            stats.deliveries += members.len();
-            stats.useful_deliveries += members.iter().filter(|&&s| interests[s][document]).count();
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tps_core::ProximityMetric;
 
-    fn block_matrix() -> SimilarityMatrix {
-        SimilarityMatrix::from_symmetric_fn(6, ProximityMetric::M3, |i, j| {
+    fn block_matrix() -> SimMatrix {
+        SimMatrix::from_symmetric_fn(6, ProximityMetric::M3, |i, j| {
             if (i < 3) == (j < 3) {
                 0.9
             } else {
@@ -261,67 +160,5 @@ mod tests {
         let one = Clustering::single_community(6);
         assert_eq!(inter_cluster_similarity(&matrix, &one), 0.0);
         assert_eq!(silhouette(&matrix, &one), 0.0);
-    }
-
-    #[test]
-    fn homogeneous_communities_deliver_with_full_precision() {
-        // Two communities; within each, all members match the same docs.
-        let clustering = Clustering::from_assignment(vec![0, 0, 1, 1]);
-        let interests = vec![
-            vec![true, false],
-            vec![true, false],
-            vec![false, true],
-            vec![false, true],
-        ];
-        let stats = community_delivery(&clustering, &interests);
-        assert_eq!(stats.documents, 2);
-        assert_eq!(stats.deliveries, 4);
-        assert_eq!(stats.useful_deliveries, 4);
-        assert_eq!(stats.precision(), 1.0);
-        assert_eq!(stats.recall(), 1.0);
-        assert_eq!(stats.deliveries_per_document(), 2.0);
-    }
-
-    #[test]
-    fn heterogeneous_communities_pay_spurious_deliveries() {
-        // One community holding consumers with disjoint interests.
-        let clustering = Clustering::single_community(4);
-        let interests = vec![
-            vec![true, false],
-            vec![true, false],
-            vec![false, true],
-            vec![false, true],
-        ];
-        let stats = community_delivery(&clustering, &interests);
-        assert_eq!(stats.deliveries, 8);
-        assert_eq!(stats.useful_deliveries, 4);
-        assert_eq!(stats.precision(), 0.5);
-        assert_eq!(stats.recall(), 1.0);
-    }
-
-    #[test]
-    fn uninterested_communities_receive_nothing() {
-        let clustering = Clustering::from_assignment(vec![0, 1]);
-        let interests = vec![vec![true], vec![false]];
-        let stats = community_delivery(&clustering, &interests);
-        assert_eq!(stats.deliveries, 1);
-        assert_eq!(stats.useful_deliveries, 1);
-    }
-
-    #[test]
-    fn empty_inputs_are_handled() {
-        let stats = community_delivery(&Clustering::from_assignment(Vec::new()), &[]);
-        assert_eq!(stats.documents, 0);
-        assert_eq!(stats.precision(), 1.0);
-        assert_eq!(stats.recall(), 1.0);
-        assert_eq!(stats.deliveries_per_document(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one interest row per clustered subscription")]
-    fn mismatched_interest_rows_panic() {
-        let clustering = Clustering::from_assignment(vec![0, 0, 1]);
-        let interests = vec![vec![true], vec![false]];
-        let _ = community_delivery(&clustering, &interests);
     }
 }

@@ -3,30 +3,22 @@
 use proptest::prelude::*;
 
 use tps_cluster::{
-    agglomerative, community_delivery, evaluate, kmedoids, leader, AgglomerativeConfig,
-    CandidateIndex, Clustering, KMedoidsConfig, LeaderConfig, LshConfig, MinHashSignature,
-    OnlineLeader, SimilarityMatrix,
+    agglomerative, evaluate, kmedoids, leader, AgglomerativeConfig, CandidateIndex, Clustering,
+    KMedoidsConfig, LeaderConfig, LshConfig, MinHashSignature, OnlineLeader,
 };
-use tps_core::ProximityMetric;
+use tps_core::{ProximityMetric, SimMatrix};
 
 /// A strategy over random symmetric similarity matrices.
-fn similarity_matrix(max_len: usize) -> impl Strategy<Value = SimilarityMatrix> {
+fn similarity_matrix(max_len: usize) -> impl Strategy<Value = SimMatrix> {
     (1..=max_len).prop_flat_map(|len| {
         proptest::collection::vec(0.0f64..=1.0, len * (len.saturating_sub(1)) / 2).prop_map(
             move |upper| {
                 let mut iter = upper.into_iter();
-                SimilarityMatrix::from_symmetric_fn(len, ProximityMetric::M3, |_, _| {
+                SimMatrix::from_symmetric_fn(len, ProximityMetric::M3, |_, _| {
                     iter.next().unwrap_or(0.0)
                 })
             },
         )
-    })
-}
-
-/// A strategy over a subscription/document match relation.
-fn interests(max_subs: usize, max_docs: usize) -> impl Strategy<Value = Vec<Vec<bool>>> {
-    (1..=max_subs, 1..=max_docs).prop_flat_map(|(subs, docs)| {
-        proptest::collection::vec(proptest::collection::vec(any::<bool>(), docs), subs)
     })
 }
 
@@ -96,24 +88,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&quality.intra_similarity));
         prop_assert!((0.0..=1.0).contains(&quality.inter_similarity));
         prop_assert!((-1.0..=1.0).contains(&quality.silhouette));
-    }
-
-    /// Community dissemination never loses a matching delivery (recall 1)
-    /// and never delivers more than consumers x documents.
-    #[test]
-    fn community_delivery_has_full_recall(interests in interests(10, 12)) {
-        let subs = interests.len();
-        // Group subscriptions arbitrarily into communities of two.
-        let clustering = Clustering::from_assignment((0..subs).map(|i| i / 2).collect());
-        let stats = community_delivery(&clustering, &interests);
-        prop_assert_eq!(stats.recall(), 1.0);
-        prop_assert!(stats.useful_deliveries <= stats.deliveries);
-        prop_assert!(stats.deliveries <= subs * stats.documents);
-        prop_assert!(stats.precision() >= 0.0 && stats.precision() <= 1.0);
-        // Singleton communities would give precision 1; the single-community
-        // extreme gives the lowest precision of all clusterings.
-        let one = community_delivery(&Clustering::single_community(subs), &interests);
-        prop_assert!(one.precision() <= stats.precision() + 1e-12);
     }
 
     /// MinHash estimates are within a coarse additive bound of the true
@@ -207,7 +181,7 @@ proptest! {
             let features: Vec<u64> = set.iter().copied().collect();
             online.insert_features_estimated(&features);
         }
-        let matrix = SimilarityMatrix::from_symmetric_fn(sets.len(), ProximityMetric::M3, |i, j| {
+        let matrix = SimMatrix::from_symmetric_fn(sets.len(), ProximityMetric::M3, |i, j| {
             online.index().estimate(i as u32, j as u32)
         });
         let batch = leader(&matrix, config);

@@ -81,6 +81,7 @@ use tps_xml::XmlTree;
 
 use crate::eval::{self, IdMap, Materialised, SelEvaluator, SelMemo, ValueSource};
 use crate::index::{CandidateIndex, LshConfig};
+use crate::matrix::SimMatrix;
 use crate::metrics::ProximityMetric;
 use crate::par;
 
@@ -324,46 +325,27 @@ fn merged<'a>(p: &'a [Branch], q: &'a [Branch]) -> impl Iterator<Item = SubtreeK
 
 /// The one matrix-assembly pass behind both
 /// [`SimilarityEngine::similarity_matrix`] and
-/// [`SimilarityEngine::similarity_matrix_par`]: unit diagonal, `1.0` for
-/// duplicate handles, marginals/joints through the cache state, and the
-/// mirror entry recomputed for asymmetric metrics. A single implementation
-/// is what keeps the two entry points bit-identical by construction.
+/// [`SimilarityEngine::similarity_matrix_par`]: marginals and joints
+/// through the cache state, `1.0` for duplicate handles, and the metric
+/// applied by [`SimMatrix`]'s own assembly from selectivities. A single
+/// implementation is what keeps the two entry points bit-identical by
+/// construction.
 fn assemble_matrix(
     st: &mut EngineState,
     core: &EngineCore,
     ids: &[PatternId],
     metric: ProximityMetric,
 ) -> SimMatrix {
-    let n = ids.len();
-    let mut values = vec![0.0; n * n];
-    for i in 0..n {
-        values[i * n + i] = 1.0;
-    }
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let (p, q) = (ids[i], ids[j]);
-            if p == q {
-                values[i * n + j] = 1.0;
-                values[j * n + i] = 1.0;
-                continue;
-            }
-            let p_p = st.marginal(core, p);
-            let p_q = st.marginal(core, q);
-            let p_and = st.joint(core, p, q);
-            let forward = metric.compute(p_p, p_q, p_and);
-            values[i * n + j] = forward;
-            values[j * n + i] = if metric.is_symmetric() {
-                forward
-            } else {
-                metric.compute(p_q, p_p, p_and)
-            };
-        }
-    }
-    SimMatrix {
-        len: n,
-        metric,
-        values,
-    }
+    SimMatrix::from_selectivities(ids.len(), metric, |i, j| {
+        let (p, q) = (ids[i], ids[j]);
+        (p != q).then(|| {
+            [
+                st.marginal(core, p),
+                st.marginal(core, q),
+                st.joint(core, p, q),
+            ]
+        })
+    })
 }
 
 #[derive(Debug, Clone)]
@@ -512,58 +494,6 @@ impl EngineState {
         let p_q = self.marginal(core, q);
         let p_and = self.joint(core, p, q);
         metric.compute(p_p, p_q, p_and)
-    }
-}
-
-/// A dense `n × n` matrix of pairwise similarities produced by
-/// [`SimilarityEngine::similarity_matrix`].
-///
-/// Entry `(i, j)` is the similarity of `ids[i]` to `ids[j]` under the
-/// matrix's metric — bit-identical to the corresponding pairwise
-/// [`SimilarityEngine::similarity`] call. The diagonal is `1.0`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimMatrix {
-    len: usize,
-    metric: ProximityMetric,
-    values: Vec<f64>,
-}
-
-impl SimMatrix {
-    /// Number of patterns the matrix covers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the matrix is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The proximity metric the matrix was built with.
-    pub fn metric(&self) -> ProximityMetric {
-        self.metric
-    }
-
-    /// The similarity of pair `(i, j)`.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.len && j < self.len, "index out of bounds");
-        self.values[i * self.len + j]
-    }
-
-    /// One row of the matrix.
-    pub fn row(&self, i: usize) -> &[f64] {
-        assert!(i < self.len, "index out of bounds");
-        &self.values[i * self.len..(i + 1) * self.len]
-    }
-
-    /// The backing row-major value slice (`len × len` entries).
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Consume the matrix into its row-major values.
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
     }
 }
 
@@ -1560,7 +1490,6 @@ mod tests {
         assert_eq!(matrix.values().len(), 4);
         let empty = engine.similarity_matrix(&[], ProximityMetric::M1);
         assert!(empty.is_empty());
-        assert_eq!(empty.into_values(), Vec::<f64>::new());
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::collections::BTreeSet;
 use tps_pattern::TreePattern;
 use tps_xml::XmlTree;
 
+use crate::matrix::SimMatrix;
 use crate::metrics::ProximityMetric;
 
 /// Exact selectivity evaluation over an in-memory document collection.
@@ -82,6 +83,41 @@ impl ExactEvaluator {
             self.selectivity(q),
             self.joint_selectivity(p, q),
         )
+    }
+
+    /// All-pairs exact similarity matrix of `patterns` under `metric` — the
+    /// ground truth beside [`SimilarityEngine::similarity_matrix`].
+    ///
+    /// Each pattern is matched against the collection once; entry `(i, j)`
+    /// equals [`ExactEvaluator::similarity`] of `patterns[i]` and
+    /// `patterns[j]` bit for bit. Asymmetric metrics compute both
+    /// directions.
+    ///
+    /// [`SimilarityEngine::similarity_matrix`]: crate::SimilarityEngine::similarity_matrix
+    pub fn similarity_matrix(
+        &self,
+        patterns: &[TreePattern],
+        metric: ProximityMetric,
+    ) -> SimMatrix {
+        let matched: Vec<BTreeSet<usize>> = patterns
+            .iter()
+            .map(|p| self.matching_documents(p))
+            .collect();
+        let share = |count: usize| {
+            if self.documents.is_empty() {
+                0.0
+            } else {
+                count as f64 / self.documents.len() as f64
+            }
+        };
+        SimMatrix::from_selectivities(patterns.len(), metric, |i, j| {
+            let joint = matched[i].intersection(&matched[j]).count();
+            Some([
+                share(matched[i].len()),
+                share(matched[j].len()),
+                share(joint),
+            ])
+        })
     }
 }
 

@@ -62,16 +62,17 @@ pub mod engine;
 mod eval;
 pub mod exact;
 pub mod index;
+mod matrix;
 pub mod metrics;
 pub mod par;
 pub mod selectivity;
 
 pub use build::build_par;
 pub use engine::{
-    EngineCacheStats, PatternId, SharedContainmentOracle, SimMatrix, SimilarityEngine,
-    SimilarityEngineBuilder,
+    EngineCacheStats, PatternId, SharedContainmentOracle, SimilarityEngine, SimilarityEngineBuilder,
 };
 pub use exact::ExactEvaluator;
 pub use index::{pattern_features, CandidateIndex, LshConfig};
+pub use matrix::SimMatrix;
 pub use metrics::ProximityMetric;
 pub use selectivity::SelectivityEstimator;

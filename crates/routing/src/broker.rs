@@ -140,7 +140,22 @@ impl Broker {
 
     /// Route a document stream with the given strategy and return aggregate
     /// statistics.
+    ///
+    /// # Panics
+    ///
+    /// With a community strategy, when the communities do not hold exactly
+    /// as many members as the broker has consumers.
     pub fn route_stream(&self, documents: &[XmlTree], strategy: &RoutingStrategy) -> RoutingStats {
+        if let RoutingStrategy::Community(clustering)
+        | RoutingStrategy::CommunityAggregated(clustering) = strategy
+        {
+            let members: usize = clustering.communities.iter().map(|c| c.len()).sum();
+            assert_eq!(
+                members,
+                self.consumers.len(),
+                "one consumer per clustered subscription is required"
+            );
+        }
         let mut stats = RoutingStats {
             documents: documents.len(),
             consumers: self.consumers.len(),

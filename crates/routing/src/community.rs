@@ -9,8 +9,10 @@
 //! algorithm to its companion systems work; greedy threshold clustering is
 //! what its semantic-overlay predecessor uses).
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
+use tps_cluster::Clustering;
 use tps_core::{CandidateIndex, LshConfig, PatternId, ProximityMetric, SimilarityEngine};
 use tps_pattern::TreePattern;
 
@@ -41,7 +43,9 @@ impl Default for CommunityConfig {
 /// [`CommunityClustering::cluster`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Community {
-    /// Index of the representative subscription (the first member).
+    /// Index of the representative subscription: the first member for the
+    /// greedy builds, the medoid for
+    /// [`CommunityClustering::from_clustering`].
     pub representative: usize,
     /// Indices of all member subscriptions (including the representative).
     pub members: Vec<usize>,
@@ -156,6 +160,52 @@ impl CommunityClustering {
             });
         }
         incremental.snapshot()
+    }
+
+    /// Communities from a partition computed by any `tps-cluster`
+    /// algorithm, so that their routing cost and accuracy can be measured
+    /// by [`crate::Broker`]'s community strategy.
+    ///
+    /// Each non-empty cluster becomes one community, in cluster order. Its
+    /// representative is its *medoid*: the member with the largest sum of
+    /// `score(member, other)` over the other members, ties going to the
+    /// smaller index. `score` is a symmetrised similarity of two
+    /// subscription positions, such as `|a, b| matrix.symmetric(a, b)` over
+    /// a [`tps_core::SimMatrix`] of the workload.
+    pub fn from_clustering<F>(clustering: &Clustering, mut score: F) -> Self
+    where
+        F: FnMut(usize, usize) -> f64,
+    {
+        let communities = clustering
+            .clusters()
+            .into_iter()
+            .filter(|members| !members.is_empty())
+            .map(|members| {
+                let totals: Vec<f64> = members
+                    .iter()
+                    .map(|&candidate| {
+                        members
+                            .iter()
+                            .filter(|&&other| other != candidate)
+                            .map(|&other| score(candidate, other))
+                            .sum()
+                    })
+                    .collect();
+                let (medoid, _) = totals
+                    .iter()
+                    .enumerate()
+                    .max_by(|(a, x), (b, y)| {
+                        x.partial_cmp(y).unwrap_or(Ordering::Equal).then(b.cmp(a))
+                    })
+                    // invariant: empty clusters were filtered out above
+                    .expect("communities are non-empty");
+                Community {
+                    representative: members[medoid],
+                    members,
+                }
+            })
+            .collect();
+        Self { communities }
     }
 
     /// The one greedy pass both entry points share: subscription `index`
@@ -718,6 +768,46 @@ mod tests {
             for threads in [1usize, 2, 4] {
                 let parallel = CommunityClustering::cluster_par(&engine, &subs, config, threads);
                 assert_eq!(parallel, sequential, "{threads} threads");
+            }
+        }
+    }
+
+    /// `from_clustering` reads only symmetrised similarities, and matrix
+    /// entries are bit-identical to pairwise engine calls: scoring with the
+    /// matrix or with the engine picks the same medoids.
+    #[test]
+    fn from_clustering_picks_the_same_medoids_from_the_matrix_and_the_engine() {
+        use tps_cluster::{agglomerative, AgglomerativeConfig};
+        use tps_workload::{Dataset, DatasetConfig, Dtd};
+
+        let dataset = Dataset::generate(
+            Dtd::nitf_like(),
+            &DatasetConfig::small().with_scale(120, 30, 0).with_seed(11),
+        );
+        let mut engine = SimilarityEngine::new(SynopsisConfig::hashes(128));
+        engine.ingest(ingest::trees(&dataset.documents)).unwrap();
+        let ids = engine.register_all(&dataset.positive);
+        for metric in [ProximityMetric::M1, ProximityMetric::M3] {
+            let matrix = engine.similarity_matrix(&ids, metric);
+            let agglomerated = agglomerative(
+                &matrix,
+                AgglomerativeConfig {
+                    similarity_threshold: 0.3,
+                    ..AgglomerativeConfig::default()
+                },
+            )
+            .clustering;
+            assert!(agglomerated.largest_cluster() > 2, "{metric}");
+            for clustering in [agglomerated, Clustering::single_community(ids.len())] {
+                let from_matrix = CommunityClustering::from_clustering(&clustering, |a, b| {
+                    matrix.symmetric(a, b)
+                });
+                let from_engine = CommunityClustering::from_clustering(&clustering, |a, b| {
+                    (engine.similarity(ids[a], ids[b], metric)
+                        + engine.similarity(ids[b], ids[a], metric))
+                        / 2.0
+                });
+                assert_eq!(from_matrix, from_engine, "{metric}");
             }
         }
     }

@@ -7,9 +7,14 @@
 //!   [`CommunityClustering::cluster_indexed`] and [`IncrementalCommunities`]
 //!   run the same discipline through the banded MinHash candidate index for
 //!   sub-quadratic batch builds and cheap subscribe/unsubscribe maintenance.
+//!   [`CommunityClustering::from_clustering`] takes the partition of any
+//!   `tps-cluster` algorithm instead, represented by each cluster's medoid.
 //! * [`Broker`] — a single-broker routing simulation comparing flooding,
 //!   exact per-subscription filtering, and community-based dissemination on
-//!   a document stream, reporting filtering cost and delivery accuracy.
+//!   a document stream, reporting filtering cost and delivery accuracy. Its
+//!   community strategy is the one evaluator of the paper's motivating
+//!   scheme: match one representative per community, deliver to every
+//!   member.
 //! * [`BrokerNetwork`] / [`BrokerTopology`] / [`RoutingTable`] — a
 //!   multi-broker tree overlay with per-link routing tables (exact,
 //!   containment-pruned or aggregated), accounting for link messages and
@@ -17,9 +22,6 @@
 //! * [`Places::hop`] — the one per-broker routing step ("interest set →
 //!   local deliveries, forwarded links, [`HopCounts`]") that the static
 //!   evaluation, `tps-sim` and `tps-net` all call.
-//! * [`SemanticOverlay`] — the peer-to-peer community overlay the paper
-//!   motivates, built from any `tps-cluster` clustering and measured on
-//!   filtering cost and delivery accuracy.
 //!
 //! # Example
 //!
@@ -66,7 +68,6 @@ pub mod community;
 pub mod hop;
 pub mod naming;
 pub mod network;
-pub mod overlay;
 pub mod stats;
 pub mod table;
 pub mod topology;
@@ -75,7 +76,12 @@ pub use broker::{Broker, Consumer, RoutingStats, RoutingStrategy};
 pub use community::{Community, CommunityClustering, CommunityConfig, IncrementalCommunities};
 pub use hop::{HopCounts, LinkRule, Places, RouteOutcome};
 pub use network::{BrokerNetwork, ForwardingMode, NetworkConsumer, NetworkStats};
-pub use overlay::{OverlayCommunity, OverlayStats, SemanticOverlay};
 pub use stats::{DeliveryMetrics, LinkMetrics, TableCompaction};
 pub use table::{LinkSummary, RoutingTable, TableMode};
 pub use topology::{BrokerId, BrokerTopology};
+
+// Unit tests of `CommunityClustering::from_clustering` routed by `Broker`,
+// under the module path of the semantic overlay they were written against.
+#[cfg(test)]
+#[path = "overlay_tests.rs"]
+mod overlay;

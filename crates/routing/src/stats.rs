@@ -1,12 +1,12 @@
 //! Shared delivery-accuracy accounting.
 //!
 //! Every routing simulation in this crate — the single [`crate::Broker`],
-//! the multi-broker [`crate::BrokerNetwork`], the peer-to-peer
-//! [`crate::SemanticOverlay`], and `tps-sim`'s dynamic `SimReport` — ends up
-//! with the same three derived figures: delivery *precision*, delivery
-//! *recall* and the per-document broker filtering cost. They used to be
-//! copied per stats struct; [`DeliveryMetrics`] defines them once over five
-//! raw counters, so a new simulation only supplies its counters.
+//! the multi-broker [`crate::BrokerNetwork`], and `tps-sim`'s dynamic
+//! `SimReport` — ends up with the same three derived figures: delivery
+//! *precision*, delivery *recall* and the per-document broker filtering
+//! cost. They used to be copied per stats struct; [`DeliveryMetrics`]
+//! defines them once over five raw counters, so a new simulation only
+//! supplies its counters.
 
 /// `numerator / denominator`, or `empty` when the denominator is zero —
 /// the guard every rate in the routing reports needs.

@@ -1,12 +1,13 @@
 //! Multi-broker routing simulation: compare flooding, routing tables
-//! (exact / containment-pruned / aggregated) and a similarity-driven
-//! semantic overlay on the same generated workload.
+//! (exact / containment-pruned / aggregated) and similarity-driven
+//! community routing on the same generated workload.
 //!
 //! ```text
 //! cargo run --example routing_network
 //! ```
 
 use tree_pattern_similarity::prelude::*;
+use tree_pattern_similarity::routing::{Broker, Consumer, RoutingStrategy};
 
 fn main() {
     // A NITF-scale workload: documents and a positive subscription set.
@@ -52,7 +53,14 @@ fn main() {
         .build();
     engine.ingest(ingest::trees(&dataset.documents)).unwrap();
     let subscription_ids = engine.register_all(&subscriptions);
-    let matrix = SimilarityMatrix::from_engine(&engine, &subscription_ids, ProximityMetric::M3);
+    let matrix = engine.similarity_matrix(&subscription_ids, ProximityMetric::M3);
+    let mut broker = Broker::new();
+    for (index, subscription) in subscriptions.iter().enumerate() {
+        broker.subscribe(Consumer::new(
+            format!("consumer-{index}"),
+            subscription.clone(),
+        ));
+    }
 
     println!("\nsemantic overlay (agglomerative clustering on estimated M3):");
     println!(
@@ -68,13 +76,15 @@ fn main() {
             },
         )
         .clustering;
-        let overlay =
-            SemanticOverlay::from_clustering(subscriptions.clone(), &clustering, Some(&matrix));
-        let stats = overlay.route_stream(&dataset.documents);
+        let communities =
+            CommunityClustering::from_clustering(&clustering, |a, b| matrix.symmetric(a, b));
+        let count = communities.len();
+        let stats =
+            broker.route_stream(&dataset.documents, &RoutingStrategy::Community(communities));
         println!(
             "{:<12.1} {:>12} {:>14.1} {:>10.3} {:>8.3}",
             threshold,
-            overlay.community_count(),
+            count,
             stats.matches_per_document(),
             stats.precision(),
             stats.recall()

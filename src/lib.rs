@@ -173,7 +173,7 @@ pub mod prelude {
     };
     pub use tps_cluster::{
         agglomerative, kmedoids, leader, AgglomerativeConfig, Clustering, KMedoidsConfig,
-        LeaderConfig, SimilarityMatrix,
+        LeaderConfig,
     };
     pub use tps_core::{
         build_par, ExactEvaluator, PatternId, ProximityMetric, SelectivityEstimator, SimMatrix,
@@ -184,7 +184,7 @@ pub mod prelude {
     pub use tps_pattern::TreePattern;
     pub use tps_routing::{
         BrokerNetwork, BrokerTopology, CommunityClustering, CommunityConfig, DeliveryMetrics,
-        ForwardingMode, LinkMetrics, SemanticOverlay, TableMode,
+        ForwardingMode, LinkMetrics, TableMode,
     };
     pub use tps_sim::{ReclusterPolicy, SimConfig, SimReport, Simulation};
     pub use tps_synopsis::{

@@ -4,6 +4,7 @@
 
 use tree_pattern_similarity::dtd::{samples, writer};
 use tree_pattern_similarity::prelude::*;
+use tree_pattern_similarity::routing::{Broker, Consumer, RoutingStrategy};
 
 fn dataset() -> Dataset {
     Dataset::generate(
@@ -23,9 +24,8 @@ fn estimated_communities_agree_with_exact_communities() {
     engine.ingest(ingest::trees(&dataset.documents)).unwrap();
     let subscription_ids = engine.register_all(&subscriptions);
 
-    let exact_matrix = SimilarityMatrix::from_exact(&exact, &subscriptions, ProximityMetric::M3);
-    let estimated_matrix =
-        SimilarityMatrix::from_engine(&engine, &subscription_ids, ProximityMetric::M3);
+    let exact_matrix = exact.similarity_matrix(&subscriptions, ProximityMetric::M3);
+    let estimated_matrix = engine.similarity_matrix(&subscription_ids, ProximityMetric::M3);
 
     let config = AgglomerativeConfig {
         similarity_threshold: 0.55,
@@ -59,7 +59,7 @@ fn clustering_quality_beats_random_assignment() {
     let dataset = dataset();
     let subscriptions = dataset.positive.clone();
     let exact = ExactEvaluator::new(dataset.documents.clone());
-    let matrix = SimilarityMatrix::from_exact(&exact, &subscriptions, ProximityMetric::M3);
+    let matrix = exact.similarity_matrix(&subscriptions, ProximityMetric::M3);
     let clustered = agglomerative(
         &matrix,
         AgglomerativeConfig {
@@ -89,7 +89,7 @@ fn semantic_overlay_reduces_filtering_cost_on_a_generated_workload() {
     let dataset = dataset();
     let subscriptions = dataset.positive.clone();
     let exact = ExactEvaluator::new(dataset.documents.clone());
-    let matrix = SimilarityMatrix::from_exact(&exact, &subscriptions, ProximityMetric::M3);
+    let matrix = exact.similarity_matrix(&subscriptions, ProximityMetric::M3);
     let clustering = leader(
         &matrix,
         LeaderConfig {
@@ -98,10 +98,14 @@ fn semantic_overlay_reduces_filtering_cost_on_a_generated_workload() {
         },
     )
     .clustering;
-    let overlay =
-        SemanticOverlay::from_clustering(subscriptions.clone(), &clustering, Some(&matrix));
-    let stats = overlay.route_stream(&dataset.documents);
-    assert!(overlay.community_count() <= subscriptions.len());
+    let communities =
+        CommunityClustering::from_clustering(&clustering, |a, b| matrix.symmetric(a, b));
+    assert!(communities.len() <= subscriptions.len());
+    let mut broker = Broker::new();
+    for (index, subscription) in subscriptions.iter().enumerate() {
+        broker.subscribe(Consumer::new(format!("c{index}"), subscription.clone()));
+    }
+    let stats = broker.route_stream(&dataset.documents, &RoutingStrategy::Community(communities));
     assert!(stats.matches_per_document() <= subscriptions.len() as f64);
     assert!(stats.recall() > 0.5, "recall {}", stats.recall());
     assert!(stats.precision() > 0.5, "precision {}", stats.precision());
