@@ -2,7 +2,9 @@
 //! truth machinery every experiment's error computation relies on (and the
 //! cost a broker pays when it filters without a synopsis).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::hint::black_box;
 
 use tps_bench::BenchFixture;
@@ -42,22 +44,29 @@ fn bench_exact_matching(c: &mut Criterion) {
 /// with its path cache against the per-subscription loop it replaced on the
 /// publish path, over one pool of nitf documents; each iteration is one pass
 /// over the pool. `match_set/*` is the steady state (the warm-up pass has
-/// taught the cache every path of the pool); `match_set_cold/*` inserts and
-/// removes a pattern with a step of its own before each pass, so every pass
+/// taught the cache every path of the pool); `match_set_cold/*` matches
+/// with a copy of a set that has never walked a document, so every pass
 /// starts from an empty cache and pays each path's miss once.
 /// `match_bytes/*` is the steady state again from the documents' bytes, as a
 /// broker is handed them: one scan per document validates it and drives the
 /// same walk (its cache line counts on from `match_set/*`'s, same sets).
+/// `match_set_churn/*` is that pass from the bytes while the set changes
+/// under it, as at a broker whose view churns: before every fourth document
+/// a held-out pattern arrives or the oldest one leaves, in turn, and the
+/// cache is repaired where the change reaches it.
 /// `bench_thresholds.txt` holds the steady state to a twentieth of the scan
 /// at 10k, the cold pass to a tenth, the pass at 100k under 0.30 of that
-/// same scan of 10k (ROADMAP item 3's gate), and the bytes at 10k to 1.4
-/// times the tree replay.
+/// same scan of 10k (ROADMAP item 3's gate), the bytes at 10k to 1.4
+/// times the tree replay, and the churning pass at 10k to 1.2 times the
+/// steady one from the bytes.
 fn bench_match_set(c: &mut Criterion) {
     let dtd = Dtd::nitf_like();
     let documents = DocumentGenerator::new(&dtd, DocGenConfig::default().with_seed(1_000_001))
         .generate_many(64);
     let patterns = XPathGenerator::new(&dtd, XPathGenConfig::default().with_seed(2_000_003))
         .generate_many(100_000);
+    let arrivals = XPathGenerator::new(&dtd, XPathGenConfig::default().with_seed(2_000_004))
+        .generate_many(4_096);
     let sizes = [("1k", 1_000), ("10k", 10_000), ("100k", 100_000)];
     let set_of = |size: usize| {
         let mut set = PatternSet::new();
@@ -69,15 +78,18 @@ fn bench_match_set(c: &mut Criterion) {
     let pass =
         |set: &mut PatternSet| -> usize { documents.iter().map(|d| set.matches(d).len()).sum() };
     // The cache's health after the timed passes: steps served and computed,
-    // trie nodes held, resets.
+    // trie nodes held, trie nodes view changes rewrote, resets.
     let report = |group: &str, label: &str, set: &PatternSet| {
         let stats = set.cache_stats();
         println!(
-            "{group}/{label} path cache: {} hits, {} misses, {} nodes, {} resets",
+            "{group}/{label} path cache: {} hits, {} misses, {} nodes, {} references, \
+             {} repairs, {} full resets",
             stats.hits,
             stats.misses,
             stats.nodes,
-            stats.view_resets + stats.full_resets
+            stats.references,
+            stats.repairs,
+            stats.full_resets
         );
     };
 
@@ -109,20 +121,66 @@ fn bench_match_set(c: &mut Criterion) {
     group.finish();
     drop(sets);
 
-    // No generated pattern mentions this label: the step is a forest node
-    // of its own, so both the insert and the remove reset the cache.
-    let fresh = TreePattern::parse("/nitf/a-label-of-its-own").unwrap();
-    let mut group = c.benchmark_group("match_set_cold");
+    let mut group = c.benchmark_group("match_set_churn");
     for (label, size) in &sizes[..2] {
         let mut set = set_of(*size);
+        // Live keys, oldest first, with the pattern each was inserted with.
+        let mut live: VecDeque<(u64, &TreePattern)> = patterns
+            .iter()
+            .take(*size)
+            .enumerate()
+            .map(|(key, pattern)| (key as u64, pattern))
+            .collect();
+        let mut changes = 0usize;
+        let mut pass_churning = || -> usize {
+            let mut keys = 0;
+            for (index, text) in texts.iter().enumerate() {
+                if index % 4 == 0 {
+                    if changes % 2 == 0 {
+                        let pattern = &arrivals[changes / 2 % arrivals.len()];
+                        let key = (size + changes) as u64;
+                        set.insert(key, pattern);
+                        live.push_back((key, pattern));
+                    } else if let Some((key, pattern)) = live.pop_front() {
+                        set.remove(key, pattern);
+                    }
+                    changes += 1;
+                }
+                let matched = set.matches_bytes(text.as_bytes());
+                keys += matched.expect("generated documents scan").len();
+            }
+            keys
+        };
+        // The first pass learns the pool's paths; the timed passes churn on.
+        pass_churning();
+        group.bench_function(*label, |b| b.iter(|| black_box(pass_churning())));
+        report("match_set_churn", label, &set);
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("match_set_cold");
+    for (label, size) in &sizes[..2] {
+        let never_walked = set_of(*size);
+        // The set a pass used is dropped while the next copy is made, so
+        // neither the copy nor the drop is timed.
+        let spent = RefCell::new(None);
         group.bench_function(*label, |b| {
-            b.iter(|| {
-                set.insert(u64::MAX, &fresh);
-                set.remove(u64::MAX, &fresh);
-                black_box(pass(&mut set))
-            })
+            b.iter_batched(
+                || {
+                    spent.take();
+                    never_walked.clone()
+                },
+                |mut set| {
+                    let keys = pass(&mut set);
+                    *spent.borrow_mut() = Some(set);
+                    keys
+                },
+                BatchSize::LargeInput,
+            )
         });
-        report("match_set_cold", label, &set);
+        if let Some(set) = spent.take() {
+            report("match_set_cold", label, &set);
+        }
     }
     group.finish();
 

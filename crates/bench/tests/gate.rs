@@ -98,8 +98,9 @@ fn committed_thresholds_file_parses_and_carries_the_build_par_rules() {
         .collect();
     assert_eq!(
         match_set.len(),
-        3,
-        "forest-vs-scan with a warm and with an emptied path cache + the 100k pass"
+        4,
+        "forest-vs-scan with a warm and with an empty path cache + the 100k pass \
+         + the pass under churn"
     );
     // The 100k pass is held against the 10k scan too: the 1k pass it was
     // first held against is a millisecond now, and the noisiest term of a run.
@@ -117,6 +118,15 @@ fn committed_thresholds_file_parses_and_carries_the_build_par_rules() {
             "the forest must stay well under the per-subscription scan: {vs_scan:?}"
         );
     }
+    let churn = match_set
+        .iter()
+        .find(|rule| rule.numerator == "match_set_churn/10k")
+        .expect("the churning-pass rule");
+    assert_eq!(churn.denominator, "match_bytes/10k");
+    assert!(
+        churn.max <= 2.06,
+        "a view change must repair the path cache, not forget it: {churn:?}"
+    );
     let match_bytes: Vec<_> = thresholds
         .ratios
         .iter()

@@ -1157,9 +1157,13 @@ const MATCHSET_SHAPES: &[&str] = &[
 /// and removes. For the path cache the documents also include one whose
 /// element labels are partly outside every pattern's alphabet, and one
 /// document twice with only its text changed. The documents are re-matched
-/// after the steps of churn, so the cache is hit, missed and reset as the
-/// set changes under it. After every step of churn:
+/// after the steps of churn, so the cache is hit, missed and repaired as
+/// the set changes under it. After every step of churn:
 ///
+/// * the path cache passes `PatternSet::check_path_cache`: every learnt
+///   path holds exactly what one step from its parent reaches in the
+///   changed forest, and it still holds every path it held before, unless
+///   it was over its bound and a full reset is counted;
 /// * `matches` returns exactly the keys of the live patterns for which
 ///   `TreePattern::matches` holds, strictly ascending;
 /// * `matches_bytes` on the document's serialized bytes returns the keys
@@ -1352,6 +1356,7 @@ fn execute_matchset(bytes: &[u8]) -> Result<(), String> {
 
     let steps = rng.gen_range(4usize..40);
     for step in 0..steps {
+        let before = set.cache_stats();
         if live.is_empty() || rng.gen_bool(0.6) {
             let index = rng.gen_range(0..pool.len());
             // An odd multiplier permutes the key space: unique, not sorted.
@@ -1370,6 +1375,18 @@ fn execute_matchset(bytes: &[u8]) -> Result<(), String> {
             if set.remove(key, &pool[index]) {
                 return Err(format!("step {step}: key {key} was removed twice"));
             }
+        }
+        // The view change repaired the learnt paths instead of forgetting
+        // them; only a cache over its bound starts over, and says so.
+        set.check_path_cache()
+            .map_err(|error| format!("step {step}: {error} (scenario {scenario:#x})"))?;
+        let after = set.cache_stats();
+        if after.nodes != before.nodes && after.full_resets == before.full_resets {
+            return Err(format!(
+                "step {step}: a view change took the path cache from {} to {} trie nodes \
+                 without a counted reset (scenario {scenario:#x})",
+                before.nodes, after.nodes
+            ));
         }
         if rng.gen_bool(0.3) || step + 1 == steps {
             check(&mut set, &live, step)?;

@@ -67,18 +67,38 @@
 //!   resolved once per node, and every label no pattern mentions resolves to
 //!   one shared symbol that follows only `*` edges — so text content, which
 //!   rarely repeats, does not fan the trie out.
-//! * The trie stays valid while the forest keeps its shape and no forest
-//!   node gets its first pattern to credit or its first anchor: keys are
-//!   read from the forest at crediting time, so a duplicate subscription, or
-//!   a departure that frees no forest node, keeps it. Any other change
-//!   forgets the whole trie; its arenas are cleared, not freed, and refilled.
+//! * A trie node's run depends on a forest node only through its *status*:
+//!   whether it has steps to take, whether it credits, whether it holds an
+//!   anchor. Keys are read from the forest at crediting time, so a duplicate
+//!   subscription, or a departure that leaves every status as it was,
+//!   touches no run.
+//! * Any other `insert` or `remove` repairs the trie instead of forgetting
+//!   it, as YFilter keeps its shared automaton across query changes. Only
+//!   the pattern's own forest nodes can change status (new, freed, first or
+//!   last steps, key or anchor), and a run can only change where one of
+//!   those is reached. Those trie nodes are found by following the
+//!   pattern's steps down the trie (a tag is a child lookup; after `*` and
+//!   `//` the tag's trie nodes are found either below the frontier or among
+//!   all trie nodes with its label, whichever is fewer), and their runs are
+//!   edited in place, parents first. Every trie node records its parent,
+//!   label, children and subtree size for this, and the trie nodes of each
+//!   label are listed. Labels are resolved to symbols before a removal
+//!   unlinks them: a label that leaves the alphabet resolves to the shared
+//!   symbol afterwards, and the trie nodes filed under its own symbol must
+//!   still be found. Those trie nodes stay, kept exact, for the label that
+//!   takes the symbol next.
+//! * A run that outgrows its room moves to the end of the arena with an
+//!   eighth more room. What it leaves is garbage, counted against the bound
+//!   like the rest and reclaimed by compacting the arena in place.
 //! * The trie is bounded by a fixed multiple of the forest's size. Paths
 //!   beyond the bound are computed, used and dropped again when the walk
 //!   leaves them (the record keeps a copy of their anchors), and the next
-//!   document starts from an empty trie.
+//!   document starts from an empty trie; so does the next view change if
+//!   its repair leaves the trie over the bound.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use tps_xml::{scan_document, ScanLimits, SkeletonSink, XmlError, XmlTree};
 
@@ -90,6 +110,16 @@ const NONE: u32 = u32::MAX;
 
 /// The symbol of every label that is on no forest edge.
 const OTHER: u32 = 0;
+
+/// The bits of [`Node::status`] that decide which runs of the path cache a
+/// forest node is in.
+const IN_RUNS: u8 = 0b0111;
+
+/// The bit of [`Node::status`] of a `//` node that credits or has a `//`
+/// below it: a document step stops where it reaches a carried `//` node,
+/// so such a node decides whether the nodes below it are entered, and
+/// credited, where it is reached.
+const REFILL: u8 = 0b1000;
 
 /// What the path cache may hold — trie nodes plus the forest-node references
 /// stored in them — per forest node of the set.
@@ -227,6 +257,18 @@ impl Node {
     fn is_unused(&self) -> bool {
         !self.has_steps() && self.descendant == NONE && self.unmatchable == NONE && !self.accepts()
     }
+
+    /// What decides the runs of the path cache the node is in ([`IN_RUNS`]:
+    /// whether it is among the nodes with steps, among those that credit,
+    /// and in the anchored section; a node in none of them is in no run),
+    /// and whether a repair recomputes those runs ([`REFILL`]).
+    fn status(&self) -> u8 {
+        let refill = self.is_descendant && (self.accepts() || self.descendant != NONE);
+        u8::from(self.has_steps())
+            | u8::from(self.accepts()) << 1
+            | u8::from(!self.anchors.is_empty()) << 2
+            | u8::from(refill) << 3
+    }
 }
 
 /// One pattern node of a compiled branching pattern.
@@ -262,26 +304,75 @@ struct Branching {
     document: u64,
 }
 
+/// The lengths of one trie node's run in `PathCache::refs`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    steps: u32,
+    anchored: u32,
+    credits: u32,
+}
+
 /// One trie node of the path cache: what a document node with this
 /// root-to-node label path reaches.
 #[derive(Debug, Clone, Copy)]
 struct PathNode {
     /// `refs[begin..][..steps]` are the forest nodes with steps to take,
     /// the next `credits` entries the forest nodes that credit patterns,
-    /// those holding anchors first (`anchored` of them).
+    /// those holding anchors first (`anchored` of them). The run may grow
+    /// in place up to `room` entries.
     begin: usize,
     steps: u32,
     credits: u32,
     anchored: u32,
+    room: u32,
     /// Clock reading of the document that last credited from this path.
     seen: u64,
+    /// The trie node one label up ([`NONE`] for the virtual node), and the
+    /// symbol of the label.
+    parent: u32,
+    symbol: u32,
+    /// Kept trie nodes in its subtree, itself included.
+    size: u32,
+    /// Lists threaded through the kept trie nodes: the first child, the
+    /// next child of the same parent, and the next trie node whose label
+    /// has the same symbol.
+    child: u32,
+    sibling: u32,
+    alike: u32,
 }
 
 impl PathNode {
+    fn new(begin: usize, run: Run, parent: u32, symbol: u32) -> Self {
+        Self {
+            begin,
+            steps: run.steps,
+            credits: run.credits,
+            anchored: run.anchored,
+            room: run.steps + run.credits,
+            seen: 0,
+            parent,
+            symbol,
+            size: 1,
+            child: NONE,
+            sibling: NONE,
+            alike: NONE,
+        }
+    }
+
+    /// Where in `refs` the forest nodes with steps to take are.
+    fn steps(&self) -> Range<usize> {
+        self.begin..self.begin + self.steps as usize
+    }
+
     /// Where in `refs` the forest nodes holding anchors are.
-    fn anchored(&self) -> std::ops::Range<usize> {
+    fn anchored(&self) -> Range<usize> {
         let begin = self.begin + self.steps as usize;
         begin..begin + self.anchored as usize
+    }
+
+    /// Length of the run in `refs`.
+    fn len(&self) -> usize {
+        (self.steps + self.credits) as usize
     }
 }
 
@@ -295,18 +386,67 @@ pub struct PathCacheStats {
     pub misses: u64,
     /// Trie nodes (distinct label paths) held now.
     pub nodes: usize,
-    /// Forest-node references held by those trie nodes.
+    /// Forest-node references held by those trie nodes, and the space runs
+    /// that a view change moved left behind until it is compacted.
     pub references: usize,
     /// The most `nodes + references` may reach for the present forest.
     pub bound: usize,
-    /// Times a change of the pattern set emptied a non-empty cache.
-    pub view_resets: u64,
+    /// Trie nodes rewritten because a change of the pattern set reached them.
+    pub repairs: u64,
     /// Times the cache was emptied because it had reached its bound.
     pub full_resets: u64,
 }
 
+/// One step of the path from a pattern's root to one of its nodes, with
+/// which [`PathCache::reach`] finds the trie nodes that node's forest node
+/// is reached at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    Tag(u32),
+    Any,
+    Descendant,
+    /// A non-root `/.`, which matches nothing.
+    Never,
+}
+
+/// What a repair works in, kept between view changes.
+#[derive(Debug, Clone, Default)]
+struct Repair {
+    /// The forest nodes whose status changed, once each, with their status
+    /// from before.
+    changed: Vec<(u32, u8)>,
+    /// Those of them whose runs are recomputed rather than edited (see
+    /// [`PatternSet::repair`]).
+    refill: Vec<u32>,
+    /// `(trie node, forest node)`: where a changed forest node is reached.
+    touched: Vec<(u32, u32)>,
+    /// The steps from the pattern root to the node being reached.
+    path: Vec<Step>,
+    /// The trie nodes the steps so far reach, and those the next step does.
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+    /// Trie nodes whose children are still to visit, and how far below
+    /// the frontier they are.
+    stack: Vec<(u32, usize)>,
+    /// Per trie node, the last `stamp` that visited it.
+    stamps: Vec<u32>,
+    stamp: u32,
+}
+
+impl Repair {
+    /// A stamp no trie node holds yet.
+    fn restamp(stamp: &mut u32, stamps: &mut [u32]) -> u32 {
+        *stamp = stamp.wrapping_add(1);
+        if *stamp == 0 {
+            stamps.fill(0);
+            *stamp = 1;
+        }
+        *stamp
+    }
+}
+
 /// The trie over the label paths matched so far, in flat arenas: forgetting
-/// it clears two vectors and a map, all of which keep their allocations.
+/// it clears the vectors and the map, all of which keep their allocations.
 #[derive(Debug, Clone)]
 struct PathCache {
     /// Trie nodes; 0 is the virtual node above the document root. Those from
@@ -317,12 +457,24 @@ struct PathCache {
     kept: usize,
     /// `(parent, symbol) → child`, for the kept trie nodes.
     children: HashMap<(u32, u32), u32>,
+    /// Per symbol, the first kept trie node of its `alike` list, and how
+    /// many there are.
+    by_symbol: Vec<(u32, u32)>,
+    /// Entries of `refs` that belong to no run's room: left behind by runs
+    /// a repair moved.
+    garbage: usize,
     /// A path did not fit: start over at the next document.
     full: bool,
     hits: u64,
     misses: u64,
-    view_resets: u64,
+    repairs: u64,
     full_resets: u64,
+    repair: Repair,
+    /// `(begin, trie node)` for each kept trie node's room, in the order
+    /// they begin in `refs`: a room is always placed after all others, so
+    /// appending keeps the order. An entry whose trie node has moved on
+    /// since is dropped at the next compaction.
+    order: Vec<(usize, u32)>,
 }
 
 impl PathCache {
@@ -332,11 +484,15 @@ impl PathCache {
             refs: Vec::new(),
             kept: 0,
             children: HashMap::new(),
+            by_symbol: Vec::new(),
+            garbage: 0,
             full: false,
             hits: 0,
             misses: 0,
-            view_resets: 0,
+            repairs: 0,
             full_resets: 0,
+            repair: Repair::default(),
+            order: Vec::new(),
         }
     }
 
@@ -346,15 +502,40 @@ impl PathCache {
         self.refs.clear();
         self.kept = 0;
         self.full = false;
+        self.garbage = 0;
         self.children.clear();
+        self.by_symbol.clear();
+        self.order.clear();
     }
 
-    /// The pattern set changed in a way the stored paths do not survive.
-    fn invalidate(&mut self) {
-        if !self.paths.is_empty() {
-            self.reset();
-            self.view_resets += 1;
+    /// Keep trie node `path`, the last one computed: file it under its
+    /// parent and its symbol.
+    fn keep(&mut self, path: u32) {
+        let PathNode {
+            parent,
+            symbol,
+            begin,
+            ..
+        } = self.paths[path as usize];
+        self.kept += 1;
+        self.order.push((begin, path));
+        self.children.insert((parent, symbol), path);
+        let sibling = std::mem::replace(&mut self.paths[parent as usize].child, path);
+        if self.by_symbol.len() <= symbol as usize {
+            self.by_symbol.resize(symbol as usize + 1, (NONE, 0));
         }
+        let (first, count) = &mut self.by_symbol[symbol as usize];
+        let alike = std::mem::replace(first, path);
+        *count += 1;
+        let mut up = parent;
+        while up != NONE {
+            let node = &mut self.paths[up as usize];
+            node.size += 1;
+            up = node.parent;
+        }
+        let node = &mut self.paths[path as usize];
+        node.sibling = sibling;
+        node.alike = alike;
     }
 
     /// The walk leaves the document node that reached `path`: a path computed
@@ -365,6 +546,235 @@ impl PathCache {
             self.paths.truncate(path as usize);
         }
     }
+
+    /// Add to `repair.touched` a `(trie node, node)` pair for every kept
+    /// trie node at which forest node `node`, whose step path from the
+    /// forest root is `steps`, may be reached: whose label path matches
+    /// `steps`, a `//` step standing for any number of labels, so that a
+    /// `//` node counts wherever it is carried.
+    ///
+    /// The steps are followed down from the virtual node, one frontier of
+    /// trie nodes at a time, a tag and the `*` and `//` steps before it at
+    /// once. A tag right after the frontier is a child lookup. After `*`s
+    /// and `//`s, the tag's trie nodes are found either below the frontier
+    /// or among all trie nodes with its label, climbing to the frontier,
+    /// whichever visits fewer nodes. `*`s and `//`s after the last tag take
+    /// the trie nodes below the frontier.
+    fn reach(&self, steps: &[Step], node: u32, repair: &mut Repair) {
+        if steps.contains(&Step::Never) {
+            return;
+        }
+        if repair.stamps.len() < self.paths.len() {
+            repair.stamps.resize(self.paths.len(), 0);
+        }
+        repair.frontier.clear();
+        repair.frontier.push(0);
+        let mut rest = steps;
+        loop {
+            let skips = rest
+                .iter()
+                .take_while(|step| !matches!(step, Step::Tag(_)))
+                .count();
+            let levels = rest[..skips]
+                .iter()
+                .filter(|&&step| step == Step::Any)
+                .count();
+            let open = rest[..skips].contains(&Step::Descendant);
+            repair.next.clear();
+            let Some(&Step::Tag(symbol)) = rest.get(skips) else {
+                self.expand(repair, levels, open);
+                std::mem::swap(&mut repair.frontier, &mut repair.next);
+                break;
+            };
+            rest = &rest[skips + 1..];
+            if skips > 0 {
+                let (first, count) = self
+                    .by_symbol
+                    .get(symbol as usize)
+                    .copied()
+                    .unwrap_or((NONE, 0));
+                let below: usize = repair
+                    .frontier
+                    .iter()
+                    .map(|&at| self.paths[at as usize].size as usize)
+                    .sum();
+                // Climbing from a labelled node costs a few levels; a
+                // subtree costs a visit per node.
+                if (count as usize) * 4 < below {
+                    self.climb(repair, first, levels, open);
+                    std::mem::swap(&mut repair.frontier, &mut repair.next);
+                    if repair.frontier.is_empty() {
+                        return;
+                    }
+                    continue;
+                }
+                self.expand(repair, levels, open);
+                std::mem::swap(&mut repair.frontier, &mut repair.next);
+                repair.next.clear();
+            }
+            for &at in &repair.frontier {
+                if let Some(&child) = self.children.get(&(at, symbol)) {
+                    repair.next.push(child);
+                }
+            }
+            std::mem::swap(&mut repair.frontier, &mut repair.next);
+            if repair.frontier.is_empty() {
+                return;
+            }
+        }
+        repair
+            .touched
+            .extend(repair.frontier.iter().map(|&at| (at, node)));
+    }
+
+    /// Put in `repair.next`, once each, the trie nodes `levels` below a
+    /// node of `repair.frontier`, or at least that many if `open`.
+    fn expand(&self, repair: &mut Repair, levels: usize, open: bool) {
+        let Repair {
+            frontier,
+            next,
+            stack,
+            stamps,
+            ..
+        } = repair;
+        let stamp = Repair::restamp(&mut repair.stamp, stamps);
+        // Ancestors first: a node is then first visited from the farthest
+        // frontier node above it, and a later visit from a nearer one adds
+        // nothing.
+        if open {
+            frontier.sort_unstable();
+        }
+        for &top in frontier.iter() {
+            if open && stamps[top as usize] == stamp {
+                continue;
+            }
+            stack.push((top, 0));
+            while let Some((at, depth)) = stack.pop() {
+                if depth == levels || (open && depth > levels) {
+                    next.push(at);
+                }
+                if depth < levels || open {
+                    let mut child = self.paths[at as usize].child;
+                    while child != NONE {
+                        if !open || stamps[child as usize] != stamp {
+                            stamps[child as usize] = stamp;
+                            stack.push((child, depth + 1));
+                        }
+                        child = self.paths[child as usize].sibling;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Put in `repair.next` the trie nodes of the `alike` list from `first`
+    /// whose parent is `levels` below a node of `repair.frontier`, or at
+    /// least that many if `open`.
+    fn climb(&self, repair: &mut Repair, first: u32, levels: usize, open: bool) {
+        let stamp = Repair::restamp(&mut repair.stamp, &mut repair.stamps);
+        for &at in &repair.frontier {
+            repair.stamps[at as usize] = stamp;
+        }
+        let mut at = first;
+        while at != NONE {
+            let mut up = at;
+            for _ in 0..=levels {
+                if up != NONE {
+                    up = self.paths[up as usize].parent;
+                }
+            }
+            while open && up != NONE && repair.stamps[up as usize] != stamp {
+                up = self.paths[up as usize].parent;
+            }
+            if up != NONE && repair.stamps[up as usize] == stamp {
+                repair.next.push(at);
+            }
+            at = self.paths[at as usize].alike;
+        }
+    }
+
+    /// Before a run of up to `len` entries is built for a repair: compact
+    /// rather than let `refs` outgrow its allocation, if that wins a good
+    /// share of it back — taking the runs' spare room too if the garbage
+    /// alone does not.
+    fn make_room(&mut self, len: usize) {
+        if self.refs.capacity() - self.refs.len() >= roomy(len) {
+            return;
+        }
+        let spare: usize = self
+            .paths
+            .iter()
+            .map(|node| node.room as usize - node.len())
+            .sum();
+        if (self.garbage + spare) * 16 >= self.refs.len() {
+            self.compact(self.garbage * 16 < self.refs.len());
+        }
+    }
+
+    /// Give trie node `path` the run just built at `refs[end..]`: in place
+    /// when it fits in the node's room, else where it is, with an eighth
+    /// more room, so that the next few forest nodes a view change adds do
+    /// not move it again.
+    fn place(&mut self, path: u32, end: usize, run: Run) {
+        let node = &mut self.paths[path as usize];
+        let len = (run.steps + run.credits) as usize;
+        if len <= node.room as usize {
+            self.refs.copy_within(end..end + len, node.begin);
+            self.refs.truncate(end);
+        } else {
+            self.refs.resize(end + roomy(len), 0);
+            self.moved(path, end);
+        }
+        let node = &mut self.paths[path as usize];
+        node.steps = run.steps;
+        node.credits = run.credits;
+        node.anchored = run.anchored;
+    }
+
+    /// Trie node `path`'s room is now `refs[end..]`: the old one is garbage.
+    fn moved(&mut self, path: u32, end: usize) {
+        let node = &mut self.paths[path as usize];
+        self.garbage += node.room as usize;
+        // An empty room at the end grows where it is, and keeps its entry.
+        if node.begin != end {
+            self.order.push((end, path));
+        }
+        node.begin = end;
+        node.room = (self.refs.len() - end) as u32;
+    }
+
+    /// Move every run down over the space no run's room covers, in place,
+    /// leaving each run at most an eighth more room than its length, or
+    /// none if `tight`.
+    fn compact(&mut self, tight: bool) {
+        let (paths, refs) = (&mut self.paths, &mut self.refs);
+        let mut write = 0;
+        self.order.retain_mut(|(begin, path)| {
+            let node = &mut paths[*path as usize];
+            // The trie node has moved on since.
+            if node.begin != *begin {
+                return false;
+            }
+            let len = node.len();
+            refs.copy_within(node.begin..node.begin + len, write);
+            node.begin = write;
+            *begin = write;
+            node.room = if tight {
+                len as u32
+            } else {
+                node.room.min(roomy(len) as u32)
+            };
+            write += node.room as usize;
+            true
+        });
+        refs.truncate(write);
+        self.garbage = 0;
+    }
+}
+
+/// The room a repair gives a run of `len` entries it moves.
+fn roomy(len: usize) -> usize {
+    len + len / 8 + 1
 }
 
 /// A document node the walk visited.
@@ -463,11 +873,10 @@ struct Scratch {
 ///
 /// The set learns the label paths of the documents it matches (see the
 /// [module documentation](self)): on a stream of similar documents most
-/// document nodes cost one lookup. `insert` and `remove` stay linear in the
-/// pattern; one that adds or frees a forest node, or gives a forest node its
-/// first key or anchor, makes the set forget the paths, and the next
-/// documents teach them again. [`PatternSet::cache_stats`] reports how that
-/// is going.
+/// document nodes cost one lookup. `insert` and `remove` keep what the set
+/// has learnt: they rewrite the learnt paths where one of the pattern's
+/// forest nodes is reached and changed status, and leave the rest as it
+/// is. [`PatternSet::cache_stats`] reports how that is going.
 ///
 /// # Example
 ///
@@ -542,9 +951,219 @@ impl PatternSet {
             nodes: self.cache.paths.len(),
             references: self.cache.refs.len(),
             bound: self.cache_bound(),
-            view_resets: self.cache.view_resets,
+            repairs: self.cache.repairs,
             full_resets: self.cache.full_resets,
         }
+    }
+
+    /// Check the path cache against the forest, for tests and the fuzzer.
+    ///
+    /// Every kept trie node's run must hold what one step from its parent's
+    /// run reaches, as sets with the anchored section apart, recomputed here
+    /// by the rule the walk follows but without its stamps. The runs' rooms
+    /// must cover `refs` without overlapping, but for the space counted as
+    /// garbage, and be listed in the order they begin in; the child map,
+    /// the child lists and the symbol lists must name each kept trie node
+    /// once, and the subtree sizes add up; and the cache must be within its
+    /// bound.
+    #[doc(hidden)]
+    pub fn check_path_cache(&self) -> Result<(), String> {
+        let cache = &self.cache;
+        let paths = &cache.paths;
+        if paths.len() != cache.kept {
+            return Err(format!(
+                "{} trie nodes but {} kept: a walk left paths behind",
+                paths.len(),
+                cache.kept
+            ));
+        }
+        if paths.is_empty() {
+            if !cache.refs.is_empty() || !cache.children.is_empty() || cache.garbage != 0 {
+                return Err("an empty trie holds references or children".into());
+            }
+            return Ok(());
+        }
+        if paths.len() + cache.refs.len() > self.cache_bound() {
+            return Err(format!(
+                "{} trie nodes and {} references exceed the bound {}",
+                paths.len(),
+                cache.refs.len(),
+                self.cache_bound()
+            ));
+        }
+        let mut covered = vec![false; cache.refs.len()];
+        let mut listed = 0;
+        for (index, path) in paths.iter().enumerate() {
+            let room = path.begin..path.begin + path.room as usize;
+            if room.end > cache.refs.len()
+                || path.len() > path.room as usize
+                || path.anchored > path.credits
+            {
+                return Err(format!("trie node {index} has a malformed run {path:?}"));
+            }
+            for slot in room {
+                if std::mem::replace(&mut covered[slot], true) {
+                    return Err(format!(
+                        "trie node {index}'s room overlaps another at {slot}"
+                    ));
+                }
+            }
+            listed += path.room as usize;
+            let from = if index == 0 {
+                if path.parent != NONE {
+                    return Err("the virtual node has a parent".into());
+                }
+                None
+            } else {
+                if path.parent as usize >= index {
+                    return Err(format!("trie node {index} comes before its parent"));
+                }
+                if cache.children.get(&(path.parent, path.symbol)) != Some(&(index as u32)) {
+                    return Err(format!("trie node {index} is not its parent's child"));
+                }
+                Some(&cache.refs[paths[path.parent as usize].steps()])
+            };
+            let anchored = path.anchored();
+            let held = [
+                &cache.refs[path.steps()],
+                &cache.refs[anchored.clone()],
+                &cache.refs[anchored.end..path.begin + path.len()],
+            ];
+            for (section, (held, expected)) in ["steps", "anchored", "other credits"]
+                .iter()
+                .zip(held.iter().zip(self.expected_run(from, path.symbol)))
+            {
+                let mut held = held.to_vec();
+                held.sort_unstable();
+                if held != expected {
+                    return Err(format!(
+                        "trie node {index} (symbol {}, parent {}) holds {held:?} as its \
+                         {section}, one step from its parent reaches {expected:?}",
+                        path.symbol, path.parent
+                    ));
+                }
+            }
+        }
+        let mut ordered = vec![false; paths.len()];
+        let mut last = 0;
+        for &(begin, path) in &cache.order {
+            match paths.get(path as usize) {
+                Some(node) if node.begin == begin => {}
+                Some(_) => continue,
+                None => return Err(format!("trie node {path} is in the order, not the trie")),
+            }
+            if begin < last || std::mem::replace(&mut ordered[path as usize], true) {
+                return Err(format!(
+                    "trie node {path}'s room at {begin} is out of order"
+                ));
+            }
+            last = begin;
+        }
+        if let Some(path) = ordered.iter().position(|&ordered| !ordered) {
+            return Err(format!("trie node {path}'s room is missing from the order"));
+        }
+        if listed + cache.garbage != cache.refs.len() {
+            return Err(format!(
+                "runs have room for {listed} references and {} are counted as garbage, of {}",
+                cache.garbage,
+                cache.refs.len()
+            ));
+        }
+        if cache.children.len() != paths.len() - 1 {
+            return Err(format!(
+                "{} children filed for {} trie nodes",
+                cache.children.len(),
+                paths.len()
+            ));
+        }
+        let mut children = 0;
+        for (index, path) in paths.iter().enumerate() {
+            let mut child = path.child;
+            let mut size = 1;
+            while child != NONE {
+                if paths[child as usize].parent != index as u32 {
+                    return Err(format!("trie node {child} is listed under {index}"));
+                }
+                children += 1;
+                size += paths[child as usize].size;
+                child = paths[child as usize].sibling;
+            }
+            if size != path.size {
+                return Err(format!(
+                    "trie node {index} counts {} in its subtree, not {size}",
+                    path.size
+                ));
+            }
+        }
+        let mut alike = 0;
+        for (symbol, &(first, count)) in cache.by_symbol.iter().enumerate() {
+            let mut at = first;
+            let mut listed = 0usize;
+            while at != NONE {
+                if paths[at as usize].symbol != symbol as u32 {
+                    return Err(format!("trie node {at} is listed under symbol {symbol}"));
+                }
+                listed += 1;
+                at = paths[at as usize].alike;
+            }
+            if listed != count as usize {
+                return Err(format!(
+                    "{listed} trie nodes listed under symbol {symbol}, {count} counted"
+                ));
+            }
+            alike += listed;
+        }
+        if children != paths.len() - 1 || alike != paths.len() - 1 {
+            return Err(format!(
+                "{children} trie nodes in child lists and {alike} in symbol lists, of {}",
+                paths.len() - 1
+            ));
+        }
+        Ok(())
+    }
+
+    /// What a trie node for a label with `symbol` below a parent whose
+    /// forest nodes with steps are `parent` (`None`: the virtual node)
+    /// holds, each section sorted: the nodes with steps, the crediting nodes
+    /// holding anchors, and the other crediting nodes.
+    fn expected_run(&self, parent: Option<&[u32]>, symbol: u32) -> [Vec<u32>; 3] {
+        let nodes = &self.nodes;
+        let node = |at: u32| &nodes[at as usize];
+        // Carried `//` nodes stay; a step stops where it reaches one.
+        let carried: Vec<u32> = parent
+            .unwrap_or_default()
+            .iter()
+            .copied()
+            .filter(|&at| node(at).is_descendant)
+            .collect();
+        let targets: Vec<u32> = match parent {
+            None => vec![0],
+            Some(parent) => parent
+                .iter()
+                .flat_map(|&at| {
+                    let tagged = node(at).tags.iter().find(|edge| edge.symbol == symbol);
+                    [node(at).wildcard, tagged.map_or(NONE, |edge| edge.to)]
+                })
+                .collect(),
+        };
+        let mut entered = Vec::new();
+        let mut seen = HashSet::new();
+        for mut at in targets {
+            while at != NONE && !carried.contains(&at) && seen.insert(at) {
+                entered.push(at);
+                at = node(at).descendant;
+            }
+        }
+        let mut steps = carried;
+        steps.extend(entered.iter().filter(|&&at| node(at).has_steps()));
+        let (mut anchored, mut other): (Vec<u32>, Vec<u32>) = entered
+            .iter()
+            .filter(|&&at| node(at).accepts())
+            .partition(|&&at| !node(at).anchors.is_empty());
+        for section in [&mut steps, &mut anchored, &mut other] {
+            section.sort_unstable();
+        }
+        [steps, anchored, other]
     }
 
     /// The most trie nodes plus forest-node references the cache keeps.
@@ -554,18 +1173,21 @@ impl PatternSet {
             .min(u32::MAX as usize / 2)
     }
 
-    /// Add `pattern` under `key`, in time linear in the pattern's size.
+    /// Add `pattern` under `key`, in time linear in the pattern's size, and
+    /// repair the path cache where the pattern changed the forest.
     pub fn insert(&mut self, key: u64, pattern: &TreePattern) {
+        // With no path learnt there is nothing to repair.
+        let learnt = !self.cache.paths.is_empty();
+        let before = if learnt {
+            self.statuses(pattern)
+        } else {
+            Vec::new()
+        };
         let mut forest = vec![0; pattern.node_count()];
-        // The cached paths list the forest nodes with steps and those that
-        // credit, anchors first; a new forest node, a node's first key and
-        // a node's first anchor are in none of those lists.
-        let mut changed = self.insert_paths(0, pattern, pattern.root(), &mut forest);
+        self.insert_paths(0, pattern, pattern.root(), &mut forest);
         let end = forest[chain_end(pattern).index()];
         if pattern.branching_count() == 0 {
-            let node = &mut self.nodes[end as usize];
-            changed |= !node.accepts();
-            node.linear.push(key);
+            self.nodes[end as usize].linear.push(key);
         } else {
             let twigs = compile(pattern, &forest);
             let slot = self.free_branching.pop().unwrap_or_else(|| {
@@ -580,9 +1202,7 @@ impl PatternSet {
             });
             let mut anchors = 0;
             for twig in twigs.iter().filter(|twig| twig.anchored) {
-                let node = &mut self.nodes[twig.forest as usize];
-                changed |= node.anchors.is_empty();
-                node.anchors.push(slot);
+                self.nodes[twig.forest as usize].anchors.push(slot);
                 anchors += 1;
             }
             self.branching[slot as usize] = Branching {
@@ -593,21 +1213,34 @@ impl PatternSet {
                 document: 0,
             };
         }
-        if changed {
-            self.cache.invalidate();
-        }
         self.len += 1;
+        if learnt {
+            let steps = self.steps_of(pattern);
+            self.repair(pattern, &steps, &before, &forest);
+        }
     }
 
     /// Remove the pattern inserted under `key`; `pattern` must be that
-    /// pattern. Forest nodes no remaining pattern uses are freed. Returns
-    /// whether the key was in the set.
+    /// pattern. Forest nodes no remaining pattern uses are freed, and the
+    /// path cache is repaired where the forest changed. Returns whether the
+    /// key was in the set.
     pub fn remove(&mut self, key: u64, pattern: &TreePattern) -> bool {
         let mut forest = vec![0; pattern.node_count()];
         // No such path: the pattern is not in the set.
         if !self.find_paths(0, pattern, pattern.root(), &mut forest) {
             return false;
         }
+        // Both are read before anything changes: once its last edge is
+        // unlinked, a label resolves to the shared symbol of labels no
+        // pattern mentions, and the trie nodes filed under its own symbol
+        // would not be found.
+        let learnt = !self.cache.paths.is_empty();
+        let (before, steps): (Vec<u8>, Vec<Step>) = if learnt {
+            let before = forest.iter().map(|&at| self.nodes[at as usize].status());
+            (before.collect(), self.steps_of(pattern))
+        } else {
+            Default::default()
+        };
         if pattern.branching_count() == 0 {
             let linear = &mut self.nodes[forest[chain_end(pattern).index()] as usize].linear;
             let Some(position) = linear.iter().position(|&k| k == key) else {
@@ -653,11 +1286,231 @@ impl PatternSet {
             if self.edge(at, label) == node && self.nodes[node as usize].is_unused() {
                 self.unlink(at, label);
                 self.free_nodes.push(node);
-                self.cache.invalidate();
             }
         }
         self.len -= 1;
+        // A freed node is unused, so its status reads as none at all.
+        if learnt {
+            self.repair(pattern, &steps, &before, &forest);
+        }
         true
+    }
+
+    /// The status of the forest node of each pattern node, 0 where the
+    /// forest has none yet.
+    fn statuses(&self, pattern: &TreePattern) -> Vec<u8> {
+        let mut forest = vec![NONE; pattern.node_count()];
+        let mut statuses = vec![0; pattern.node_count()];
+        for v in pattern.preorder() {
+            let at = match pattern.parent(v) {
+                None => 0,
+                Some(parent) => match forest[parent.index()] {
+                    NONE => NONE,
+                    from => self.edge(from, pattern.label(v)),
+                },
+            };
+            forest[v.index()] = at;
+            if at != NONE {
+                statuses[v.index()] = self.nodes[at as usize].status();
+            }
+        }
+        statuses
+    }
+
+    /// The step each pattern node takes from its parent, a tag by the symbol
+    /// its label has now.
+    fn steps_of(&self, pattern: &TreePattern) -> Vec<Step> {
+        (0..pattern.node_count() as u32)
+            .map(|v| match pattern.label(PatternNodeId(v)) {
+                PatternLabel::Tag(tag) => Step::Tag(self.alphabet.symbol(tag)),
+                PatternLabel::Wildcard => Step::Any,
+                PatternLabel::Descendant => Step::Descendant,
+                PatternLabel::Root => Step::Never,
+            })
+            .collect()
+    }
+
+    /// Bring the path cache, which holds learnt paths, up to date after
+    /// `pattern`, whose nodes take `steps` and sit at the forest nodes
+    /// `forest`, was inserted or removed; `before` holds those forest
+    /// nodes' statuses from before.
+    ///
+    /// A trie node's run is its parent's run stepped by one label, so it can
+    /// only change where a forest node is reached whose status changed: the
+    /// forest nodes that became reachable or unreachable are new or freed,
+    /// and the other forest nodes whose edges changed are the pattern's own
+    /// too. Only the runs of the trie nodes where one of those is reached
+    /// are rewritten, parents first, and only those nodes change in them.
+    /// A changed tag or `*` node is reached at exactly the trie nodes whose
+    /// label path matches its step path, and a changed `//` node is
+    /// carried wherever it has steps; so each leaves the run and comes back
+    /// in the sections its status now puts it in. The runs a `//` node that
+    /// credits, or that has a `//` below it, is reached in are recomputed
+    /// from the parent's run instead: whether a step stops at such a node
+    /// decides what is credited there.
+    fn repair(&mut self, pattern: &TreePattern, steps: &[Step], before: &[u8], forest: &[u32]) {
+        debug_assert_eq!(
+            self.cache.paths.len(),
+            self.cache.kept,
+            "no walk is under way"
+        );
+        if self.cache.full {
+            // The next document would start over anyway.
+            self.cache.reset();
+            self.cache.full_resets += 1;
+            return;
+        }
+        let mut repair = std::mem::take(&mut self.cache.repair);
+        let mut path = std::mem::take(&mut repair.path);
+        repair.changed.clear();
+        repair.refill.clear();
+        repair.touched.clear();
+        for (v, &at) in forest.iter().enumerate() {
+            let after = self.nodes[at as usize].status();
+            if (before[v] ^ after) & IN_RUNS == 0
+                || repair.changed.iter().any(|&(node, _)| node == at)
+            {
+                continue;
+            }
+            repair.changed.push((at, before[v]));
+            if (before[v] | after) & REFILL != 0 {
+                repair.refill.push(at);
+            }
+            path.clear();
+            let mut node = PatternNodeId(v as u32);
+            while let Some(parent) = pattern.parent(node) {
+                path.push(steps[node.index()]);
+                node = parent;
+            }
+            path.reverse();
+            self.cache.reach(&path, at, &mut repair);
+        }
+        repair.path = path;
+        repair.touched.sort_unstable();
+        let mut rest = &repair.touched[..];
+        while let Some(&(trie, _)) = rest.first() {
+            let (group, after) = rest.split_at(rest.partition_point(|&(at, _)| at == trie));
+            rest = after;
+            let len = self.cache.paths[trie as usize].len();
+            self.cache.make_room(len + 2 * group.len());
+            if group.iter().any(|(_, at)| repair.refill.contains(at)) {
+                self.refill(trie);
+            } else {
+                self.patch(trie, group, &repair.changed);
+            }
+            self.cache.repairs += 1;
+        }
+        self.cache.repair = repair;
+
+        let bound = self.cache_bound();
+        let cache = &mut self.cache;
+        if cache.garbage * 4 > cache.refs.len() || cache.paths.len() + cache.refs.len() > bound {
+            cache.compact(false);
+        }
+        if cache.paths.len() + cache.refs.len() > bound {
+            cache.reset();
+            cache.full_resets += 1;
+        }
+    }
+
+    /// Edit the run of trie node `path` in place for the changed forest
+    /// nodes reached there (`touched`, all at `path`): each leaves the
+    /// run, and comes back in the sections its status now puts it in.
+    ///
+    /// The order within a section does not matter. So an entry leaves by
+    /// taking the section's last one in its place, and each later section
+    /// then gives its last entry to close the gap; an entry comes in the
+    /// same way backwards, each later section giving its first entry to the
+    /// gap after it.
+    fn patch(&mut self, path: u32, touched: &[(u32, u32)], changed: &[(u32, u8)]) {
+        let cache = &mut self.cache;
+        let node = cache.paths[path as usize];
+        let mut begin = node.begin;
+        // Where the sections end: nodes with steps, anchored, other credits.
+        let mut ends = [
+            node.steps as usize,
+            (node.steps + node.anchored) as usize,
+            node.len(),
+        ];
+        for &(_, at) in touched {
+            let refs = &mut cache.refs;
+            // A node is only in the sections its status from before put it in.
+            let before = changed
+                .iter()
+                .find(|&&(node, _)| node == at)
+                .map_or(0, |&(_, status)| status);
+            let held = [before & 1 != 0, before & 4 != 0, before & 6 == 2];
+            for section in (0..3).filter(|&section| held[section]) {
+                let start = if section == 0 { 0 } else { ends[section - 1] };
+                let held = &refs[begin + start..begin + ends[section]];
+                let Some(index) = held.iter().position(|&held| held == at) else {
+                    continue;
+                };
+                let mut hole = begin + start + index;
+                for end in &mut ends[section..] {
+                    *end -= 1;
+                    refs[hole] = refs[begin + *end];
+                    hole = begin + *end;
+                }
+            }
+        }
+        let sections = |at: u32| {
+            let node = &self.nodes[at as usize];
+            [
+                node.has_steps(),
+                !node.anchors.is_empty(),
+                !node.linear.is_empty() && node.anchors.is_empty(),
+            ]
+        };
+        let added: usize = touched
+            .iter()
+            .map(|&(_, at)| sections(at).iter().filter(|&&is| is).count())
+            .sum();
+        let len = ends[2] + added;
+        if len > node.room as usize {
+            let end = cache.refs.len();
+            cache.refs.extend_from_within(begin..begin + ends[2]);
+            cache.refs.resize(end + roomy(len), 0);
+            cache.moved(path, end);
+            begin = end;
+        }
+        let refs = &mut cache.refs;
+        for &(_, at) in touched {
+            for (section, _) in sections(at).iter().enumerate().filter(|(_, &is)| is) {
+                let mut hole = begin + ends[2];
+                for next in (section + 1..3).rev() {
+                    let first = begin + ends[next - 1];
+                    refs[hole] = refs[first];
+                    hole = first;
+                }
+                refs[hole] = at;
+                for end in &mut ends[section..] {
+                    *end += 1;
+                }
+            }
+        }
+        let node = &mut cache.paths[path as usize];
+        node.begin = begin;
+        node.steps = ends[0] as u32;
+        node.anchored = (ends[1] - ends[0]) as u32;
+        node.credits = (ends[2] - ends[0]) as u32;
+    }
+
+    /// Recompute the run of trie node `path` from its parent's, which is up
+    /// to date.
+    fn refill(&mut self, path: u32) {
+        let cache = &mut self.cache;
+        let node = cache.paths[path as usize];
+        let from = (node.parent != NONE).then(|| cache.paths[node.parent as usize].steps());
+        let end = cache.refs.len();
+        let run = fill(
+            &mut self.nodes,
+            &mut cache.refs,
+            &mut self.scratch,
+            from,
+            node.symbol,
+        );
+        cache.place(path, end, run);
     }
 
     /// The child slot of `at` for a step labelled `label`.
@@ -707,16 +1560,15 @@ impl PatternSet {
 
     /// Walk (creating as needed) the forest paths of the pattern subtree at
     /// `v`, starting from forest node `at`, and note the forest node of
-    /// every pattern node in `forest`. Returns whether a node was created.
+    /// every pattern node in `forest`.
     fn insert_paths(
         &mut self,
         at: u32,
         pattern: &TreePattern,
         v: PatternNodeId,
         forest: &mut [u32],
-    ) -> bool {
+    ) {
         forest[v.index()] = at;
-        let mut created = false;
         for &child in pattern.children(v) {
             let label = pattern.label(child);
             let mut next = self.edge(at, label);
@@ -733,11 +1585,9 @@ impl PatternSet {
                     }
                 };
                 self.link(at, label, next);
-                created = true;
             }
-            created |= self.insert_paths(next, pattern, child, forest);
+            self.insert_paths(next, pattern, child, forest);
         }
-        created
     }
 
     /// [`PatternSet::insert_paths`] without creating anything: false if a
@@ -1092,92 +1942,117 @@ impl Walk<'_> {
     /// virtual node) by taking one step from each of the parent's forest
     /// nodes, and keep it if the bound allows.
     fn compute(&mut self, parent: Option<u32>, symbol: u32) -> u32 {
-        self.scratch.clock += 1;
-        let clock = self.scratch.clock;
-        self.scratch.crediting.clear();
         let begin = self.cache.refs.len();
-        match parent {
-            None => self.enter(0),
-            Some(parent) => {
-                let from = self.cache.paths[parent as usize];
-                for index in from.begin..from.begin + from.steps as usize {
-                    let at = self.cache.refs[index];
-                    let node = &self.nodes[at as usize];
-                    let wildcard = node.wildcard;
-                    let tagged = match node.tag_position(symbol) {
-                        Ok(position) => node.tags[position].to,
-                        Err(_) => NONE,
-                    };
-                    // A `//` node stays reached below where it was entered.
-                    // What hangs off it by `//` was entered with it, so it
-                    // is among the parent's nodes itself, and both were
-                    // credited up there.
-                    if node.is_descendant && node.mark != clock {
-                        self.nodes[at as usize].mark = clock;
-                        self.cache.refs.push(at);
-                    }
-                    self.enter(wildcard);
-                    self.enter(tagged);
-                }
-            }
-        }
-        let steps = self.cache.refs.len() - begin;
-        let nodes = &*self.nodes;
-        let crediting = &self.scratch.crediting;
-        let anchored = |at: &&u32| !nodes[**at as usize].anchors.is_empty();
-        self.cache.refs.extend(crediting.iter().filter(anchored));
-        let anchored_count = self.cache.refs.len() - begin - steps;
-        self.cache
-            .refs
-            .extend(crediting.iter().filter(|at| !anchored(at)));
+        let from = parent.map(|parent| self.cache.paths[parent as usize].steps());
+        let run = fill(self.nodes, &mut self.cache.refs, self.scratch, from, symbol);
         let path = self.cache.paths.len() as u32;
-        self.cache.paths.push(PathNode {
-            begin,
-            steps: steps as u32,
-            credits: crediting.len() as u32,
-            anchored: anchored_count as u32,
-            seen: 0,
-        });
+        self.cache
+            .paths
+            .push(PathNode::new(begin, run, parent.unwrap_or(NONE), symbol));
         match parent {
-            None => self.cache.kept = 1,
+            None => {
+                self.cache.kept = 1;
+                self.cache.order.push((begin, path));
+            }
             // A path below one that is not kept is not kept either: its
             // parent's number will be used again.
             Some(parent)
                 if (parent as usize) < self.cache.kept
                     && self.cache.paths.len() + self.cache.refs.len() <= self.bound =>
             {
-                self.cache.kept += 1;
-                self.cache.children.insert((parent, symbol), path);
+                self.cache.keep(path);
             }
             Some(_) => self.cache.full = true,
         }
         path
     }
+}
 
-    /// Put forest node `at` among those reached by the step being computed,
-    /// and with it whatever hangs off it by `//` (which may match the empty
-    /// path).
-    fn enter(&mut self, mut at: u32) {
-        let clock = self.scratch.clock;
-        while at != NONE {
-            let node = &mut self.nodes[at as usize];
-            // A `//` node can arrive twice in one step: carried down from
-            // above, and re-reached through its parent. Once is enough, and
-            // without this the reached set grows combinatorially on
-            // `//a//a//a` against `<a><a><a>…`.
-            if node.mark == clock {
-                return;
+/// Append to `refs` the run of a trie node for a label with `symbol` whose
+/// parent's forest nodes with steps are `refs[from]` (`None`: the virtual
+/// node), and return its lengths. The run is a function of the forest and
+/// of the parent's nodes as a set, whatever their order.
+fn fill(
+    nodes: &mut [Node],
+    refs: &mut Vec<u32>,
+    scratch: &mut Scratch,
+    from: Option<Range<usize>>,
+    symbol: u32,
+) -> Run {
+    scratch.clock += 1;
+    let clock = scratch.clock;
+    let crediting = &mut scratch.crediting;
+    crediting.clear();
+    let begin = refs.len();
+    match from {
+        None => enter(nodes, refs, crediting, clock, 0),
+        Some(from) => {
+            // A `//` node stays reached below where it was entered. What
+            // hangs off it by `//` was entered with it, so it is among the
+            // parent's nodes itself, and both were credited up there. They
+            // are carried first: a step that reaches one again then stops
+            // there and credits nothing twice.
+            for index in from.clone() {
+                let at = refs[index];
+                let node = &mut nodes[at as usize];
+                if node.is_descendant {
+                    node.mark = clock;
+                    refs.push(at);
+                }
             }
-            node.mark = clock;
-            // Only a node with steps to take is of use to the children.
-            if node.has_steps() {
-                self.cache.refs.push(at);
+            for index in from {
+                let node = &nodes[refs[index] as usize];
+                let wildcard = node.wildcard;
+                let tagged = match node.tag_position(symbol) {
+                    Ok(position) => node.tags[position].to,
+                    Err(_) => NONE,
+                };
+                enter(nodes, refs, crediting, clock, wildcard);
+                enter(nodes, refs, crediting, clock, tagged);
             }
-            if node.accepts() {
-                self.scratch.crediting.push(at);
-            }
-            at = node.descendant;
         }
+    }
+    let steps = refs.len() - begin;
+    let anchored = |at: &&u32| !nodes[**at as usize].anchors.is_empty();
+    refs.extend(crediting.iter().filter(anchored));
+    let anchored_count = refs.len() - begin - steps;
+    refs.extend(crediting.iter().filter(|at| !anchored(at)));
+    Run {
+        steps: steps as u32,
+        anchored: anchored_count as u32,
+        credits: crediting.len() as u32,
+    }
+}
+
+/// Put forest node `at` among those reached by the step being computed
+/// (stamped `clock`), and with it whatever hangs off it by `//` (which may
+/// match the empty path): in `refs` if it has steps to take, in `crediting`
+/// if it credits patterns.
+fn enter(
+    nodes: &mut [Node],
+    refs: &mut Vec<u32>,
+    crediting: &mut Vec<u32>,
+    clock: u64,
+    mut at: u32,
+) {
+    while at != NONE {
+        let node = &mut nodes[at as usize];
+        // A `//` node can arrive twice in one step: carried down from
+        // above, and re-reached through its parent. Once is enough, and
+        // without this the reached set grows combinatorially on
+        // `//a//a//a` against `<a><a><a>…`.
+        if node.mark == clock {
+            return;
+        }
+        node.mark = clock;
+        // Only a node with steps to take is of use to the children.
+        if node.has_steps() {
+            refs.push(at);
+        }
+        if node.accepts() {
+            crediting.push(at);
+        }
+        at = node.descendant;
     }
 }
 
@@ -1652,7 +2527,7 @@ mod tests {
         let stats = set.cache_stats();
         assert_eq!(stats.nodes, learnt + 1, "1 000 unknown labels, one path");
         assert_eq!(stats.misses as usize, stats.nodes - 1);
-        assert_eq!((stats.view_resets, stats.full_resets), (0, 0));
+        assert_eq!((stats.repairs, stats.full_resets), (0, 0));
 
         // The same document with every text changed is all hits.
         let mut changed = XmlTree::new("feed");
@@ -1695,7 +2570,7 @@ mod tests {
         }
         let stats = set.cache_stats();
         assert!(stats.full_resets > 0, "{stats:?}");
-        assert_eq!(stats.view_resets, 0);
+        assert_eq!(stats.repairs, 0);
         assert_eq!(stats.bound, bound, "the forest did not change");
     }
 
@@ -1716,8 +2591,38 @@ mod tests {
         assert_eq!(set.cache_stats().full_resets, 1);
     }
 
+    /// Match `document` with `set`, check the cache against the forest, and
+    /// compare with per-pattern matching over `live`.
+    fn assert_live(set: &mut PatternSet, live: &[(u64, &str)], text: &str) {
+        let document = XmlTree::parse(text).unwrap();
+        let expected: Vec<u64> = live
+            .iter()
+            .filter(|(_, pattern)| TreePattern::parse(pattern).unwrap().matches(&document))
+            .map(|&(key, _)| key)
+            .collect();
+        assert_eq!(
+            set.matches_bytes(text.as_bytes()).unwrap(),
+            expected,
+            "{text}"
+        );
+        assert_eq!(set.check_path_cache(), Ok(()), "after matching {text}");
+    }
+
+    fn insert(set: &mut PatternSet, key: u64, text: &str) {
+        set.insert(key, &TreePattern::parse(text).unwrap());
+        assert_eq!(set.check_path_cache(), Ok(()), "after inserting {text}");
+    }
+
+    fn remove(set: &mut PatternSet, key: u64, text: &str) {
+        assert!(
+            set.remove(key, &TreePattern::parse(text).unwrap()),
+            "{text}"
+        );
+        assert_eq!(set.check_path_cache(), Ok(()), "after removing {text}");
+    }
+
     #[test]
-    fn only_a_change_the_paths_do_not_survive_resets_the_cache() {
+    fn a_view_change_repairs_the_paths_it_reaches_and_keeps_the_rest() {
         let patterns = ["//b", "/a[b][c]", "/a/c"];
         let mut set = set_of(&patterns);
         let document = XmlTree::parse("<a><b/><c/></a>").unwrap();
@@ -1725,7 +2630,8 @@ mod tests {
         let learnt = set.cache_stats();
         assert!(learnt.nodes > 1);
 
-        // A second key at each leaf, linear and branching, and its departure.
+        // A second key at each leaf, linear and branching, and its departure
+        // change no forest node's status: nothing is rewritten.
         let linear = TreePattern::parse("//b").unwrap();
         let branching = TreePattern::parse("/a[b][c]").unwrap();
         set.insert(10, &linear);
@@ -1735,28 +2641,159 @@ mod tests {
         assert!(set.remove(1, &branching));
         assert_eq!(set.matches(&document), &[2, 10, 11]);
         let kept = set.cache_stats();
-        assert_eq!((kept.view_resets, kept.nodes), (0, learnt.nodes));
+        assert_eq!((kept.repairs, kept.nodes), (0, learnt.nodes));
         assert_eq!(kept.misses, learnt.misses, "both documents were all hits");
 
-        // A new step is a new forest node.
-        let deeper = TreePattern::parse("/a/c/d").unwrap();
-        set.insert(12, &deeper);
-        assert_eq!(set.cache_stats().view_resets, 1);
-        assert_eq!(set.cache_stats().nodes, 0);
-        assert_eq!(set.matches(&document), &[2, 10, 11]);
-        // Taking it away frees that node again.
-        assert!(set.remove(12, &deeper));
-        assert_eq!(set.cache_stats().view_resets, 2);
-        assert_eq!(set.matches(&document), &[2, 10, 11]);
+        // A new step is a new forest node: the one path it is reached on,
+        // and the one its parent gains steps on, are rewritten.
+        let live = [(2, "/a/c"), (10, "//b"), (11, "/a[b][c]"), (12, "/a/c/d")];
+        insert(&mut set, 12, "/a/c/d");
+        let stats = set.cache_stats();
+        assert_eq!((stats.repairs, stats.nodes), (1, learnt.nodes));
+        assert_live(&mut set, &live, "<a><b/><c><d/></c></a>");
+        // Taking it away frees that node again; the path below `c` that the
+        // last document taught stays, with nothing reached on it.
+        remove(&mut set, 12, "/a/c/d");
+        assert_eq!(set.cache_stats().repairs, 3);
+        assert_live(&mut set, &live[..3], "<a><b/><c><d/></c></a>");
         // The first key at an inner node: one more node that credits.
-        let inner = TreePattern::parse("/a").unwrap();
-        set.insert(13, &inner);
-        assert_eq!(set.cache_stats().view_resets, 3);
-        assert_eq!(set.matches(&document), &[2, 10, 11, 13]);
-        // Its last key leaves and the node stays, with nothing to credit.
-        assert!(set.remove(13, &inner));
-        assert_eq!(set.cache_stats().view_resets, 3);
-        assert_eq!(set.matches(&document), &[2, 10, 11]);
+        insert(&mut set, 13, "/a");
+        assert_eq!(set.cache_stats().repairs, 4);
+        let live = [(2, "/a/c"), (10, "//b"), (11, "/a[b][c]"), (13, "/a")];
+        assert_live(&mut set, &live, "<a><b/><c/></a>");
+        // Its last key leaves, and the node credits nothing any more.
+        remove(&mut set, 13, "/a");
+        assert_eq!(set.cache_stats().repairs, 5);
+        assert_live(&mut set, &live[..3], "<a><b/><c/></a>");
+        let stats = set.cache_stats();
+        assert_eq!(stats.full_resets, 0);
+        // New were `/a/c/d` and, once `d` had left the alphabet, `/a/c/`
+        // followed by a label no pattern mentions.
+        assert_eq!(stats.misses, learnt.misses + 2);
+    }
+
+    #[test]
+    fn a_removal_finds_the_paths_of_a_label_it_takes_out_of_the_alphabet() {
+        // `b` leaves the alphabet with `/a/b`; the trie node of `/a/b` is
+        // filed under `b`'s symbol, which is looked up before the edge goes.
+        let mut set = set_of(&["/a/b", "/a/c"]);
+        let live = [(0, "/a/b"), (1, "/a/c")];
+        assert_live(&mut set, &live, "<a><b/><c/></a>");
+        remove(&mut set, 0, "/a/b");
+        assert_live(&mut set, &live[1..], "<a><b/><c/></a>");
+    }
+
+    #[test]
+    fn a_new_descendant_step_is_carried_into_paths_no_pattern_names() {
+        // `/a/b` is no step of any pattern, yet the new `//` is reached there.
+        let mut set = set_of(&["/a/x"]);
+        assert_live(&mut set, &[(0, "/a/x")], "<a><b><c/></b><x/></a>");
+        insert(&mut set, 1, "/a//c");
+        let live = [(0, "/a/x"), (1, "/a//c")];
+        assert_live(&mut set, &live, "<a><b><c/></b><x/></a>");
+        assert_live(&mut set, &live, "<a><b><d><c/></d></b></a>");
+        remove(&mut set, 1, "/a//c");
+        assert_live(&mut set, &live[..1], "<a><b><c/></b><x/></a>");
+    }
+
+    #[test]
+    fn a_symbol_given_back_and_taken_again_finds_exact_paths() {
+        // `b`'s symbol goes to `d`, and the trie node of `/a/b` with it:
+        // `/a/d` reaches that node, which a fresh symbol would not have.
+        let mut set = set_of(&["/a/b", "/a/c"]);
+        let text = "<a><b/><c/><d/></a>";
+        assert_live(&mut set, &[(0, "/a/b"), (1, "/a/c")], text);
+        remove(&mut set, 0, "/a/b");
+        insert(&mut set, 2, "/a/d");
+        assert_live(&mut set, &[(1, "/a/c"), (2, "/a/d")], text);
+        // Given back and taken again by `/x/d`, which does not reach it:
+        // the node must already be exact.
+        remove(&mut set, 2, "/a/d");
+        insert(&mut set, 3, "/x/d");
+        let live = [(1, "/a/c"), (3, "/x/d")];
+        assert_live(&mut set, &live, text);
+        assert_live(&mut set, &live, "<x><d/></x>");
+    }
+
+    #[test]
+    fn a_freed_forest_slot_taken_by_a_new_node_is_named_by_no_old_path() {
+        // `//b` frees its two forest nodes; `/q` and `/r` take their slots.
+        // A path that listed them must not credit the newcomers.
+        let mut set = set_of(&["//b", "/a/c"]);
+        let text = "<a><b/><c/></a>";
+        assert_live(&mut set, &[(0, "//b"), (1, "/a/c")], text);
+        remove(&mut set, 0, "//b");
+        insert(&mut set, 2, "/q");
+        insert(&mut set, 3, "/r/b");
+        let live = [(1, "/a/c"), (2, "/q"), (3, "/r/b")];
+        assert_live(&mut set, &live, text);
+        assert_live(&mut set, &live, "<r><b/></r>");
+    }
+
+    #[test]
+    fn a_node_with_keys_that_gains_its_first_anchor_moves_section() {
+        // `b` credits `/a/b` already; `/a[b][c]` gives it an anchor, which
+        // moves it into the anchored section of `/a/b`'s run.
+        let mut set = set_of(&["/a/b"]);
+        let text = "<a><b/><c/></a>";
+        assert_live(&mut set, &[(0, "/a/b")], text);
+        insert(&mut set, 1, "/a[b][c]");
+        let live = [(0, "/a/b"), (1, "/a[b][c]")];
+        assert_live(&mut set, &live, text);
+        remove(&mut set, 1, "/a[b][c]");
+        assert_live(&mut set, &live[..1], text);
+    }
+
+    #[test]
+    fn a_descendant_node_that_credits_is_credited_only_where_it_is_entered() {
+        // `/a//` (hand-built: the parser gives a `//` a step) ends in the
+        // `//` node of `/a//b`, which is carried below `a` but entered at
+        // `a` only: its first key belongs in the run of `/a` and not in the
+        // runs of the paths below, which a step reaches by carrying it.
+        let mut open = TreePattern::new();
+        let a = open.add_child(open.root(), PatternLabel::tag("a"));
+        open.add_child(a, PatternLabel::Descendant);
+        let mut set = set_of(&["/a//b"]);
+        let text = "<a><x><b/></x></a>";
+        assert_live(&mut set, &[(0, "/a//b")], text);
+        set.insert(1, &open);
+        assert_eq!(set.check_path_cache(), Ok(()));
+        let document = XmlTree::parse(text).unwrap();
+        assert!(open.matches(&document));
+        assert_eq!(set.matches_bytes(text.as_bytes()).unwrap(), &[0, 1]);
+        assert!(set.remove(1, &open));
+        assert_eq!(set.check_path_cache(), Ok(()));
+        assert_live(&mut set, &[(0, "/a//b")], text);
+    }
+
+    #[test]
+    fn repairs_compact_what_they_leave_behind() {
+        // Every arrival of `//x<i>` grows the run of each `x<i>` path below
+        // `a`; the old runs are garbage until a compaction.
+        let mut set = set_of(&["/a/*"]);
+        let text: String = std::iter::once("<a>".to_string())
+            .chain((0..40).map(|i| format!("<x{i}><y/></x{i}>")))
+            .chain(std::iter::once("</a>".to_string()))
+            .collect();
+        let mut live = vec![(0, "/a/*".to_string())];
+        fn borrowed(live: &[(u64, String)]) -> Vec<(u64, &str)> {
+            live.iter()
+                .map(|(key, text)| (*key, text.as_str()))
+                .collect()
+        }
+        assert_live(&mut set, &borrowed(&live), &text);
+        for i in 0..40 {
+            let pattern = format!("//x{i}/y");
+            insert(&mut set, i + 1, &pattern);
+            live.push((i + 1, pattern));
+            let stats = set.cache_stats();
+            assert!(stats.references <= 2 * stats.nodes * 4, "{stats:?}");
+        }
+        assert_live(&mut set, &borrowed(&live), &text);
+        for (key, pattern) in live.drain(1..) {
+            remove(&mut set, key, &pattern);
+        }
+        assert_live(&mut set, &borrowed(&live), &text);
         assert_eq!(set.cache_stats().full_resets, 0);
     }
 

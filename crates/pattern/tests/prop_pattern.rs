@@ -164,11 +164,13 @@ fn warm_set_survives_churn(
             prop_assert!(warm.matches_bytes(d.to_xml().as_bytes()).is_ok());
         }
     }
+    prop_assert_eq!(warm.check_path_cache(), Ok(()));
     let mut fresh = PatternSet::new();
     let mut live: Vec<(u64, &TreePattern)> = Vec::new();
     for (key, (p, leaving)) in before.iter().enumerate() {
         if *leaving {
             prop_assert!(warm.remove(key as u64, p));
+            prop_assert_eq!(warm.check_path_cache(), Ok(()), "removing {}", p);
         } else {
             live.push((key as u64, p));
         }
@@ -176,6 +178,7 @@ fn warm_set_survives_churn(
     for (offset, p) in arriving.iter().enumerate() {
         let key = (before.len() + offset) as u64;
         warm.insert(key, p);
+        prop_assert_eq!(warm.check_path_cache(), Ok(()), "inserting {}", p);
         live.push((key, p));
     }
     for &(key, p) in &live {
@@ -192,9 +195,70 @@ fn warm_set_survives_churn(
         prop_assert_eq!(warm.matches_bytes(text.as_bytes()), Ok(&reference[..]));
         prop_assert_eq!(fresh.matches_bytes(text.as_bytes()), Ok(&reference[..]));
         prop_assert_eq!(fresh.matches(d), &reference[..]);
+        prop_assert_eq!(warm.check_path_cache(), Ok(()));
     }
     prop_assert_eq!(warm.node_count(), fresh.node_count());
     Ok(())
+}
+
+/// One change of the set in a stream of documents.
+#[derive(Debug, Clone)]
+enum Event {
+    /// Match this document from its bytes.
+    Match(usize),
+    /// Insert this pattern of the pool under a new key.
+    Insert(usize),
+    /// Remove the live key at this position, modulo their number.
+    Remove(usize),
+}
+
+/// A set matching a stream of documents while single patterns arrive and
+/// leave between them keeps an exact path cache after every event, and
+/// reports on every document what per-pattern matching over the live
+/// patterns selects.
+fn set_matches_through_single_changes(
+    pool: &[TreePattern],
+    docs: &[XmlTree],
+    events: &[Event],
+) -> Result<(), TestCaseError> {
+    let texts: Vec<String> = docs.iter().map(XmlTree::to_xml).collect();
+    let mut set = PatternSet::new();
+    let mut live: Vec<(u64, usize)> = Vec::new();
+    for (key, event) in events.iter().enumerate() {
+        match *event {
+            Event::Match(doc) => {
+                let doc = doc % docs.len();
+                let reference: Vec<u64> = live
+                    .iter()
+                    .filter(|&&(_, p)| pool[p].matches(&docs[doc]))
+                    .map(|&(key, _)| key)
+                    .collect();
+                let got = set.matches_bytes(texts[doc].as_bytes());
+                prop_assert_eq!(got, Ok(&reference[..]), "doc={}", texts[doc]);
+            }
+            Event::Insert(p) => {
+                let p = p % pool.len();
+                set.insert(key as u64, &pool[p]);
+                live.push((key as u64, p));
+            }
+            Event::Remove(at) if !live.is_empty() => {
+                let (key, p) = live.remove(at % live.len());
+                prop_assert!(set.remove(key, &pool[p]));
+            }
+            Event::Remove(_) => {}
+        }
+        prop_assert_eq!(set.check_path_cache(), Ok(()), "after {:?}", event);
+    }
+    Ok(())
+}
+
+fn gen_event() -> impl Strategy<Value = Event> {
+    // Three matches to two arrivals to one departure.
+    (0..6u32, any::<usize>()).prop_map(|(kind, n)| match kind {
+        0..=2 => Event::Match(n),
+        3 | 4 => Event::Insert(n),
+        _ => Event::Remove(n),
+    })
 }
 
 proptest! {
@@ -365,6 +429,27 @@ proptest! {
         docs in prop::collection::vec(gen_doc(), 1..5),
     ) {
         warm_set_survives_churn(&before, &arriving, &docs)?;
+    }
+
+    /// Single arrivals and departures between documents, over linear paths
+    /// with `*` and `//` steps …
+    #[test]
+    fn pattern_set_repairs_its_cache_between_documents_on_linear_paths(
+        pool in prop::collection::vec(gen_linear(false), 1..8),
+        docs in prop::collection::vec(gen_doc(), 1..5),
+        events in prop::collection::vec(gen_event(), 1..40),
+    ) {
+        set_matches_through_single_changes(&pool, &docs, &events)?;
+    }
+
+    /// … and over branching patterns.
+    #[test]
+    fn pattern_set_repairs_its_cache_between_documents_on_branching_patterns(
+        pool in prop::collection::vec(gen_pattern(), 1..8),
+        docs in prop::collection::vec(gen_doc(), 1..5),
+        events in prop::collection::vec(gen_event(), 1..40),
+    ) {
+        set_matches_through_single_changes(&pool, &docs, &events)?;
     }
 
     /// Canonical keys are stable under re-parsing the display form.
