@@ -26,6 +26,11 @@
 //! called within two lines after a `summarised()` test — the summarised
 //! routing tables are the one reader of a document tree there.
 //!
+//! Under `crates/net/src` and `crates/sim/src`, again with no
+//! justification, `PatternSet` may not appear at all: the live brokers and
+//! the simulator are clocks of the one overlay view, and
+//! `tps_routing::OverlayView` is the only owner of a live view's matcher.
+//!
 //! And one rule for the whole workspace, also with no justification: the
 //! `"<![CDATA["` literal may only appear in `crates/xml/src/scan.rs`.
 //! Every XML document lexer must recognise CDATA sections (the DTD parser
@@ -80,6 +85,12 @@ const CONJUNCTION: &str = "ops::conjunction";
 /// What to do about a conjunction pattern built in the engine.
 const FOLD_JOINTS: &str = "fold the joint from the operands' root-branch values";
 
+/// The matcher only the overlay view may own.
+const MATCHER: &str = "PatternSet";
+
+/// What to do about a second live view.
+const ONE_VIEW: &str = "drive the view's matcher through tps_routing::OverlayView";
+
 /// The attribute that keeps a replaced path alive.
 const DEPRECATED: &str = "#[deprecated";
 
@@ -108,6 +119,15 @@ const TREE_WINDOW: usize = 2;
 fn tree_free(path: &Path) -> bool {
     let parts: Vec<_> = path.components().map(|c| c.as_os_str()).collect();
     parts.windows(3).any(|w| w == ["crates", "net", "src"])
+}
+
+/// Whether `path` is under `crates/net/src` or `crates/sim/src`, whose
+/// clocks drive the one [`MATCHER`] owner instead of keeping a view.
+fn drives_the_view(path: &Path) -> bool {
+    let parts: Vec<_> = path.components().map(|c| c.as_os_str()).collect();
+    parts
+        .windows(3)
+        .any(|w| w[0] == "crates" && (w[1] == "net" || w[1] == "sim") && w[2] == "src")
 }
 
 /// Whether `path` may hold an XML lexer: the scanner itself, or the
@@ -139,9 +159,11 @@ fn declared_fn(trimmed: &str) -> Option<&str> {
 
 /// Scan the source text of the file at `path` for unjustified hits; the
 /// path decides whether the `crates/net/src` rule on document trees, the
-/// one-lexer rule and the `crates/core/src` rule on conjunctions apply.
+/// one-view rule, the one-lexer rule and the `crates/core/src` rule on
+/// conjunctions apply.
 fn scan_source(source: &str, path: &Path) -> Vec<Finding> {
     let tree_free = tree_free(path);
+    let drives_the_view = drives_the_view(path);
     let lexer_free = !may_lex(path);
     let folds_joints = folds_joints(path);
     let lines: Vec<&str> = source.lines().collect();
@@ -207,6 +229,13 @@ fn scan_source(source: &str, path: &Path) -> Vec<Finding> {
                     fix: MATCH_BYTES,
                 });
             }
+        }
+        if drives_the_view && line.contains(MATCHER) {
+            findings.push(Finding {
+                line: index + 1,
+                what: "a PatternSet outside the overlay view",
+                fix: ONE_VIEW,
+            });
         }
         if lexer_free && line.contains(CDATA) {
             findings.push(Finding {
@@ -445,6 +474,27 @@ mod tests {
         assert!(scan_source(source, lib()).is_empty());
         assert!(tree_free(Path::new("./crates/net/src/broker.rs")));
         assert!(!tree_free(Path::new("./crates/routing/src/network.rs")));
+    }
+
+    #[test]
+    fn only_the_overlay_view_owns_a_matcher() {
+        let source = "struct Core {\n    matcher: PatternSet,\n}\n\
+                      // prose may name the PatternSet the view drives\n\
+                      #[cfg(test)]\nmod tests {\n    fn t() { PatternSet::new(); }\n}\n";
+        for clock in ["./crates/net/src/broker.rs", "./crates/sim/src/network.rs"] {
+            let lines: Vec<usize> = scan_source(source, Path::new(clock))
+                .iter()
+                .map(|f| f.line)
+                .collect();
+            assert_eq!(lines, vec![2], "{clock}");
+        }
+        let planted = "use tps_pattern::{PatternSet, TreePattern};\n";
+        let findings = scan_source(planted, Path::new("./crates/sim/src/sim.rs"));
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].fix, ONE_VIEW);
+        assert!(scan_source(source, Path::new("./crates/routing/src/view.rs")).is_empty());
+        assert!(scan_source(source, lib()).is_empty());
+        assert!(!drives_the_view(Path::new("./crates/simulate/src/lib.rs")));
     }
 
     #[test]

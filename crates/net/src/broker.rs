@@ -1,61 +1,46 @@
 //! The broker state machine, free of any I/O.
 //!
-//! [`BrokerCore`] holds what one broker routes by — the overlay-wide
-//! subscription view (subscriptions are flooded over the tree overlay, so
-//! every broker converges on the same view), the matcher and the
-//! [`Places`] derived from it, and, in the compressed table modes, its own
-//! routing table built by the static `tps-routing` constructor. Nothing
-//! else: the paper's synopsis and community layers live where they have
-//! readers (`tps-core`, `tps-cluster`, `tps-sim`). The server layer
-//! ([`crate::server`]) feeds it decoded messages and ships out whatever it
-//! returns.
+//! [`BrokerCore`] is the live clock of the one overlay view: an
+//! [`OverlayView`] serving this broker (subscriptions are flooded over the
+//! tree overlay, so every broker converges on the same view), plus what
+//! only a live broker owns — the checks that answer a client with a wire
+//! error, the lint pre-pass, the interest set of the last document, the
+//! summarised table of the compressed table modes (rebuilt lazily after a
+//! view change) and the counters. The paper's synopsis and community
+//! layers live where they have readers (`tps-core`, `tps-cluster`,
+//! `tps-sim`). The server layer ([`crate::server`]) feeds it decoded
+//! messages and ships out whatever it returns.
 //!
-//! The routing decision itself is not here: it is [`Places::hop`] in
-//! `tps-routing`, the one hop that `BrokerNetwork::route_stream` and
-//! `tps_sim::Simulation` call too, so summing [`BrokerStats`] across a
-//! churn-free overlay reproduces the simulator's and the static
-//! evaluation's numbers by construction. What the core adds is where the
-//! interest set comes from and which [`LinkRule`] decides a link.
+//! The routing decision is [`OverlayView::hop`], the hop the static
+//! evaluation and `tps_sim::Simulation` drive too, so summing
+//! [`BrokerStats`] across a churn-free overlay reproduces their numbers by
+//! construction. What the core adds is where the interest set comes from
+//! and which [`LinkRule`] decides a link.
 //!
-//! A document is matched against the whole view **once** per broker, by the
-//! shared step forest [`PatternSet`], straight from its bytes in the one
-//! scan that also validates it (no tree is built unless a summarised table
-//! reads one); local delivery, exact-table link decisions, first-hit cost
-//! and spurious accounting are all read off that one interest set
-//! (docs/NET.md, "One pass per document").
-//!
-//! And, while views agree, once per *overlay*: the core keeps a 128-bit
-//! digest of its view ([`BrokerCore::view_digest`]) and hands out the
-//! interest set of the document it routed last ([`BrokerCore::interest`]),
-//! so a forward can carry both. [`BrokerCore::forward_matched`] takes them
-//! back in: when the sender's digest equals its own, the carried set *is*
-//! what its matcher would report, and the hop runs on it without parsing
-//! or matching. Any other forward is matched here, as before (docs/NET.md,
-//! "Match once per overlay").
-
-use std::collections::BTreeMap;
+//! A document is matched against the whole view **once** per broker,
+//! straight from its bytes in the one scan that also validates it (no tree
+//! is built unless a summarised table reads one); local delivery,
+//! exact-table link decisions, first-hit cost and spurious accounting are
+//! all read off that one interest set (docs/NET.md, "One pass per
+//! document"). And, while views agree, once per *overlay*: a forward
+//! carries the view digest ([`BrokerCore::view_digest`]) and the interest
+//! set ([`BrokerCore::interest`]), and [`BrokerCore::forward_matched`]
+//! routes on a carried set whose digest equals its own without parsing or
+//! matching. Any other forward is matched here (docs/NET.md, "Match once
+//! per overlay").
 
 use tps_analyze::{Severity, WorkloadAnalyzer, WorkloadEntry};
-use tps_pattern::{PatternSet, TreePattern};
+use tps_pattern::TreePattern;
 use tps_routing::{
-    BrokerId, BrokerTopology, ForwardingMode, HopCounts, LinkRule, Places, RoutingTable, TableMode,
+    BrokerId, BrokerTopology, ForwardingMode, HopCounts, LinkRule, OverlayView, RoutingTable,
+    TableMode,
 };
 use tps_xml::{scan_document, NullSink, ScanLimits, XmlTree};
 
 use crate::codec::{BrokerStats, ErrorCode, SyncConsumer};
-use crate::digest::entry_digest;
 use crate::overlay::OverlayConfig;
 
 pub use tps_routing::RouteOutcome;
-
-/// One consumer of the overlay-wide subscription view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetConsumer {
-    /// The broker the consumer is attached to.
-    pub broker: BrokerId,
-    /// The subscription.
-    pub pattern: TreePattern,
-}
 
 /// The pure per-broker state machine.
 #[derive(Debug)]
@@ -64,13 +49,8 @@ pub struct BrokerCore {
     topology: BrokerTopology,
     forwarding: ForwardingMode,
     lint: bool,
-    consumers: BTreeMap<u64, NetConsumer>,
-    /// The patterns of `consumers` under their subscriber ids, kept current
-    /// by `install` and `unsubscribe`: one walk of a document yields the
-    /// subscribers it interests.
-    matcher: PatternSet,
-    /// Wrapping sum of [`entry_digest`] over `consumers`.
-    digest: u128,
+    /// The overlay-wide view, filed at this broker only.
+    view: OverlayView,
     /// The interest set of the document routed last, ascending: what the
     /// matcher reported, or what a trusted forward carried.
     interest: Vec<u64>,
@@ -79,10 +59,6 @@ pub struct BrokerCore {
     /// its per-link entries are the consumers behind the link, so its
     /// decisions are read off the interest set.
     table: Option<RoutingTable>,
-    /// The subscriber ids of the view by place: one list per link (who is
-    /// behind it — the link's exact table in entry order), then the local
-    /// consumers.
-    places: Places,
     /// What the hops counted; [`BrokerCore::stats`] reports them.
     counts: HopCounts,
     /// Every other counter.
@@ -105,12 +81,9 @@ impl BrokerCore {
             topology: config.topology.clone(),
             forwarding: config.forwarding,
             lint: config.lint,
-            consumers: BTreeMap::new(),
-            matcher: PatternSet::new(),
-            digest: 0,
+            view: OverlayView::new(&config.topology, [id]),
             interest: Vec::new(),
             table: None,
-            places: Places::new(&config.topology, id),
             counts: HopCounts::default(),
             stats: BrokerStats {
                 broker: id as u32,
@@ -129,19 +102,15 @@ impl BrokerCore {
         &self.topology
     }
 
-    /// The overlay-wide consumer view, keyed by subscriber id.
-    pub fn consumers(&self) -> &BTreeMap<u64, NetConsumer> {
-        &self.consumers
+    /// The overlay-wide consumer view.
+    pub fn view(&self) -> &OverlayView {
+        &self.view
     }
 
-    /// The digest of the consumer view: the wrapping sum of a fixed 128-bit
-    /// hash of every `(subscriber, attach broker, pattern)` in it
-    /// (docs/NET.md, "Match once per overlay"). It does not depend on the
-    /// order the view was installed in, costs O(|pattern|) to keep current
-    /// per view change, and two brokers hold the same view exactly when
-    /// their digests are equal.
+    /// The digest of the consumer view ([`OverlayView::digest`]): two
+    /// brokers hold the same view exactly when their digests are equal.
     pub fn view_digest(&self) -> u128 {
-        self.digest
+        self.view.digest()
     }
 
     /// The interest set of the document [`BrokerCore::publish`],
@@ -202,7 +171,7 @@ impl BrokerCore {
             self.stats.errors += 1;
             (ErrorCode::BadPattern, e.to_string())
         })?;
-        if let Some(existing) = self.consumers.get(&subscriber) {
+        if let Some(existing) = self.view.get(subscriber) {
             if existing.broker == broker && existing.pattern == pattern {
                 return Ok(false);
             }
@@ -218,16 +187,10 @@ impl BrokerCore {
         if lint {
             self.lint_check(subscriber, &pattern)?;
         }
-        self.matcher.insert(subscriber, &pattern);
-        self.digest = self
-            .digest
-            .wrapping_add(entry_digest(subscriber, broker as u32, &pattern));
-        self.places.insert(subscriber, broker);
         if self.exact_table() && broker != self.id {
             self.stats.table_nodes += pattern.node_count() as u64;
         }
-        self.consumers
-            .insert(subscriber, NetConsumer { broker, pattern });
+        self.view.subscribe(subscriber, broker, pattern);
         self.table = None;
         Ok(true)
     }
@@ -243,7 +206,8 @@ impl BrokerCore {
         pattern: &TreePattern,
     ) -> Result<(), (ErrorCode, String)> {
         let mut entries: Vec<WorkloadEntry> = self
-            .consumers
+            .view
+            .consumers()
             .values()
             .map(|c| WorkloadEntry::from_pattern(&c.pattern))
             .collect();
@@ -272,27 +236,18 @@ impl BrokerCore {
     /// Detach a subscriber. Returns whether the view changed (double
     /// departures stop the control flood, like duplicate subscribes).
     pub fn unsubscribe(&mut self, subscriber: u64) -> bool {
-        match self.consumers.remove(&subscriber) {
-            Some(consumer) => {
-                self.matcher.remove(subscriber, &consumer.pattern);
-                self.digest = self.digest.wrapping_sub(entry_digest(
-                    subscriber,
-                    consumer.broker as u32,
-                    &consumer.pattern,
-                ));
-                self.places.remove(subscriber, consumer.broker);
-                if self.exact_table() && consumer.broker != self.id {
-                    self.stats.table_nodes -= consumer.pattern.node_count() as u64;
-                }
-                self.table = None;
-                true
-            }
-            None => false,
+        let Some(consumer) = self.view.unsubscribe(subscriber) else {
+            return false;
+        };
+        if self.exact_table() && consumer.broker != self.id {
+            self.stats.table_nodes -= consumer.pattern.node_count() as u64;
         }
+        self.table = None;
+        true
     }
 
     /// Publish raw document bytes at this broker: one scan validates them
-    /// and drives the matcher's walk ([`PatternSet::matches_bytes`]), then
+    /// and drives the matcher's walk ([`OverlayView::interest_bytes`]), then
     /// the document is routed on the interest set; no tree is built unless
     /// a summarised table needs one for its link lookups. Bytes that are
     /// not a well-formed UTF-8 document are a [`ErrorCode::BadDocument`]
@@ -336,7 +291,7 @@ impl BrokerCore {
         interested: Option<&[u64]>,
     ) -> Option<RouteOutcome> {
         self.stats.forwards_received += 1;
-        let carried = interested.filter(|_| view == self.digest);
+        let carried = interested.filter(|_| view == self.view.digest());
         if interested.is_some() && carried.is_none() {
             self.stats.forwards_rematched += 1;
         }
@@ -392,18 +347,15 @@ impl BrokerCore {
             None
         };
         let interested = match &document {
-            Some(document) => self.matcher.matches(document),
-            None => self
-                .matcher
-                .matches_bytes(bytes)
-                .map_err(|e| e.to_string())?,
+            Some(document) => self.view.interest_tree(document),
+            None => self.view.interest_bytes(bytes).map_err(|e| e.to_string())?,
         };
         self.interest.clear();
         self.interest.extend_from_slice(interested);
         Ok(self.hop(document.as_ref(), from))
     }
 
-    /// [`Places::hop`] on `self.interest`, with the link rule of this
+    /// [`OverlayView::hop`] on `self.interest`, with the link rule of this
     /// broker's forwarding mode. Only a summarised table reads `document`,
     /// which must then be present.
     fn hop(&mut self, document: Option<&XmlTree>, from: Option<BrokerId>) -> RouteOutcome {
@@ -426,20 +378,18 @@ impl BrokerCore {
                 )
             }
         };
-        self.places
-            .hop(&self.interest, from, rule, &mut self.counts)
+        self.view
+            .hop(self.id, &self.interest, from, rule, &mut self.counts)
     }
 
     /// Rebuild the summarised table of a compressed table mode from the
-    /// current view, with the static `RoutingTable` constructor over the
-    /// patterns behind each link in subscriber order — the input
+    /// current view ([`OverlayView::table`]) — the table
     /// `BrokerNetwork::build_tables` gives this broker, so a churn-free
     /// overlay is table-identical to a batch evaluation by construction.
     /// `Table(Exact)` never comes here: its `table_nodes` is a running sum
     /// and its decisions come from the interest set.
     fn rebuild_table(&mut self, mode: TableMode) {
-        let pattern = |subscriber: u64| &self.consumers[&subscriber].pattern;
-        let table = self.places.table(pattern, mode, None);
+        let table = self.view.table(self.id, mode, None);
         self.stats.table_nodes = table.node_count() as u64;
         self.stats.table_rebuilds += 1;
         self.table = Some(table);
@@ -452,14 +402,15 @@ impl BrokerCore {
         self.stats.link_messages = self.counts.link_messages as u64;
         self.stats.spurious_link_messages = self.counts.spurious_link_messages as u64;
         self.stats.match_operations = self.counts.match_operations as u64;
-        self.stats.consumers = self.consumers.len() as u64;
-        self.stats.view_digest = self.digest;
+        self.stats.consumers = self.view.consumers().len() as u64;
+        self.stats.view_digest = self.view.digest();
         self.stats
     }
 
     /// Dump the consumer view for a rejoining peer, in subscriber order.
     pub fn sync_state(&self) -> Vec<SyncConsumer> {
-        self.consumers
+        self.view
+            .consumers()
             .iter()
             .map(|(&subscriber, consumer)| SyncConsumer {
                 subscriber,
@@ -613,52 +564,6 @@ mod tests {
         assert_eq!(stats.errors, 7);
     }
 
-    /// What is left of the core is a function of the view: a long run of
-    /// arrivals and departures at a constant view size leaves the same
-    /// consumers, place lists, forest and digest as installing the final
-    /// view into a fresh core.
-    #[test]
-    fn churn_leaves_the_state_a_fresh_core_builds_from_the_view() {
-        const VIEW: usize = 100;
-        const PAIRS: usize = 2_000;
-        let dtd = Dtd::media();
-        let patterns = XPathGenerator::new(&dtd, XPathGenConfig::default().with_seed(22))
-            .generate_many(VIEW + PAIRS);
-        let entry = |subscriber: usize| {
-            let pattern = patterns[subscriber].to_string();
-            (subscriber as u64, (subscriber % 3) as u32, pattern)
-        };
-        let documents: Vec<Vec<u8>> =
-            DocumentGenerator::new(&dtd, DocGenConfig::default().with_seed(22))
-                .generate_many(8)
-                .iter()
-                .map(|d| d.to_xml().into_bytes())
-                .collect();
-        let mut churned = BrokerCore::new(0, &config(3));
-        for subscriber in 0..VIEW {
-            let (id, broker, pattern) = entry(subscriber);
-            churned.subscribe(id, broker, &pattern).unwrap();
-        }
-        for pair in 0..PAIRS {
-            let (id, broker, pattern) = entry(VIEW + pair);
-            assert_eq!(churned.subscribe(id, broker, &pattern), Ok(true));
-            assert!(churned.unsubscribe(pair as u64));
-            churned.publish(&documents[pair % documents.len()]).unwrap();
-        }
-        let mut fresh = BrokerCore::new(0, &config(3));
-        for subscriber in PAIRS..VIEW + PAIRS {
-            let (id, broker, pattern) = entry(subscriber);
-            fresh.subscribe(id, broker, &pattern).unwrap();
-        }
-        assert_eq!(churned.consumers().len(), VIEW);
-        assert_eq!(churned.consumers(), fresh.consumers());
-        assert_eq!(churned.places.links(), fresh.places.links());
-        assert_eq!(churned.places.local(), fresh.places.local());
-        assert_eq!(churned.matcher.node_count(), fresh.matcher.node_count());
-        assert_eq!(churned.view_digest(), fresh.view_digest());
-        assert_eq!(churned.stats().table_nodes, fresh.stats().table_nodes);
-    }
-
     #[test]
     fn flooding_forwards_everywhere_except_back() {
         let mut core = BrokerCore::new(
@@ -704,7 +609,7 @@ mod tests {
                 .subscribe(entry.subscriber, entry.broker, &entry.pattern)
                 .unwrap();
         }
-        assert_eq!(rejoined.consumers().len(), 2);
+        assert_eq!(rejoined.view().consumers().len(), 2);
     }
 
     #[test]

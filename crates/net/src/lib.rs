@@ -20,9 +20,10 @@
 //! * [`codec`] — wire format: framing, limits, typed decode errors.
 //! * [`transport`] — TCP / Unix socket abstraction.
 //! * [`broker`] — [`broker::BrokerCore`], the single-threaded broker
-//!   brain (subscriptions, view digest, matcher, counters) around the
-//!   routing hop [`tps_routing::Places::hop`] it shares with the simulator
-//!   and the static evaluation.
+//!   brain: the one overlay view [`tps_routing::OverlayView`] (consumers,
+//!   matcher, place lists, view digest) that the simulator and the static
+//!   evaluation drive too, here on the sockets' clock, plus admission
+//!   checks, the lazily rebuilt table and counters.
 //! * [`server`] — threads and queues around a core: accept loop,
 //!   per-connection readers/writers, peer links, graceful shutdown.
 //! * [`client`] — a blocking request/reply client.
@@ -38,7 +39,6 @@ pub mod bench;
 pub mod broker;
 pub mod client;
 pub mod codec;
-mod digest;
 pub mod overlay;
 pub mod server;
 pub mod transport;

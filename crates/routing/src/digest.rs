@@ -3,7 +3,7 @@
 //! Every entry `(subscriber, attach broker, pattern)` of a view hashes to
 //! 128 bits and the digest of the view is the wrapping sum of its entries'
 //! hashes — independent of the order the entries arrived in, updated by one
-//! addition on `install` and one subtraction on `unsubscribe`, and 0 for the
+//! addition on `subscribe` and one subtraction on `unsubscribe`, and 0 for the
 //! empty view. Two brokers compare views by comparing digests.
 //!
 //! The hash is fixed (it crosses the wire, so it can never depend on

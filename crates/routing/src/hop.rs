@@ -1,25 +1,21 @@
 //! The hop: what one broker does with one document, given the subscribers
 //! of the view the document interests.
 //!
-//! Every execution of the overlay routes a document by calling
-//! [`Places::hop`] at each broker the document reaches: the static
-//! [`crate::BrokerNetwork::route_stream`] evaluation, `tps-sim`'s event loop
-//! and `tps-net`'s live `BrokerCore`. They therefore decide local
-//! deliveries and forwards, and count the paper's two costs — messages over
-//! links and match operations at brokers — the same way by construction.
-//! A driver brings only what is its own: where the interest set comes from
-//! (a match at this broker, a set carried by a forward, or the simulator's
-//! set frozen at publication), how a link is decided ([`LinkRule`]), and
-//! what it does with the [`RouteOutcome`].
-//!
-//! A broker files its view in [`Places`], one ascending id list per link and
-//! one of its own consumers, which the hop merges with the interest set.
+//! Every clock of the overlay ([`crate::view`]) routes a document by
+//! calling [`crate::OverlayView::hop`] at each broker the document reaches,
+//! so all of them decide local deliveries and forwards, and count the
+//! paper's two costs — messages over links and match operations at brokers
+//! — the same way by construction. A clock brings only where the interest
+//! set comes from (a match at this broker, a set carried by a forward, or
+//! the simulator's set frozen at publication), how a link is decided
+//! ([`LinkRule`]), and what it does with the [`RouteOutcome`]. The view
+//! files each served broker's consumers in a `Places` (private to this
+//! crate), one ascending id list per link and one of its own consumers,
+//! which the hop merges with the interest set.
 
-use tps_pattern::containment::ContainmentOracle;
-use tps_pattern::TreePattern;
 use tps_xml::XmlTree;
 
-use crate::table::{RoutingTable, TableMode};
+use crate::table::RoutingTable;
 use crate::topology::{BrokerId, BrokerTopology};
 
 /// The four counters a hop increments.
@@ -64,7 +60,7 @@ pub enum LinkRule<'a> {
 /// ascending list of subscriber ids per link (who is behind it), then one
 /// of the consumers attached to the broker itself.
 #[derive(Debug, Clone)]
-pub struct Places {
+pub(crate) struct Places {
     /// The broker's neighbours, in link order.
     neighbours: Vec<BrokerId>,
     /// `place_of[b]`: the link that broker `b` lives behind, or one past
@@ -80,7 +76,7 @@ pub struct Places {
 
 impl Places {
     /// Empty place lists for `broker` of `topology`.
-    pub fn new(topology: &BrokerTopology, broker: BrokerId) -> Self {
+    pub(crate) fn new(topology: &BrokerTopology, broker: BrokerId) -> Self {
         let partitions = topology.link_partitions(broker);
         let links = partitions.len();
         let mut place_of = vec![links; topology.broker_count()];
@@ -100,7 +96,7 @@ impl Places {
 
     /// File `subscriber`, attached at broker `attached`. Filing a subscriber
     /// twice files it once.
-    pub fn insert(&mut self, subscriber: u64, attached: BrokerId) {
+    pub(crate) fn insert(&mut self, subscriber: u64, attached: BrokerId) {
         let list = &mut self.lists[self.place_of[attached]];
         if let Err(position) = list.binary_search(&subscriber) {
             list.insert(position, subscriber);
@@ -108,7 +104,7 @@ impl Places {
     }
 
     /// Unfile `subscriber`, attached at broker `attached`.
-    pub fn remove(&mut self, subscriber: u64, attached: BrokerId) {
+    pub(crate) fn remove(&mut self, subscriber: u64, attached: BrokerId) {
         let list = &mut self.lists[self.place_of[attached]];
         if let Ok(position) = list.binary_search(&subscriber) {
             list.remove(position);
@@ -116,33 +112,13 @@ impl Places {
     }
 
     /// The subscribers behind each link, in link order.
-    pub fn links(&self) -> &[Vec<u64>] {
+    pub(crate) fn links(&self) -> &[Vec<u64>] {
         &self.lists[..self.neighbours.len()]
     }
 
     /// The consumers attached to this broker itself.
-    pub fn local(&self) -> &[u64] {
+    pub(crate) fn local(&self) -> &[u64] {
         &self.lists[self.neighbours.len()]
-    }
-
-    /// This broker's routing table: the patterns behind each link in id
-    /// order, `pattern` naming each subscriber's, summarised with `mode` —
-    /// after the compaction pre-pass when there is an `oracle`.
-    pub fn table<'p>(
-        &self,
-        pattern: impl Fn(u64) -> &'p TreePattern,
-        mode: TableMode,
-        oracle: Option<&ContainmentOracle<'_>>,
-    ) -> RoutingTable {
-        let per_link: Vec<Vec<TreePattern>> = self
-            .links()
-            .iter()
-            .map(|behind| behind.iter().map(|&id| pattern(id).clone()).collect())
-            .collect();
-        match oracle {
-            None => RoutingTable::build(&per_link, mode),
-            Some(oracle) => RoutingTable::build_compacted(&per_link, mode, oracle),
-        }
     }
 
     /// Route one document at this broker. `interest` holds the subscribers
@@ -151,7 +127,7 @@ impl Places {
     /// document if interested. Every link but the one to `from` is decided
     /// by `rule`, and a forward is spurious when no consumer filed behind
     /// the link is interested.
-    pub fn hop(
+    pub(crate) fn hop(
         &mut self,
         interest: &[u64],
         from: Option<BrokerId>,

@@ -19,9 +19,11 @@
 //!   multi-broker tree overlay with per-link routing tables (exact,
 //!   containment-pruned or aggregated), accounting for link messages and
 //!   broker-side filtering cost.
-//! * [`Places::hop`] — the one per-broker routing step ("interest set →
-//!   local deliveries, forwarded links, [`HopCounts`]") that the static
-//!   evaluation, `tps-sim` and `tps-net` all call.
+//! * [`OverlayView`] — one view, three clocks: the subscription set with
+//!   its matcher, place lists and digest, and [`OverlayView::hop`], the one
+//!   per-broker routing step ("interest set → local deliveries, forwarded
+//!   links, [`HopCounts`]") the static evaluation, `tps-sim` and `tps-net`
+//!   all drive.
 //!
 //! # Example
 //!
@@ -65,20 +67,23 @@
 
 pub mod broker;
 pub mod community;
+mod digest;
 pub mod hop;
 pub mod naming;
 pub mod network;
 pub mod stats;
 pub mod table;
 pub mod topology;
+pub mod view;
 
 pub use broker::{Broker, Consumer, RoutingStats, RoutingStrategy};
 pub use community::{Community, CommunityClustering, CommunityConfig, IncrementalCommunities};
-pub use hop::{HopCounts, LinkRule, Places, RouteOutcome};
+pub use hop::{HopCounts, LinkRule, RouteOutcome};
 pub use network::{BrokerNetwork, ForwardingMode, NetworkConsumer, NetworkStats};
 pub use stats::{DeliveryMetrics, LinkMetrics, TableCompaction};
 pub use table::{LinkSummary, RoutingTable, TableMode};
 pub use topology::{BrokerId, BrokerTopology};
+pub use view::{OverlayView, ViewEntry};
 
 // Unit tests of `CommunityClustering::from_clustering` routed by `Broker`,
 // under the module path of the semantic overlay they were written against.

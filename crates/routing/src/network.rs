@@ -8,20 +8,22 @@
 //! — under four forwarding disciplines: flooding and the three table
 //! summarisation modes.
 //!
-//! [`BrokerNetwork::route_stream`] is a batch driver of the hop in
-//! [`crate::hop`]: one match of the whole subscription set per document,
-//! then a walk of the tree that calls [`Places::hop`] at every broker the
-//! document reaches.
+//! [`BrokerNetwork::route_stream`] is the plain-walk clock of the one
+//! overlay view ([`crate::view`]): it builds an [`OverlayView`] of the
+//! attached consumers, matches the whole subscription set once per
+//! document, then walks the tree calling [`OverlayView::hop`] at every
+//! broker the document reaches.
 
 use tps_pattern::containment::ContainmentOracle;
-use tps_pattern::{PatternSet, TreePattern};
+use tps_pattern::TreePattern;
 use tps_xml::XmlTree;
 
-use crate::hop::{HopCounts, LinkRule, Places};
+use crate::hop::{HopCounts, LinkRule};
 use crate::impl_variant_name;
 use crate::stats::{DeliveryMetrics, LinkMetrics, TableCompaction};
 use crate::table::{RoutingTable, TableMode};
 use crate::topology::{BrokerId, BrokerTopology};
+use crate::view::OverlayView;
 
 /// A consumer attached to a broker of the network.
 #[derive(Debug, Clone)]
@@ -174,49 +176,23 @@ impl BrokerNetwork {
     /// The table of broker `b` has one entry per link of `b`, summarising the
     /// subscriptions of every consumer attached to a broker behind that link.
     pub fn build_tables(&self, mode: TableMode) -> Vec<RoutingTable> {
-        self.tables(&self.places(), mode, None)
+        let view = self.view();
+        let table = |broker| view.table(broker, mode, None);
+        self.topology.brokers().map(table).collect()
     }
 
-    /// [`BrokerNetwork::build_tables`] with a compaction pre-pass: each
-    /// link's subscription set is containment-pruned — the oracle extending
-    /// the syntactic test — before the mode summarisation
-    /// ([`RoutingTable::build_compacted`]). With the silent oracle this is
-    /// delivery-identical to the uncompacted tables for every document
-    /// stream; a DTD oracle preserves delivery on conforming streams.
-    pub fn build_tables_compacted(
-        &self,
-        mode: TableMode,
-        oracle: &ContainmentOracle<'_>,
-    ) -> Vec<RoutingTable> {
-        self.tables(&self.places(), mode, Some(oracle))
-    }
-
-    /// Every broker's place lists, consumers filed by index.
-    fn places(&self) -> Vec<Places> {
-        let mut places: Vec<Places> = self
-            .topology
-            .brokers()
-            .map(|broker| Places::new(&self.topology, broker))
-            .collect();
+    /// The view of the attached consumers at every broker, each filed under
+    /// its index.
+    fn view(&self) -> OverlayView {
+        let mut view = OverlayView::new(&self.topology, self.topology.brokers());
         for (consumer, attached) in self.consumers.iter().enumerate() {
-            for broker in &mut places {
-                broker.insert(consumer as u64, attached.broker);
-            }
+            view.subscribe(
+                consumer as u64,
+                attached.broker,
+                attached.subscription.clone(),
+            );
         }
-        places
-    }
-
-    fn tables(
-        &self,
-        places: &[Places],
-        mode: TableMode,
-        oracle: Option<&ContainmentOracle<'_>>,
-    ) -> Vec<RoutingTable> {
-        let subscription = |consumer: u64| &self.consumers[consumer as usize].subscription;
-        places
-            .iter()
-            .map(|broker| broker.table(subscription, mode, oracle))
-            .collect()
+        view
     }
 
     /// Route a document stream published at `producer` and return aggregate
@@ -230,8 +206,12 @@ impl BrokerNetwork {
         self.route_stream_inner(producer, documents, mode, None)
     }
 
-    /// [`BrokerNetwork::route_stream`] over tables built with the
-    /// compaction pre-pass ([`BrokerNetwork::build_tables_compacted`]);
+    /// [`BrokerNetwork::route_stream`] over tables built with a compaction
+    /// pre-pass: each link's subscription set is containment-pruned — the
+    /// oracle extending the syntactic test — before the mode summarisation
+    /// ([`RoutingTable::build_compacted`]). With the silent oracle this is
+    /// delivery-identical to the uncompacted tables for every document
+    /// stream; a DTD oracle preserves delivery on conforming streams.
     /// [`NetworkStats::compaction`] reports how many entries it dropped.
     pub fn route_stream_compacted(
         &self,
@@ -254,17 +234,16 @@ impl BrokerNetwork {
             producer < self.topology.broker_count(),
             "producer broker {producer} does not exist"
         );
-        let mut places = self.places();
-        let mut matcher = PatternSet::new();
-        for (consumer, attached) in self.consumers.iter().enumerate() {
-            matcher.insert(consumer as u64, &attached.subscription);
-        }
+        let mut view = self.view();
         // An uncompacted exact table is the place lists themselves, so none
         // is built. Every consumer lives behind one link of every other
         // broker: that is its size, summed over the place lists.
         let exact = mode == ForwardingMode::Table(TableMode::Exact) && oracle.is_none();
         let tables = match mode {
-            ForwardingMode::Table(table_mode) if !exact => self.tables(&places, table_mode, oracle),
+            ForwardingMode::Table(table_mode) if !exact => {
+                let table = |broker| view.table(broker, table_mode, oracle);
+                self.topology.brokers().map(table).collect()
+            }
             _ => Vec::new(),
         };
         let (table_nodes, input_entries, kept_entries) = if exact {
@@ -289,8 +268,10 @@ impl BrokerNetwork {
         let mut counts = HopCounts::default();
         let mut missed_deliveries = 0;
         let mut pending: Vec<(BrokerId, Option<BrokerId>)> = Vec::new();
+        let mut interest: Vec<u64> = Vec::new();
         for document in documents {
-            let interest = matcher.matches(document);
+            interest.clear();
+            interest.extend_from_slice(view.interest_tree(document));
             let delivered = counts.deliveries;
             pending.push((producer, None));
             while let Some((broker, from)) = pending.pop() {
@@ -299,7 +280,7 @@ impl BrokerNetwork {
                     _ if exact => LinkRule::Exact,
                     ForwardingMode::Table(_) => LinkRule::Table(&tables[broker], document),
                 };
-                let outcome = places[broker].hop(interest, from, rule, &mut counts);
+                let outcome = view.hop(broker, &interest, from, rule, &mut counts);
                 pending.extend(outcome.forwards.iter().map(|&next| (next, Some(broker))));
             }
             missed_deliveries += interest.len() - (counts.deliveries - delivered);

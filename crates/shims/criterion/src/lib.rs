@@ -140,7 +140,9 @@ impl Bencher {
     }
 
     /// Time `routine` over fresh inputs produced by `setup`; only the
-    /// routine is timed (warm-up inputs included).
+    /// routine is timed (warm-up inputs included). Its output is dropped
+    /// after the clock is read, so neither making the input nor dropping
+    /// the output is timed.
     pub fn iter_batched<I, O, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
     where
         S: FnMut() -> I,
@@ -154,8 +156,9 @@ impl Bencher {
         for _ in 0..self.iters {
             let input = setup();
             let start = Instant::now();
-            black_box(routine(input));
+            let output = black_box(routine(input));
             self.samples.push(start.elapsed());
+            drop(output);
         }
     }
 }
@@ -443,6 +446,29 @@ mod tests {
         );
         assert_eq!(setups, 3, "1 warm-up + 2 timed setups");
         assert_eq!(bencher.samples.len(), 2);
+    }
+
+    #[test]
+    fn iter_batched_does_not_time_the_drop_of_the_output() {
+        const DROP: Duration = Duration::from_millis(40);
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(DROP);
+            }
+        }
+        let mut bencher = Bencher {
+            iters: 3,
+            warmup: 0,
+            samples: Vec::new(),
+        };
+        bencher.iter_batched(|| (), |()| SlowDrop, BatchSize::SmallInput);
+        assert_eq!(bencher.samples.len(), 3);
+        assert!(
+            bencher.samples.iter().all(|&sample| sample < DROP),
+            "{:?}",
+            bencher.samples
+        );
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //!   per-link latency and per-broker service queueing over a
 //!   [`tps_routing::BrokerTopology`]; ties are sequence-numbered, so runs
 //!   are bit-identical per seed.
-//! * [`SimNetwork`] — the evolving state: consumer churn, each broker's
-//!   place lists and routing tables (built by the static `tps-routing`
-//!   code, so a churn-free run is table-identical to a batch evaluation),
-//!   the routing hop [`tps_routing::Places::hop`] over them, a
+//! * The evolving state: one [`tps_routing::OverlayView`] over every
+//!   broker under consumer churn — the view the static evaluation walks
+//!   and the live brokers keep, driven here by the virtual clock — plus
+//!   routing tables rebuilt from it on the recluster policy (stale in
+//!   between by design; built by the static `tps-routing` code, so a
+//!   churn-free run is table-identical to a batch evaluation), a
 //!   [`tps_core::SimilarityEngine`] folding every published document into
 //!   its synopsis, and the semantic communities re-clustered from it.
 //! * [`ReclusterPolicy`] — *when* to pay the rebuild cost: `eager`,
@@ -60,11 +62,10 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod network;
+mod network;
 pub mod report;
 pub mod sim;
 
 pub use event::{EventKind, EventQueue, QueuedEvent};
-pub use network::{RebuildOutcome, SimConsumer, SimNetwork};
 pub use report::{SimReport, SimStats, WindowStats};
 pub use sim::{ReclusterPolicy, SimConfig, Simulation};

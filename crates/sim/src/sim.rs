@@ -3,9 +3,9 @@
 //! [`Simulation`] owns time: the event queue, per-link latency, per-broker
 //! FIFO service, broker failures and the recluster policy that decides how
 //! stale the routing tables get. What a broker does with a document when
-//! it arrives is not decided here but by the routing hop of `tps-routing`
-//! ([`tps_routing::Places::hop`], through [`SimNetwork::hop`]) — the same
-//! function the static evaluation and the live brokers call.
+//! it arrives is not decided here but by the routing hop of the one
+//! overlay view ([`tps_routing::OverlayView::hop`]) — the same view and hop
+//! the static evaluation walks and the live brokers drive over sockets.
 
 use tps_core::LshConfig;
 use tps_routing::{
@@ -212,14 +212,7 @@ impl Simulation {
             config.producer
         );
         let brokers = topology.broker_count();
-        let mut network = SimNetwork::new(
-            topology,
-            config.forwarding,
-            config.community,
-            config.synopsis,
-        );
-        network.set_analyze(config.analyze);
-        network.set_index(config.index);
+        let network = SimNetwork::new(topology, &config);
         let window_length = config.window.max(1);
         Self {
             config,
@@ -279,10 +272,8 @@ impl Simulation {
         self.window.active_consumers = self.network.active_count();
         self.report.windows.push(self.window);
         self.report.aggregate.horizon = self.clock;
-        self.report.aggregate.brokers = self.network.topology().broker_count();
+        self.report.aggregate.brokers = self.busy_until.len();
         self.report.aggregate.final_consumers = self.network.active_count();
-        self.report.aggregate.communities = self.network.communities().len();
-        self.report.aggregate.mean_subscription_selectivity = self.network.mean_selectivity();
         self.report
     }
 
@@ -384,6 +375,8 @@ impl Simulation {
         self.report.aggregate.table_rebuilds += 1;
         self.report.aggregate.rebuild_table_nodes += outcome.table_nodes;
         self.report.aggregate.rebuild_entries_pruned += outcome.compaction.pruned_entries();
+        self.report.aggregate.communities = outcome.communities;
+        self.report.aggregate.mean_subscription_selectivity = outcome.mean_selectivity;
         self.window.rebuilds += 1;
         self.trace(format!(
             "rebuild[{reason}] tables={} pruned={} communities={} selectivity={:.4}",

@@ -18,6 +18,8 @@
 //! (Section 5.2, "Compressed synopsis"): lossless folds first, then folds and
 //! deletions of low-cardinality leaves, and finally same-label merges.
 
+use std::collections::BTreeMap;
+
 use crate::synopsis::{FoldedSubtree, Synopsis, SynopsisNodeId};
 
 /// Tuning knobs for the pruning driver.
@@ -176,50 +178,53 @@ impl Synopsis {
     }
 
     /// Merge the best same-label candidate pair (highest estimated matching
-    /// set similarity). Only leaf/leaf pairs or pairs sharing identical child
-    /// sets are eligible. Returns the similarity of the merged pair.
+    /// set similarity; of equally similar pairs, the one with the lowest node
+    /// ids). Only leaf/leaf pairs or pairs sharing identical child sets are
+    /// eligible. Returns the similarity of the merged pair.
     pub fn merge_best_same_label_pair(&mut self, candidates_per_label: usize) -> Option<f64> {
         self.prepare();
-        use std::collections::HashMap;
-        let mut groups: HashMap<&str, Vec<SynopsisNodeId>> = HashMap::new();
+        let mut candidates = self.same_label_candidates(candidates_per_label);
+        candidates.truncate(1);
+        let (a, b, sim) = candidates.pop()?;
+        self.merge_nodes(a, b);
+        Some(sim)
+    }
+
+    /// The same-label merge candidates, most similar first and ties in node
+    /// id order: per label, in label order, the nodes sorted by matching-set
+    /// size (ties by id) so that the adjacent-pair heuristic compares nodes
+    /// of similar cardinality, and at most `candidates_per_label` mergeable
+    /// adjacent pairs. Both the grouping and the ordering are independent of
+    /// hashing, so a prune is a function of the synopsis.
+    fn same_label_candidates(
+        &self,
+        candidates_per_label: usize,
+    ) -> Vec<(SynopsisNodeId, SynopsisNodeId, f64)> {
+        let mut groups: BTreeMap<&str, Vec<SynopsisNodeId>> = BTreeMap::new();
         for id in self.live_nodes() {
-            if id == self.root() {
-                continue;
+            if id != self.root() {
+                groups.entry(self.label(id)).or_default().push(id);
             }
-            groups.entry(self.label(id)).or_default().push(id);
         }
-        let mut best: Option<(SynopsisNodeId, SynopsisNodeId, f64)> = None;
-        for (_, group) in groups.iter() {
-            if group.len() < 2 {
-                continue;
-            }
-            // Sort the group's nodes by matching-set size so that the
-            // adjacent-pair heuristic compares nodes of similar cardinality;
-            // evaluate at most `candidates_per_label` pairs per label.
+        let mut candidates = Vec::new();
+        for group in groups.values().filter(|group| group.len() >= 2) {
             let mut with_counts: Vec<(SynopsisNodeId, f64)> = group
                 .iter()
                 .map(|&id| (id, self.matching_value(id).count_units()))
                 .collect();
-            with_counts.sort_by(|a, b| a.1.total_cmp(&b.1));
-            let mut evaluated = 0;
-            for window in with_counts.windows(2) {
-                if evaluated >= candidates_per_label {
-                    break;
-                }
-                let (a, b) = (window[0].0, window[1].0);
-                if !self.mergeable(a, b) {
-                    continue;
-                }
-                evaluated += 1;
+            with_counts.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let pairs = with_counts
+                .windows(2)
+                .map(|window| (window[0].0, window[1].0))
+                .filter(|&(a, b)| self.mergeable(a, b))
+                .take(candidates_per_label);
+            for (a, b) in pairs {
                 let sim = self.matching_value(a).jaccard(&self.matching_value(b));
-                if best.map(|(_, _, s)| sim > s).unwrap_or(true) {
-                    best = Some((a, b, sim));
-                }
+                candidates.push((a, b, sim));
             }
         }
-        let (a, b, sim) = best?;
-        self.merge_nodes(a, b);
-        Some(sim)
+        candidates.sort_by(|x, y| y.2.total_cmp(&x.2).then((x.0, x.1).cmp(&(y.0, y.1))));
+        candidates
     }
 
     /// Whether two same-label nodes can be merged without introducing false
@@ -372,51 +377,16 @@ impl Synopsis {
         candidates_per_label: usize,
         target_size: usize,
     ) -> usize {
-        use std::collections::HashMap;
         let mut merges = 0;
         loop {
             if self.size().total() <= target_size {
                 return merges;
             }
             self.prepare();
-            let mut groups: HashMap<String, Vec<SynopsisNodeId>> = HashMap::new();
-            for id in self.live_nodes() {
-                if id == self.root() {
-                    continue;
-                }
-                groups
-                    .entry(self.label(id).to_string())
-                    .or_default()
-                    .push(id);
-            }
-            let mut candidates: Vec<(SynopsisNodeId, SynopsisNodeId, f64)> = Vec::new();
-            for (_, group) in groups.iter() {
-                if group.len() < 2 {
-                    continue;
-                }
-                let mut with_counts: Vec<(SynopsisNodeId, f64)> = group
-                    .iter()
-                    .map(|&id| (id, self.matching_value(id).count_units()))
-                    .collect();
-                with_counts.sort_by(|a, b| a.1.total_cmp(&b.1));
-                let mut evaluated = 0;
-                for window in with_counts.windows(2) {
-                    if evaluated >= candidates_per_label {
-                        break;
-                    }
-                    let (a, b) = (window[0].0, window[1].0);
-                    if !self.mergeable(a, b) {
-                        continue;
-                    }
-                    evaluated += 1;
-                    let sim = self.matching_value(a).jaccard(&self.matching_value(b));
-                    candidates.push((a, b, sim));
-                }
-            }
+            let candidates = self.same_label_candidates(candidates_per_label);
             if candidates.is_empty() {
                 return merges;
             }
-            candidates.sort_by(|x, y| y.2.total_cmp(&x.2));
             let mut progressed = false;
             for (a, b, _) in candidates {
                 if self.size().total() <= target_size {
@@ -585,6 +555,40 @@ mod tests {
             .unwrap();
         // Only document 2 contains both name paths.
         assert_eq!(s.matching_value(name).count_units(), 1.0);
+    }
+
+    #[test]
+    fn tied_merges_do_not_depend_on_the_process() {
+        // Twelve labels, each on two leaves with equal matching sets: every
+        // candidate pair ties at similarity 1. Each prune below groups its
+        // candidates afresh, so an order taken from a hash map's seed would
+        // pick different pairs on two clones of the same synopsis.
+        let body: String = (0..12)
+            .map(|i| format!("<x{i}><l{i}/></x{i}><y{i}><l{i}/></y{i}>"))
+            .collect();
+        let text = format!("<r>{body}</r>");
+        let s = Synopsis::from_documents(SynopsisConfig::sets(100), &docs(&[text.as_str(); 3]));
+        let pruned = |prune: &dyn Fn(&mut Synopsis)| {
+            let mut copy = s.clone();
+            prune(&mut copy);
+            copy.live_nodes()
+        };
+        let best = |s: &mut Synopsis| {
+            for _ in 0..4 {
+                assert_eq!(s.merge_best_same_label_pair(16), Some(1.0));
+            }
+        };
+        let batch = |s: &mut Synopsis| {
+            let target = s.size().total() - 6;
+            assert!(s.merge_same_label_until(16, target) >= 1);
+        };
+        for prune in [&best as &dyn Fn(&mut Synopsis), &batch] {
+            let first = pruned(prune);
+            assert!(first.len() < s.node_count());
+            for _ in 0..4 {
+                assert_eq!(pruned(prune), first);
+            }
+        }
     }
 
     #[test]
