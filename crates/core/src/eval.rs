@@ -345,7 +345,7 @@ pub(crate) fn folded_satisfies(
 ) -> bool {
     match pattern.label(u) {
         PatternLabel::Tag(tag) => folded.iter().any(|f| {
-            f.label.as_ref() == tag.as_ref()
+            &*f.label == tag
                 && pattern
                     .children(u)
                     .iter()

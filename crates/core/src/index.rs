@@ -54,7 +54,7 @@ const PATH_DOMAIN: u64 = 0x7061_7468; // "path"
 const SUBTREE_DOMAIN: u64 = 0x7375_6274; // "subt"
 const EMPTY_SENTINEL: u64 = 0x656d_7074; // "empt"
 
-fn label_hash(label: &PatternLabel) -> u64 {
+fn label_hash(label: PatternLabel<'_>) -> u64 {
     match label {
         PatternLabel::Root => mix(1),
         PatternLabel::Wildcard => mix(2),

@@ -362,7 +362,7 @@ impl<'a> PatternAnalyzer<'a> {
         match pattern.label(node) {
             PatternLabel::Root => Vec::new(),
             PatternLabel::Tag(tag) => {
-                if tag.as_ref() != root {
+                if tag != root {
                     return Vec::new();
                 }
                 self.expand_children_under(pattern, node, root, limit, truncated)
@@ -426,7 +426,7 @@ impl<'a> PatternAnalyzer<'a> {
         truncated: &mut bool,
     ) -> Vec<ConcreteNode> {
         match pattern.label(node) {
-            PatternLabel::Tag(tag) if tag.as_ref() == target => self
+            PatternLabel::Tag(tag) if tag == target => self
                 .expand_children_under(pattern, node, target, limit, truncated)
                 .into_iter()
                 .filter_map(|children| wrap_in_path(path, children))
@@ -436,7 +436,7 @@ impl<'a> PatternAnalyzer<'a> {
                 // text value: the descendant node t' is then a text node
                 // under the element at the end of the path.
                 if pattern.is_leaf(node)
-                    && !self.schema.has_element(tag.as_ref())
+                    && !self.schema.has_element(tag)
                     && self.element_allows_text(target)
                 {
                     wrap_in_path(path, vec![ConcreteNode::leaf(tag)])
@@ -502,7 +502,6 @@ impl<'a> PatternAnalyzer<'a> {
         match pattern.label(node) {
             PatternLabel::Root => Vec::new(),
             PatternLabel::Tag(tag) => {
-                let tag = tag.as_ref();
                 let allowed = self.schema.allowed_children(element);
                 if allowed.contains(&tag) && self.schema.has_element(tag) {
                     self.expand_children_under(pattern, node, tag, limit, truncated)

@@ -11,8 +11,11 @@
 //!
 //! The crate provides:
 //!
-//! * [`TreePattern`] — the arena-based pattern representation with a
-//!   programmatic builder API,
+//! * [`TreePattern`] — the pattern representation with a programmatic
+//!   builder API: one shared, immutable allocation holding a node array, an
+//!   edge array and one text buffer of every tag, so a pattern is at most
+//!   four heap allocations, `clone` copies nothing, and adding a node to a
+//!   clone copies on write (see [`pattern`]),
 //! * [`parser`] — a parser for the XPath-like concrete syntax
 //!   (`/media/CD/*/last/Mozart`, `//CD/Mozart`, `/a[b][c//d]`,
 //!   `.[//CD][//Mozart]`),

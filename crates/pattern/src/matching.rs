@@ -33,7 +33,7 @@ pub fn matches(document: &XmlTree, pattern: &TreePattern) -> bool {
 fn match_at_root(document: &XmlTree, t: NodeId, pattern: &TreePattern, v: PatternNodeId) -> bool {
     match pattern.label(v) {
         PatternLabel::Tag(tag) => {
-            document.label(t) == tag.as_ref()
+            document.label(t) == tag
                 && pattern
                     .children(v)
                     .iter()
@@ -62,7 +62,7 @@ fn match_at_root(document: &XmlTree, t: NodeId, pattern: &TreePattern, v: Patter
 fn match_subtree(document: &XmlTree, t: NodeId, pattern: &TreePattern, v: PatternNodeId) -> bool {
     match pattern.label(v) {
         PatternLabel::Tag(tag) => document.children(t).iter().any(|&t2| {
-            document.label(t2) == tag.as_ref()
+            document.label(t2) == tag
                 && pattern
                     .children(v)
                     .iter()

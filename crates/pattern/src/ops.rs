@@ -7,7 +7,7 @@
 //! merge, and [`normalize`] removes duplicate sibling subtrees so repeated
 //! conjunctions do not grow without bound.
 
-use crate::pattern::{PatternNodeId, TreePattern};
+use crate::pattern::{PatternLabel, PatternNodeId, TreePattern};
 
 /// Build the conjunction `p ∧ q`: a pattern matched exactly by the documents
 /// that match both `p` and `q` (root-merge of Section 4).
@@ -49,26 +49,30 @@ where
 /// sibling after the first pass, not after the second.
 pub fn normalize(pattern: &TreePattern) -> TreePattern {
     let keys = normal_keys(pattern);
+    let mut steps = Vec::new();
+    push_normalized(pattern, &keys, pattern.root(), pattern.root(), &mut steps);
     let mut out = TreePattern::new();
-    let out_root = out.root();
-    copy_normalized(pattern, &keys, pattern.root(), &mut out, out_root);
+    out.append(&steps);
     out
 }
 
-fn copy_normalized(
-    src: &TreePattern,
+/// Push the normalised children of `src_node` under `dst_node` onto
+/// `steps`, in pre-order: step `k` becomes node `k + 1` of the output.
+fn push_normalized<'p>(
+    src: &'p TreePattern,
     keys: &[String],
     src_node: PatternNodeId,
-    dst: &mut TreePattern,
     dst_node: PatternNodeId,
+    steps: &mut Vec<(PatternNodeId, PatternLabel<'p>)>,
 ) {
     // Deduplicate children by canonical key and order them deterministically.
     let mut unique = src.children(src_node).to_vec();
     unique.sort_by(|a, b| keys[a.index()].cmp(&keys[b.index()]));
     unique.dedup_by(|a, b| keys[a.index()] == keys[b.index()]);
     for child in unique {
-        let new_child = dst.add_child(dst_node, src.label(child).clone());
-        copy_normalized(src, keys, child, dst, new_child);
+        steps.push((dst_node, src.label(child)));
+        let copy = PatternNodeId(steps.len() as u32);
+        push_normalized(src, keys, child, copy, steps);
     }
 }
 

@@ -42,35 +42,36 @@ pub fn parse_pattern(input: &str) -> Result<TreePattern, PatternParseError> {
     let mut parser = Parser {
         tokens,
         pos: 0,
-        pattern: TreePattern::new(),
+        steps: Vec::new(),
         input_len: input.len(),
     };
     parser.parse()?;
-    let pattern = parser.pattern;
+    let mut pattern = TreePattern::new();
+    pattern.append(&parser.steps);
     pattern
         .validate()
         .map_err(|msg| PatternParseError::new(msg, input.len()))?;
     Ok(pattern)
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Token<'a> {
     Slash,
     DoubleSlash,
     LBracket,
     RBracket,
     Star,
     Dot,
-    Name(String),
+    Name(&'a str),
 }
 
 #[derive(Debug, Clone)]
-struct Spanned {
-    token: Token,
+struct Spanned<'a> {
+    token: Token<'a>,
     offset: usize,
 }
 
-fn tokenize(input: &str) -> Result<Vec<Spanned>, PatternParseError> {
+fn tokenize(input: &str) -> Result<Vec<Spanned<'_>>, PatternParseError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
@@ -137,7 +138,7 @@ fn tokenize(input: &str) -> Result<Vec<Spanned>, PatternParseError> {
                     return Err(PatternParseError::new("empty quoted label", i));
                 }
                 tokens.push(Spanned {
-                    token: Token::Name(input[start..j].to_string()),
+                    token: Token::Name(&input[start..j]),
                     offset: i,
                 });
                 i = j + 1;
@@ -148,7 +149,7 @@ fn tokenize(input: &str) -> Result<Vec<Spanned>, PatternParseError> {
                     i += 1;
                 }
                 tokens.push(Spanned {
-                    token: Token::Name(input[start..i].to_string()),
+                    token: Token::Name(&input[start..i]),
                     offset: start,
                 });
             }
@@ -172,10 +173,13 @@ fn is_name_continue(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || !c.is_ascii()
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+/// Parses into a list of steps, each a node's parent and label, that
+/// becomes the pattern in one [`TreePattern::append`]: node `k + 1` is
+/// step `k`, under the root `0`.
+struct Parser<'a> {
+    tokens: Vec<Spanned<'a>>,
     pos: usize,
-    pattern: TreePattern,
+    steps: Vec<(PatternNodeId, PatternLabel<'a>)>,
     input_len: usize,
 }
 
@@ -186,8 +190,8 @@ enum Axis {
     Descendant,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos).map(|s| &s.token)
     }
 
@@ -198,15 +202,15 @@ impl Parser {
             .unwrap_or(self.input_len)
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|s| s.token.clone());
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let t = self.tokens.get(self.pos).map(|s| s.token);
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, token: Token) -> Result<(), PatternParseError> {
+    fn expect(&mut self, token: Token<'a>) -> Result<(), PatternParseError> {
         if self.peek() == Some(&token) {
             self.pos += 1;
             Ok(())
@@ -222,8 +226,14 @@ impl Parser {
         Err(PatternParseError::new(msg, self.offset()))
     }
 
+    /// Add a node with `label` under `parent`, returning its id.
+    fn add(&mut self, parent: PatternNodeId, label: PatternLabel<'a>) -> PatternNodeId {
+        self.steps.push((parent, label));
+        PatternNodeId(self.steps.len() as u32)
+    }
+
     fn parse(&mut self) -> Result<(), PatternParseError> {
-        let root = self.pattern.root();
+        let root = PatternNodeId(0);
         if self.tokens.is_empty() {
             return self.err("empty pattern");
         }
@@ -310,14 +320,14 @@ impl Parser {
         }
         let attach = match axis {
             Axis::Child => parent,
-            Axis::Descendant => self.pattern.add_child(parent, PatternLabel::Descendant),
+            Axis::Descendant => self.add(parent, PatternLabel::Descendant),
         };
         let label = match self.bump() {
-            Some(Token::Name(name)) => PatternLabel::Tag(name.into()),
+            Some(Token::Name(name)) => PatternLabel::Tag(name),
             Some(Token::Star) => PatternLabel::Wildcard,
             other => return self.err(format!("expected an element name or '*', found {other:?}")),
         };
-        let node = self.pattern.add_child(attach, label);
+        let node = self.add(attach, label);
         self.parse_predicates(node, step_depth)?;
         Ok((node, step_depth))
     }
@@ -391,7 +401,7 @@ mod tests {
     fn parses_predicates_as_branches() {
         let p = parse_pattern("/a[b][d]").unwrap();
         let root_child = p.children(p.root())[0];
-        assert_eq!(*p.label(root_child), L::tag("a"));
+        assert_eq!(p.label(root_child), L::tag("a"));
         assert_eq!(p.children(root_child).len(), 2);
     }
 
@@ -402,10 +412,10 @@ mod tests {
         let a = p.children(p.root())[0];
         assert_eq!(p.children(a).len(), 2);
         let c = p.children(a)[0];
-        assert_eq!(*p.label(c), L::tag("c"));
+        assert_eq!(p.label(c), L::tag("c"));
         let desc = p.children(c)[0];
         assert!(p.label(desc).is_descendant());
-        assert_eq!(*p.label(p.children(desc)[0]), L::tag("o"));
+        assert_eq!(p.label(p.children(desc)[0]), L::tag("o"));
     }
 
     #[test]
@@ -446,7 +456,7 @@ mod tests {
         assert!(p
             .preorder()
             .iter()
-            .any(|&id| *p.label(id) == L::Tag("Berliner Phil.".into())));
+            .any(|&id| p.label(id) == L::Tag("Berliner Phil.")));
         let labels = labels_preorder(&p);
         assert!(labels.contains(&"\"Berliner Phil.\"".to_string()));
     }

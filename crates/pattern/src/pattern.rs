@@ -1,6 +1,28 @@
 //! The tree-pattern data structure.
+//!
+//! # Representation
+//!
+//! A [`TreePattern`] is one shared, immutable allocation holding three
+//! buffers:
+//!
+//! * a node array: per node, its label kind, its parent, the range of its
+//!   tag in the text buffer and the range of its children in the edge
+//!   array;
+//! * an edge array: the children of every node, grouped by parent in node
+//!   order, each group in insertion order;
+//! * a text buffer: every tag, concatenated in node order.
+//!
+//! So a pattern takes at most four heap allocations, and `clone` only bumps
+//! a reference count: every copy of a subscription held by a broker, a view
+//! or a routing table shares one set of buffers. Adding nodes copies on
+//! write: a pattern whose buffers are shared gets its own copy first, so
+//! patterns keep value semantics. The parser, [`TreePattern::graft`] and
+//! normalisation add all their nodes in one pass that sizes every buffer
+//! exactly; [`TreePattern::add_child`] grows the buffers in place, like a
+//! `Vec`, and shifts the edges after its parent's children.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::PatternParseError;
 use crate::matching;
@@ -17,27 +39,27 @@ impl PatternNodeId {
     }
 }
 
-/// The label of a pattern node.
+/// The label of a pattern node, borrowed from the pattern that carries it.
 ///
 /// The paper defines a partial order on labels: `tag ≺ * ≺ //`, and
 /// `tag ≺ tag'` iff the tags are equal. [`PatternLabel::subsumes`] implements
 /// the reflexive version used by Algorithm 1's `⪯` test.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum PatternLabel {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PatternLabel<'a> {
     /// The special root label `/.` — only ever carried by the pattern root.
     Root,
     /// A concrete element tag (or leaf text value).
-    Tag(Box<str>),
+    Tag(&'a str),
     /// The wildcard `*`, matching any single tag.
     Wildcard,
     /// The descendant operator `//`, matching a possibly empty downward path.
     Descendant,
 }
 
-impl PatternLabel {
+impl<'a> PatternLabel<'a> {
     /// Create a tag label.
-    pub fn tag(name: &str) -> Self {
-        PatternLabel::Tag(name.into())
+    pub fn tag(name: &'a str) -> Self {
+        PatternLabel::Tag(name)
     }
 
     /// Whether this pattern label is satisfied by (subsumes) a concrete
@@ -47,33 +69,33 @@ impl PatternLabel {
     /// pattern side: a tag only accepts the identical tag, `*` accepts any
     /// tag, and `//` also accepts any tag (its path semantics are handled by
     /// the algorithms, not by this predicate).
-    pub fn subsumes(&self, concrete: &str) -> bool {
+    pub fn subsumes(self, concrete: &str) -> bool {
         match self {
-            PatternLabel::Tag(t) => t.as_ref() == concrete,
+            PatternLabel::Tag(t) => t == concrete,
             PatternLabel::Wildcard | PatternLabel::Descendant => true,
             PatternLabel::Root => false,
         }
     }
 
     /// Whether the label is the descendant operator.
-    pub fn is_descendant(&self) -> bool {
+    pub fn is_descendant(self) -> bool {
         matches!(self, PatternLabel::Descendant)
     }
 
     /// Whether the label is the wildcard.
-    pub fn is_wildcard(&self) -> bool {
+    pub fn is_wildcard(self) -> bool {
         matches!(self, PatternLabel::Wildcard)
     }
 
     /// Whether the label is a concrete tag.
-    pub fn is_tag(&self) -> bool {
+    pub fn is_tag(self) -> bool {
         matches!(self, PatternLabel::Tag(_))
     }
 }
 
-impl fmt::Display for PatternLabel {
+impl fmt::Display for PatternLabel<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        match *self {
             PatternLabel::Root => write!(f, "/."),
             PatternLabel::Tag(t) if bare_name(t) => write!(f, "{t}"),
             // Labels that are not bare names (spaces, dots, leading digits)
@@ -101,15 +123,138 @@ fn bare_name(tag: &str) -> bool {
             .all(|&b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || !b.is_ascii())
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PatternNode {
-    label: PatternLabel,
-    parent: Option<PatternNodeId>,
-    children: Vec<PatternNodeId>,
+/// A node's label without its tag, which lives in the text buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Root,
+    Tag,
+    Wildcard,
+    Descendant,
+}
+
+/// One entry of the node array (24 bytes).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    kind: Kind,
+    /// The parent's index; the root's is its own.
+    parent: u32,
+    /// This node's tag in the text buffer (empty unless a tag).
+    tag_start: u32,
+    tag_end: u32,
+    /// This node's children in the edge array.
+    child_start: u32,
+    child_end: u32,
+}
+
+impl Node {
+    /// A childless node labelled `label`, whose tag is appended to `text`
+    /// and whose (empty) children start at `child_start`.
+    fn new(parent: u32, label: PatternLabel<'_>, text: &mut String, child_start: u32) -> Node {
+        let tag_start = text.len() as u32;
+        let kind = match label {
+            PatternLabel::Root => Kind::Root,
+            PatternLabel::Tag(tag) => {
+                text.push_str(tag);
+                Kind::Tag
+            }
+            PatternLabel::Wildcard => Kind::Wildcard,
+            PatternLabel::Descendant => Kind::Descendant,
+        };
+        Node {
+            kind,
+            parent,
+            tag_start,
+            tag_end: text.len() as u32,
+            child_start,
+            child_end: child_start,
+        }
+    }
+}
+
+/// The shared buffers of one pattern (see the module documentation).
+#[derive(Debug, Clone)]
+struct Inner {
+    nodes: Vec<Node>,
+    edges: Vec<PatternNodeId>,
+    text: String,
+}
+
+impl Inner {
+    /// The buffers of `self` with `steps` appended: step `k` becomes node
+    /// `len + k`, the last child of its parent (an existing node or an
+    /// earlier step). Each buffer is allocated once, at its exact size.
+    fn grown(&self, steps: &[(PatternNodeId, PatternLabel<'_>)]) -> Inner {
+        let old = self.nodes.len();
+        let total = old + steps.len();
+        let mut added = vec![0u32; total];
+        let mut text_len = self.text.len();
+        for &(parent, label) in steps {
+            added[parent.index()] += 1;
+            if let PatternLabel::Tag(tag) = label {
+                text_len += tag.len();
+            }
+        }
+        // Every node but the root is the child of exactly one node.
+        let mut edges = vec![PatternNodeId(0); total - 1];
+        let mut nodes = Vec::with_capacity(total);
+        let mut end = 0;
+        for (node, &added) in self.nodes.iter().zip(&added) {
+            let children = &self.edges[node.child_start as usize..node.child_end as usize];
+            let start = end;
+            end += children.len() as u32;
+            edges[start as usize..end as usize].copy_from_slice(children);
+            nodes.push(Node {
+                child_start: start,
+                child_end: end,
+                ..*node
+            });
+            end += added;
+        }
+        let mut text = String::with_capacity(text_len);
+        text.push_str(&self.text);
+        for (k, &(parent, label)) in steps.iter().enumerate() {
+            debug_assert!(
+                label != PatternLabel::Root,
+                "the root label may only appear at the root"
+            );
+            let id = old + k;
+            // `nodes` holds the nodes before this one: a parent that is not
+            // an earlier node is out of bounds here.
+            let slot = &mut nodes[parent.index()].child_end;
+            edges[*slot as usize] = PatternNodeId(id as u32);
+            *slot += 1;
+            nodes.push(Node::new(parent.0, label, &mut text, end));
+            end += added[id];
+        }
+        Inner { nodes, edges, text }
+    }
+
+    /// Add one node with `label` as the last child of `parent`, in place.
+    fn push(&mut self, parent: PatternNodeId, label: PatternLabel<'_>) -> PatternNodeId {
+        debug_assert!(
+            label != PatternLabel::Root,
+            "the root label may only appear at the root"
+        );
+        let id = PatternNodeId(self.nodes.len() as u32);
+        let at = self.nodes[parent.index()].child_end;
+        self.edges.insert(at as usize, id);
+        self.nodes[parent.index()].child_end += 1;
+        for node in &mut self.nodes[parent.index() + 1..] {
+            node.child_start += 1;
+            node.child_end += 1;
+        }
+        let node = Node::new(parent.0, label, &mut self.text, self.edges.len() as u32);
+        self.nodes.push(node);
+        id
+    }
 }
 
 /// A tree-pattern subscription: an unordered node-labelled tree over
 /// [`PatternLabel`]s, rooted at a `/.` node.
+///
+/// A pattern is immutable shared data with value semantics: `clone` copies
+/// nothing, and adding a node to a clone leaves the original unchanged (see
+/// the module documentation).
 ///
 /// # Example
 ///
@@ -119,26 +264,26 @@ struct PatternNode {
 /// // Build /media/CD programmatically.
 /// let mut p = TreePattern::new();
 /// let media = p.add_child(p.root(), PatternLabel::tag("media"));
+/// let shared = p.clone();
 /// p.add_child(media, PatternLabel::tag("CD"));
 /// assert_eq!(p.to_string(), "/media/CD");
 /// assert_eq!(p, TreePattern::parse("/media/CD").unwrap());
+/// assert_eq!(shared.to_string(), "/media");
 /// ```
-#[derive(Debug, Clone)]
-pub struct TreePattern {
-    nodes: Vec<PatternNode>,
-}
+#[derive(Clone)]
+pub struct TreePattern(Arc<Inner>);
 
 impl TreePattern {
     /// Create a pattern consisting only of the `/.` root (which matches every
     /// document).
     pub fn new() -> Self {
-        Self {
-            nodes: vec![PatternNode {
-                label: PatternLabel::Root,
-                parent: None,
-                children: Vec::new(),
-            }],
-        }
+        let mut text = String::new();
+        let root = Node::new(0, PatternLabel::Root, &mut text, 0);
+        Self(Arc::new(Inner {
+            nodes: vec![root],
+            edges: Vec::new(),
+            text,
+        }))
     }
 
     /// Parse a pattern from the XPath-like concrete syntax.
@@ -154,44 +299,62 @@ impl TreePattern {
     }
 
     /// Append a child with the given label under `parent`, returning its id.
-    pub fn add_child(&mut self, parent: PatternNodeId, label: PatternLabel) -> PatternNodeId {
-        debug_assert!(
-            !matches!(label, PatternLabel::Root),
-            "the root label may only appear at the root"
-        );
-        let id = PatternNodeId(self.nodes.len() as u32);
-        self.nodes.push(PatternNode {
-            label,
-            parent: Some(parent),
-            children: Vec::new(),
-        });
-        self.nodes[parent.index()].children.push(id);
-        id
+    /// The tag, if any, is copied into the pattern.
+    pub fn add_child(&mut self, parent: PatternNodeId, label: PatternLabel<'_>) -> PatternNodeId {
+        Arc::make_mut(&mut self.0).push(parent, label)
+    }
+
+    /// Append `steps` in one copy of the buffers (see [`Inner::grown`]),
+    /// returning the id of the first.
+    pub(crate) fn append(&mut self, steps: &[(PatternNodeId, PatternLabel<'_>)]) -> PatternNodeId {
+        let first = PatternNodeId(self.0.nodes.len() as u32);
+        let grown = self.0.grown(steps);
+        // Copy on write: a shared pattern gets its own allocation.
+        match Arc::get_mut(&mut self.0) {
+            Some(inner) => *inner = grown,
+            None => self.0 = Arc::new(grown),
+        }
+        first
     }
 
     /// The label of a node.
-    pub fn label(&self, id: PatternNodeId) -> &PatternLabel {
-        &self.nodes[id.index()].label
+    #[inline]
+    pub fn label(&self, id: PatternNodeId) -> PatternLabel<'_> {
+        let node = &self.0.nodes[id.index()];
+        // Every node has a tag range (empty unless a tag), so the slice is
+        // taken without branching on the kind.
+        let tag = &self.0.text[node.tag_start as usize..node.tag_end as usize];
+        match node.kind {
+            Kind::Root => PatternLabel::Root,
+            Kind::Tag => PatternLabel::Tag(tag),
+            Kind::Wildcard => PatternLabel::Wildcard,
+            Kind::Descendant => PatternLabel::Descendant,
+        }
     }
 
-    /// The children of a node.
+    /// The children of a node, in insertion order.
+    #[inline]
     pub fn children(&self, id: PatternNodeId) -> &[PatternNodeId] {
-        &self.nodes[id.index()].children
+        let node = &self.0.nodes[id.index()];
+        &self.0.edges[node.child_start as usize..node.child_end as usize]
     }
 
     /// The parent of a node (`None` for the root).
+    #[inline]
     pub fn parent(&self, id: PatternNodeId) -> Option<PatternNodeId> {
-        self.nodes[id.index()].parent
+        (id.0 != 0).then(|| PatternNodeId(self.0.nodes[id.index()].parent))
     }
 
     /// Whether `id` is a leaf.
+    #[inline]
     pub fn is_leaf(&self, id: PatternNodeId) -> bool {
-        self.children(id).is_empty()
+        let node = &self.0.nodes[id.index()];
+        node.child_start == node.child_end
     }
 
     /// Total number of nodes, including the root.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.0.nodes.len()
     }
 
     /// Maximum number of nodes on a root-to-leaf path, excluding the root.
@@ -211,7 +374,7 @@ impl TreePattern {
 
     /// Iterate over all node ids in pre-order (root first).
     pub fn preorder(&self) -> Vec<PatternNodeId> {
-        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut order = Vec::with_capacity(self.node_count());
         let mut stack = vec![self.root()];
         while let Some(next) = stack.pop() {
             order.push(next);
@@ -222,25 +385,27 @@ impl TreePattern {
         order
     }
 
+    fn count_kind(&self, kind: Kind) -> usize {
+        self.0.nodes.iter().filter(|n| n.kind == kind).count()
+    }
+
     /// Number of `*` nodes in the pattern.
     pub fn wildcard_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.label == PatternLabel::Wildcard)
-            .count()
+        self.count_kind(Kind::Wildcard)
     }
 
     /// Number of `//` nodes in the pattern.
     pub fn descendant_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.label == PatternLabel::Descendant)
-            .count()
+        self.count_kind(Kind::Descendant)
     }
 
     /// Number of branching nodes (nodes with two or more children).
     pub fn branching_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.children.len() > 1).count()
+        self.0
+            .nodes
+            .iter()
+            .filter(|n| n.child_end - n.child_start > 1)
+            .count()
     }
 
     /// Exact matching: does `document` satisfy this pattern (Section 2)?
@@ -257,23 +422,23 @@ impl TreePattern {
     ///
     /// Returns a description of the first violation, if any.
     pub fn validate(&self) -> Result<(), String> {
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in self.0.nodes.iter().enumerate() {
             let id = PatternNodeId(i as u32);
-            if i != 0 && node.label == PatternLabel::Root {
+            if i != 0 && node.kind == Kind::Root {
                 return Err(format!("non-root node {id:?} carries the root label"));
             }
-            if i == 0 && node.label != PatternLabel::Root {
+            if i == 0 && node.kind != Kind::Root {
                 return Err("root node does not carry the root label".to_string());
             }
-            if node.label == PatternLabel::Descendant {
-                if node.children.len() != 1 {
+            if node.kind == Kind::Descendant {
+                let children = self.children(id);
+                if children.len() != 1 {
                     return Err(format!(
                         "descendant node {id:?} must have exactly one child, has {}",
-                        node.children.len()
+                        children.len()
                     ));
                 }
-                let child = node.children[0];
-                if self.label(child).is_descendant() {
+                if self.label(children[0]).is_descendant() {
                     return Err(format!(
                         "descendant node {id:?} has a descendant child; its child must be a tag or *"
                     ));
@@ -305,17 +470,32 @@ impl TreePattern {
         source: &TreePattern,
         source_node: PatternNodeId,
     ) -> PatternNodeId {
-        let new_id = self.add_child(target_parent, source.label(source_node).clone());
-        for &child in source.children(source_node) {
-            self.graft(new_id, source, child);
+        let first = self.node_count() as u32;
+        let mut steps = Vec::new();
+        // Pre-order, each source node paired with its copy's parent.
+        let mut stack = vec![(source_node, target_parent)];
+        while let Some((node, parent)) = stack.pop() {
+            let copy = PatternNodeId(first + steps.len() as u32);
+            steps.push((parent, source.label(node)));
+            for &child in source.children(node).iter().rev() {
+                stack.push((child, copy));
+            }
         }
-        new_id
+        self.append(&steps)
     }
 }
 
 impl Default for TreePattern {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl fmt::Debug for TreePattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("TreePattern")
+            .field(&self.to_string())
+            .finish()
     }
 }
 
@@ -425,7 +605,7 @@ mod tests {
     fn new_pattern_is_bare_root() {
         let p = TreePattern::new();
         assert_eq!(p.node_count(), 1);
-        assert_eq!(*p.label(p.root()), PatternLabel::Root);
+        assert_eq!(p.label(p.root()), PatternLabel::Root);
         assert_eq!(p.height(), 0);
         assert!(p.validate().is_ok());
     }
@@ -540,5 +720,11 @@ mod tests {
     fn preorder_visits_all_nodes() {
         let p = TreePattern::parse("/a[b//c][d]/e").unwrap();
         assert_eq!(p.preorder().len(), p.node_count());
+    }
+
+    #[test]
+    fn patterns_are_shared_across_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<TreePattern>();
     }
 }

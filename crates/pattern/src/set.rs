@@ -1514,7 +1514,7 @@ impl PatternSet {
     }
 
     /// The child slot of `at` for a step labelled `label`.
-    fn edge(&self, at: u32, label: &PatternLabel) -> u32 {
+    fn edge(&self, at: u32, label: PatternLabel<'_>) -> u32 {
         let node = &self.nodes[at as usize];
         match label {
             PatternLabel::Tag(tag) => match node.tag_position(self.alphabet.symbol(tag)) {
@@ -1528,7 +1528,7 @@ impl PatternSet {
     }
 
     /// Add the edge `at --label--> to`; there is none for `label` yet.
-    fn link(&mut self, at: u32, label: &PatternLabel, to: u32) {
+    fn link(&mut self, at: u32, label: PatternLabel<'_>, to: u32) {
         let node = &mut self.nodes[at as usize];
         match label {
             PatternLabel::Tag(tag) => {
@@ -1543,7 +1543,7 @@ impl PatternSet {
     }
 
     /// Drop the edge `at --label-->`.
-    fn unlink(&mut self, at: u32, label: &PatternLabel) {
+    fn unlink(&mut self, at: u32, label: PatternLabel<'_>) {
         let node = &mut self.nodes[at as usize];
         match label {
             PatternLabel::Tag(tag) => {

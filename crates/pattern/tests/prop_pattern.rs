@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tps_pattern::ops::{conjunction, normalize};
-use tps_pattern::{PatternLabel, PatternSet, TreePattern};
+use tps_pattern::{PatternLabel, PatternNodeId, PatternSet, TreePattern};
 use tps_xml::XmlTree;
 
 const TAGS: &[&str] = &["a", "b", "c", "d", "e", "f", "g"];
@@ -457,5 +457,272 @@ proptest! {
     fn canonical_key_stable_under_round_trip(p in gen_pattern()) {
         let reparsed = TreePattern::parse(&p.to_string()).unwrap();
         prop_assert_eq!(p.canonical_key(), reparsed.canonical_key());
+    }
+}
+
+/// Tags of the representation model: bare names of one and several bytes,
+/// a non-ASCII name, and one that prints quoted.
+const MODEL_TAGS: &[&str] = &["a", "bb", "ccc", "é", "x y"];
+
+/// One insertion of the model test: a tag or `*` step under the
+/// `parent`-th node that may take children (mod their count), reached
+/// through a `//` node when `descendant` is set.
+#[derive(Debug, Clone)]
+struct Insertion {
+    parent: usize,
+    descendant: bool,
+    tag: Option<usize>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ModelLabel {
+    Root,
+    Tag(usize),
+    Wildcard,
+    Descendant,
+}
+
+impl ModelLabel {
+    fn text(self) -> String {
+        match self {
+            ModelLabel::Root => "/.".to_string(),
+            ModelLabel::Tag(i) if MODEL_TAGS[i].contains(' ') => format!("\"{}\"", MODEL_TAGS[i]),
+            ModelLabel::Tag(i) => MODEL_TAGS[i].to_string(),
+            ModelLabel::Wildcard => "*".to_string(),
+            ModelLabel::Descendant => "//".to_string(),
+        }
+    }
+
+    fn of(label: PatternLabel<'_>) -> Self {
+        match label {
+            PatternLabel::Root => ModelLabel::Root,
+            PatternLabel::Tag(t) => {
+                ModelLabel::Tag(MODEL_TAGS.iter().position(|&m| m == t).unwrap())
+            }
+            PatternLabel::Wildcard => ModelLabel::Wildcard,
+            PatternLabel::Descendant => ModelLabel::Descendant,
+        }
+    }
+}
+
+/// The plain representation the compact one replaced: a `Vec` of nodes,
+/// each with its own `Vec` of children.
+#[derive(Debug, Clone, Default)]
+struct Model {
+    labels: Vec<ModelLabel>,
+    parents: Vec<Option<usize>>,
+    children: Vec<Vec<usize>>,
+}
+
+impl Model {
+    fn add(&mut self, parent: Option<usize>, label: ModelLabel) -> usize {
+        let id = self.labels.len();
+        self.labels.push(label);
+        self.parents.push(parent);
+        self.children.push(Vec::new());
+        if let Some(parent) = parent {
+            self.children[parent].push(id);
+        }
+        id
+    }
+
+    /// Copy the subtree at `node` of `source` under `parent`, in pre-order.
+    fn graft(&mut self, parent: usize, source: &Model, node: usize) {
+        let copy = self.add(Some(parent), source.labels[node]);
+        for &c in &source.children[node] {
+            self.graft(copy, source, c);
+        }
+    }
+
+    fn display(&self) -> String {
+        match self.children[0].as_slice() {
+            [] => "/.".to_string(),
+            [only] => self.step(*only, true),
+            many => {
+                let steps: String = many
+                    .iter()
+                    .map(|&c| format!("[{}]", self.step(c, false)))
+                    .collect();
+                format!("/.{steps}")
+            }
+        }
+    }
+
+    fn step(&self, id: usize, absolute: bool) -> String {
+        if self.labels[id] == ModelLabel::Descendant {
+            let below = self.children[id][0];
+            return format!("//{}{}", self.labels[below].text(), self.below(below));
+        }
+        let slash = if absolute { "/" } else { "" };
+        format!("{slash}{}{}", self.labels[id].text(), self.below(id))
+    }
+
+    fn below(&self, id: usize) -> String {
+        match self.children[id].as_slice() {
+            [] => String::new(),
+            [only] if self.labels[*only] == ModelLabel::Descendant => self.step(*only, false),
+            [only] => format!("/{}{}", self.labels[*only].text(), self.below(*only)),
+            many => many
+                .iter()
+                .map(|&c| format!("[{}]", self.step(c, false)))
+                .collect(),
+        }
+    }
+
+    fn key(&self, id: usize) -> String {
+        let mut keys: Vec<String> = self.children[id].iter().map(|&c| self.key(c)).collect();
+        keys.sort();
+        format!("{}({})", self.labels[id].text(), keys.join(","))
+    }
+
+    fn preorder(&self, id: usize, out: &mut Vec<usize>) {
+        out.push(id);
+        for &c in &self.children[id] {
+            self.preorder(c, out);
+        }
+    }
+
+    fn height(&self, id: usize) -> usize {
+        self.children[id]
+            .iter()
+            .map(|&c| 1 + self.height(c))
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn count(&self, label: ModelLabel) -> usize {
+        self.labels.iter().filter(|&&l| l == label).count()
+    }
+}
+
+fn gen_insertions() -> impl Strategy<Value = Vec<Insertion>> {
+    let insertion =
+        (any::<usize>(), 0..4u32, 0..MODEL_TAGS.len() + 1).prop_map(|(parent, d, t)| Insertion {
+            parent,
+            descendant: d == 0,
+            tag: (t < MODEL_TAGS.len()).then_some(t),
+        });
+    prop::collection::vec(insertion, 0..24)
+}
+
+/// Build the pattern and its model by the same insertions. Returns the
+/// model indexes of the nodes that may take children too. A `//` node takes
+/// its one child at once and no other, so the pattern stays valid; every
+/// other node may gain children at any later time.
+fn build_with_model(insertions: &[Insertion]) -> (TreePattern, Model, Vec<usize>) {
+    let mut pattern = TreePattern::new();
+    let mut model = Model::default();
+    let mut ids = vec![pattern.root()];
+    model.add(None, ModelLabel::Root);
+    let mut open = vec![0];
+    let mut add = |pattern: &mut TreePattern, parent: usize, label, model_label| {
+        let id = pattern.add_child(ids[parent], label);
+        let index = model.add(Some(parent), model_label);
+        assert_eq!(id.index(), index, "add_child returns the next index");
+        ids.push(id);
+        index
+    };
+    for insertion in insertions {
+        let mut parent = open[insertion.parent % open.len()];
+        if insertion.descendant {
+            parent = add(
+                &mut pattern,
+                parent,
+                PatternLabel::Descendant,
+                ModelLabel::Descendant,
+            );
+        }
+        let (label, model_label) = match insertion.tag {
+            Some(t) => (PatternLabel::tag(MODEL_TAGS[t]), ModelLabel::Tag(t)),
+            None => (PatternLabel::Wildcard, ModelLabel::Wildcard),
+        };
+        open.push(add(&mut pattern, parent, label, model_label));
+    }
+    (pattern, model, open)
+}
+
+/// The node of `pattern` with model index `index`.
+fn node_at(pattern: &TreePattern, index: usize) -> PatternNodeId {
+    pattern
+        .preorder()
+        .into_iter()
+        .find(|id| id.index() == index)
+        .unwrap()
+}
+
+/// Every query of `pattern` against `model`, and the `Display` round trip.
+fn agrees_with_model(pattern: &TreePattern, model: &Model) -> Result<(), TestCaseError> {
+    let mut preorder = Vec::new();
+    model.preorder(0, &mut preorder);
+    let ids = pattern.preorder();
+    let got: Vec<usize> = ids.iter().map(|c| c.index()).collect();
+    prop_assert_eq!(got, preorder);
+    prop_assert_eq!(pattern.node_count(), model.labels.len());
+    for &id in &ids {
+        let i = id.index();
+        prop_assert_eq!(ModelLabel::of(pattern.label(id)), model.labels[i]);
+        prop_assert_eq!(
+            pattern.parent(id).map(PatternNodeId::index),
+            model.parents[i]
+        );
+        let children: Vec<usize> = pattern.children(id).iter().map(|c| c.index()).collect();
+        prop_assert_eq!(&children, &model.children[i]);
+    }
+    let text = pattern.to_string();
+    prop_assert_eq!(&text, &model.display());
+    prop_assert_eq!(pattern.canonical_key(), model.key(0));
+    prop_assert_eq!(pattern.height(), model.height(0));
+    prop_assert_eq!(pattern.wildcard_count(), model.count(ModelLabel::Wildcard));
+    prop_assert_eq!(
+        pattern.descendant_count(),
+        model.count(ModelLabel::Descendant)
+    );
+    let branching = model.children.iter().filter(|c| c.len() > 1).count();
+    prop_assert_eq!(pattern.branching_count(), branching);
+    prop_assert!(pattern.validate().is_ok());
+
+    let reparsed = TreePattern::parse(&text).unwrap();
+    prop_assert_eq!(&reparsed, pattern);
+    prop_assert_eq!(reparsed.to_string(), text);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The compact representation answers every query as the plain
+    /// `Vec`-of-nodes model does, for children added in any parent order
+    /// and for subtrees grafted under nodes that already have children,
+    /// and a clone is a value: growing it leaves the original as it was.
+    #[test]
+    fn representation_agrees_with_the_vec_of_nodes_model(
+        insertions in gen_insertions(),
+        target in any::<usize>(),
+        source in any::<usize>(),
+    ) {
+        let (pattern, model, open) = build_with_model(&insertions);
+        agrees_with_model(&pattern, &model)?;
+
+        let text = pattern.to_string();
+        let n = pattern.node_count();
+        let mut grown = pattern.clone();
+        let at = open[target % open.len()];
+        grown.add_child(node_at(&grown, at), PatternLabel::tag("grown"));
+        prop_assert_eq!(pattern.to_string(), text.clone());
+        prop_assert_eq!(pattern.node_count(), n);
+        prop_assert_eq!(grown.node_count(), n + 1);
+
+        if n > 1 {
+            // Any subtree but the whole pattern, under any node that may
+            // take children: possibly inside the subtree itself.
+            let from = 1 + source % (n - 1);
+            let mut grafted = pattern.clone();
+            let copy = grafted.graft(node_at(&pattern, at), &pattern, node_at(&pattern, from));
+            prop_assert_eq!(copy.index(), n);
+            let mut grafted_model = model.clone();
+            grafted_model.graft(at, &model, from);
+            agrees_with_model(&grafted, &grafted_model)?;
+            prop_assert_eq!(pattern.to_string(), text);
+        }
     }
 }

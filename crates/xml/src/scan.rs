@@ -390,8 +390,13 @@ impl<'a> Cursor<'a> {
         self.pos >= self.bytes.len()
     }
 
-    fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s)
+    /// Whether the input continues with `prefix` at the cursor. The
+    /// prefixes are short ASCII literals: comparing bytes needs no char
+    /// boundary check, and the loop fails on the first differing byte.
+    #[inline]
+    fn starts_with(&self, prefix: &str) -> bool {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        rest.len() >= prefix.len() && prefix.bytes().zip(rest).all(|(p, &b)| p == b)
     }
 
     fn skip_whitespace(&mut self) {

@@ -44,7 +44,7 @@ fn copy_with_substitution(
         let label = if child == substitute {
             PatternLabel::Wildcard
         } else {
-            src.label(child).clone()
+            src.label(child)
         };
         let new_node = dst.add_child(dst_parent, label);
         copy_with_substitution(src, child, dst, new_node, substitute);
